@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import StateEnsemble, average_state, min_eigenvalue_of_average
-from .hermitian import eig_hermitian, frozen, trace_product
+from .ensemble import StateEnsemble, average_state
+from .hermitian import eig_hermitian, frozen, herm, psd_root, trace_product
 
 # sigma with smaller minimum eigenvalue cannot be inverted reliably.
 SIGMA_MIN_EIGENVALUE = 1e-12
@@ -59,15 +59,15 @@ class PlateauBound:
 
 
 def _inverse_sqrt_of_average(e: StateEnsemble) -> np.ndarray:
-    wmin = min_eigenvalue_of_average(e)
+    root = psd_root(average_state(e))
+    wmin = float(root.eigenvalues[0])
     if wmin <= SIGMA_MIN_EIGENVALUE:
         raise RankDeficientEnsembleError(
             f"average state has minimum eigenvalue {wmin:.3e}; "
             f"the ceiling requires it invertible (> {SIGMA_MIN_EIGENVALUE:g})")
-    sig = average_state(e)
-    w, v = eig_hermitian(sig)
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return (inv_sqrt + inv_sqrt.conj().T) / 2.0
+    # Every root value exceeds 1e-6 here, far above the pseudoinverse
+    # cutoff, so the pseudoinverse is the inverse square root.
+    return root.pinv_matrix()
 
 
 def max_relative_success(e: StateEnsemble) -> PlateauBound:
@@ -105,9 +105,9 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
         a^2 (1 - Tr[sigma^2]) - 2 a p (1 - Tr[sigma rho]) + p^2 (1 - Tr[rho^2]) = 0.
 
     Both roots are computed and the one matching the eigenvalue route is
-    returned; the match is asserted, not assumed.
+    returned; the match is asserted, not assumed. The ensemble is
+    validated through :func:`max_relative_success`.
     """
-    e.require_valid()
     if e.dim != 2:
         raise ValueError(f"the quadratic route applies to qubits only, got dim {e.dim}")
     if not 0 <= j < e.n_states:
@@ -184,5 +184,4 @@ def plateau_povm_direction(e: StateEnsemble, bound: PlateauBound) -> np.ndarray:
             f"no kernel at the computed ceiling (smallest |eigenvalue| "
             f"{float(np.min(np.abs(w))):.3e} vs scale {scale:.3e})")
     vecs = v[:, mask]
-    proj = vecs @ vecs.conj().T
-    return frozen((proj + proj.conj().T) / 2.0)
+    return frozen(herm(vecs @ vecs.conj().T))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
-from .hermitian import frozen, min_eigenvalue, trace_product
+from .hermitian import frozen, herm, min_eigenvalue, trace_product
 from .solver import Povm, success_metrics
 
 logger = logging.getLogger(__name__)
@@ -72,11 +72,6 @@ class Certificate:
     tol_extremal: float
     tol_positivity: float
 
-    @property
-    def duality_gap_vs(self) -> float:
-        """Tr[lam] - a * p_i with this certificate's own rate; alias of dual_bound."""
-        return self.dual_bound
-
 
 def multipliers_from_povm(
     e: StateEnsemble, povm: Povm
@@ -95,6 +90,14 @@ def multipliers_from_povm(
     the operator multiplier is logged; it vanishes only at exact
     stationarity.
     """
+    lam, a, _ = _multipliers(e, povm)
+    return lam, a
+
+
+def _multipliers(
+    e: StateEnsemble, povm: Povm
+) -> tuple[np.ndarray, float | None, float]:
+    """:func:`multipliers_from_povm` plus the operator multiplier's asymmetry."""
     e.require_valid()
     if povm.n_conclusive != e.n_states:
         raise ValueError(
@@ -111,7 +114,7 @@ def multipliers_from_povm(
     if p_i <= HELSTROM_RATE_EPS:
         a = None
     else:
-        herm_raw = (raw + raw.conj().T) / 2.0
+        herm_raw = herm(raw)
         herm_spi = (sig @ pi0 + pi0 @ sig) / 2.0
         blocks = [(herm_raw @ pi0, (herm_spi - sig) @ pi0)]
         blocks += [
@@ -127,22 +130,11 @@ def multipliers_from_povm(
         a = cross / denom
         raw = raw + a * (sig @ pi0)
 
-    lam = (raw + raw.conj().T) / 2.0
+    lam = herm(raw)
     asym = float(np.linalg.norm(raw - raw.conj().T, "fro")) / 2.0
     if asym > 1e-8:
         logger.info("multiplier operator asymmetry %.3e (far from stationary)", asym)
-    return frozen(lam), a
-
-
-def _lambda_asymmetry(e: StateEnsemble, povm: Povm, a: float | None) -> float:
-    sig = average_state(e)
-    raw = sum(
-        p * (rho @ pi)
-        for p, rho, pi in zip(e.priors, e.states, povm.conclusive)
-    )
-    if a is not None:
-        raw = raw + a * (sig @ povm.inconclusive)
-    return float(np.linalg.norm(raw - raw.conj().T, "fro")) / 2.0
+    return frozen(lam), a, asym
 
 
 def check(
@@ -161,7 +153,7 @@ def check(
     """
     if tol_extremal <= 0 or tol_positivity <= 0:
         raise ValueError("certificate tolerances must be strictly positive")
-    lam, a = multipliers_from_povm(e, povm)
+    lam, a, asym = _multipliers(e, povm)
     sig = average_state(e)
     p_i = trace_product(sig, povm.inconclusive)
 
@@ -175,11 +167,11 @@ def check(
     else:
         gap0 = lam - a * sig
         residuals.append(float(np.linalg.norm(gap0 @ povm.inconclusive, "fro")))
-        margins.append(min_eigenvalue((gap0 + gap0.conj().T) / 2.0))
+        margins.append(min_eigenvalue(gap0))
     for p, rho, pi in zip(e.priors, e.states, povm.conclusive):
         gap = lam - p * rho
         residuals.append(float(np.linalg.norm(gap @ pi, "fro")))
-        margins.append(min_eigenvalue((gap + gap.conj().T) / 2.0))
+        margins.append(min_eigenvalue(gap))
 
     a_eff = 0.0 if a is None else a
     dual_bound = float(np.trace(lam).real - a_eff * p_i)
@@ -193,7 +185,7 @@ def check(
         positivity_margins=tuple(margins),
         dual_bound=dual_bound,
         optimal=optimal,
-        lambda_asymmetry=_lambda_asymmetry(e, povm, a),
+        lambda_asymmetry=asym,
         tol_extremal=tol_extremal,
         tol_positivity=tol_positivity,
     )

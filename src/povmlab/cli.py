@@ -105,18 +105,13 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 # sweep workers (module level so a process pool can pickle them)
 
 def _sweep_point_file(job: tuple) -> list[str]:
-    path, target, max_iter, tol, pinv_cutoff = job
-    e = fileio.load_ensemble(path)
-    cfg = SolverConfig(max_iterations=max_iter, povm_tolerance=tol,
-                       pinv_cutoff=pinv_cutoff)
-    return _sweep_row(e, target, cfg)
+    """One tradeoff point; the job carries the ensemble loaded from the file."""
+    return _sweep_row(*job)
 
 
 def _sweep_point_symmetric(job: tuple) -> list[str]:
-    eta, theta, target, max_iter, tol, pinv_cutoff = job
+    eta, theta, target, cfg = job
     e = qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
-    cfg = SolverConfig(max_iterations=max_iter, povm_tolerance=tol,
-                       pinv_cutoff=pinv_cutoff)
     return [fileio.float_repr(eta)] + _sweep_row(e, target, cfg)
 
 
@@ -131,7 +126,8 @@ def _sweep_row(e, target: float, cfg: SolverConfig) -> list[str]:
     except certificate.SingularMultiplierError:
         certified = False
     return [f(target), f(r.p_s), f(r.p_rs), str(r.iterations),
-            f(r.final_change), "true" if certified else "false", "ok"]
+            f(r.final_change), "true" if certified else "false",
+            "ok" if r.converged else "maxiter"]
 
 
 def _run_jobs(worker, jobs: list[tuple], n_workers: int) -> list[list[str]]:
@@ -247,16 +243,13 @@ def cmd_tradeoff(args) -> int:
     e, digest, status = _load_for_command(args, started, "tradeoff")
     if status is not None:
         return status
-    del e  # workers reload per point; the load above just validates early
     try:
         grid = _parse_grid(args.pi_grid)
     except ValueError as exc:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
-    jobs = [
-        (args.ensemble, float(t), args.max_iter, args.tol, args.pinv_cutoff)
-        for t in grid
-    ]
+    cfg = _solver_config(args)
+    jobs = [(e, float(t), cfg) for t in grid]
     rows = _run_jobs(_sweep_point_file, jobs, args.jobs)
     sys.stdout.write(TRADEOFF_HEADER + "\n")
     for row in rows:
@@ -323,12 +316,12 @@ def cmd_certify(args) -> int:
 
 def cmd_fig1(args) -> int:
     etas = [float(x) for x in args.etas.split(",") if x]
+    cfg = _solver_config(args)
     jobs = []
     for eta in etas:
         p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
         for t in default_sweep_grid(p, points=args.points):
-            jobs.append((eta, args.theta, float(t),
-                         args.max_iter, args.tol, args.pinv_cutoff))
+            jobs.append((eta, args.theta, float(t), cfg))
     rows = _run_jobs(_sweep_point_symmetric, jobs, args.jobs)
     sys.stdout.write("eta," + TRADEOFF_HEADER + "\n")
     for row in rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .hermitian import (
     HERMITICITY_ATOL,
     PSD_EIGENVALUE_FLOOR,
     frozen,
-    hermitian,
+    herm,
     min_eigenvalue,
     trace_product,
 )
@@ -84,11 +85,16 @@ class StateEnsemble:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # States and priors are read-only, so one report serves every caller.
+        return tuple(validate(self))
+
     def require_valid(self) -> "StateEnsemble":
-        """Raise :class:`EnsembleValidationError` unless :func:`validate` is clean."""
-        report = validate(self)
-        if report:
-            raise EnsembleValidationError(report)
+        """Raise :class:`EnsembleValidationError` unless :func:`validate` is
+        clean; the report is computed on the first call only."""
+        if self._violations:
+            raise EnsembleValidationError(list(self._violations))
         return self
 
 
@@ -123,7 +129,7 @@ def validate(e: StateEnsemble) -> list[Violation]:
                           residual=asym, index=j)
             )
             continue  # eigenvalue checks need a Hermitian matrix
-        wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+        wmin = float(np.linalg.eigvalsh(herm(rho))[0])
         if wmin < PSD_EIGENVALUE_FLOOR:
             report.append(
                 Violation(f"state {j} has negative eigenvalue {wmin:.3e}",
@@ -141,7 +147,7 @@ def validate(e: StateEnsemble) -> list[Violation]:
 def average_state(e: StateEnsemble) -> np.ndarray:
     """Prior-weighted mixture of the ensemble states (unit trace, PSD)."""
     sig = sum(p * rho for p, rho in zip(e.priors, e.states))
-    return hermitian(sig)
+    return frozen(herm(sig))
 
 
 def overlaps_and_purities(e: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,10 @@
 
 Every operator handled by this package is a square complex matrix equal to
 its conjugate transpose: density matrices, measurement elements, and
-Lagrange multipliers alike. The constructors here validate that property
-once and return read-only arrays, so downstream spectral routines always
-work in the real-eigenvalue regime and values can be shared freely across
-threads.
+Lagrange multipliers alike. :func:`hermitian` validates that property at
+the boundary; operators the package builds itself only have their round-off
+asymmetry removed by :func:`herm`. Square roots and pseudoinverses all come
+from one eigendecomposition in :func:`psd_root`.
 """
 
 from __future__ import annotations
@@ -61,14 +61,45 @@ def hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
         raise HermiticityError(
             f"matrix is not Hermitian: max|A - A†| = {asym:.3e} exceeds {atol:.3e}"
         )
-    return frozen((m + m.conj().T) / 2.0)
+    return frozen(herm(m))
 
 
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = hermitian(a)
-    w, v = np.linalg.eigh(m)
+def herm(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (M + M†)/2, with no check on how far M is from it."""
+    return (m + m.conj().T) / 2.0
+
+
+def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of the Hermitian part of ``a``, eigenvalues ascending."""
+    w, v = np.linalg.eigh(herm(a))
     return EigenDecomposition(frozen(w), frozen(v))
+
+
+class PsdRoot(NamedTuple):
+    """A^{1/2} = V diag(root) V† and its pseudoinverse V diag(inverse) V†,
+    where V and ``eigenvalues`` (ascending) are the eigendecomposition of A."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    root: np.ndarray
+    inverse: np.ndarray
+
+    def root_matrix(self) -> np.ndarray:
+        return herm((self.vectors * self.root) @ self.vectors.conj().T)
+
+    def pinv_matrix(self) -> np.ndarray:
+        return herm((self.vectors * self.inverse) @ self.vectors.conj().T)
+
+
+def psd_root(a: np.ndarray, cutoff: float = DEFAULT_PINV_CUTOFF) -> PsdRoot:
+    """PSD square root of a Hermitian ``a`` and its pseudoinverse, from one
+    eigendecomposition. Eigenvalues are clipped at zero before the root is
+    taken; root values at or below ``cutoff`` times the largest one (all of
+    them for the zero matrix) are not inverted."""
+    w, v = np.linalg.eigh(a)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    sinv = np.where(s > cutoff * s[-1], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return PsdRoot(w, v, s, sinv)
 
 
 def sqrt_psd(a) -> np.ndarray:
@@ -77,52 +108,28 @@ def sqrt_psd(a) -> np.ndarray:
     Eigenvalues within the PSD floor of zero are clamped to zero; anything
     below the floor raises :class:`NotPositiveSemidefiniteError`.
     """
-    w, v = eig_hermitian(a)
-    if w[0] < PSD_EIGENVALUE_FLOOR:
+    r = psd_root(hermitian(a))
+    w0 = r.eigenvalues[0]
+    if w0 < PSD_EIGENVALUE_FLOOR:
         raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} is below the PSD floor {PSD_EIGENVALUE_FLOOR:.0e}"
+            f"smallest eigenvalue {w0:.3e} is below the PSD floor {PSD_EIGENVALUE_FLOOR:.0e}"
         )
-    s = np.sqrt(np.clip(w, 0.0, None))
-    b = (v * s) @ v.conj().T
-    return frozen((b + b.conj().T) / 2.0)
+    return frozen(r.root_matrix())
 
 
-def pinv_psd(a, cutoff: float = DEFAULT_PINV_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a PSD matrix with a relative cutoff.
-
-    Eigenvalues above cutoff * max_eigenvalue are inverted, the rest are
-    zeroed. The zero matrix maps to the zero matrix.
-    """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be strictly positive")
-    w, v = eig_hermitian(a)
-    if w[0] < PSD_EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} is below the PSD floor {PSD_EIGENVALUE_FLOOR:.0e}"
-        )
-    w = np.clip(w, 0.0, None)
-    wmax = w[-1]
-    if wmax == 0.0:
-        return frozen(np.zeros_like(np.asarray(a, dtype=np.complex128)))
-    inv = np.where(w > cutoff * wmax, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    b = (v * inv) @ v.conj().T
-    return frozen((b + b.conj().T) / 2.0)
+def min_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of ``a``."""
+    return float(np.linalg.eigvalsh(herm(a))[0])
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = hermitian(a)
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def trace_product(a, b) -> float:
-    """Re Tr[A B] for Hermitian A, B of equal dimension.
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr[A B] for the Hermitian parts A, B of equal-sized ``a``, ``b``.
 
     The imaginary part of the trace is mathematically zero and is asserted
     to stay below round-off scale.
     """
-    am = hermitian(a)
-    bm = hermitian(b)
+    am = herm(a)
+    bm = herm(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
     t = complex(np.trace(am @ bm))

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
-from .hermitian import DEFAULT_PINV_CUTOFF, frozen, hermitian, sqrt_psd, trace_product
+from .hermitian import (DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, psd_root,
+                        sqrt_psd, trace_product)
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +109,7 @@ def povm_violations(povm: Povm) -> list:
                 f"element {k} is not Hermitian (asymmetry {asym:.3e})",
                 residual=asym, index=k))
             continue
-        wmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        wmin = float(np.linalg.eigvalsh(herm(m))[0])
         if wmin < POVM_PSD_FLOOR:
             report.append(Violation(
                 f"element {k} has negative eigenvalue {wmin:.3e}",
@@ -146,9 +147,6 @@ class SuccessMetrics:
     p_i: float
     p_rs: float
 
-    def __iter__(self):
-        return iter((self.p_s, self.p_i, self.p_rs))
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -174,6 +172,15 @@ class SolveResult:
 # sweep internals
 
 @dataclass(frozen=True)
+class _EnsembleTerms:
+    """Ensemble operators that every sweep of one solve reuses."""
+
+    sigma: np.ndarray
+    states: tuple[np.ndarray, ...]       # Herm(rho_j)
+    weighted: tuple[np.ndarray, ...]     # p_j^2 Herm(rho_j)
+
+
+@dataclass(frozen=True)
 class _SweepTerms:
     """Operators fixed during one sweep's multiplier search."""
 
@@ -183,44 +190,28 @@ class _SweepTerms:
     inconclusive: np.ndarray             # sigma Pi_0 sigma
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+def _ensemble_terms(e: StateEnsemble) -> _EnsembleTerms:
+    states = tuple(herm(rho) for rho in e.states)
+    weighted = tuple(p * p * rho for p, rho in zip(e.priors, states))
+    return _EnsembleTerms(average_state(e), states, weighted)
 
 
-def _sweep_terms(e: StateEnsemble, povm: Povm) -> _SweepTerms:
-    sig = average_state(e)
-    sandwiches = []
-    for p, rho, pi in zip(e.priors, e.states, povm.conclusive):
-        rho = _herm(rho)
-        sandwiches.append(_herm(p * p * rho @ pi @ rho))
-    ksum = _herm(sum(sandwiches))
-    m0 = _herm(sig @ povm.inconclusive @ sig)
-    return _SweepTerms(sig, tuple(sandwiches), ksum, m0)
-
-
-def _sqrt_and_pinv(psd: np.ndarray, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """PSD square root of ``psd`` and the pseudoinverse of that root."""
-    w, v = np.linalg.eigh(psd)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = s[-1]
-    if smax == 0.0:
-        z = np.zeros_like(psd)
-        return z, z
-    sinv = np.where(s > cutoff * smax, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    root = _herm((v * s) @ v.conj().T)
-    rootinv = _herm((v * sinv) @ v.conj().T)
-    return root, rootinv
+def _sweep_terms(fixed: _EnsembleTerms, povm: Povm) -> _SweepTerms:
+    sig = fixed.sigma
+    sandwiches = tuple(
+        herm(w @ pi @ rho)
+        for w, rho, pi in zip(fixed.weighted, fixed.states, povm.conclusive)
+    )
+    ksum = herm(sum(sandwiches))
+    m0 = herm(sig @ povm.inconclusive @ sig)
+    return _SweepTerms(sig, sandwiches, ksum, m0)
 
 
 def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> float:
-    """Inconclusive rate the sweep would produce with multiplier ``a``."""
-    lam2 = terms.conclusive_sum + (a * a) * terms.inconclusive
-    w, v = np.linalg.eigh(lam2)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = s[-1]
-    if smax == 0.0:
-        return 0.0
-    sinv = np.where(s > cutoff * smax, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    """Inconclusive rate the sweep would produce with multiplier ``a``,
+    worked out in the eigenbasis of lam^2 without forming lam^+ itself."""
+    root = psd_root(terms.conclusive_sum + (a * a) * terms.inconclusive, cutoff)
+    v, sinv = root.vectors, root.inverse
     mt = v.conj().T @ terms.inconclusive @ v
     st = v.conj().T @ terms.sigma @ v
     val = np.einsum("ij,j,ji,i->", st, sinv, mt, sinv)
@@ -229,7 +220,7 @@ def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> float:
 
 def _solve_multiplier(
     terms: _SweepTerms, target_pi: float, cfg: SolverConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, PsdRoot]:
     """Interval-halving search for the multiplier matching the target rate.
 
     The rate is 0 at a = 0 and grows (empirically monotonically, checked
@@ -276,8 +267,7 @@ def _solve_multiplier(
             best_res, cfg.bisection_tolerance)
 
     lam2 = terms.conclusive_sum + best_a * best_a * terms.inconclusive
-    lam, laminv = _sqrt_and_pinv(lam2, cfg.pinv_cutoff)
-    return best_a, lam, laminv
+    return best_a, psd_root(lam2, cfg.pinv_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +292,7 @@ def multiplier_operator(e: StateEnsemble, povm: Povm, a: float) -> np.ndarray:
     of sum_j p_j^2 rho_j Pi_j rho_j + a^2 sigma Pi_0 sigma."""
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
-    terms = _sweep_terms(e, povm)
+    terms = _sweep_terms(_ensemble_terms(e), povm)
     return sqrt_psd(terms.conclusive_sum + (a * a) * terms.inconclusive)
 
 
@@ -313,7 +303,7 @@ def predicted_inconclusive_rate(
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
     cfg = cfg or SolverConfig()
-    return _predicted_rate(_sweep_terms(e, povm), a, cfg.pinv_cutoff)
+    return _predicted_rate(_sweep_terms(_ensemble_terms(e), povm), a, cfg.pinv_cutoff)
 
 
 def solve_multiplier(
@@ -324,8 +314,8 @@ def solve_multiplier(
     if not 0.0 < target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
     cfg = cfg or SolverConfig()
-    a, lam, _ = _solve_multiplier(_sweep_terms(e, povm), target_pi, cfg)
-    return a, frozen(lam)
+    a, root = _solve_multiplier(_sweep_terms(_ensemble_terms(e), povm), target_pi, cfg)
+    return a, frozen(root.root_matrix())
 
 
 def iterate_once(
@@ -342,23 +332,28 @@ def iterate_once(
     """
     if not 0.0 <= target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
-    cfg = cfg or SolverConfig()
-    terms = _sweep_terms(e, povm)
+    return _sweep(_ensemble_terms(e), povm, target_pi, cfg or SolverConfig())
 
+
+def _sweep(
+    fixed: _EnsembleTerms, povm: Povm, target_pi: float, cfg: SolverConfig
+) -> tuple[Povm, np.ndarray, float | None]:
+    terms = _sweep_terms(fixed, povm)
     a: float | None
     if target_pi == 0.0:
-        lam, laminv = _sqrt_and_pinv(terms.conclusive_sum, cfg.pinv_cutoff)
-        a = None
-        new_inconclusive = np.zeros((e.dim, e.dim), dtype=np.complex128)
+        a, root = None, psd_root(terms.conclusive_sum, cfg.pinv_cutoff)
+        laminv = root.pinv_matrix()
+        new_inconclusive = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
     else:
-        a, lam, laminv = _solve_multiplier(terms, target_pi, cfg)
+        a, root = _solve_multiplier(terms, target_pi, cfg)
+        laminv = root.pinv_matrix()
         new_inconclusive = (a * a) * (laminv @ terms.inconclusive @ laminv)
 
-    new_conclusive = [_herm(laminv @ s @ laminv) for s in terms.sandwiches]
-    deficit = np.eye(e.dim) - new_inconclusive - sum(new_conclusive)
-    new_inconclusive = _herm(new_inconclusive + deficit)
+    new_conclusive = [herm(laminv @ s @ laminv) for s in terms.sandwiches]
+    deficit = np.eye(povm.dim) - new_inconclusive - sum(new_conclusive)
+    new_inconclusive = herm(new_inconclusive + deficit)
     new = Povm((new_inconclusive, *new_conclusive))
-    return new, frozen(lam), a
+    return new, frozen(root.root_matrix()), a
 
 
 def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
@@ -400,13 +395,14 @@ def solve(
             f"target inconclusive rate {target_pi:.17g} leaves no conclusive "
             f"fraction to renormalize")
 
+    fixed = _ensemble_terms(e)
     povm = initial_povm(e, target_pi)
     history: list[float] = []
     lam = np.zeros((e.dim, e.dim))
     a: float | None = None
     converged = False
     for sweep in range(1, cfg.max_iterations + 1):
-        new, lam, a = iterate_once(e, povm, target_pi, cfg)
+        new, lam, a = _sweep(fixed, povm, target_pi, cfg)
         change = max(
             float(np.linalg.norm(n - o, "fro"))
             for n, o in zip(new.elements, povm.elements)

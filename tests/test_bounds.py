@@ -12,7 +12,12 @@ from povmlab.bounds import (
     prs_max_from_invariants,
     qubit_quadratic_a,
 )
-from povmlab.ensemble import StateEnsemble, overlaps_and_purities, symmetric_qubit_pair
+from povmlab.ensemble import (
+    StateEnsemble,
+    average_state,
+    overlaps_and_purities,
+    symmetric_qubit_pair,
+)
 from povmlab.qubit_analytic import (
     SymmetricQubitProblem,
     analytic_povm,
@@ -175,3 +180,21 @@ def test_solver_never_beats_the_bound():
         r = solve(e, target)
         assert r.p_rs <= prs_max + 1e-7
     assert solve(e, 0.75).p_rs == pytest.approx(prs_max, abs=1e-6)
+
+
+def test_bound_on_nearly_singular_average_state():
+    # sigma has smallest eigenvalue 7.5e-9: invertible, but sigma^{-1/2} is
+    # large enough that its products carry round-off asymmetry near 1e-9
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    rho1 = q @ np.diag([0.7, 0.3 - 1e-8, 1e-8]) @ q.conj().T
+    ket = q @ np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+    rho2 = 0.5 * np.outer(ket, ket.conj()) + 0.5 * rho1
+    e = StateEnsemble((rho1, rho2), np.array([0.5, 0.5]))
+    b = max_relative_success(e)
+    sig = average_state(e)
+    reference = [p * max(np.linalg.eigvals(np.linalg.solve(sig, rho)).real)
+                 for p, rho in zip(e.priors, e.states)]
+    assert b.per_state_a == pytest.approx(reference, rel=1e-6)
+    proj = plateau_povm_direction(e, b)
+    assert np.allclose(proj @ proj, proj, atol=1e-10)

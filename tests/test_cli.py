@@ -169,6 +169,28 @@ def test_tradeoff_parallel_matches_serial(capsys, ensemble_file):
     assert serial == parallel
 
 
+def test_tradeoff_marks_capped_points(capsys, ensemble_file):
+    code, out = run_cli(capsys, [
+        "tradeoff", str(ensemble_file), "--pi-grid", "0:0.4:3",
+        "--jobs", "1", "--max-iter", "3"])
+    assert code == cli.EXIT_OK
+    for line in out.strip().split("\n")[1:]:
+        row = line.split(",")
+        assert row[3] == "3"
+        assert row[6] == "maxiter"
+
+
+def test_tradeoff_loads_the_file_once(capsys, ensemble_file, monkeypatch):
+    loads = []
+    real = cli.fileio.load_ensemble
+    monkeypatch.setattr(cli.fileio, "load_ensemble",
+                        lambda *a, **k: loads.append(a) or real(*a, **k))
+    code, _ = run_cli(capsys, [
+        "tradeoff", str(ensemble_file), "--pi-grid", "0:0.3:4", "--jobs", "1"])
+    assert code == cli.EXIT_OK
+    assert len(loads) == 1
+
+
 def test_tradeoff_rejects_bad_grid(capsys, ensemble_file):
     for grid in ["0:0.4", "0.5:0.2:3", "0:1.0:3", "0:0.4:0"]:
         code, _ = run_cli(capsys, [
@@ -258,6 +280,20 @@ def test_certify_rejects_invalid_povm(capsys, ensemble_file, tmp_path):
                                   str(povm_path)])
     assert code == cli.EXIT_VALIDATION
     assert rec["result"]["violations"]
+
+
+def test_certify_symmetrizes_round_off_asymmetry(capsys, ensemble_file, tmp_path):
+    # asymmetry 5e-11: within what povm_violations accepts (1e-9) but above
+    # the 1e-12 of the hermitian() validator
+    r = solve(PROBLEM.ensemble(), 0.3)
+    skew = np.array([[0.0, 2.5e-11], [-2.5e-11, 0.0]], dtype=complex)
+    povm = Povm((r.povm.elements[0] + skew, *r.povm.conclusive))
+    povm_path = tmp_path / "skewed.json"
+    save_povm(povm_path, povm)
+    code, rec = run_json(capsys, ["certify", str(ensemble_file),
+                                  str(povm_path)])
+    assert code == cli.EXIT_OK
+    assert rec["result"]["optimal"] is True
 
 
 def test_certify_rejects_mismatched_count(capsys, ensemble_file, tmp_path):

@@ -1,7 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_ensemble
+from povmlab import ensemble as ensemble_module
+from povmlab.bounds import (
+    PlateauBound,
+    max_relative_success,
+    plateau_povm_direction,
+    qubit_quadratic_a,
+)
+from povmlab.certificate import check
 from povmlab.ensemble import (
     EnsembleValidationError,
     StateEnsemble,
@@ -11,6 +21,8 @@ from povmlab.ensemble import (
     symmetric_qubit_pair,
     validate,
 )
+from povmlab.solver import initial_povm, solve
+
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -172,3 +184,30 @@ def test_states_are_read_only():
         e.states[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         e.priors[0] = 5.0
+
+
+@pytest.mark.parametrize("entry", [
+    lambda e: solve(e, 0.2),
+    lambda e: check(e, initial_povm(e, 0.2)),
+    max_relative_success,
+    lambda e: plateau_povm_direction(e, PlateauBound(0.9, (0.9, 0.8), 0, 1)),
+    lambda e: qubit_quadratic_a(e, 0),
+], ids=["solve", "check", "max_relative_success", "plateau_povm_direction",
+        "qubit_quadratic_a"])
+def test_entry_points_reject_invalid_ensemble(entry):
+    e = StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.6]))
+    for _ in range(2):  # the remembered report keeps raising
+        with pytest.raises(EnsembleValidationError):
+            entry(e)
+
+
+def test_validation_runs_once_per_ensemble(monkeypatch):
+    calls = []
+    real = ensemble_module.validate
+    monkeypatch.setattr(ensemble_module, "validate",
+                        lambda e: calls.append(e) or real(e))
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    r = solve(e, 0.2)
+    check(e, r.povm)
+    max_relative_success(e)
+    assert len(calls) == 1

@@ -5,9 +5,10 @@ from povmlab.hermitian import (
     HermiticityError,
     NotPositiveSemidefiniteError,
     eig_hermitian,
+    herm,
     hermitian,
     min_eigenvalue,
-    pinv_psd,
+    psd_root,
     sqrt_psd,
     trace_product,
 )
@@ -94,34 +95,56 @@ def test_sqrt_rejects_genuine_negativity():
         sqrt_psd(np.diag([1.0, -1e-6]).astype(complex))
 
 
-def test_pinv_identity_and_rank_deficient():
-    assert np.allclose(pinv_psd(np.eye(2, dtype=complex)), np.eye(2))
-    assert np.allclose(pinv_psd(np.diag([2.0, 0.0]).astype(complex)),
-                       np.diag([0.5, 0.0]))
+def test_psd_root_identity_and_rank_deficient():
+    r = psd_root(np.eye(2, dtype=complex))
+    assert np.allclose(r.root_matrix(), np.eye(2))
+    assert np.allclose(r.pinv_matrix(), np.eye(2))
+    r = psd_root(np.diag([4.0, 0.0]).astype(complex))
+    assert np.allclose(r.root_matrix(), np.diag([2.0, 0.0]))
+    assert np.allclose(r.pinv_matrix(), np.diag([0.5, 0.0]))
 
 
-def test_pinv_cutoff_zeroes_negligible_mode():
-    inv = pinv_psd(np.diag([4.0, 1e-20]).astype(complex), cutoff=1e-12)
-    assert np.allclose(inv, np.diag([0.25, 0.0]))
+def test_psd_root_cutoff_zeroes_negligible_mode():
+    # root values 2 and 1e-15: the second lies below 1e-12 * 2
+    r = psd_root(np.diag([4.0, 1e-30]).astype(complex), cutoff=1e-12)
+    assert np.allclose(r.pinv_matrix(), np.diag([0.5, 0.0]))
+    assert np.array_equal(r.inverse, [0.0, 0.5])
 
 
-def test_pinv_zero_operator_is_zero():
-    assert np.allclose(pinv_psd(np.zeros((3, 3), dtype=complex)), 0.0)
+def test_psd_root_clips_roundoff_negativity():
+    r = psd_root(np.diag([-1e-14, 9.0]).astype(complex))
+    assert np.array_equal(r.root, [0.0, 3.0])
+    assert np.array_equal(r.inverse, [0.0, 1.0 / 3.0])
 
 
-def test_pinv_requires_positive_cutoff():
-    with pytest.raises(ValueError):
-        pinv_psd(np.eye(2, dtype=complex), cutoff=0.0)
+def test_psd_root_zero_operator_is_zero():
+    r = psd_root(np.zeros((3, 3), dtype=complex))
+    assert np.allclose(r.root_matrix(), 0.0)
+    assert np.allclose(r.pinv_matrix(), 0.0)
 
 
-def test_pinv_involution_on_support():
+def test_psd_root_inverts_on_support():
     rng = np.random.default_rng(13)
     for dim in (2, 4, 8):
         g = rng.standard_normal((dim, dim - 1)) + 1j * rng.standard_normal((dim, dim - 1))
         a = g @ g.conj().T  # rank dim-1
-        back = pinv_psd(pinv_psd(a))
-        proj = a @ pinv_psd(a)
-        assert np.linalg.norm(proj @ (back - a), "fro") <= 1e-8 * dim
+        # the null eigenvalue is round-off of order 1e-15, so its root is
+        # about 1e-7; a cutoff above that keeps it out of the pseudoinverse
+        r = psd_root(a, cutoff=1e-5)
+        assert r.inverse[0] == 0.0 and np.all(r.inverse[1:] > 0.0)
+        root, pinv = r.root_matrix(), r.pinv_matrix()
+        assert np.linalg.norm(root @ root - a, "fro") <= 1e-9 * dim
+        proj = root @ pinv  # projector onto the support of a
+        assert np.linalg.norm(proj @ proj - proj, "fro") <= 1e-8 * dim
+        assert np.linalg.norm(proj @ a - a, "fro") <= 1e-8 * dim
+        assert np.linalg.norm(pinv @ root @ pinv - pinv, "fro") <= 1e-8 * dim
+
+
+def test_herm_takes_hermitian_part_without_check():
+    m = np.array([[1.0, 2.0], [0.0, 3.0 + 4.0j]], dtype=complex)
+    h = herm(m)
+    assert np.array_equal(h, [[1.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(herm(h), h)
 
 
 def test_min_eigenvalue_examples():
@@ -144,6 +167,15 @@ def test_trace_product_symmetric_random():
         g2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a, b = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
         assert abs(trace_product(a, b) - trace_product(b, a)) <= 1e-12
+
+
+def test_trace_product_and_min_eigenvalue_symmetrize_round_off():
+    # asymmetry above the hermitian() tolerance but far below any physics
+    skew = np.array([[0.0, 5e-11], [-5e-11, 0.0]], dtype=complex)
+    with pytest.raises(HermiticityError):
+        hermitian(PAULI_X + skew)
+    assert trace_product(PAULI_X + skew, PAULI_X) == trace_product(PAULI_X, PAULI_X)
+    assert min_eigenvalue(PAULI_X + skew) == min_eigenvalue(PAULI_X)
 
 
 def test_trace_product_dimension_mismatch():

@@ -289,6 +289,8 @@ def test_solve_rejects_bad_targets_and_config():
         SolverConfig(povm_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(bisection_tolerance=-1e-3)
+    with pytest.raises(ValueError):
+        SolverConfig(pinv_cutoff=0.0)
 
 
 def test_solve_change_history_is_recorded():
