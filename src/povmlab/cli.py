@@ -214,6 +214,7 @@ def cmd_solve(args) -> int:
         "iterations": r.iterations,
         "final_change": r.final_change,
         "converged": r.converged,
+        "rate_residual": r.rate_residual,
         "certificate": cert_payload,
     }
     if args.emit_povm:
@@ -357,7 +358,8 @@ def _add_solver_flags(sub) -> None:
                      help="iteration cap")
     sub.add_argument("--pinv-cutoff", type=float,
                      default=SolverConfig.pinv_cutoff,
-                     help="relative eigenvalue cutoff for pseudoinverses")
+                     help="relative eigenvalue cutoff: eigenvalues at or below "
+                          "this fraction of the largest are not inverted")
 
 
 def build_parser() -> argparse.ArgumentParser:

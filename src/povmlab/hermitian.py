@@ -19,7 +19,7 @@ HERMITICITY_ATOL = 1e-12
 # Eigenvalues above this floor count as nonnegative; separates real
 # negativity from round-off at dimensions up to a few dozen.
 PSD_EIGENVALUE_FLOOR = -1e-10
-# Relative spectral cutoff for the pseudoinverse.
+# Relative eigenvalue cutoff for the pseudoinverse.
 DEFAULT_PINV_CUTOFF = 1e-12
 TRACE_IMAG_ATOL = 1e-10
 
@@ -94,11 +94,12 @@ class PsdRoot(NamedTuple):
 def psd_root(a: np.ndarray, cutoff: float = DEFAULT_PINV_CUTOFF) -> PsdRoot:
     """PSD square root of a Hermitian ``a`` and its pseudoinverse, from one
     eigendecomposition. Eigenvalues are clipped at zero before the root is
-    taken; root values at or below ``cutoff`` times the largest one (all of
-    them for the zero matrix) are not inverted."""
+    taken; modes whose eigenvalue is at or below ``cutoff`` times the largest
+    one (all of them for the zero matrix) are not inverted."""
     w, v = np.linalg.eigh(a)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    sinv = np.where(s > cutoff * s[-1], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    wc = np.clip(w, 0.0, None)
+    s = np.sqrt(wc)
+    sinv = np.where(wc > cutoff * wc[-1], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return PsdRoot(w, v, s, sinv)
 
 

@@ -11,11 +11,13 @@ equations that can be symmetrized into a positivity-preserving map:
     Pi_0  <-  a^2   lam^{-1} sigma Pi_0 sigma lam^{-1}
 
 with lam = [sum_j p_j^2 rho_j Pi_j rho_j + a^2 sigma Pi_0 sigma]^{1/2}
-chosen so the map preserves completeness, and ``a`` tuned every sweep by
-interval halving so the updated POVM keeps the requested inconclusive
-rate. Iterating this map from a maximally uninformative start converges
-(empirically exponentially fast) to a stationary POVM; global optimality
-is checked separately by the certificate module.
+chosen so the map preserves completeness, and ``a`` tuned every sweep so
+the updated POVM keeps the requested inconclusive rate. That search is a
+Newton iteration on the predicted rate, safeguarded by a bracket, and
+starts from the previous sweep's ``a``. Iterating this map from a
+maximally uninformative start converges (empirically exponentially fast)
+to a stationary POVM; global optimality is checked separately by the
+certificate module.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +132,10 @@ class SolverConfig:
 
     max_iterations: int = 500
     povm_tolerance: float = 1e-12          # max Frobenius change per sweep
-    bisection_tolerance: float = 1e-14     # residual on the inconclusive rate
+    # The two multiplier-search bounds keep their historical names: the
+    # residual on the inconclusive rate at which the safeguarded search
+    # stops, and the most rate evaluations one search may make.
+    bisection_tolerance: float = 1e-14
     bisection_max_steps: int = 200
     pinv_cutoff: float = DEFAULT_PINV_CUTOFF
 
@@ -153,7 +159,11 @@ class SolveResult:
     """Converged POVM with its metrics, multipliers, and diagnostics.
 
     ``a`` is None when the solve ran at zero inconclusive rate, where the
-    scalar multiplier plays no role.
+    scalar multiplier plays no role. ``rate_residual`` is the final sweep's
+    |predicted inconclusive rate - target| (0 at zero target), and
+    ``rate_evaluations`` counts the predicted-rate evaluations, one
+    eigendecomposition each, over the whole solve. ``converged`` requires
+    both the POVM change and the rate residual within their tolerances.
     """
 
     povm: Povm
@@ -165,6 +175,8 @@ class SolveResult:
     iterations: int
     final_change: float
     converged: bool
+    rate_residual: float
+    rate_evaluations: int
     change_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -207,67 +219,103 @@ def _sweep_terms(fixed: _EnsembleTerms, povm: Povm) -> _SweepTerms:
     return _SweepTerms(sig, sandwiches, ksum, m0)
 
 
-def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> float:
-    """Inconclusive rate the sweep would produce with multiplier ``a``,
-    worked out in the eigenbasis of lam^2 without forming lam^+ itself."""
+class _RateEval(NamedTuple):
+    """Predicted inconclusive rate at one multiplier, its derivative in the
+    multiplier, and the square root of lam^2 both came from."""
+
+    rate: float
+    slope: float
+    root: PsdRoot
+
+
+class _Multiplier(NamedTuple):
+    """Outcome of one sweep's multiplier search."""
+
+    a: float
+    root: PsdRoot          # psd_root of lam^2 at ``a``
+    residual: float        # |predicted rate - target| at ``a``
+    evaluations: int       # predicted-rate evaluations the search made
+
+
+def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> _RateEval:
+    """Inconclusive rate the sweep would produce with multiplier ``a``, and
+    its derivative in ``a``, worked out in the eigenbasis of lam^2 without
+    forming lam^+ itself.
+
+    With X = lam^+ and M = sigma Pi_0 sigma the rate is a^2 Tr[sigma X M X].
+    X = f(lam^2) for f(w) = w^{-1/2} on the support, and lam^2 moves by
+    2a M da, so by the Daleckii-Krein formula dX/da in the eigenbasis is
+    G o (2a M~), where G_ij = (f(w_i) - f(w_j)) / (w_i - w_j)
+    = -x_i x_j / (s_i + s_j) with s_i the root values and x_i their inverses.
+    """
     root = psd_root(terms.conclusive_sum + (a * a) * terms.inconclusive, cutoff)
-    v, sinv = root.vectors, root.inverse
-    mt = v.conj().T @ terms.inconclusive @ v
-    st = v.conj().T @ terms.sigma @ v
-    val = np.einsum("ij,j,ji,i->", st, sinv, mt, sinv)
-    return float((a * a) * val.real)
+    v, s, x = root.vectors, root.root, root.inverse
+    vh = v.conj().T
+    mt = vh @ terms.inconclusive @ v
+    st = vh @ terms.sigma @ v
+    q = np.einsum("ij,j,ji,i->", st, x, mt, x).real
+    pair = s[:, None] + s
+    g = -np.outer(x, x) / np.where(pair > 0, pair, 1.0)
+    # d q / d a = 2 Re Tr[S~ (dX/da) M~ X]
+    dq = (4.0 * a) * np.einsum("ki,ij,jk,k->", st, g * mt, mt, x).real
+    return _RateEval(float((a * a) * q), float(2.0 * a * q + (a * a) * dq), root)
 
 
 def _solve_multiplier(
-    terms: _SweepTerms, target_pi: float, cfg: SolverConfig
-) -> tuple[float, PsdRoot]:
-    """Interval-halving search for the multiplier matching the target rate.
+    terms: _SweepTerms, target_pi: float, cfg: SolverConfig,
+    start: float | None = None,
+) -> _Multiplier:
+    """Safeguarded Newton search for the multiplier matching the target rate.
 
     The rate is 0 at a = 0 and grows (empirically monotonically, checked
-    and logged) toward a saturation value as a -> inf; the bracket starts
-    at [0, 1] and doubles its upper end until it straddles the target.
+    and logged) toward a saturation value as a -> inf. The search starts at
+    ``start``, the previous sweep's multiplier, or cold at a = 1, and keeps
+    a bracket [lo, hi] around the root, starting from [0, inf). A Newton
+    step that leaves the bracket is replaced by doubling while hi is
+    unknown and by bisection once it is. A target still out of reach at
+    a = _BRACKET_CAP is infeasible. The search stops at the configured
+    residual or after ``bisection_max_steps`` evaluations and returns the
+    multiplier with the smallest residual seen.
     """
-    def rate(a: float) -> float:
-        return _predicted_rate(terms, a, cfg.pinv_cutoff)
-
     lo, rate_lo = 0.0, 0.0
-    hi = 1.0
-    rate_hi = rate(hi)
-    while rate_hi < target_pi:
-        if hi >= _BRACKET_CAP:
-            raise InfeasibleTargetError(target=target_pi, supremum=rate_hi)
-        if rate_hi < rate_lo - 1e-12:
+    hi, rate_hi = math.inf, math.inf
+    a = start if start else 1.0
+    best: _Multiplier | None = None
+    evaluations = 0
+    while evaluations < cfg.bisection_max_steps:
+        ev = _predicted_rate(terms, a, cfg.pinv_cutoff)
+        evaluations += 1
+        residual = abs(ev.rate - target_pi)
+        if best is None or residual < best.residual:
+            best = _Multiplier(a, ev.root, residual, 0)
+        if residual <= cfg.bisection_tolerance:
+            break
+        if not rate_lo - 1e-12 <= ev.rate <= rate_hi + 1e-12:
             logger.warning(
                 "inconclusive rate is not monotone in the multiplier "
-                "(%.17g at a=%.3g vs %.17g at a=%.3g); bisection may settle "
-                "on a non-principal root", rate_hi, hi, rate_lo, lo)
-        lo, rate_lo = hi, rate_hi
-        hi *= 2.0
-        rate_hi = rate(hi)
-
-    best_a, best_res = hi, abs(rate_hi - target_pi)
-    if abs(rate_lo - target_pi) < best_res:
-        best_a, best_res = lo, abs(rate_lo - target_pi)
-    for _ in range(cfg.bisection_max_steps):
-        if best_res <= cfg.bisection_tolerance:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # interval exhausted at float resolution
-            break
-        rate_mid = rate(mid)
-        if abs(rate_mid - target_pi) < best_res:
-            best_a, best_res = mid, abs(rate_mid - target_pi)
-        if rate_mid < target_pi:
-            lo = mid
+                "(%.17g at a=%.3g, outside [%.17g, %.17g] on [%.3g, %.3g]); "
+                "the search may settle on a non-principal root",
+                ev.rate, a, rate_lo, rate_hi, lo, hi)
+        if ev.rate < target_pi:
+            if a >= _BRACKET_CAP:
+                raise InfeasibleTargetError(target=target_pi, supremum=ev.rate)
+            lo, rate_lo = a, ev.rate
         else:
-            hi = mid
-    if best_res > cfg.bisection_tolerance:
+            hi, rate_hi = a, ev.rate
+        step = a - (ev.rate - target_pi) / ev.slope if ev.slope > 0 else math.nan
+        if lo < step < hi:
+            a = min(step, _BRACKET_CAP)
+        elif hi == math.inf:
+            a = min(2.0 * a, _BRACKET_CAP)
+        else:
+            a = 0.5 * (lo + hi)
+            if a == lo or a == hi:  # bracket exhausted at float resolution
+                break
+    if best.residual > cfg.bisection_tolerance:
         logger.debug(
-            "multiplier bisection stopped at residual %.3e (tolerance %.3e)",
-            best_res, cfg.bisection_tolerance)
-
-    lam2 = terms.conclusive_sum + best_a * best_a * terms.inconclusive
-    return best_a, psd_root(lam2, cfg.pinv_cutoff)
+            "multiplier search stopped at residual %.3e (tolerance %.3e)",
+            best.residual, cfg.bisection_tolerance)
+    return best._replace(evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +351,7 @@ def predicted_inconclusive_rate(
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
     cfg = cfg or SolverConfig()
-    return _predicted_rate(_sweep_terms(_ensemble_terms(e), povm), a, cfg.pinv_cutoff)
+    return _predicted_rate(_sweep_terms(_ensemble_terms(e), povm), a, cfg.pinv_cutoff).rate
 
 
 def solve_multiplier(
@@ -314,8 +362,8 @@ def solve_multiplier(
     if not 0.0 < target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
     cfg = cfg or SolverConfig()
-    a, root = _solve_multiplier(_sweep_terms(_ensemble_terms(e), povm), target_pi, cfg)
-    return a, frozen(root.root_matrix())
+    fit = _solve_multiplier(_sweep_terms(_ensemble_terms(e), povm), target_pi, cfg)
+    return fit.a, frozen(fit.root.root_matrix())
 
 
 def iterate_once(
@@ -332,28 +380,34 @@ def iterate_once(
     """
     if not 0.0 <= target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
-    return _sweep(_ensemble_terms(e), povm, target_pi, cfg or SolverConfig())
+    new, root, fit = _sweep(_ensemble_terms(e), povm, target_pi, cfg or SolverConfig())
+    return new, frozen(root.root_matrix()), None if fit is None else fit.a
 
 
 def _sweep(
-    fixed: _EnsembleTerms, povm: Povm, target_pi: float, cfg: SolverConfig
-) -> tuple[Povm, np.ndarray, float | None]:
+    fixed: _EnsembleTerms, povm: Povm, target_pi: float, cfg: SolverConfig,
+    start: float | None = None,
+) -> tuple[Povm, PsdRoot, _Multiplier | None]:
+    """One sweep; the multiplier search starts at ``start`` when given.
+    Returns the new POVM, the root of lam^2, and the search outcome (None
+    at zero target)."""
     terms = _sweep_terms(fixed, povm)
-    a: float | None
+    fit: _Multiplier | None
     if target_pi == 0.0:
-        a, root = None, psd_root(terms.conclusive_sum, cfg.pinv_cutoff)
+        fit, root = None, psd_root(terms.conclusive_sum, cfg.pinv_cutoff)
         laminv = root.pinv_matrix()
         new_inconclusive = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
     else:
-        a, root = _solve_multiplier(terms, target_pi, cfg)
+        fit = _solve_multiplier(terms, target_pi, cfg, start)
+        root = fit.root
         laminv = root.pinv_matrix()
-        new_inconclusive = (a * a) * (laminv @ terms.inconclusive @ laminv)
+        new_inconclusive = (fit.a * fit.a) * (laminv @ terms.inconclusive @ laminv)
 
     new_conclusive = [herm(laminv @ s @ laminv) for s in terms.sandwiches]
     deficit = np.eye(povm.dim) - new_inconclusive - sum(new_conclusive)
     new_inconclusive = herm(new_inconclusive + deficit)
     new = Povm((new_inconclusive, *new_conclusive))
-    return new, frozen(root.root_matrix()), a
+    return new, root, fit
 
 
 def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
@@ -383,8 +437,9 @@ def solve(
 
     Stops when the largest Frobenius-norm change across elements drops to
     the configured tolerance, or at the iteration cap (reported through
-    ``converged``, not an exception). The returned multipliers are the ones
-    used in the final sweep.
+    ``converged``, not an exception). Each sweep's multiplier search starts
+    from the previous sweep's multiplier. The returned multipliers are the
+    ones used in the final sweep.
     """
     cfg = cfg or SolverConfig()
     e.require_valid()
@@ -398,23 +453,25 @@ def solve(
     fixed = _ensemble_terms(e)
     povm = initial_povm(e, target_pi)
     history: list[float] = []
-    lam = np.zeros((e.dim, e.dim))
     a: float | None = None
-    converged = False
+    residual = 0.0
+    evaluations = 0
     for sweep in range(1, cfg.max_iterations + 1):
-        new, lam, a = _sweep(fixed, povm, target_pi, cfg)
+        new, root, fit = _sweep(fixed, povm, target_pi, cfg, a)
+        if fit is not None:
+            a, residual = fit.a, fit.residual
+            evaluations += fit.evaluations
         change = max(
             float(np.linalg.norm(n - o, "fro"))
             for n, o in zip(new.elements, povm.elements)
         )
         history.append(change)
         povm = new
-        logger.debug("sweep %d: change %.3e, a=%s", sweep, change,
-                     "n/a" if a is None else f"{a:.12g}")
+        logger.debug("sweep %d: change %.3e, a=%s, rate residual %.3e",
+                     sweep, change, a, residual)
         if change <= cfg.povm_tolerance:
-            converged = True
             break
-    if not converged:
+    else:
         logger.warning(
             "no fixed point within %d sweeps (last change %.3e)",
             cfg.max_iterations, history[-1])
@@ -425,10 +482,13 @@ def solve(
         p_s=metrics.p_s,
         p_i=metrics.p_i,
         p_rs=metrics.p_rs,
-        lam=lam,
+        lam=frozen(root.root_matrix()),
         a=a,
         iterations=len(history),
         final_change=history[-1],
-        converged=converged,
+        converged=(history[-1] <= cfg.povm_tolerance
+                   and residual <= cfg.bisection_tolerance),
+        rate_residual=residual,
+        rate_evaluations=evaluations,
         change_history=tuple(history),
     )

@@ -89,6 +89,7 @@ def test_solve_record_shape(capsys, ensemble_file):
     res = rec["result"]
     assert abs(res["p_i"] - 0.1) < 1e-10
     assert res["converged"] is True
+    assert 0.0 <= res["rate_residual"] <= rec["config"]["bisection_tolerance"]
     assert rec["iterations"] == res["iterations"] > 0
     assert res["certificate"]["optimal"] is True
     assert res["p_rs"] > res["p_s"]

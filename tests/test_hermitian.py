@@ -128,13 +128,16 @@ def test_psd_root_inverts_on_support():
     for dim in (2, 4, 8):
         g = rng.standard_normal((dim, dim - 1)) + 1j * rng.standard_normal((dim, dim - 1))
         a = g @ g.conj().T  # rank dim-1
-        # the null eigenvalue is round-off of order 1e-15, so its root is
-        # about 1e-7; a cutoff above that keeps it out of the pseudoinverse
-        r = psd_root(a, cutoff=1e-5)
+        # the null eigenvalue is round-off of order 1e-16 relative, below the
+        # default eigenvalue cutoff, although its root (about 1e-8 relative)
+        # is not
+        r = psd_root(a)
         assert r.inverse[0] == 0.0 and np.all(r.inverse[1:] > 0.0)
         root, pinv = r.root_matrix(), r.pinv_matrix()
         assert np.linalg.norm(root @ root - a, "fro") <= 1e-9 * dim
         proj = root @ pinv  # projector onto the support of a
+        support = g @ np.linalg.solve(g.conj().T @ g, g.conj().T)
+        assert np.linalg.norm(proj - support, "fro") <= 1e-10
         assert np.linalg.norm(proj @ proj - proj, "fro") <= 1e-8 * dim
         assert np.linalg.norm(proj @ a - a, "fro") <= 1e-8 * dim
         assert np.linalg.norm(pinv @ root @ pinv - pinv, "fro") <= 1e-8 * dim

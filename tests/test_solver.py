@@ -1,10 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import helstrom_two_state, random_ensemble
+from povmlab import solver
 from povmlab.certificate import multipliers_from_povm
+from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.qubit_analytic import (
     SymmetricQubitProblem,
@@ -144,6 +147,119 @@ def test_solve_multiplier_infeasible_reports_supremum():
         solve_multiplier(e, plateau_povm, 0.95)
     assert err.value.target == pytest.approx(0.95)
     assert saturation - 1e-6 <= err.value.supremum < 0.95
+
+
+def test_predicted_rate_slope_matches_finite_difference():
+    e = random_ensemble(np.random.default_rng(33), 3, 3)
+    povm = initial_povm(e, 0.3)
+    for _ in range(3):
+        povm, _, _ = iterate_once(e, povm, 0.3)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), povm)
+    for a in (0.1, 0.7, 2.0, 10.0):
+        h = 1e-6 * a
+        ev = solver._predicted_rate(terms, a, 1e-12)
+        up = solver._predicted_rate(terms, a + h, 1e-12).rate
+        down = solver._predicted_rate(terms, a - h, 1e-12).rate
+        assert ev.slope == pytest.approx((up - down) / (2 * h), rel=1e-7)
+
+
+def test_warm_and_cold_search_agree():
+    e = symmetric_qubit_pair(0.8, math.pi / 4)
+    target = 0.25
+    r = solve(e, target)
+    # cold reference: the public sweep restarts the multiplier search from
+    # [0, 1] every time
+    povm, a = initial_povm(e, target), None
+    for _ in range(r.iterations):
+        povm, _, a = iterate_once(e, povm, target)
+    assert r.a == pytest.approx(a, abs=1e-12)
+    assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
+    # and one search on the same sweep terms, warm and cold
+    terms = solver._sweep_terms(solver._ensemble_terms(e), r.povm)
+    cfg = SolverConfig()
+    warm = solver._solve_multiplier(terms, target, cfg, start=0.9 * r.a)
+    cold = solver._solve_multiplier(terms, target, cfg)
+    assert warm.a == pytest.approx(cold.a, abs=1e-12)
+    assert max(warm.residual, cold.residual) <= cfg.bisection_tolerance
+
+
+def test_warm_search_infeasible_reports_supremum(monkeypatch):
+    p = SymmetricQubitProblem(0.9, math.pi / 4)
+    e = p.ensemble()
+    plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
+    saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
+    cfg = SolverConfig()
+    terms = solver._sweep_terms(solver._ensemble_terms(e), plateau_povm)
+    start = solver._solve_multiplier(terms, 0.5, cfg).a
+    with pytest.raises(InfeasibleTargetError) as warm:
+        solver._solve_multiplier(terms, 0.95, cfg, start=start)
+    with pytest.raises(InfeasibleTargetError) as cold:
+        solve_multiplier(e, plateau_povm, 0.95)
+    assert saturation - 1e-6 <= warm.value.supremum < 0.95
+    assert warm.value.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
+    # a full-rank start reaches every rate below 1, so solve meets the cap
+    # only from a rank-deficient inconclusive element
+    monkeypatch.setattr(solver, "initial_povm", lambda e, t: plateau_povm)
+    with pytest.raises(InfeasibleTargetError) as err:
+        solve(e, 0.95)
+    assert err.value.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
+
+
+def _dip_rate(a):
+    # rises to about 0.56 near a = 2, dips to about 0.4 near a = 2.7, then
+    # rises toward 1; the only root of 0.6 lies past the dip
+    bump = 0.45 * math.exp(-(((a - 2.6) / 0.5) ** 2))
+    return a * a / (a * a + 2.0) - bump, 4.0 * a / (a * a + 2.0) ** 2 + bump * 8.0 * (a - 2.6)
+
+
+def _steep_rate(a):
+    # monotone but nearly flat away from a = 3, so Newton steps overshoot
+    # far outside the bracket
+    x = 20.0 * (a - 3.0)
+    return 0.5 + math.atan(x) / math.pi, 20.0 / (math.pi * (1.0 + x * x))
+
+
+@pytest.mark.parametrize("shape, start, target, warns", [
+    (_dip_rate, 1.5, 0.6, True),
+    (_steep_rate, 1.0, 0.9, False),
+    (_steep_rate, 9.0, 0.2, False),
+])
+def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, warns):
+    evaluated = []
+
+    def fake_rate(terms, a, cutoff):
+        rate, slope = shape(a)
+        evaluated.append((a, rate))
+        return solver._RateEval(rate, slope, None)
+
+    monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
+    cfg = SolverConfig()
+    with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
+        fit = solver._solve_multiplier(None, target, cfg, start=start)
+    assert any("not monotone" in rec.message for rec in caplog.records) == warns
+    assert fit.residual <= cfg.bisection_tolerance
+    assert fit.evaluations == len(evaluated)
+    # every point after the first lies strictly inside the bracket the
+    # earlier evaluations formed, and so does the result
+    for k, (a, _) in enumerate(evaluated[1:], start=1):
+        lo = max([b for b, rate in evaluated[:k] if rate < target], default=0.0)
+        hi = min([b for b, rate in evaluated[:k] if rate > target], default=math.inf)
+        assert lo < a < hi
+    lo = max([b for b, rate in evaluated if rate < target], default=0.0)
+    hi = min([b for b, rate in evaluated if rate > target], default=math.inf)
+    assert lo <= fit.a <= hi
+
+
+def test_warm_start_keeps_rate_evaluations_per_sweep_low():
+    # about 2.7 per sweep; a search restarted cold every sweep makes 4 to
+    # 5.6 here, and the former bracket-and-halve search about 45
+    for eta in (0.7, 1.0):
+        p = SymmetricQubitProblem(eta, math.pi / 4)
+        e = p.ensemble()
+        results = [solve(e, float(t)) for t in default_sweep_grid(p)[::4]]
+        sweeps = sum(r.iterations for r in results)
+        evaluations = sum(r.rate_evaluations for r in results)
+        assert evaluations / sweeps <= 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +414,27 @@ def test_solve_change_history_is_recorded():
     assert len(r.change_history) == r.iterations
     assert r.change_history[-1] == r.final_change
     assert r.final_change <= 1e-12
+
+
+def test_solve_reports_rate_residual():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    r = solve(e, 0.3)
+    assert r.converged
+    assert 0.0 <= r.rate_residual <= SolverConfig().bisection_tolerance
+    assert r.rate_evaluations >= r.iterations
+    r0 = solve(e, 0.0)
+    assert r0.rate_residual == 0.0 and r0.rate_evaluations == 0
+
+
+def test_solve_not_converged_while_rate_residual_is_high():
+    # one rate evaluation per sweep pins the multiplier at its cold start,
+    # a = 1: the POVM settles but at the wrong inconclusive rate
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    cfg = SolverConfig(bisection_max_steps=1)
+    r = solve(e, 0.3, cfg)
+    assert r.final_change <= cfg.povm_tolerance
+    assert r.rate_residual > cfg.bisection_tolerance
+    assert not r.converged
 
 
 def test_solve_nonconvergence_is_flagged_not_raised():
