@@ -12,114 +12,23 @@ single eigenvalue problem, and a symmetric two-qubit family is solved
 entirely in closed form as a cross-check oracle.
 """
 
-from .bounds import (
-    InconsistentBoundError,
-    PlateauBound,
-    RankDeficientEnsembleError,
-    max_relative_success,
-    plateau_povm_direction,
-    prs_max_from_invariants,
-    qubit_quadratic_a,
-)
-from .certificate import (
-    Certificate,
-    SingularMultiplierError,
-    certified_gap,
-    check,
-    multipliers_from_povm,
-    weak_duality_bound,
-)
-from .ensemble import (
-    EnsembleValidationError,
-    StateEnsemble,
-    Violation,
-    average_state,
-    overlaps_and_purities,
-    symmetric_qubit_pair,
-    validate,
-)
-from .fileio import (
-    FileFormatError,
-    load_ensemble,
-    load_povm,
-    save_ensemble,
-    save_povm,
-)
-from .qubit_analytic import (
-    InfeasibleRateError,
-    SymmetricQubitProblem,
-    analytic_pi,
-    analytic_povm,
-    analytic_prs,
-    envelope_prs,
-    family_pi_supremum,
-    phi_for_pi,
-    phi_max_and_prs_max,
-    plateau_onset_pi,
-)
-from .solver import (
-    InfeasibleTargetError,
-    Povm,
-    RelativeRateUndefinedError,
-    SolveResult,
-    SolverConfig,
-    initial_povm,
-    iterate_once,
-    povm_violations,
-    predicted_inconclusive_rate,
-    solve,
-    solve_multiplier,
-    success_metrics,
-)
+from .bounds import max_relative_success
+from .certificate import check
+from .ensemble import EnsembleValidationError, StateEnsemble, symmetric_qubit_pair
+from .fileio import FileFormatError
+from .solver import InfeasibleTargetError, Povm, SolverConfig, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Certificate",
     "EnsembleValidationError",
     "FileFormatError",
-    "InconsistentBoundError",
-    "InfeasibleRateError",
     "InfeasibleTargetError",
-    "PlateauBound",
     "Povm",
-    "RankDeficientEnsembleError",
-    "RelativeRateUndefinedError",
-    "SingularMultiplierError",
-    "SolveResult",
     "SolverConfig",
     "StateEnsemble",
-    "SymmetricQubitProblem",
-    "Violation",
-    "analytic_pi",
-    "analytic_povm",
-    "analytic_prs",
-    "average_state",
-    "certified_gap",
     "check",
-    "envelope_prs",
-    "family_pi_supremum",
-    "initial_povm",
-    "iterate_once",
-    "load_ensemble",
-    "load_povm",
     "max_relative_success",
-    "multipliers_from_povm",
-    "overlaps_and_purities",
-    "phi_for_pi",
-    "phi_max_and_prs_max",
-    "plateau_onset_pi",
-    "plateau_povm_direction",
-    "povm_violations",
-    "predicted_inconclusive_rate",
-    "prs_max_from_invariants",
-    "qubit_quadratic_a",
-    "save_ensemble",
-    "save_povm",
     "solve",
-    "solve_multiplier",
-    "success_metrics",
     "symmetric_qubit_pair",
-    "validate",
-    "weak_duality_bound",
 ]

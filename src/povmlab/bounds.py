@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
-from .hermitian import eig_hermitian, frozen, herm, psd_root, trace_product
+from .hermitian import frozen, herm, psd_root, trace_product
 
 # sigma with smaller minimum eigenvalue cannot be inverted reliably.
 SIGMA_MIN_EIGENVALUE = 1e-12
@@ -82,7 +82,7 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     per_state = []
     kernel_dims = []
     for p, rho in zip(e.priors, e.states):
-        w, _ = eig_hermitian(inv_sqrt @ rho @ inv_sqrt)
+        w, _ = np.linalg.eigh(herm(inv_sqrt @ rho @ inv_sqrt))
         top = float(w[-1])
         per_state.append(float(p) * top)
         mult = int(np.sum(w >= top * (1.0 - DEGENERACY_RTOL))) if top > 0 else len(w)
@@ -174,7 +174,7 @@ def plateau_povm_direction(e: StateEnsemble, bound: PlateauBound) -> np.ndarray:
         raise ValueError("bound was computed for a different ensemble size")
     j = bound.argmax_state
     op = bound.prs_max * average_state(e) - float(e.priors[j]) * e.states[j]
-    w, v = eig_hermitian(op)
+    w, v = np.linalg.eigh(herm(op))
     scale = float(np.max(np.abs(w)))
     if scale <= KERNEL_RTOL:
         return frozen(np.eye(e.dim, dtype=np.complex128))

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import bounds, certificate, fileio, qubit_analytic
 from .ensemble import EnsembleValidationError, validate as validate_ensemble
-from .solver import InfeasibleTargetError, SolverConfig, povm_violations, solve
+from .solver import (RATE_MAX_EVALUATIONS, RATE_TOLERANCE, InfeasibleTargetError,
+                     SolverConfig, povm_violations, solve)
 
 logger = logging.getLogger(__name__)
 
@@ -80,10 +81,21 @@ def _config_echo(cfg: SolverConfig) -> dict:
     return {
         "max_iterations": cfg.max_iterations,
         "povm_tolerance": cfg.povm_tolerance,
-        "bisection_tolerance": cfg.bisection_tolerance,
-        "bisection_max_steps": cfg.bisection_max_steps,
+        "bisection_tolerance": RATE_TOLERANCE,
+        "bisection_max_steps": RATE_MAX_EVALUATIONS,
         "pinv_cutoff": cfg.pinv_cutoff,
     }
+
+
+def _violation_list(violations) -> list[dict]:
+    return [{"message": v.message, "residual": v.residual, "index": v.index}
+            for v in violations]
+
+
+def _write_csv(header: str, rows: list[list[str]]) -> None:
+    sys.stdout.write(header + "\n")
+    for row in rows:
+        sys.stdout.write(",".join(row) + "\n")
 
 
 def _certificate_payload(cert: certificate.Certificate) -> dict:
@@ -153,10 +165,7 @@ def cmd_validate(args) -> int:
         "valid": not violations,
         "dim": e.dim,
         "n_states": e.n_states,
-        "violations": [
-            {"message": v.message, "residual": v.residual, "index": v.index}
-            for v in violations
-        ],
+        "violations": _violation_list(violations),
     }
     _emit_record("validate", digest, {}, payload, started)
     return EXIT_OK if not violations else EXIT_VALIDATION
@@ -174,10 +183,7 @@ def _load_for_command(args, started, command: str) -> tuple:
     except EnsembleValidationError as exc:
         _emit_record(command, "", {}, {
             "error": "ensemble failed validation",
-            "violations": [
-                {"message": v.message, "residual": v.residual, "index": v.index}
-                for v in exc.violations
-            ],
+            "violations": _violation_list(exc.violations),
         }, started)
         return None, None, EXIT_VALIDATION
 
@@ -187,9 +193,10 @@ def cmd_solve(args) -> int:
     e, digest, status = _load_for_command(args, started, "solve")
     if status is not None:
         return status
-    cfg = _solver_config(args)
-    config = _config_echo(cfg) | {"target_pi": args.pi}
+    config = {"target_pi": args.pi}
     try:
+        cfg = _solver_config(args)
+        config = _config_echo(cfg) | config
         r = solve(e, args.pi, cfg)
     except ValueError as exc:
         _emit_record("solve", digest, config, {"error": str(exc)}, started)
@@ -246,15 +253,12 @@ def cmd_tradeoff(args) -> int:
         return status
     try:
         grid = _parse_grid(args.pi_grid)
+        cfg = _solver_config(args)
     except ValueError as exc:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
-    cfg = _solver_config(args)
     jobs = [(e, float(t), cfg) for t in grid]
-    rows = _run_jobs(_sweep_point_file, jobs, args.jobs)
-    sys.stdout.write(TRADEOFF_HEADER + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(row) + "\n")
+    _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, jobs, args.jobs))
     return EXIT_OK
 
 
@@ -290,19 +294,20 @@ def cmd_certify(args) -> int:
         _emit_record("certify", digest, {}, {"error": str(exc)}, started)
         return EXIT_IO
     config = {"povm_digest": povm_digest}
+    mismatch = None
     if povm.n_conclusive != e.n_states:
-        _emit_record("certify", digest, config, {
-            "error": f"POVM has {povm.n_conclusive} conclusive elements "
-                     f"for {e.n_states} states"}, started)
+        mismatch = (f"POVM has {povm.n_conclusive} conclusive elements "
+                    f"for {e.n_states} states")
+    elif povm.dim != e.dim:
+        mismatch = f"POVM has dimension {povm.dim} for states of dimension {e.dim}"
+    if mismatch:
+        _emit_record("certify", digest, config, {"error": mismatch}, started)
         return EXIT_VALIDATION
     violations = povm_violations(povm)
     if violations:
         _emit_record("certify", digest, config, {
             "error": "POVM failed validation",
-            "violations": [
-                {"message": v.message, "residual": v.residual, "index": v.index}
-                for v in violations
-            ],
+            "violations": _violation_list(violations),
         }, started)
         return EXIT_VALIDATION
     try:
@@ -323,10 +328,8 @@ def cmd_fig1(args) -> int:
         p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
         for t in default_sweep_grid(p, points=args.points):
             jobs.append((eta, args.theta, float(t), cfg))
-    rows = _run_jobs(_sweep_point_symmetric, jobs, args.jobs)
-    sys.stdout.write("eta," + TRADEOFF_HEADER + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(row) + "\n")
+    _write_csv("eta," + TRADEOFF_HEADER,
+               _run_jobs(_sweep_point_symmetric, jobs, args.jobs))
     return EXIT_OK
 
 

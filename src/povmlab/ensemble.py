@@ -15,15 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import (
-    HERMITICITY_ATOL,
-    PSD_EIGENVALUE_FLOOR,
-    frozen,
-    herm,
-    min_eigenvalue,
-    trace_product,
-)
+from .hermitian import frozen, herm, trace_product
 
+# Asymmetry above this is a genuine error, below it is round-off.
+HERMITICITY_ATOL = 1e-12
+# Eigenvalues above this floor count as nonnegative; separates real
+# negativity from round-off at dimensions up to a few dozen.
+PSD_EIGENVALUE_FLOOR = -1e-10
 PRIOR_SUM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 
@@ -98,6 +96,25 @@ class StateEnsemble:
         return self
 
 
+def check_hermitian_psd(report: list[Violation], name: str, index: int,
+                        m: np.ndarray, atol: float, floor: float) -> bool:
+    """Report ``m`` (called ``name index``) if it is further than ``atol``
+    from Hermitian or, when it is not, if its smallest eigenvalue lies below
+    ``floor``. Returns whether ``m`` passed the Hermiticity test."""
+    asym = float(np.max(np.abs(m - m.conj().T)))
+    if asym > atol:
+        report.append(Violation(
+            f"{name} {index} is not Hermitian (asymmetry {asym:.3e})",
+            residual=asym, index=index))
+        return False
+    wmin = float(np.linalg.eigvalsh(herm(m))[0])
+    if wmin < floor:
+        report.append(Violation(
+            f"{name} {index} has negative eigenvalue {wmin:.3e}",
+            residual=wmin, index=index))
+    return True
+
+
 def validate(e: StateEnsemble) -> list[Violation]:
     """Check every ensemble invariant; empty report means valid.
 
@@ -122,19 +139,9 @@ def validate(e: StateEnsemble) -> list[Violation]:
             Violation(f"priors sum to {s:.17g}", residual=abs(s - 1.0))
         )
     for j, rho in enumerate(e.states):
-        asym = float(np.max(np.abs(rho - rho.conj().T)))
-        if asym > HERMITICITY_ATOL:
-            report.append(
-                Violation(f"state {j} is not Hermitian (asymmetry {asym:.3e})",
-                          residual=asym, index=j)
-            )
-            continue  # eigenvalue checks need a Hermitian matrix
-        wmin = float(np.linalg.eigvalsh(herm(rho))[0])
-        if wmin < PSD_EIGENVALUE_FLOOR:
-            report.append(
-                Violation(f"state {j} has negative eigenvalue {wmin:.3e}",
-                          residual=wmin, index=j)
-            )
+        if not check_hermitian_psd(report, "state", j, rho,
+                                   HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR):
+            continue  # the trace check needs a Hermitian matrix
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > TRACE_ATOL:
             report.append(
@@ -180,7 +187,3 @@ def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:
         states.append(rho)
     return StateEnsemble(states=tuple(states), priors=np.array([0.5, 0.5]))
 
-
-def min_eigenvalue_of_average(e: StateEnsemble) -> float:
-    """Smallest eigenvalue of the average state; positive iff it is invertible."""
-    return min_eigenvalue(average_state(e))

@@ -2,10 +2,10 @@
 
 Every operator handled by this package is a square complex matrix equal to
 its conjugate transpose: density matrices, measurement elements, and
-Lagrange multipliers alike. :func:`hermitian` validates that property at
-the boundary; operators the package builds itself only have their round-off
-asymmetry removed by :func:`herm`. Square roots and pseudoinverses all come
-from one eigendecomposition in :func:`psd_root`.
+Lagrange multipliers alike. Input files are checked for that property by
+``ensemble.validate`` and ``solver.povm_violations``; everywhere else
+:func:`herm` removes the round-off asymmetry without a check. Square roots
+and pseudoinverses all come from one eigendecomposition in :func:`psd_root`.
 """
 
 from __future__ import annotations
@@ -24,55 +24,15 @@ DEFAULT_PINV_CUTOFF = 1e-12
 TRACE_IMAG_ATOL = 1e-10
 
 
-class HermiticityError(ValueError):
-    """Input matrix is further from Hermitian than the tolerance allows."""
-
-
-class NotPositiveSemidefiniteError(ValueError):
-    """Operator has an eigenvalue below the PSD floor."""
-
-
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition A = V diag(w) V† with w real ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it."""
     a.setflags(write=False)
     return a
 
 
-def hermitian(a, atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized read-only matrix.
-
-    The matrix must be square with max|A - A†| <= atol; the returned value
-    is (A + A†)/2, which removes the round-off asymmetry.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("dimension must be at least 1")
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > atol:
-        raise HermiticityError(
-            f"matrix is not Hermitian: max|A - A†| = {asym:.3e} exceeds {atol:.3e}"
-        )
-    return frozen(herm(m))
-
-
 def herm(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2, with no check on how far M is from it."""
     return (m + m.conj().T) / 2.0
-
-
-def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of the Hermitian part of ``a``, eigenvalues ascending."""
-    w, v = np.linalg.eigh(herm(a))
-    return EigenDecomposition(frozen(w), frozen(v))
 
 
 class PsdRoot(NamedTuple):
@@ -101,21 +61,6 @@ def psd_root(a: np.ndarray, cutoff: float = DEFAULT_PINV_CUTOFF) -> PsdRoot:
     s = np.sqrt(wc)
     sinv = np.where(wc > cutoff * wc[-1], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return PsdRoot(w, v, s, sinv)
-
-
-def sqrt_psd(a) -> np.ndarray:
-    """Unique PSD square root of a positive semidefinite matrix.
-
-    Eigenvalues within the PSD floor of zero are clamped to zero; anything
-    below the floor raises :class:`NotPositiveSemidefiniteError`.
-    """
-    r = psd_root(hermitian(a))
-    w0 = r.eigenvalues[0]
-    if w0 < PSD_EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefiniteError(
-            f"smallest eigenvalue {w0:.3e} is below the PSD floor {PSD_EIGENVALUE_FLOOR:.0e}"
-        )
-    return frozen(r.root_matrix())
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

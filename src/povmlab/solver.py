@@ -29,18 +29,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import StateEnsemble, average_state
-from .hermitian import (DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, psd_root,
-                        sqrt_psd, trace_product)
+from .ensemble import StateEnsemble, Violation, average_state, check_hermitian_psd
+from .hermitian import DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, psd_root, trace_product
 
 logger = logging.getLogger(__name__)
 
-# Element-positivity floor and relative closure tolerance for POVMs; looser
-# than the state-level floors because elements are products of iterates.
+# Element asymmetry and positivity floor, and relative closure tolerance
+# for POVMs; looser than the state-level ones because elements are products
+# of iterates.
+POVM_HERMITICITY_ATOL = 1e-9
 POVM_PSD_FLOOR = -1e-9
 POVM_CLOSURE_RTOL = 1e-9
 # Inconclusive rate this close to 1 leaves no conclusive outcomes to renormalize.
 RELATIVE_RATE_EPS = 1e-12
+
+# The multiplier search stops once the predicted inconclusive rate is this
+# close to the target, or after this many rate evaluations.
+RATE_TOLERANCE = 1e-14
+RATE_MAX_EVALUATIONS = 200
 
 _BRACKET_CAP = 2.0**60
 
@@ -99,25 +105,15 @@ class Povm:
         return self.elements[1:]
 
 
-def povm_violations(povm: Povm) -> list:
-    """Report PSD and completeness violations of a candidate POVM."""
-    from .ensemble import Violation  # local import keeps module deps acyclic
-
-    report = []
+def povm_violations(povm: Povm) -> list[Violation]:
+    """Report Hermiticity, PSD and completeness violations of a candidate
+    POVM; a non-Hermitian element is left out of the completeness sum."""
+    report: list[Violation] = []
     total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
     for k, m in enumerate(povm.elements):
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > 1e-9:
-            report.append(Violation(
-                f"element {k} is not Hermitian (asymmetry {asym:.3e})",
-                residual=asym, index=k))
-            continue
-        wmin = float(np.linalg.eigvalsh(herm(m))[0])
-        if wmin < POVM_PSD_FLOOR:
-            report.append(Violation(
-                f"element {k} has negative eigenvalue {wmin:.3e}",
-                residual=wmin, index=k))
-        total = total + m
+        if check_hermitian_psd(report, "element", k, m,
+                               POVM_HERMITICITY_ATOL, POVM_PSD_FLOOR):
+            total = total + m
     closure = float(np.linalg.norm(total - np.eye(povm.dim), "fro"))
     if closure > POVM_CLOSURE_RTOL * povm.dim:
         report.append(Violation(
@@ -128,21 +124,18 @@ def povm_violations(povm: Povm) -> list:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration and root-finding knobs; all tolerances strictly positive."""
+    """Iteration knobs; the tolerances are strictly positive. The multiplier
+    search's bounds are the module constants RATE_TOLERANCE and
+    RATE_MAX_EVALUATIONS."""
 
     max_iterations: int = 500
     povm_tolerance: float = 1e-12          # max Frobenius change per sweep
-    # The two multiplier-search bounds keep their historical names: the
-    # residual on the inconclusive rate at which the safeguarded search
-    # stops, and the most rate evaluations one search may make.
-    bisection_tolerance: float = 1e-14
-    bisection_max_steps: int = 200
     pinv_cutoff: float = DEFAULT_PINV_CUTOFF
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.bisection_max_steps < 1:
-            raise ValueError("iteration counts must be positive")
-        for name in ("povm_tolerance", "bisection_tolerance", "pinv_cutoff"):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
+        for name in ("povm_tolerance", "pinv_cutoff"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -273,8 +266,8 @@ def _solve_multiplier(
     a bracket [lo, hi] around the root, starting from [0, inf). A Newton
     step that leaves the bracket is replaced by doubling while hi is
     unknown and by bisection once it is. A target still out of reach at
-    a = _BRACKET_CAP is infeasible. The search stops at the configured
-    residual or after ``bisection_max_steps`` evaluations and returns the
+    a = _BRACKET_CAP is infeasible. The search stops at residual
+    RATE_TOLERANCE or after RATE_MAX_EVALUATIONS evaluations and returns the
     multiplier with the smallest residual seen.
     """
     lo, rate_lo = 0.0, 0.0
@@ -282,13 +275,13 @@ def _solve_multiplier(
     a = start if start else 1.0
     best: _Multiplier | None = None
     evaluations = 0
-    while evaluations < cfg.bisection_max_steps:
+    while evaluations < RATE_MAX_EVALUATIONS:
         ev = _predicted_rate(terms, a, cfg.pinv_cutoff)
         evaluations += 1
         residual = abs(ev.rate - target_pi)
         if best is None or residual < best.residual:
             best = _Multiplier(a, ev.root, residual, 0)
-        if residual <= cfg.bisection_tolerance:
+        if residual <= RATE_TOLERANCE:
             break
         if not rate_lo - 1e-12 <= ev.rate <= rate_hi + 1e-12:
             logger.warning(
@@ -311,10 +304,10 @@ def _solve_multiplier(
             a = 0.5 * (lo + hi)
             if a == lo or a == hi:  # bracket exhausted at float resolution
                 break
-    if best.residual > cfg.bisection_tolerance:
+    if best.residual > RATE_TOLERANCE:
         logger.debug(
             "multiplier search stopped at residual %.3e (tolerance %.3e)",
-            best.residual, cfg.bisection_tolerance)
+            best.residual, RATE_TOLERANCE)
     return best._replace(evaluations=evaluations)
 
 
@@ -333,15 +326,6 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     share = (1.0 - target_pi) / e.n_states
     elements = (target_pi * eye,) + tuple(share * eye for _ in range(e.n_states))
     return Povm(elements)
-
-
-def multiplier_operator(e: StateEnsemble, povm: Povm, a: float) -> np.ndarray:
-    """Operator multiplier for a given scalar multiplier: the PSD square root
-    of sum_j p_j^2 rho_j Pi_j rho_j + a^2 sigma Pi_0 sigma."""
-    if a < 0:
-        raise ValueError("the scalar multiplier must be nonnegative")
-    terms = _sweep_terms(_ensemble_terms(e), povm)
-    return sqrt_psd(terms.conclusive_sum + (a * a) * terms.inconclusive)
 
 
 def predicted_inconclusive_rate(
@@ -487,7 +471,7 @@ def solve(
         iterations=len(history),
         final_change=history[-1],
         converged=(history[-1] <= cfg.povm_tolerance
-                   and residual <= cfg.bisection_tolerance),
+                   and residual <= RATE_TOLERANCE),
         rate_residual=residual,
         rate_evaluations=evaluations,
         change_history=tuple(history),

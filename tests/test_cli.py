@@ -285,7 +285,7 @@ def test_certify_rejects_invalid_povm(capsys, ensemble_file, tmp_path):
 
 def test_certify_symmetrizes_round_off_asymmetry(capsys, ensemble_file, tmp_path):
     # asymmetry 5e-11: within what povm_violations accepts (1e-9) but above
-    # the 1e-12 of the hermitian() validator
+    # the 1e-12 that ensemble.validate allows a state
     r = solve(PROBLEM.ensemble(), 0.3)
     skew = np.array([[0.0, 2.5e-11], [-2.5e-11, 0.0]], dtype=complex)
     povm = Povm((r.povm.elements[0] + skew, *r.povm.conclusive))
@@ -305,6 +305,29 @@ def test_certify_rejects_mismatched_count(capsys, ensemble_file, tmp_path):
                                   str(povm_path)])
     assert code == cli.EXIT_VALIDATION
     assert "conclusive" in rec["result"]["error"]
+
+
+def test_certify_rejects_mismatched_dimension(capsys, ensemble_file, tmp_path):
+    third = np.eye(3, dtype=complex) / 3.0
+    povm_path = tmp_path / "qutrit.json"
+    save_povm(povm_path, Povm((third, third, third)))
+    code, rec = run_json(capsys, ["certify", str(ensemble_file),
+                                  str(povm_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert rec["result"]["error"] == (
+        "POVM has dimension 3 for states of dimension 2")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["solve", "--pi", "0.2", "--tol", "0"], "povm_tolerance must be strictly positive"),
+    (["tradeoff", "--pi-grid", "0:0.5:3", "--max-iter", "0", "--jobs", "1"],
+     "max_iterations must be positive"),
+])
+def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
+    code, rec = run_json(capsys, [argv[0], str(ensemble_file), *argv[1:]])
+    assert code == cli.EXIT_VALIDATION
+    assert rec["command"] == argv[0]
+    assert rec["result"] == {"error": error}
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +371,14 @@ def test_console_script_runs(ensemble_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["valid"] is True
+
+
+def test_package_root_exports_resolve():
+    import povmlab
+
+    assert len(set(povmlab.__all__)) == len(povmlab.__all__)
+    for name in povmlab.__all__:
+        assert getattr(povmlab, name) is not None
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -16,11 +16,11 @@ from povmlab.ensemble import (
     EnsembleValidationError,
     StateEnsemble,
     average_state,
-    min_eigenvalue_of_average,
     overlaps_and_purities,
     symmetric_qubit_pair,
     validate,
 )
+from povmlab.hermitian import min_eigenvalue
 from povmlab.solver import initial_povm, solve
 
 
@@ -65,6 +65,20 @@ def test_non_hermitian_state_flagged():
     assert any("Hermitian" in v.message for v in validate(e))
 
 
+@pytest.mark.parametrize("asymmetry, flagged", [(5e-13, False), (5e-12, True)])
+def test_state_hermiticity_tolerance(asymmetry, flagged):
+    # max|A - A†| is twice the off-diagonal skew
+    skew = np.array([[0.0, asymmetry / 2], [-asymmetry / 2, 0.0]], dtype=complex)
+    e = StateEnsemble((PROJ0, np.eye(2) / 2 + skew), np.array([0.5, 0.5]))
+    report = validate(e)
+    if not flagged:
+        assert report == []
+        return
+    assert [v.message for v in report] == [
+        f"state 1 is not Hermitian (asymmetry {asymmetry:.3e})"]
+    assert report[0].residual == pytest.approx(asymmetry) and report[0].index == 1
+
+
 def test_negative_state_flagged():
     e = StateEnsemble((PROJ0, np.diag([1.1, -0.1]).astype(complex)),
                       np.array([0.5, 0.5]))
@@ -81,6 +95,8 @@ def test_require_valid_raises_with_violations():
 def test_structural_rejections():
     with pytest.raises(ValueError):
         StateEnsemble((PROJ0, np.eye(3, dtype=complex)), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        StateEnsemble((np.zeros((2, 3)), np.zeros((2, 3))), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         StateEnsemble((PROJ0, PROJ1), np.array([1.0]))
     with pytest.raises(ValueError):
@@ -173,9 +189,9 @@ def test_symmetric_pair_always_validates():
 
 
 def test_min_eigenvalue_of_average():
-    assert min_eigenvalue_of_average(orthogonal_pair()) == pytest.approx(0.5)
+    assert min_eigenvalue(average_state(orthogonal_pair())) == pytest.approx(0.5)
     pure = StateEnsemble((PROJ0, PROJ0.copy()), np.array([0.5, 0.5]))
-    assert min_eigenvalue_of_average(pure) == pytest.approx(0.0, abs=1e-14)
+    assert min_eigenvalue(average_state(pure)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_states_are_read_only():

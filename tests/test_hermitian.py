@@ -1,76 +1,21 @@
 import numpy as np
 import pytest
 
-from povmlab.hermitian import (
-    HermiticityError,
-    NotPositiveSemidefiniteError,
-    eig_hermitian,
-    herm,
-    hermitian,
-    min_eigenvalue,
-    psd_root,
-    sqrt_psd,
-    trace_product,
-)
+from povmlab.ensemble import HERMITICITY_ATOL
+from povmlab.hermitian import herm, min_eigenvalue, psd_root, trace_product
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def test_hermitian_accepts_and_symmetrizes():
-    a = hermitian(np.array([[1.0, 2.0 + 1e-14j], [2.0, 3.0]], dtype=complex))
-    assert np.allclose(a, a.conj().T)
-    assert not a.flags.writeable
-
-
-def test_hermitian_rejects_asymmetry_beyond_tolerance():
-    with pytest.raises(HermiticityError):
-        hermitian(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-
-
-def test_hermitian_rejects_non_square():
-    with pytest.raises(ValueError):
-        hermitian(np.zeros((2, 3), dtype=complex))
-
-
-def test_eig_identity():
-    w, v = eig_hermitian(np.eye(2, dtype=complex))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v @ v.conj().T, np.eye(2))
-
-
-def test_eig_diagonal_ascending():
-    w, _ = eig_hermitian(np.diag([3.0, -1.0]).astype(complex))
-    assert np.allclose(w, [-1.0, 3.0])
-
-
-def test_eig_hand_checked_symmetric():
-    w, v = eig_hermitian(np.array([[5.0, 4.0], [4.0, 5.0]], dtype=complex))
-    assert np.allclose(w, [1.0, 9.0])
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    # columns match (|0> -+ |1>)/sqrt(2) up to phase
-    for col, ref in zip(v.T, ([inv_sqrt2, -inv_sqrt2], [inv_sqrt2, inv_sqrt2])):
-        assert abs(abs(np.vdot(col, ref)) - 1.0) < 1e-12
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(11)
-    for dim in (2, 3, 5, 8):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = (g + g.conj().T) / 2
-        w, v = eig_hermitian(a)
-        recon = (v * w) @ v.conj().T
-        assert np.linalg.norm(recon - a, "fro") <= 1e-10 * dim
-
-
 def test_sqrt_identity_and_diagonal():
-    assert np.allclose(sqrt_psd(np.eye(3, dtype=complex)), np.eye(3))
-    assert np.allclose(sqrt_psd(np.diag([4.0, 9.0]).astype(complex)),
+    assert np.allclose(psd_root(np.eye(3, dtype=complex)).root_matrix(), np.eye(3))
+    assert np.allclose(psd_root(np.diag([4.0, 9.0]).astype(complex)).root_matrix(),
                        np.diag([2.0, 3.0]))
 
 
 def test_sqrt_hand_checked():
-    b = sqrt_psd(np.array([[5.0, 4.0], [4.0, 5.0]], dtype=complex))
+    b = psd_root(np.array([[5.0, 4.0], [4.0, 5.0]], dtype=complex)).root_matrix()
     assert np.allclose(b, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
 
@@ -79,20 +24,15 @@ def test_sqrt_squares_back_random():
     for dim in (2, 4, 8):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         a = g @ g.conj().T
-        b = sqrt_psd(a)
+        b = psd_root(a).root_matrix()
         assert np.linalg.norm(b @ b - a, "fro") <= 1e-9 * dim
         assert min_eigenvalue(b) >= -1e-10
 
 
 def test_sqrt_clamps_roundoff_negativity():
     a = np.diag([1.0, -1e-12]).astype(complex)
-    b = sqrt_psd(a)
+    b = psd_root(a).root_matrix()
     assert min_eigenvalue(b) >= 0.0
-
-
-def test_sqrt_rejects_genuine_negativity():
-    with pytest.raises(NotPositiveSemidefiniteError):
-        sqrt_psd(np.diag([1.0, -1e-6]).astype(complex))
 
 
 def test_psd_root_identity_and_rank_deficient():
@@ -173,10 +113,10 @@ def test_trace_product_symmetric_random():
 
 
 def test_trace_product_and_min_eigenvalue_symmetrize_round_off():
-    # asymmetry above the hermitian() tolerance but far below any physics
+    # asymmetry above the state-level Hermiticity tolerance but far below
+    # any physics
     skew = np.array([[0.0, 5e-11], [-5e-11, 0.0]], dtype=complex)
-    with pytest.raises(HermiticityError):
-        hermitian(PAULI_X + skew)
+    assert np.max(np.abs(skew - skew.conj().T)) > HERMITICITY_ATOL
     assert trace_product(PAULI_X + skew, PAULI_X) == trace_product(PAULI_X, PAULI_X)
     assert min_eigenvalue(PAULI_X + skew) == min_eigenvalue(PAULI_X)
 

@@ -22,7 +22,6 @@ from povmlab.solver import (
     SolverConfig,
     initial_povm,
     iterate_once,
-    multiplier_operator,
     povm_violations,
     predicted_inconclusive_rate,
     solve,
@@ -55,6 +54,23 @@ def test_povm_violations_reports():
     assert any("eigenvalue" in v.message for v in povm_violations(neg))
     open_sum = Povm((0.5 * np.eye(2, dtype=complex), 0.4 * np.eye(2, dtype=complex)))
     assert any("identity" in v.message for v in povm_violations(open_sum))
+
+
+@pytest.mark.parametrize("asymmetry, flagged", [(5e-10, False), (1e-8, True)])
+def test_povm_violations_hermiticity_tolerance(asymmetry, flagged):
+    # max|A - A†| is twice the off-diagonal skew
+    skew = np.array([[0.0, asymmetry / 2], [-asymmetry / 2, 0.0]], dtype=complex)
+    povm = Povm((0.5 * np.eye(2) + skew, 0.5 * np.eye(2, dtype=complex)))
+    report = povm_violations(povm)
+    if not flagged:
+        assert report == []
+        return
+    assert [v.message for v in report][0] == (
+        f"element 0 is not Hermitian (asymmetry {asymmetry:.3e})")
+    assert report[0].residual == pytest.approx(asymmetry) and report[0].index == 0
+    # the non-Hermitian element is left out of the sum, which is then 0.5 I
+    assert "sum to identity" in report[1].message and len(report) == 2
+    assert report[1].residual == pytest.approx(math.sqrt(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +107,10 @@ def test_initial_povm_tracks_target_exactly():
 def test_multiplier_operator_ignores_a_without_inconclusive():
     e = orthogonal_pair()
     povm = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
-    lam0 = multiplier_operator(e, povm, 0.0)
-    lam9 = multiplier_operator(e, povm, 9.0)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), povm)
+    cutoff = SolverConfig().pinv_cutoff
+    lam0 = solver._predicted_rate(terms, 0.0, cutoff).root.root_matrix()
+    lam9 = solver._predicted_rate(terms, 9.0, cutoff).root.root_matrix()
     assert np.allclose(lam0, lam9)
     # p_j^2 rho_j Pi_j rho_j = rho_j / 4 here, so the root is (rho_1+rho_2)/2
     assert np.allclose(lam0, (PROJ0 + PROJ1) / 2)
@@ -180,7 +198,7 @@ def test_warm_and_cold_search_agree():
     warm = solver._solve_multiplier(terms, target, cfg, start=0.9 * r.a)
     cold = solver._solve_multiplier(terms, target, cfg)
     assert warm.a == pytest.approx(cold.a, abs=1e-12)
-    assert max(warm.residual, cold.residual) <= cfg.bisection_tolerance
+    assert max(warm.residual, cold.residual) <= solver.RATE_TOLERANCE
 
 
 def test_warm_search_infeasible_reports_supremum(monkeypatch):
@@ -237,7 +255,7 @@ def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, war
     with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
         fit = solver._solve_multiplier(None, target, cfg, start=start)
     assert any("not monotone" in rec.message for rec in caplog.records) == warns
-    assert fit.residual <= cfg.bisection_tolerance
+    assert fit.residual <= solver.RATE_TOLERANCE
     assert fit.evaluations == len(evaluated)
     # every point after the first lies strictly inside the bracket the
     # earlier evaluations formed, and so does the result
@@ -404,8 +422,6 @@ def test_solve_rejects_bad_targets_and_config():
     with pytest.raises(ValueError):
         SolverConfig(povm_tolerance=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(bisection_tolerance=-1e-3)
-    with pytest.raises(ValueError):
         SolverConfig(pinv_cutoff=0.0)
 
 
@@ -420,20 +436,20 @@ def test_solve_reports_rate_residual():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     r = solve(e, 0.3)
     assert r.converged
-    assert 0.0 <= r.rate_residual <= SolverConfig().bisection_tolerance
+    assert 0.0 <= r.rate_residual <= solver.RATE_TOLERANCE
     assert r.rate_evaluations >= r.iterations
     r0 = solve(e, 0.0)
     assert r0.rate_residual == 0.0 and r0.rate_evaluations == 0
 
 
-def test_solve_not_converged_while_rate_residual_is_high():
+def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
     # one rate evaluation per sweep pins the multiplier at its cold start,
     # a = 1: the POVM settles but at the wrong inconclusive rate
+    monkeypatch.setattr(solver, "RATE_MAX_EVALUATIONS", 1)
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    cfg = SolverConfig(bisection_max_steps=1)
-    r = solve(e, 0.3, cfg)
-    assert r.final_change <= cfg.povm_tolerance
-    assert r.rate_residual > cfg.bisection_tolerance
+    r = solve(e, 0.3)
+    assert r.final_change <= SolverConfig().povm_tolerance
+    assert r.rate_residual > solver.RATE_TOLERANCE
     assert not r.converged
 
 
