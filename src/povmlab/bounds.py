@@ -8,8 +8,13 @@ average state, lam = a * sigma, and the stationarity system then forces
     det[a sigma - p_j rho_j] = 0    for at least one j,
 
 so the ceiling is a_j = p_j * (largest eigenvalue of sigma^{-1/2} rho_j
-sigma^{-1/2}) maximized over j. The conclusive elements of the limiting
-measurement live in the kernel of a sigma - p_j* rho_j*. For qubits the
+sigma^{-1/2}) maximized over j. Since p_j rho_j <= sigma, every state lives
+in the support of sigma, so sigma need not be invertible: sigma^{-1/2} is
+the pseudoinverse root from ``hermitian.psd_root``, the inverse root on
+supp sigma and zero on its kernel. For N linearly independent pure states
+in a larger space the ceiling is exactly 1, the unambiguous limit. The
+conclusive elements of the limiting measurement live in the kernel of
+a sigma - p_j* rho_j* within supp sigma. For qubits the
 determinant condition is a quadratic in a_j with coefficients built from
 the scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2], which
 gives an independent route to the same number and, for the symmetric
@@ -25,18 +30,12 @@ import numpy as np
 from .ensemble import StateEnsemble, average_state
 from .hermitian import frozen, herm, psd_root, trace_product
 
-# sigma with smaller minimum eigenvalue cannot be inverted reliably.
-SIGMA_MIN_EIGENVALUE = 1e-12
 # Quadratic root must match the eigenvalue route this closely to be selected.
 ROOT_SELECTION_ATOL = 1e-8
 # Relative threshold below which eigenvalues of a*sigma - p*rho count as kernel.
 KERNEL_RTOL = 1e-9
 # Top-eigenvalue multiplicity is counted within this relative spread.
 DEGENERACY_RTOL = 1e-10
-
-
-class RankDeficientEnsembleError(ValueError):
-    """The average state is singular, so the plateau analysis does not apply."""
 
 
 class InconsistentBoundError(RuntimeError):
@@ -58,18 +57,6 @@ class PlateauBound:
     kernel_dimension: int
 
 
-def _inverse_sqrt_of_average(e: StateEnsemble) -> np.ndarray:
-    root = psd_root(average_state(e))
-    wmin = float(root.eigenvalues[0])
-    if wmin <= SIGMA_MIN_EIGENVALUE:
-        raise RankDeficientEnsembleError(
-            f"average state has minimum eigenvalue {wmin:.3e}; "
-            f"the ceiling requires it invertible (> {SIGMA_MIN_EIGENVALUE:g})")
-    # Every root value exceeds 1e-6 here, far above the pseudoinverse
-    # cutoff, so the pseudoinverse is the inverse square root.
-    return root.pinv_matrix()
-
-
 def max_relative_success(e: StateEnsemble) -> PlateauBound:
     """Largest renormalized success rate any measurement can reach.
 
@@ -78,7 +65,7 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     numerically symmetric); the ceiling is the largest a_j.
     """
     e.require_valid()
-    inv_sqrt = _inverse_sqrt_of_average(e)
+    inv_sqrt = psd_root(average_state(e)).pinv_matrix()
     per_state = []
     kernel_dims = []
     for p, rho in zip(e.priors, e.states):
@@ -115,23 +102,22 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
     reference = max_relative_success(e).per_state_a[j]
 
     sig = average_state(e)
+    if psd_root(sig).inverse[0] == 0.0:
+        # a pure sigma forces every rho_j = sigma, so all coefficients vanish
+        raise ValueError("the quadratic route does not determine a for a pure average state")
     rho = e.states[j]
     p = float(e.priors[j])
     c2 = 1.0 - trace_product(sig, sig)
     c1 = -2.0 * p * (1.0 - trace_product(sig, rho))
     c0 = p * p * (1.0 - trace_product(rho, rho))
-    if c2 <= 0.0:
-        # pure average state: the quadratic degenerates to a linear equation
-        roots = [-c0 / c1] if c1 != 0.0 else []
-    else:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            if disc < -1e-14:
-                raise InconsistentBoundError(
-                    f"determinant quadratic has no real root (discriminant {disc:.3e})")
-            disc = 0.0
-        sq = float(np.sqrt(disc))
-        roots = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        if disc < -1e-14:
+            raise InconsistentBoundError(
+                f"determinant quadratic has no real root (discriminant {disc:.3e})")
+        disc = 0.0
+    sq = float(np.sqrt(disc))
+    roots = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
 
     matches = [r for r in roots if abs(r - reference) <= ROOT_SELECTION_ATOL]
     if not matches:
@@ -165,23 +151,29 @@ def plateau_povm_direction(e: StateEnsemble, bound: PlateauBound) -> np.ndarray:
     """Projector onto the subspace carrying the limiting conclusive element.
 
     The conclusive element for the maximizing state must live in the kernel
-    of prs_max * sigma - p_j* rho_j*. Eigenvalues below KERNEL_RTOL of the
-    operator's largest |eigenvalue| count as kernel; a vanishing operator
-    (identical-states degeneracy) yields the identity.
+    of prs_max * sigma - p_j* rho_j* within supp sigma (the operator also
+    vanishes on the kernel of sigma, where no state has weight). Eigenvalues
+    below KERNEL_RTOL of the operator's largest |eigenvalue| count as
+    kernel; a vanishing operator (identical-states degeneracy) yields the
+    projector onto supp sigma.
     """
     e.require_valid()
     if len(bound.per_state_a) != e.n_states:
         raise ValueError("bound was computed for a different ensemble size")
     j = bound.argmax_state
-    op = bound.prs_max * average_state(e) - float(e.priors[j]) * e.states[j]
-    w, v = np.linalg.eigh(herm(op))
+    sigma = average_state(e)
+    root = psd_root(sigma)
+    support = root.vectors[:, root.inverse > 0.0]
+    op = bound.prs_max * sigma - float(e.priors[j]) * e.states[j]
+    w, v = np.linalg.eigh(herm(support.conj().T @ op @ support))
     scale = float(np.max(np.abs(w)))
     if scale <= KERNEL_RTOL:
-        return frozen(np.eye(e.dim, dtype=np.complex128))
-    mask = np.abs(w) <= KERNEL_RTOL * scale
-    if not np.any(mask):
-        raise InconsistentBoundError(
-            f"no kernel at the computed ceiling (smallest |eigenvalue| "
-            f"{float(np.min(np.abs(w))):.3e} vs scale {scale:.3e})")
-    vecs = v[:, mask]
+        vecs = support
+    else:
+        mask = np.abs(w) <= KERNEL_RTOL * scale
+        if not np.any(mask):
+            raise InconsistentBoundError(
+                f"no kernel at the computed ceiling (smallest |eigenvalue| "
+                f"{float(np.min(np.abs(w))):.3e} vs scale {scale:.3e})")
+        vecs = support @ v[:, mask]
     return frozen(herm(vecs @ vecs.conj().T))

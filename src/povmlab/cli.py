@@ -7,8 +7,8 @@ emitted as CSV. All floats are printed with 17 significant digits, so
 identical invocations produce byte-identical output apart from the
 duration field.
 
-Exit codes: 0 ok/optimal, 1 validation failure, 2 I/O or parse failure,
-3 infeasible inconclusive-rate target, 4 singular average state,
+Exit codes: 0 ok/optimal, 1 validation failure (including bad flags),
+2 I/O or parse failure, 3 infeasible inconclusive-rate target,
 5 POVM not certified optimal.
 
 The POVMLAB_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
@@ -39,7 +39,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
-EXIT_SINGULAR = 4
 EXIT_NOT_OPTIMAL = 5
 
 TRADEOFF_HEADER = "pi,ps,prs,iterations,residual,certified,status"
@@ -85,6 +84,11 @@ def _config_echo(cfg: SolverConfig) -> dict:
         "bisection_max_steps": RATE_MAX_EVALUATIONS,
         "pinv_cutoff": cfg.pinv_cutoff,
     }
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
 def _violation_list(violations) -> list[dict]:
@@ -253,6 +257,7 @@ def cmd_tradeoff(args) -> int:
         return status
     try:
         grid = _parse_grid(args.pi_grid)
+        _require_positive("--jobs", args.jobs)
         cfg = _solver_config(args)
     except ValueError as exc:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
@@ -267,11 +272,7 @@ def cmd_bound(args) -> int:
     e, digest, status = _load_for_command(args, started, "bound")
     if status is not None:
         return status
-    try:
-        b = bounds.max_relative_success(e)
-    except bounds.RankDeficientEnsembleError as exc:
-        _emit_record("bound", digest, {}, {"error": str(exc)}, started)
-        return EXIT_SINGULAR
+    b = bounds.max_relative_success(e)
     payload = {
         "prs_max": b.prs_max,
         "per_state_a": list(b.per_state_a),
@@ -321,13 +322,20 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fig1(args) -> int:
-    etas = [float(x) for x in args.etas.split(",") if x]
-    cfg = _solver_config(args)
-    jobs = []
-    for eta in etas:
-        p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
-        for t in default_sweep_grid(p, points=args.points):
-            jobs.append((eta, args.theta, float(t), cfg))
+    started = time.perf_counter()
+    try:
+        _require_positive("--points", args.points)
+        _require_positive("--jobs", args.jobs)
+        etas = [float(x) for x in args.etas.split(",") if x]
+        cfg = _solver_config(args)
+        jobs = []
+        for eta in etas:
+            p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
+            for t in default_sweep_grid(p, points=args.points):
+                jobs.append((eta, args.theta, float(t), cfg))
+    except ValueError as exc:
+        _emit_record("fig1", "", {}, {"error": str(exc)}, started)
+        return EXIT_VALIDATION
     _write_csv("eta," + TRADEOFF_HEADER,
                _run_jobs(_sweep_point_symmetric, jobs, args.jobs))
     return EXIT_OK

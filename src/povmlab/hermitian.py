@@ -14,11 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Asymmetry above this is a genuine error, below it is round-off.
-HERMITICITY_ATOL = 1e-12
-# Eigenvalues above this floor count as nonnegative; separates real
-# negativity from round-off at dimensions up to a few dozen.
-PSD_EIGENVALUE_FLOOR = -1e-10
 # Relative eigenvalue cutoff for the pseudoinverse.
 DEFAULT_PINV_CUTOFF = 1e-12
 TRACE_IMAG_ATOL = 1e-10

@@ -27,6 +27,17 @@ def random_ensemble(rng: np.random.Generator, dim: int, n_states: int) -> StateE
     return StateEnsemble(states, priors)
 
 
+def padded(e: StateEnsemble, dim: int, unitary=None) -> StateEnsemble:
+    """The ensemble embedded in the leading block of a ``dim``-dim space,
+    optionally rotated by ``unitary``; its average state is then singular."""
+    states = []
+    for rho in e.states:
+        big = np.zeros((dim, dim), dtype=complex)
+        big[:e.dim, :e.dim] = rho
+        states.append(big if unitary is None else unitary @ big @ unitary.conj().T)
+    return StateEnsemble(tuple(states), e.priors)
+
+
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     """Random valid POVM: PSD seeds A_k whitened by their sum,
     S^{-1/2} A_k S^{-1/2}, which closes to the identity by construction."""

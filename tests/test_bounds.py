@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_ensemble
+from conftest import padded, random_density, random_ensemble
 from povmlab.bounds import (
     InconsistentBoundError,
-    RankDeficientEnsembleError,
     max_relative_success,
     plateau_povm_direction,
     prs_max_from_invariants,
@@ -75,10 +74,46 @@ def test_bound_brackets_hold_random():
             assert b.kernel_dimension >= 1
 
 
-def test_rank_deficient_average_rejected():
-    e = StateEnsemble((PROJ0, PROJ0.copy()), np.array([0.5, 0.5]))
-    with pytest.raises(RankDeficientEnsembleError):
-        max_relative_success(e)
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_padded_pair_keeps_the_ceiling():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    b = max_relative_success(e)
+    for dim in (3, 4):
+        bp = max_relative_success(padded(e, dim))
+        assert bp.prs_max == pytest.approx(b.prs_max, abs=1e-14), dim
+        assert bp.per_state_a == pytest.approx(b.per_state_a, abs=1e-14), dim
+        assert bp.kernel_dimension == b.kernel_dimension
+
+
+def test_rotated_padded_pair_keeps_the_ceiling():
+    rng = np.random.default_rng(55)
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    b = max_relative_success(e)
+    for dim in range(3, 17):
+        bp = max_relative_success(padded(e, dim, haar_unitary(rng, dim)))
+        assert bp.prs_max == pytest.approx(b.prs_max, abs=1e-13), dim
+        assert bp.per_state_a == pytest.approx(b.per_state_a, abs=1e-13), dim
+
+
+@pytest.mark.parametrize("dim, n", [(3, 2), (4, 3), (5, 2), (6, 4)])
+def test_independent_pure_states_reach_one(dim, n):
+    # N linearly independent pure states are unambiguously distinguishable
+    # (Chefles 1998); their average state has rank N < dim
+    rng = np.random.default_rng(56 + dim)
+    states = []
+    for _ in range(n):
+        ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        ket /= np.linalg.norm(ket)
+        states.append(np.outer(ket, ket.conj()))
+    priors = rng.random(n) + 0.1
+    b = max_relative_success(StateEnsemble(tuple(states), priors / priors.sum()))
+    assert b.prs_max == pytest.approx(1.0, abs=1e-12)
+    assert b.per_state_a == pytest.approx([1.0] * n, abs=1e-12)
 
 
 def test_quadratic_route_identical_states():
@@ -102,6 +137,15 @@ def test_quadratic_route_agrees_with_eigenvalue_route():
         b = max_relative_success(e)
         for j in range(2):
             assert abs(qubit_quadratic_a(e, j) - b.per_state_a[j]) <= 1e-10
+
+
+def test_quadratic_route_rejects_pure_average_state():
+    ket = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    rho = np.outer(ket, ket.conj())
+    e = StateEnsemble((rho, rho.copy()), np.array([0.4, 0.6]))
+    assert max_relative_success(e).per_state_a == pytest.approx((0.4, 0.6), abs=1e-12)
+    with pytest.raises(ValueError, match="pure average state"):
+        qubit_quadratic_a(e, 0)
 
 
 def test_quadratic_route_input_validation():
@@ -163,6 +207,27 @@ def test_plateau_direction_identical_states_degenerates_to_identity():
     e = StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5]))
     proj = plateau_povm_direction(e, max_relative_success(e))
     assert np.allclose(proj, np.eye(2))
+
+
+def test_plateau_direction_padded_pair_is_padded_qubit_direction():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    proj = plateau_povm_direction(e, max_relative_success(e))
+    for dim in (3, 4):
+        ep = padded(e, dim)
+        bp = max_relative_success(ep)
+        expected = np.zeros((dim, dim), dtype=complex)
+        expected[:2, :2] = proj
+        assert bp.kernel_dimension == 1
+        assert np.max(np.abs(plateau_povm_direction(ep, bp) - expected)) <= 1e-12
+
+
+def test_plateau_direction_padded_identical_states_is_support():
+    rho = mixed_qubit(0.2)
+    e = padded(StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5])), 3)
+    b = max_relative_success(e)
+    assert b.kernel_dimension == 2
+    proj = plateau_povm_direction(e, b)
+    assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_plateau_direction_checks_ensemble_size():

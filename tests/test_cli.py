@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import padded
 from povmlab import cli
 from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
@@ -211,15 +212,16 @@ def test_bound_record(capsys, ensemble_file):
     assert len(rec["result"]["per_state_a"]) == 2
 
 
-def test_bound_singular_average_state(capsys, tmp_path):
-    pure = np.zeros((2, 2), dtype=complex)
-    pure[0, 0] = 1.0
-    e = StateEnsemble((pure, pure.copy()), np.array([0.5, 0.5]))
-    path = tmp_path / "singular.json"
-    save_ensemble(path, e)
+def test_bound_on_padded_pair(capsys, tmp_path):
+    # the pair embedded in a qutrit: the average state is singular, and the
+    # ceiling is taken on its support
+    path = tmp_path / "padded.json"
+    save_ensemble(path, padded(PROBLEM.ensemble(), 3))
     code, rec = run_json(capsys, ["bound", str(path)])
-    assert code == cli.EXIT_SINGULAR
-    assert "error" in rec["result"]
+    assert code == cli.EXIT_OK
+    expected = max_relative_success(PROBLEM.ensemble())
+    assert rec["result"]["prs_max"] == pytest.approx(expected.prs_max, abs=1e-14)
+    assert rec["result"]["kernel_dimension"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +321,20 @@ def test_certify_rejects_mismatched_dimension(capsys, ensemble_file, tmp_path):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["solve", "--pi", "0.2", "--tol", "0"], "povm_tolerance must be strictly positive"),
-    (["tradeoff", "--pi-grid", "0:0.5:3", "--max-iter", "0", "--jobs", "1"],
+    (["solve", "FILE", "--pi", "0.2", "--tol", "0"], "povm_tolerance must be strictly positive"),
+    (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--max-iter", "0", "--jobs", "1"],
      "max_iterations must be positive"),
+    (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--jobs", "0"],
+     "--jobs must be at least 1, got 0"),
+    (["fig1", "--tol", "0", "--points", "2"], "povm_tolerance must be strictly positive"),
+    (["fig1", "--etas", "0.9,1.5"], "eta must lie in (0, 1], got 1.5"),
+    (["fig1", "--points", "0"], "--points must be at least 1, got 0"),
+    (["fig1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["fig1", "--jobs", "-1"], "--jobs must be at least 1, got -1"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
-    code, rec = run_json(capsys, [argv[0], str(ensemble_file), *argv[1:]])
+    argv = [str(ensemble_file) if a == "FILE" else a for a in argv]
+    code, rec = run_json(capsys, argv)
     assert code == cli.EXIT_VALIDATION
     assert rec["command"] == argv[0]
     assert rec["result"] == {"error": error}
