@@ -327,6 +327,8 @@ def cmd_fig1(args) -> int:
         _require_positive("--points", args.points)
         _require_positive("--jobs", args.jobs)
         etas = [float(x) for x in args.etas.split(",") if x]
+        if not etas:
+            raise ValueError("--etas must list at least one value")
         cfg = _solver_config(args)
         jobs = []
         for eta in etas:

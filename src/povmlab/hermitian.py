@@ -26,8 +26,9 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def herm(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2, with no check on how far M is from it."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (M + M†)/2, with no check on how far M is from it; a
+    stack of matrices (last two axes) is taken matrix by matrix."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 class PsdRoot(NamedTuple):

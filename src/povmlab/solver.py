@@ -14,10 +14,17 @@ with lam = [sum_j p_j^2 rho_j Pi_j rho_j + a^2 sigma Pi_0 sigma]^{1/2}
 chosen so the map preserves completeness, and ``a`` tuned every sweep so
 the updated POVM keeps the requested inconclusive rate. That search is a
 Newton iteration on the predicted rate, safeguarded by a bracket, and
-starts from the previous sweep's ``a``. Iterating this map from a
-maximally uninformative start converges (empirically exponentially fast)
-to a stationary POVM; global optimality is checked separately by the
-certificate module.
+starts from the previous sweep's ``a``. This is the iteration of Jezek,
+Rehacek and Fiurasek, PRA 65, 060301(R) (2002). Iterated from a maximally
+uninformative start it converges, empirically linearly, to a stationary
+POVM; global optimality is checked separately by the certificate module.
+
+:func:`solve` accelerates the iteration with Anderson mixing of the recent
+sweeps. An extrapolated POVM keeps completeness and the inconclusive rate
+exactly but may leave the PSD cone, so it is used only when every element
+stays PSD within POVM_PSD_FLOOR. The per-sweep history it reports is the
+fixed-point residual, the largest element change one sweep makes to the
+point it was applied to.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ RATE_TOLERANCE = 1e-14
 RATE_MAX_EVALUATIONS = 200
 
 _BRACKET_CAP = 2.0**60
+
+# Sweeps of history the Anderson extrapolation in ``solve`` mixes.
+ANDERSON_DEPTH = 5
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -155,8 +165,12 @@ class SolveResult:
     scalar multiplier plays no role. ``rate_residual`` is the final sweep's
     |predicted inconclusive rate - target| (0 at zero target), and
     ``rate_evaluations`` counts the predicted-rate evaluations, one
-    eigendecomposition each, over the whole solve. ``converged`` requires
-    both the POVM change and the rate residual within their tolerances.
+    eigendecomposition each, over the whole solve. ``change_history`` holds
+    the fixed-point residual of every sweep: the largest Frobenius-norm
+    difference between an element of the sweep's output and of the point
+    it swept, which is an extrapolated one after an accepted Anderson step;
+    ``final_change`` is its last entry. ``converged`` requires both that
+    residual and the rate residual within their tolerances.
     """
 
     povm: Povm
@@ -175,41 +189,44 @@ class SolveResult:
 
 # ---------------------------------------------------------------------------
 # sweep internals
+#
+# Inside the solver a POVM is one stacked (N+1, d, d) array, element 0 the
+# inconclusive one; a Povm is built only for the caller.
 
 @dataclass(frozen=True)
 class _EnsembleTerms:
     """Ensemble operators that every sweep of one solve reuses."""
 
     sigma: np.ndarray
-    states: tuple[np.ndarray, ...]       # Herm(rho_j)
-    weighted: tuple[np.ndarray, ...]     # p_j^2 Herm(rho_j)
+    states: np.ndarray       # Herm(rho_j), stacked
+    weighted: np.ndarray     # p_j^2 Herm(rho_j), stacked
 
 
 @dataclass(frozen=True)
 class _SweepTerms:
     """Operators fixed during one sweep's multiplier search."""
 
-    sigma: np.ndarray
-    sandwiches: tuple[np.ndarray, ...]   # p_j^2 rho_j Pi_j rho_j
-    conclusive_sum: np.ndarray           # sum of the sandwiches
-    inconclusive: np.ndarray             # sigma Pi_0 sigma
+    sandwiches: np.ndarray       # p_j^2 rho_j Pi_j rho_j, stacked
+    conclusive_sum: np.ndarray   # sum of the sandwiches
+    inconclusive: np.ndarray     # sigma Pi_0 sigma
+    pair: np.ndarray             # sigma and sigma Pi_0 sigma, stacked
+
+
+def _stacked(povm: Povm) -> np.ndarray:
+    return np.stack(povm.elements)
 
 
 def _ensemble_terms(e: StateEnsemble) -> _EnsembleTerms:
-    states = tuple(herm(rho) for rho in e.states)
-    weighted = tuple(p * p * rho for p, rho in zip(e.priors, states))
+    states = herm(np.stack(e.states))
+    weighted = (e.priors * e.priors)[:, None, None] * states
     return _EnsembleTerms(average_state(e), states, weighted)
 
 
-def _sweep_terms(fixed: _EnsembleTerms, povm: Povm) -> _SweepTerms:
+def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> _SweepTerms:
     sig = fixed.sigma
-    sandwiches = tuple(
-        herm(w @ pi @ rho)
-        for w, rho, pi in zip(fixed.weighted, fixed.states, povm.conclusive)
-    )
-    ksum = herm(sum(sandwiches))
-    m0 = herm(sig @ povm.inconclusive @ sig)
-    return _SweepTerms(sig, sandwiches, ksum, m0)
+    sandwiches = herm(fixed.weighted @ x[1:] @ fixed.states)
+    m0 = herm(sig @ x[0] @ sig)
+    return _SweepTerms(sandwiches, herm(sandwiches.sum(axis=0)), m0, np.stack((sig, m0)))
 
 
 class _RateEval(NamedTuple):
@@ -243,14 +260,15 @@ def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> _RateEval:
     """
     root = psd_root(terms.conclusive_sum + (a * a) * terms.inconclusive, cutoff)
     v, s, x = root.vectors, root.root, root.inverse
-    vh = v.conj().T
-    mt = vh @ terms.inconclusive @ v
-    st = vh @ terms.sigma @ v
-    q = np.einsum("ij,j,ji,i->", st, x, mt, x).real
+    st, mt = v.conj().T @ terms.pair @ v
+    xx = np.outer(x, x)
+    # q = Tr[S~ X M~ X] = Tr[(xx o M~) S~], and Tr[A B] = vdot(A, B) for
+    # Hermitian A
+    q = np.vdot(xx * mt, st).real
     pair = s[:, None] + s
-    g = -np.outer(x, x) / np.where(pair > 0, pair, 1.0)
-    # d q / d a = 2 Re Tr[S~ (dX/da) M~ X]
-    dq = (4.0 * a) * np.einsum("ki,ij,jk,k->", st, g * mt, mt, x).real
+    g = -xx / np.where(pair > 0, pair, 1.0)
+    # d q / d a = 2 Re Tr[S~ (dX/da) M~ X] = 4a Re Tr[(G o M~) (M~ X S~)]
+    dq = (4.0 * a) * np.vdot(g * mt, (mt * x) @ st).real
     return _RateEval(float((a * a) * q), float(2.0 * a * q + (a * a) * dq), root)
 
 
@@ -311,6 +329,42 @@ def _solve_multiplier(
     return best._replace(evaluations=evaluations)
 
 
+class _Anderson:
+    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
+    (2011)) for a fixed-point map G, on the real view of the flattened
+    iterate.
+
+    It keeps the last ``depth`` differences of the residuals f = G(x) - x
+    and of the map values G(x). With F and D those differences as columns,
+    the next iterate is G(x) - D gamma for the gamma that minimizes
+    |f - F gamma|. Its weights on the recent map values sum to 1, so it
+    keeps every affine constraint that all of them meet: completeness and
+    Tr[sigma Pi_0] = target here. Positivity is the caller's to check.
+    """
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.last: tuple[np.ndarray, np.ndarray] | None = None   # f and G(x)
+        self.reset()
+
+    def reset(self) -> None:
+        self.df: list[np.ndarray] = []
+        self.dg: list[np.ndarray] = []
+
+    def extrapolate(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray | None:
+        """Next iterate from ``x`` and ``gx`` = G(x); None without history."""
+        f = (gx - x).view(np.float64).ravel()
+        g = gx.view(np.float64).ravel()
+        if self.last is not None:
+            self.df = [*self.df[1 - self.depth:], f - self.last[0]]
+            self.dg = [*self.dg[1 - self.depth:], g - self.last[1]]
+        self.last = (f, g)
+        if not self.df:
+            return None
+        gamma = np.linalg.lstsq(np.array(self.df).T, f, rcond=None)[0]
+        return (g - gamma @ np.array(self.dg)).view(np.complex128).reshape(gx.shape)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -335,7 +389,8 @@ def predicted_inconclusive_rate(
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
     cfg = cfg or SolverConfig()
-    return _predicted_rate(_sweep_terms(_ensemble_terms(e), povm), a, cfg.pinv_cutoff).rate
+    terms = _sweep_terms(_ensemble_terms(e), _stacked(povm))
+    return _predicted_rate(terms, a, cfg.pinv_cutoff).rate
 
 
 def solve_multiplier(
@@ -346,7 +401,7 @@ def solve_multiplier(
     if not 0.0 < target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
     cfg = cfg or SolverConfig()
-    fit = _solve_multiplier(_sweep_terms(_ensemble_terms(e), povm), target_pi, cfg)
+    fit = _solve_multiplier(_sweep_terms(_ensemble_terms(e), _stacked(povm)), target_pi, cfg)
     return fit.a, frozen(fit.root.root_matrix())
 
 
@@ -364,33 +419,34 @@ def iterate_once(
     """
     if not 0.0 <= target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
-    new, root, fit = _sweep(_ensemble_terms(e), povm, target_pi, cfg or SolverConfig())
-    return new, frozen(root.root_matrix()), None if fit is None else fit.a
+    new, root, fit = _sweep(_ensemble_terms(e), _stacked(povm), target_pi,
+                            cfg or SolverConfig())
+    return Povm(tuple(new)), frozen(root.root_matrix()), None if fit is None else fit.a
 
 
 def _sweep(
-    fixed: _EnsembleTerms, povm: Povm, target_pi: float, cfg: SolverConfig,
+    fixed: _EnsembleTerms, x: np.ndarray, target_pi: float, cfg: SolverConfig,
     start: float | None = None,
-) -> tuple[Povm, PsdRoot, _Multiplier | None]:
-    """One sweep; the multiplier search starts at ``start`` when given.
-    Returns the new POVM, the root of lam^2, and the search outcome (None
-    at zero target)."""
-    terms = _sweep_terms(fixed, povm)
+) -> tuple[np.ndarray, PsdRoot, _Multiplier | None]:
+    """One sweep of the stacked POVM ``x``; the multiplier search starts at
+    ``start`` when given. Returns the new stacked POVM, the root of lam^2,
+    and the search outcome (None at zero target)."""
+    terms = _sweep_terms(fixed, x)
     fit: _Multiplier | None
     if target_pi == 0.0:
         fit, root = None, psd_root(terms.conclusive_sum, cfg.pinv_cutoff)
         laminv = root.pinv_matrix()
-        new_inconclusive = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
+        new_inconclusive = np.zeros_like(fixed.sigma)
     else:
         fit = _solve_multiplier(terms, target_pi, cfg, start)
         root = fit.root
         laminv = root.pinv_matrix()
         new_inconclusive = (fit.a * fit.a) * (laminv @ terms.inconclusive @ laminv)
 
-    new_conclusive = [herm(laminv @ s @ laminv) for s in terms.sandwiches]
-    deficit = np.eye(povm.dim) - new_inconclusive - sum(new_conclusive)
-    new_inconclusive = herm(new_inconclusive + deficit)
-    new = Povm((new_inconclusive, *new_conclusive))
+    new = np.empty_like(x)
+    new[1:] = herm(laminv @ terms.sandwiches @ laminv)
+    deficit = np.eye(x.shape[-1]) - new_inconclusive - new[1:].sum(axis=0)
+    new[0] = herm(new_inconclusive + deficit)
     return new, root, fit
 
 
@@ -417,13 +473,22 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
 def solve(
     e: StateEnsemble, target_pi: float, cfg: SolverConfig | None = None
 ) -> SolveResult:
-    """Iterate the sweep to a fixed point at the requested inconclusive rate.
+    """Iterate the sweep G to a fixed point at the requested inconclusive rate.
 
-    Stops when the largest Frobenius-norm change across elements drops to
-    the configured tolerance, or at the iteration cap (reported through
-    ``converged``, not an exception). Each sweep's multiplier search starts
-    from the previous sweep's multiplier. The returned multipliers are the
-    ones used in the final sweep.
+    The iterate x_k is Anderson-accelerated (:class:`_Anderson`, depth
+    ANDERSON_DEPTH): the next one is the extrapolation from the recent
+    sweeps when all its elements are PSD within POVM_PSD_FLOOR (one stacked
+    eigvalsh) and the sweep's multiplier search met RATE_TOLERANCE, and the
+    plain sweep's output G(x_k) otherwise, which also restarts the mixing.
+    Stops when the fixed-point residual, the largest Frobenius-norm
+    difference between elements of G(x_k) and x_k, drops to the configured
+    tolerance, or at the iteration cap (reported through ``converged``, not
+    an exception). The result is the last sweep's output G(x_k) with that
+    sweep's multipliers, never an extrapolation. Each multiplier search
+    starts from the previous sweep's multiplier. A sweep from an
+    extrapolation that finds the target infeasible is dropped and the solve
+    resumes from the last sweep's output; only a sweep from that output
+    raises InfeasibleTargetError.
     """
     cfg = cfg or SolverConfig()
     e.require_valid()
@@ -435,24 +500,40 @@ def solve(
             f"fraction to renormalize")
 
     fixed = _ensemble_terms(e)
-    povm = initial_povm(e, target_pi)
+    x = plain = _stacked(initial_povm(e, target_pi))
+    mixer = _Anderson(ANDERSON_DEPTH)
     history: list[float] = []
     a: float | None = None
     residual = 0.0
     evaluations = 0
-    for sweep in range(1, cfg.max_iterations + 1):
-        new, root, fit = _sweep(fixed, povm, target_pi, cfg, a)
+    while len(history) < cfg.max_iterations:
+        try:
+            new, root, fit = _sweep(fixed, x, target_pi, cfg, a)
+        except InfeasibleTargetError as exc:
+            if x is plain:
+                raise
+            logger.debug("sweep from an extrapolation infeasible (%s); "
+                         "resuming from the last sweep", exc)
+            x = plain
+            mixer.reset()
+            continue
         if fit is not None:
             a, residual = fit.a, fit.residual
             evaluations += fit.evaluations
-        change = max(
-            float(np.linalg.norm(n - o, "fro"))
-            for n, o in zip(new.elements, povm.elements)
-        )
+        change = float(np.linalg.norm(new - x, axis=(1, 2)).max())
         history.append(change)
-        povm = new
-        logger.debug("sweep %d: change %.3e, a=%s, rate residual %.3e",
-                     sweep, change, a, residual)
+        guess = mixer.extrapolate(x, new) if change > cfg.povm_tolerance else None
+        x = plain = new
+        verdict = "none"
+        if guess is not None:
+            if (residual <= RATE_TOLERANCE
+                    and np.linalg.eigvalsh(guess)[:, 0].min() >= POVM_PSD_FLOOR):
+                x, verdict = guess, "accepted"
+            else:
+                mixer.reset()
+                verdict = "rejected"
+        logger.debug("sweep %d: residual %.3e, a=%s, rate residual %.3e, "
+                     "extrapolation %s", len(history), change, a, residual, verdict)
         if change <= cfg.povm_tolerance:
             break
     else:
@@ -460,6 +541,7 @@ def solve(
             "no fixed point within %d sweeps (last change %.3e)",
             cfg.max_iterations, history[-1])
 
+    povm = Povm(tuple(plain))
     metrics = success_metrics(e, povm)
     return SolveResult(
         povm=povm,

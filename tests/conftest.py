@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from povmlab import Povm, StateEnsemble
+from povmlab import Povm, SolverConfig, StateEnsemble
+from povmlab.solver import initial_povm, iterate_once
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -58,3 +59,19 @@ def helstrom_two_state(e: StateEnsemble) -> float:
     assert e.n_states == 2
     gap = e.priors[0] * e.states[0] - e.priors[1] * e.states[1]
     return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(gap)))))
+
+
+def plain_iteration(e: StateEnsemble, target: float, cfg: SolverConfig):
+    """The unaccelerated map: iterate_once from the default start until the
+    largest element change is within cfg.povm_tolerance or
+    cfg.max_iterations sweeps ran. Returns the last POVM, the last ``a``
+    and the change of every sweep."""
+    povm, a = initial_povm(e, target), None
+    history: list[float] = []
+    while len(history) < cfg.max_iterations and (
+            not history or history[-1] > cfg.povm_tolerance):
+        new, _, a = iterate_once(e, povm, target, cfg)
+        history.append(max(float(np.linalg.norm(n - o))
+                           for n, o in zip(new.elements, povm.elements)))
+        povm = new
+    return povm, a, history

@@ -331,6 +331,7 @@ def test_certify_rejects_mismatched_dimension(capsys, ensemble_file, tmp_path):
     (["fig1", "--points", "0"], "--points must be at least 1, got 0"),
     (["fig1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["fig1", "--jobs", "-1"], "--jobs must be at least 1, got -1"),
+    (["fig1", "--etas", ","], "--etas must list at least one value"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     argv = [str(ensemble_file) if a == "FILE" else a for a in argv]

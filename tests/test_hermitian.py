@@ -90,6 +90,16 @@ def test_herm_takes_hermitian_part_without_check():
     assert np.array_equal(herm(h), h)
 
 
+def test_herm_on_a_stack_is_matrix_by_matrix():
+    rng = np.random.default_rng(86)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    h = herm(stack)
+    assert h.shape == (4, 3, 3)
+    for k in range(4):
+        assert np.array_equal(h[k], herm(stack[k]))
+        assert np.array_equal(h[k], h[k].conj().T)
+
+
 def test_min_eigenvalue_examples():
     assert min_eigenvalue(np.eye(2, dtype=complex)) == pytest.approx(1.0)
     assert min_eigenvalue(np.diag([-0.3, 7.0]).astype(complex)) == pytest.approx(-0.3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import helstrom_two_state, random_ensemble
+from conftest import helstrom_two_state, plain_iteration, random_ensemble
 from povmlab import solver
 from povmlab.certificate import multipliers_from_povm
 from povmlab.cli import default_sweep_grid
@@ -107,7 +107,7 @@ def test_initial_povm_tracks_target_exactly():
 def test_multiplier_operator_ignores_a_without_inconclusive():
     e = orthogonal_pair()
     povm = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
-    terms = solver._sweep_terms(solver._ensemble_terms(e), povm)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(povm))
     cutoff = SolverConfig().pinv_cutoff
     lam0 = solver._predicted_rate(terms, 0.0, cutoff).root.root_matrix()
     lam9 = solver._predicted_rate(terms, 9.0, cutoff).root.root_matrix()
@@ -172,7 +172,7 @@ def test_predicted_rate_slope_matches_finite_difference():
     povm = initial_povm(e, 0.3)
     for _ in range(3):
         povm, _, _ = iterate_once(e, povm, 0.3)
-    terms = solver._sweep_terms(solver._ensemble_terms(e), povm)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(povm))
     for a in (0.1, 0.7, 2.0, 10.0):
         h = 1e-6 * a
         ev = solver._predicted_rate(terms, a, 1e-12)
@@ -186,14 +186,12 @@ def test_warm_and_cold_search_agree():
     target = 0.25
     r = solve(e, target)
     # cold reference: the public sweep restarts the multiplier search from
-    # [0, 1] every time
-    povm, a = initial_povm(e, target), None
-    for _ in range(r.iterations):
-        povm, _, a = iterate_once(e, povm, target)
+    # a = 1 every time; it runs unaccelerated to the solver's own tolerance
+    povm, a, _ = plain_iteration(e, target, SolverConfig())
     assert r.a == pytest.approx(a, abs=1e-12)
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
     # and one search on the same sweep terms, warm and cold
-    terms = solver._sweep_terms(solver._ensemble_terms(e), r.povm)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(r.povm))
     cfg = SolverConfig()
     warm = solver._solve_multiplier(terms, target, cfg, start=0.9 * r.a)
     cold = solver._solve_multiplier(terms, target, cfg)
@@ -207,7 +205,7 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
     cfg = SolverConfig()
-    terms = solver._sweep_terms(solver._ensemble_terms(e), plateau_povm)
+    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(plateau_povm))
     start = solver._solve_multiplier(terms, 0.5, cfg).a
     with pytest.raises(InfeasibleTargetError) as warm:
         solver._solve_multiplier(terms, 0.95, cfg, start=start)
@@ -269,8 +267,10 @@ def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, war
 
 
 def test_warm_start_keeps_rate_evaluations_per_sweep_low():
-    # about 2.7 per sweep; a search restarted cold every sweep makes 4 to
-    # 5.6 here, and the former bracket-and-halve search about 45
+    # 3.1 to 3.3 per sweep (2.7 without the Anderson extrapolation, whose
+    # jumps move the multiplier further); a search restarted cold every
+    # sweep makes 4 to 5.6 here, and the former bracket-and-halve search
+    # about 45
     for eta in (0.7, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)
         e = p.ensemble()
@@ -451,6 +451,50 @@ def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
     assert r.final_change <= SolverConfig().povm_tolerance
     assert r.rate_residual > solver.RATE_TOLERANCE
     assert not r.converged
+
+
+def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
+    # no extrapolation passes an infinite positivity floor, so every sweep
+    # starts from the previous sweep's output, as in the plain map
+    rng = np.random.default_rng(41)
+    cases = [(symmetric_qubit_pair(0.9, math.pi / 4), t) for t in (0.0, 0.3, 0.75)]
+    cases += [(random_ensemble(rng, 3, 3), 0.1), (random_ensemble(rng, 2, 3), 0.0)]
+    accelerated = [solve(e, t).iterations for e, t in cases]
+    monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
+    for (e, target), fast in zip(cases, accelerated):
+        r = solve(e, target)
+        povm, _, history = plain_iteration(e, target, SolverConfig())
+        assert r.converged
+        assert r.iterations == len(history)
+        assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
+        assert fast <= len(history)
+
+
+def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    reference = solve(e, 0.3)
+    sweep = solver._sweep
+    inputs, outputs, raised = [], [], []
+
+    def flaky_sweep(fixed, x, target_pi, cfg, start=None):
+        inputs.append(x)
+        if outputs and x is not outputs[-1] and not raised:
+            # x is an extrapolation: fail once, noting the next call's
+            # index and the last sweep's output
+            raised.append((len(inputs), outputs[-1]))
+            raise InfeasibleTargetError(target=target_pi, supremum=0.0)
+        result = sweep(fixed, x, target_pi, cfg, start)
+        outputs.append(result[0])
+        return result
+
+    monkeypatch.setattr(solver, "_sweep", flaky_sweep)
+    r = solve(e, 0.3)
+    assert raised, "no sweep started from an extrapolation"
+    after, last_output = raised[0]
+    assert inputs[after] is last_output
+    assert r.converged and r.iterations == len(outputs)
+    assert r.p_rs == pytest.approx(reference.p_rs, abs=1e-12)
+    assert abs(r.p_i - 0.3) <= 1e-12
 
 
 def test_solve_nonconvergence_is_flagged_not_raised():
