@@ -31,7 +31,8 @@ import numpy as np
 from . import bounds, certificate, fileio, qubit_analytic
 from .ensemble import EnsembleValidationError, validate as validate_ensemble
 from .solver import (RATE_MAX_EVALUATIONS, RATE_TOLERANCE, InfeasibleTargetError,
-                     SolverConfig, povm_violations, solve)
+                     SolverConfig, povm_violations, require_matching, require_target,
+                     solve)
 
 logger = logging.getLogger(__name__)
 
@@ -111,8 +112,8 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
         ],
         "dual_bound": cert.dual_bound,
         "lambda_asymmetry": cert.lambda_asymmetry,
-        "tol_extremal": cert.tol_extremal,
-        "tol_positivity": cert.tol_positivity,
+        "tol_extremal": certificate.TOL_EXTREMAL,
+        "tol_positivity": certificate.TOL_POSITIVITY,
         "optimal": cert.optimal,
     }
 
@@ -257,6 +258,7 @@ def cmd_tradeoff(args) -> int:
         return status
     try:
         grid = _parse_grid(args.pi_grid)
+        require_target(float(grid[-1]))
         _require_positive("--jobs", args.jobs)
         cfg = _solver_config(args)
     except ValueError as exc:
@@ -295,14 +297,10 @@ def cmd_certify(args) -> int:
         _emit_record("certify", digest, {}, {"error": str(exc)}, started)
         return EXIT_IO
     config = {"povm_digest": povm_digest}
-    mismatch = None
-    if povm.n_conclusive != e.n_states:
-        mismatch = (f"POVM has {povm.n_conclusive} conclusive elements "
-                    f"for {e.n_states} states")
-    elif povm.dim != e.dim:
-        mismatch = f"POVM has dimension {povm.dim} for states of dimension {e.dim}"
-    if mismatch:
-        _emit_record("certify", digest, config, {"error": mismatch}, started)
+    try:
+        require_matching(e, povm)
+    except ValueError as exc:
+        _emit_record("certify", digest, config, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     violations = povm_violations(povm)
     if violations:

@@ -96,6 +96,8 @@ class Povm:
         for k, m in enumerate(elems):
             if m.ndim != 2 or m.shape != (dim, dim):
                 raise ValueError(f"element {k} has shape {m.shape}, expected ({dim}, {dim})")
+        if not all(np.all(np.isfinite(m)) for m in elems):
+            raise ValueError("POVM entries must be finite")
         object.__setattr__(self, "elements", tuple(frozen(m) for m in elems))
 
     @property
@@ -113,6 +115,27 @@ class Povm:
     @property
     def conclusive(self) -> tuple[np.ndarray, ...]:
         return self.elements[1:]
+
+
+def require_matching(e: StateEnsemble, povm: Povm) -> None:
+    """Raise ValueError unless the POVM has one conclusive element per state
+    and the states' dimension."""
+    if povm.n_conclusive != e.n_states:
+        raise ValueError(
+            f"POVM has {povm.n_conclusive} conclusive elements for {e.n_states} states")
+    if povm.dim != e.dim:
+        raise ValueError(f"POVM has dimension {povm.dim} for states of dimension {e.dim}")
+
+
+def require_target(target_pi: float) -> None:
+    """Raise ValueError unless ``target_pi`` lies in [0, 1) and leaves a
+    conclusive fraction of more than RELATIVE_RATE_EPS to renormalize."""
+    if not 0.0 <= target_pi < 1.0:
+        raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
+    if target_pi >= 1.0 - RELATIVE_RATE_EPS:
+        raise ValueError(
+            f"target inconclusive rate {target_pi:.17g} leaves no conclusive "
+            f"fraction to renormalize")
 
 
 def povm_violations(povm: Povm) -> list[Violation]:
@@ -374,8 +397,7 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     Pi_0 = target * identity and the conclusive elements split the rest
     evenly, so Tr[sigma Pi_0] equals the target exactly.
     """
-    if not 0.0 <= target_pi < 1.0:
-        raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
+    require_target(target_pi)
     eye = np.eye(e.dim, dtype=np.complex128)
     share = (1.0 - target_pi) / e.n_states
     elements = (target_pi * eye,) + tuple(share * eye for _ in range(e.n_states))
@@ -417,8 +439,7 @@ def iterate_once(
     element, restoring exact completeness. At zero target the inconclusive
     element is exactly that fold-in (zero for a full-support multiplier).
     """
-    if not 0.0 <= target_pi < 1.0:
-        raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
+    require_target(target_pi)
     new, root, fit = _sweep(_ensemble_terms(e), _stacked(povm), target_pi,
                             cfg or SolverConfig())
     return Povm(tuple(new)), frozen(root.root_matrix()), None if fit is None else fit.a
@@ -456,9 +477,7 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
     p_s = sum_j p_j Tr[Pi_j rho_j]; p_i = Tr[sigma Pi_0];
     p_rs = p_s / (1 - p_i), undefined when the inconclusive rate saturates.
     """
-    if povm.n_conclusive != e.n_states:
-        raise ValueError(
-            f"POVM has {povm.n_conclusive} conclusive elements for {e.n_states} states")
+    require_matching(e, povm)
     p_s = sum(
         p * trace_product(rho, pi)
         for p, rho, pi in zip(e.priors, e.states, povm.conclusive)
@@ -492,12 +511,7 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     e.require_valid()
-    if not 0.0 <= target_pi < 1.0:
-        raise ValueError(f"target inconclusive rate must lie in [0, 1), got {target_pi}")
-    if target_pi >= 1.0 - RELATIVE_RATE_EPS:
-        raise ValueError(
-            f"target inconclusive rate {target_pi:.17g} leaves no conclusive "
-            f"fraction to renormalize")
+    require_target(target_pi)
 
     fixed = _ensemble_terms(e)
     x = plain = _stacked(initial_povm(e, target_pi))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from povmlab import Povm, SolverConfig, StateEnsemble
+from povmlab.ensemble import average_state
 from povmlab.solver import initial_povm, iterate_once
 
 
@@ -51,6 +52,20 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     whiten = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     elements = tuple(whiten @ a @ whiten for a in seeds)
     return Povm(elements)
+
+
+def at_rate(e: StateEnsemble, povm: Povm, rate: float) -> Povm:
+    """The POVM moved to inconclusive rate ``rate`` for ``e``: above it,
+    Pi_0 is scaled down and what it loses is added to Pi_1; below it, the
+    POVM is mixed toward (I, 0, ..., 0)."""
+    p_i = float(np.trace(average_state(e) @ povm.inconclusive).real)
+    pi0, pi1, *rest = povm.elements
+    if p_i > rate:
+        s = rate / p_i
+        return Povm((s * pi0, pi1 + (1.0 - s) * pi0, *rest))
+    s = (rate - p_i) / (1.0 - p_i)
+    return Povm(((1.0 - s) * pi0 + s * np.eye(povm.dim),
+                 *((1.0 - s) * m for m in povm.conclusive)))
 
 
 def helstrom_two_state(e: StateEnsemble) -> float:

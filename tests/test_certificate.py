@@ -3,21 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ensemble, random_povm
-from povmlab.certificate import (
-    SingularMultiplierError,
-    certified_gap,
-    check,
-    multipliers_from_povm,
-    weak_duality_bound,
-)
+from conftest import at_rate, random_ensemble, random_povm
+from povmlab.certificate import SingularMultiplierError, check
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.qubit_analytic import (
     SymmetricQubitProblem,
     analytic_povm,
     phi_max_and_prs_max,
 )
-from povmlab.solver import Povm, solve, success_metrics
+from povmlab.solver import Povm, SolverConfig, solve, success_metrics
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -31,9 +25,9 @@ def orthogonal_projective() -> tuple[StateEnsemble, Povm]:
 
 def test_helstrom_branch_multipliers():
     e, povm = orthogonal_projective()
-    lam, a = multipliers_from_povm(e, povm)
-    assert a is None
-    assert np.allclose(lam, (PROJ0 + PROJ1) / 2)
+    cert = check(e, povm)
+    assert cert.a is None
+    assert np.allclose(cert.lam, (PROJ0 + PROJ1) / 2)
 
 
 def test_helstrom_branch_certificate_zero_gap():
@@ -43,14 +37,14 @@ def test_helstrom_branch_certificate_zero_gap():
     assert cert.dual_bound == pytest.approx(1.0, abs=1e-12)
     assert math.isnan(cert.positivity_margins[0])
     assert cert.extremal_residuals[0] == 0.0
-    assert certified_gap(e, povm, cert) <= 1e-12
+    assert abs(cert.dual_bound - success_metrics(e, povm).p_s) <= 1e-12
 
 
 def test_scalar_multiplier_equals_plateau_value():
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     phi_max, prs_max = phi_max_and_prs_max(p)
-    _, a = multipliers_from_povm(p.ensemble(), analytic_povm(p, phi_max))
-    assert a == pytest.approx(prs_max, abs=1e-10)
+    cert = check(p.ensemble(), analytic_povm(p, phi_max))
+    assert cert.a == pytest.approx(prs_max, abs=1e-10)
 
 
 def test_analytic_family_certified_up_to_plateau():
@@ -59,10 +53,12 @@ def test_analytic_family_certified_up_to_plateau():
         e = p.ensemble()
         phi_max, _ = phi_max_and_prs_max(p)
         for phi in np.linspace(math.pi / 2 + 1e-3, phi_max, 7):
-            cert = check(e, analytic_povm(p, float(phi)))
+            povm = analytic_povm(p, float(phi))
+            cert = check(e, povm)
             assert cert.optimal, (eta, theta, phi)
             assert max(cert.extremal_residuals) <= 1e-8
-            assert certified_gap(e, analytic_povm(p, float(phi)), cert) <= 1e-8
+            gap = cert.dual_bound - success_metrics(e, povm).p_s
+            assert -1e-12 <= gap <= 1e-8
 
 
 def test_family_past_plateau_is_stationary_but_not_optimal():
@@ -98,7 +94,7 @@ def test_solver_output_is_certified_on_family():
         assert r.converged
         cert = check(e, r.povm)
         assert cert.optimal, target
-        assert certified_gap(e, r.povm, cert) <= 1e-8
+        assert -1e-12 <= cert.dual_bound - r.p_s <= 1e-8
 
 
 def test_certificate_a_matches_solver_a():
@@ -114,20 +110,42 @@ def test_weak_duality_against_random_povms():
     r = solve(e, 0.3)
     cert = check(e, r.povm)
     assert cert.optimal
+    trace = float(np.trace(cert.lam).real)
     rng = np.random.default_rng(41)
     for _ in range(200):
         candidate = random_povm(rng, 2, 3)
         m = success_metrics(e, candidate)
-        assert m.p_s <= weak_duality_bound(cert, m.p_i) + 1e-8
+        assert m.p_s <= trace - cert.a * m.p_i + 1e-8
 
 
-def test_weak_duality_bound_input_validation():
-    e, povm = orthogonal_projective()
-    cert = check(e, povm)
-    with pytest.raises(ValueError):
-        weak_duality_bound(cert, -0.1)
-    with pytest.raises(ValueError):
-        weak_duality_bound(cert, 1.2)
+def test_random_povms_have_a_real_gap():
+    # the dual bound of a non-optimal candidate cannot equal its success rate
+    rng = np.random.default_rng(43)
+    cases = [(symmetric_qubit_pair(0.9, math.pi / 4), 3)] * 100
+    cases += [(random_ensemble(rng, 3, 3), 4) for _ in range(20)]
+    for e, n_outcomes in cases:
+        candidate = random_povm(rng, e.dim, n_outcomes)
+        cert = check(e, candidate)
+        assert not cert.optimal
+        assert cert.dual_bound - success_metrics(e, candidate).p_s > 1e-3
+
+
+def test_dual_bound_holds_at_the_candidate_rate():
+    # weak duality: any candidate's own dual bound is at least the optimum
+    # at the candidate's inconclusive rate
+    rng = np.random.default_rng(44)
+    cases = [(symmetric_qubit_pair(eta, math.pi / 4), t)
+             for eta in (0.7, 0.9) for t in (0.0, 0.2, 0.5)]
+    cases += [(random_ensemble(rng, dim, n), t)
+              for dim, n in ((2, 3), (3, 2), (3, 3), (3, 3)) for t in (0.0, 0.1)]
+    cfg = SolverConfig(max_iterations=20000)
+    for e, t in cases:
+        best = solve(e, t, cfg)
+        assert best.converged
+        for _ in range(100):
+            candidate = at_rate(e, random_povm(rng, e.dim, e.n_states + 1), t)
+            assert success_metrics(e, candidate).p_i == pytest.approx(t, abs=1e-14)
+            assert check(e, candidate).dual_bound >= best.p_s, (t, e.dim)
 
 
 def test_singular_multiplier_on_idempotent_inconclusive():
@@ -136,22 +154,14 @@ def test_singular_multiplier_on_idempotent_inconclusive():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     povm = Povm((PROJ0, 0.5 * PROJ1, 0.5 * PROJ1))
     with pytest.raises(SingularMultiplierError):
-        multipliers_from_povm(e, povm)
+        check(e, povm)
 
 
 def test_mismatched_povm_rejected():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     povm = Povm((np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)))
     with pytest.raises(ValueError):
-        multipliers_from_povm(e, povm)
-
-
-def test_tolerances_must_be_positive():
-    e, povm = orthogonal_projective()
-    with pytest.raises(ValueError):
-        check(e, povm, tol_extremal=0.0)
-    with pytest.raises(ValueError):
-        check(e, povm, tol_positivity=-1e-9)
+        check(e, povm)
 
 
 def test_lambda_is_hermitian_and_asymmetry_reported():

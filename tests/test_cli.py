@@ -320,6 +320,18 @@ def test_certify_rejects_mismatched_dimension(capsys, ensemble_file, tmp_path):
         "POVM has dimension 3 for states of dimension 2")
 
 
+def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
+    povm_path = tmp_path / "nan.json"
+    save_povm(povm_path, analytic_povm(PROBLEM, 2.0 * math.pi / 3.0))
+    record = json.loads(povm_path.read_text())
+    record["elements"][1][0][1][0] = math.nan
+    povm_path.write_text(json.dumps(record))
+    code, rec = run_json(capsys, ["certify", str(ensemble_file),
+                                  str(povm_path)])
+    assert code == cli.EXIT_IO
+    assert rec["result"] == {"error": f"{povm_path}: POVM entries must be finite"}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["solve", "FILE", "--pi", "0.2", "--tol", "0"], "povm_tolerance must be strictly positive"),
     (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--max-iter", "0", "--jobs", "1"],
@@ -332,6 +344,9 @@ def test_certify_rejects_mismatched_dimension(capsys, ensemble_file, tmp_path):
     (["fig1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["fig1", "--jobs", "-1"], "--jobs must be at least 1, got -1"),
     (["fig1", "--etas", ","], "--etas must list at least one value"),
+    (["tradeoff", "FILE", "--pi-grid", "0.5:0.9999999999999:2", "--jobs", "1"],
+     "target inconclusive rate 0.99999999999989997 leaves no conclusive "
+     "fraction to renormalize"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     argv = [str(ensemble_file) if a == "FILE" else a for a in argv]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import helstrom_two_state, plain_iteration, random_ensemble
 from povmlab import solver
-from povmlab.certificate import multipliers_from_povm
+from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.qubit_analytic import (
@@ -45,6 +45,11 @@ def test_povm_structural_checks():
         Povm((np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         Povm((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+    for bad in (math.nan, math.inf):
+        entry = np.eye(2, dtype=complex)
+        entry[0, 1] = bad
+        with pytest.raises(ValueError, match="POVM entries must be finite"):
+            Povm((0.5 * np.eye(2, dtype=complex), entry))
 
 
 def test_povm_violations_reports():
@@ -149,8 +154,7 @@ def test_solve_multiplier_hits_target():
 def test_solve_multiplier_matches_certificate_after_convergence():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     r = solve(e, 0.3)
-    _, a_cert = multipliers_from_povm(e, r.povm)
-    assert r.a == pytest.approx(a_cert, abs=1e-8)
+    assert r.a == pytest.approx(check(e, r.povm).a, abs=1e-8)
 
 
 def test_solve_multiplier_infeasible_reports_supremum():
