@@ -32,7 +32,7 @@ from . import bounds, certificate, fileio, qubit_analytic
 from .ensemble import EnsembleValidationError, validate as validate_ensemble
 from .solver import (RATE_MAX_EVALUATIONS, RATE_TOLERANCE, InfeasibleTargetError,
                      SolverConfig, povm_violations, require_matching, require_target,
-                     solve)
+                     solve, solve_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -121,37 +121,55 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 # ---------------------------------------------------------------------------
 # sweep workers (module level so a process pool can pickle them)
 
-def _sweep_point_file(job: tuple) -> list[str]:
-    """One tradeoff point; the job carries the ensemble loaded from the file."""
-    return _sweep_row(*job)
+def _sweep_point_file(job: tuple) -> list[list[str]]:
+    """Rows of one share of tradeoff points, solved in lockstep; the job
+    carries the ensemble loaded from the file."""
+    targets, e, cfg = job
+    outcomes = solve_grid([(e, t) for t in targets], cfg)
+    return [_sweep_row(e, t, r) for t, r in zip(targets, outcomes)]
 
 
-def _sweep_point_symmetric(job: tuple) -> list[str]:
-    eta, theta, target, cfg = job
-    e = qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
-    return [fileio.float_repr(eta)] + _sweep_row(e, target, cfg)
+def _sweep_point_symmetric(job: tuple) -> list[list[str]]:
+    """Rows of one share of fig1's (eta, target) points, solved in lockstep."""
+    points, theta, cfg = job
+    ensembles = {eta: qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
+                 for eta, _ in points}
+    outcomes = solve_grid([(ensembles[eta], t) for eta, t in points], cfg)
+    return [[fileio.float_repr(eta)] + _sweep_row(ensembles[eta], t, r)
+            for (eta, t), r in zip(points, outcomes)]
 
 
-def _sweep_row(e, target: float, cfg: SolverConfig) -> list[str]:
+def _sweep_row(e, target: float, outcome) -> list[str]:
+    """CSV cells of one solved point: its SolveResult, certified here, or the
+    InfeasibleTargetError it met."""
     f = fileio.float_repr
-    try:
-        r = solve(e, target, cfg)
-    except InfeasibleTargetError:
+    if isinstance(outcome, InfeasibleTargetError):
         return [f(target), "", "", "", "", "", "infeasible"]
     try:
-        certified = certificate.check(e, r.povm).optimal
+        certified = certificate.check(e, outcome.povm).optimal
     except certificate.SingularMultiplierError:
         certified = False
-    return [f(target), f(r.p_s), f(r.p_rs), str(r.iterations),
-            f(r.final_change), "true" if certified else "false",
-            "ok" if r.converged else "maxiter"]
+    return [f(target), f(outcome.p_s), f(outcome.p_rs), str(outcome.iterations),
+            f(outcome.final_change), "true" if certified else "false",
+            "ok" if outcome.converged else "maxiter"]
 
 
-def _run_jobs(worker, jobs: list[tuple], n_workers: int) -> list[list[str]]:
-    if n_workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs))  # map preserves job order
+def _run_jobs(worker, points: list, n_workers: int, *context) -> list[list[str]]:
+    """Rows of ``points``, in order. The points are dealt into at most
+    ``n_workers`` interleaved shares (points i::n), and ``worker`` turns the
+    job (share, *context) into that share's rows; with two shares or more,
+    each runs in its own process."""
+    n = min(n_workers, len(points))
+    jobs = [(points[i::n], *context) for i in range(n)]
+    if n <= 1:
+        parts = [worker(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(worker, jobs))
+    rows: list = [None] * len(points)
+    for i, part in enumerate(parts):
+        rows[i::n] = part
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +282,8 @@ def cmd_tradeoff(args) -> int:
     except ValueError as exc:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
-    jobs = [(e, float(t), cfg) for t in grid]
-    _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, jobs, args.jobs))
+    targets = [float(t) for t in grid]
+    _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, targets, args.jobs, e, cfg))
     return EXIT_OK
 
 
@@ -328,16 +346,15 @@ def cmd_fig1(args) -> int:
         if not etas:
             raise ValueError("--etas must list at least one value")
         cfg = _solver_config(args)
-        jobs = []
+        points = []
         for eta in etas:
             p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
-            for t in default_sweep_grid(p, points=args.points):
-                jobs.append((eta, args.theta, float(t), cfg))
+            points += [(eta, float(t)) for t in default_sweep_grid(p, points=args.points)]
     except ValueError as exc:
         _emit_record("fig1", "", {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     _write_csv("eta," + TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_symmetric, jobs, args.jobs))
+               _run_jobs(_sweep_point_symmetric, points, args.jobs, args.theta, cfg))
     return EXIT_OK
 
 
@@ -398,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi-grid", required=True, metavar="START:STOP:STEPS",
                    help="inconclusive-rate grid, e.g. 0:0.8:25")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, each solving an interleaved share of "
+                        "the grid in lockstep (default: available parallelism)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_tradeoff)
 
@@ -419,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=25,
                    help="grid points per curve")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: available parallelism)")
+                   help="worker processes, each solving an interleaved share of "
+                        "the grid in lockstep (default: available parallelism)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_fig1)
 

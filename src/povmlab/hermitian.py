@@ -17,6 +17,7 @@ import numpy as np
 # Relative eigenvalue cutoff for the pseudoinverse.
 DEFAULT_PINV_CUTOFF = 1e-12
 TRACE_IMAG_ATOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -33,7 +34,8 @@ def herm(m: np.ndarray) -> np.ndarray:
 
 class PsdRoot(NamedTuple):
     """A^{1/2} = V diag(root) V† and its pseudoinverse V diag(inverse) V†,
-    where V and ``eigenvalues`` (ascending) are the eigendecomposition of A."""
+    where V and ``eigenvalues`` (ascending) are the eigendecomposition of A;
+    for a stack of matrices each field is stacked the same way."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -41,21 +43,28 @@ class PsdRoot(NamedTuple):
     inverse: np.ndarray
 
     def root_matrix(self) -> np.ndarray:
-        return herm((self.vectors * self.root) @ self.vectors.conj().T)
+        return self._compose(self.root)
 
     def pinv_matrix(self) -> np.ndarray:
-        return herm((self.vectors * self.inverse) @ self.vectors.conj().T)
+        return self._compose(self.inverse)
+
+    def _compose(self, values: np.ndarray) -> np.ndarray:
+        v = self.vectors
+        return herm((v * values[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def psd_root(a: np.ndarray, cutoff: float = DEFAULT_PINV_CUTOFF) -> PsdRoot:
     """PSD square root of a Hermitian ``a`` and its pseudoinverse, from one
-    eigendecomposition. Eigenvalues are clipped at zero before the root is
-    taken; modes whose eigenvalue is at or below ``cutoff`` times the largest
-    one (all of them for the zero matrix) are not inverted."""
+    eigendecomposition; a stack of matrices (last two axes) is taken matrix
+    by matrix. Eigenvalues are clipped at zero before the root is taken;
+    modes whose eigenvalue is at or below ``cutoff`` times the largest one of
+    the same matrix (all of them for the zero matrix) are not inverted."""
     w, v = np.linalg.eigh(a)
-    wc = np.clip(w, 0.0, None)
+    wc = np.maximum(w, 0.0)
     s = np.sqrt(wc)
-    sinv = np.where(wc > cutoff * wc[-1], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    # an inverted mode has wc > 0, so s > 0 there; the floor only keeps the
+    # division finite on the modes the mask drops, where True / s is 0 / s
+    sinv = (wc > cutoff * wc[..., -1:]) / np.maximum(s, _TINY)
     return PsdRoot(w, v, s, sinv)
 
 

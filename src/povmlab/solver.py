@@ -19,12 +19,14 @@ Rehacek and Fiurasek, PRA 65, 060301(R) (2002). Iterated from a maximally
 uninformative start it converges, empirically linearly, to a stationary
 POVM; global optimality is checked separately by the certificate module.
 
-:func:`solve` accelerates the iteration with Anderson mixing of the recent
-sweeps. An extrapolated POVM keeps completeness and the inconclusive rate
-exactly but may leave the PSD cone, so it is used only when every element
-stays PSD within POVM_PSD_FLOOR. The per-sweep history it reports is the
-fixed-point residual, the largest element change one sweep makes to the
-point it was applied to.
+:func:`solve_grid` accelerates the iteration with Anderson mixing of the
+recent sweeps. An extrapolated POVM keeps completeness and the
+inconclusive rate exactly but may leave the PSD cone, so it is used only
+when every element stays PSD within POVM_PSD_FLOOR. The per-sweep history
+it reports is the fixed-point residual, the largest element change one
+sweep makes to the point it was applied to. It solves many points in
+lockstep on one stacked iterate, so numpy's per-call cost is paid once
+per grid rather than once per point; :func:`solve` is its one-point case.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ RATE_TOLERANCE = 1e-14
 RATE_MAX_EVALUATIONS = 200
 
 _BRACKET_CAP = 2.0**60
+_TINY = np.finfo(np.float64).tiny
 
 # Sweeps of history the Anderson extrapolation in ``solve`` mixes.
 ANDERSON_DEPTH = 5
@@ -213,93 +216,117 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # sweep internals
 #
-# Inside the solver a POVM is one stacked (N+1, d, d) array, element 0 the
-# inconclusive one; a Povm is built only for the caller.
+# Inside the solver the POVMs of P points are one stacked (P, N+1, d, d)
+# array, element 0 of each the inconclusive one; a Povm is built only for
+# the caller. Every array below carries the point axis first, so the same
+# code sweeps one point (P = 1) or a whole grid in lockstep, and a point's
+# numbers do not depend on which other points share its stack.
 
 @dataclass(frozen=True)
 class _EnsembleTerms:
     """Ensemble operators that every sweep of one solve reuses."""
 
-    sigma: np.ndarray
-    states: np.ndarray       # Herm(rho_j), stacked
-    weighted: np.ndarray     # p_j^2 Herm(rho_j), stacked
+    sigma: np.ndarray        # (P, d, d)
+    states: np.ndarray       # Herm(rho_j), (P, N, d, d)
+    weighted: np.ndarray     # p_j^2 Herm(rho_j), (P, N, d, d)
+
+    def take(self, rows: list[int]) -> _EnsembleTerms:
+        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.weighted[rows])
 
 
-@dataclass(frozen=True)
-class _SweepTerms:
+class _RateTerms(NamedTuple):
     """Operators fixed during one sweep's multiplier search."""
 
-    sandwiches: np.ndarray       # p_j^2 rho_j Pi_j rho_j, stacked
-    conclusive_sum: np.ndarray   # sum of the sandwiches
-    inconclusive: np.ndarray     # sigma Pi_0 sigma
-    pair: np.ndarray             # sigma and sigma Pi_0 sigma, stacked
+    conclusive_sum: np.ndarray   # sum_j p_j^2 rho_j Pi_j rho_j, (P, d, d)
+    inconclusive: np.ndarray     # sigma Pi_0 sigma, (P, d, d)
+    pair: np.ndarray             # sigma and sigma Pi_0 sigma, (P, 2, d, d)
+
+    def take(self, rows: list[int]) -> _RateTerms:
+        return _RateTerms(*(term[rows] for term in self))
 
 
 def _stacked(povm: Povm) -> np.ndarray:
     return np.stack(povm.elements)
 
 
-def _ensemble_terms(e: StateEnsemble) -> _EnsembleTerms:
-    states = herm(np.stack(e.states))
-    weighted = (e.priors * e.priors)[:, None, None] * states
-    return _EnsembleTerms(average_state(e), states, weighted)
+def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
+    states = herm(np.stack([np.stack(e.states) for e in ensembles]))
+    priors = np.stack([e.priors for e in ensembles])
+    weighted = (priors * priors)[..., None, None] * states
+    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, weighted)
 
 
-def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> _SweepTerms:
+def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _RateTerms]:
+    """The sandwiches p_j^2 rho_j Pi_j rho_j of the stacked POVMs ``x``
+    and the terms of their multiplier search."""
     sig = fixed.sigma
-    sandwiches = herm(fixed.weighted @ x[1:] @ fixed.states)
-    m0 = herm(sig @ x[0] @ sig)
-    return _SweepTerms(sandwiches, herm(sandwiches.sum(axis=0)), m0, np.stack((sig, m0)))
+    sandwiches = herm(fixed.weighted @ x[:, 1:] @ fixed.states)
+    m0 = herm(sig @ x[:, 0] @ sig)
+    pair = np.concatenate((sig[:, None], m0[:, None]), axis=1)
+    # a sum of exactly Hermitian matrices is exactly Hermitian
+    return sandwiches, _RateTerms(sandwiches.sum(axis=1), m0, pair)
 
 
 class _RateEval(NamedTuple):
-    """Predicted inconclusive rate at one multiplier, its derivative in the
-    multiplier, and the square root of lam^2 both came from."""
+    """Predicted inconclusive rates at the points' multipliers and their
+    derivatives in the multiplier, one float per point, and the stacked
+    square roots of lam^2 they came from."""
 
-    rate: float
-    slope: float
+    rate: list[float]
+    slope: list[float]
     root: PsdRoot
 
 
 class _Multiplier(NamedTuple):
-    """Outcome of one sweep's multiplier search."""
+    """Outcome of one point's multiplier search."""
 
     a: float
-    root: PsdRoot          # psd_root of lam^2 at ``a``
+    root: PsdRoot          # stacked psd_root of lam^2; row ``row`` is the one at ``a``
+    row: int
     residual: float        # |predicted rate - target| at ``a``
     evaluations: int       # predicted-rate evaluations the search made
+    error: InfeasibleTargetError | None = None
+
+    def lam(self) -> np.ndarray:
+        """The operator multiplier, the square root of lam^2 at ``a``."""
+        return frozen(_row(self.root, self.row).root_matrix())
 
 
-def _predicted_rate(terms: _SweepTerms, a: float, cutoff: float) -> _RateEval:
-    """Inconclusive rate the sweep would produce with multiplier ``a``, and
-    its derivative in ``a``, worked out in the eigenbasis of lam^2 without
-    forming lam^+ itself.
+def _predicted_rate(terms: _RateTerms, a: list[float], cutoff: float) -> _RateEval:
+    """Inconclusive rate each point's sweep would produce with its multiplier
+    in ``a``, and its derivative in the multiplier, worked out in the
+    eigenbasis of lam^2 without forming lam^+ itself.
 
-    With X = lam^+ and M = sigma Pi_0 sigma the rate is a^2 Tr[sigma X M X].
-    X = f(lam^2) for f(w) = w^{-1/2} on the support, and lam^2 moves by
-    2a M da, so by the Daleckii-Krein formula dX/da in the eigenbasis is
-    G o (2a M~), where G_ij = (f(w_i) - f(w_j)) / (w_i - w_j)
-    = -x_i x_j / (s_i + s_j) with s_i the root values and x_i their inverses.
+    With X = lam^+ and M = sigma Pi_0 sigma the rate is a^2 q for
+    q = Tr[sigma X M X]. X = f(lam^2) for f(w) = w^{-1/2} on the support,
+    and lam^2 moves by 2a M da, so by the Daleckii-Krein formula dX/da in
+    the eigenbasis is G o (2a M~), where G_ij = (f(w_i) - f(w_j)) / (w_i - w_j)
+    = -x_i x_j / (s_i + s_j) with s_i the root values and x_i their
+    inverses. In that basis q = Tr[(xx o M~) S~] with xx_ij = x_i x_j, and
+    dq/da = 2 Re Tr[S~ (dX/da) M~ X] = -4a r for r = Re Tr[(g o M~)† (M~ X S~)],
+    g = -G; the rate's slope is 2a q + a^2 dq/da = a (2q - 4a^2 r).
     """
-    root = psd_root(terms.conclusive_sum + (a * a) * terms.inconclusive, cutoff)
+    a2 = np.array([b * b for b in a])
+    root = psd_root(terms.conclusive_sum + a2[:, None, None] * terms.inconclusive, cutoff)
     v, s, x = root.vectors, root.root, root.inverse
-    st, mt = v.conj().T @ terms.pair @ v
-    xx = np.outer(x, x)
-    # q = Tr[S~ X M~ X] = Tr[(xx o M~) S~], and Tr[A B] = vdot(A, B) for
-    # Hermitian A
-    q = np.vdot(xx * mt, st).real
-    pair = s[:, None] + s
-    g = -xx / np.where(pair > 0, pair, 1.0)
-    # d q / d a = 2 Re Tr[S~ (dX/da) M~ X] = 4a Re Tr[(G o M~) (M~ X S~)]
-    dq = (4.0 * a) * np.vdot(g * mt, (mt * x) @ st).real
-    return _RateEval(float((a * a) * q), float(2.0 * a * q + (a * a) * dq), root)
+    both = v.conj().swapaxes(-1, -2)[:, None] @ terms.pair @ v[:, None]
+    st, mt = both[:, 0], both[:, 1]
+    xx = x[:, :, None] * x[:, None, :]
+    g = xx / np.maximum(s[:, :, None] + s[:, None, :], _TINY)   # -G, 0 on dropped pairs
+    # q = Re Tr[M~† (xx o S~)] and r = Re Tr[M~† (g o (M~ X S~))], one product
+    n = len(a)
+    rhs = np.concatenate((xx * st, g * ((mt * x[:, None, :]) @ st)), axis=1)
+    qr = (rhs.view(np.float64).reshape(n, 2, -1)
+          @ mt.view(np.float64).reshape(n, -1, 1)).tolist()
+    return _RateEval([b * b * q for b, ((q,), _) in zip(a, qr)],
+                     [b * (2.0 * q - 4.0 * b * b * r) for b, ((q,), (r,)) in zip(a, qr)],
+                     root)
 
 
-def _solve_multiplier(
-    terms: _SweepTerms, target_pi: float, cfg: SolverConfig,
-    start: float | None = None,
-) -> _Multiplier:
-    """Safeguarded Newton search for the multiplier matching the target rate.
+class _Search:
+    """One point's safeguarded Newton search for the multiplier matching its
+    target rate; the rates come from stacked evaluations, the steps are
+    plain float logic.
 
     The rate is 0 at a = 0 and grows (empirically monotonically, checked
     and logged) toward a saturation value as a -> inf. The search starts at
@@ -308,54 +335,125 @@ def _solve_multiplier(
     step that leaves the bracket is replaced by doubling while hi is
     unknown and by bisection once it is. A target still out of reach at
     a = _BRACKET_CAP is infeasible. The search stops at residual
-    RATE_TOLERANCE or after RATE_MAX_EVALUATIONS evaluations and returns the
-    multiplier with the smallest residual seen.
+    RATE_TOLERANCE or after RATE_MAX_EVALUATIONS evaluations and keeps the
+    multiplier with the smallest residual seen. At zero target there is
+    nothing to search: lam^2 is taken at a = 0, and no evaluation counts.
     """
-    lo, rate_lo = 0.0, 0.0
-    hi, rate_hi = math.inf, math.inf
-    a = start if start else 1.0
-    best: _Multiplier | None = None
-    evaluations = 0
-    while evaluations < RATE_MAX_EVALUATIONS:
-        ev = _predicted_rate(terms, a, cfg.pinv_cutoff)
-        evaluations += 1
-        residual = abs(ev.rate - target_pi)
-        if best is None or residual < best.residual:
-            best = _Multiplier(a, ev.root, residual, 0)
-        if residual <= RATE_TOLERANCE:
-            break
-        if not rate_lo - 1e-12 <= ev.rate <= rate_hi + 1e-12:
+
+    def __init__(self, target: float, start: float | None):
+        self.target = target
+        self.a = 0.0 if target == 0.0 else start or 1.0
+        self.lo, self.rate_lo = 0.0, 0.0
+        self.hi, self.rate_hi = math.inf, math.inf
+        self.best: tuple = ()                    # residual, a, stacked root, row
+        self.error: InfeasibleTargetError | None = None
+        self.evaluations = 0
+
+    def update(self, rate: float, slope: float, root: PsdRoot, row: int) -> bool:
+        """Take the rate and slope at the current multiplier and move it on;
+        True once the search is over."""
+        a, target = self.a, self.target
+        residual = abs(rate - target)
+        self.evaluations += 1
+        if self.evaluations == 1 or residual < self.best[0]:
+            self.best = (residual, a, root, row)
+        if residual <= RATE_TOLERANCE or target == 0.0:
+            return True
+        lo, hi = self.lo, self.hi
+        if not self.rate_lo - 1e-12 <= rate <= self.rate_hi + 1e-12:
             logger.warning(
                 "inconclusive rate is not monotone in the multiplier "
                 "(%.17g at a=%.3g, outside [%.17g, %.17g] on [%.3g, %.3g]); "
                 "the search may settle on a non-principal root",
-                ev.rate, a, rate_lo, rate_hi, lo, hi)
-        if ev.rate < target_pi:
+                rate, a, self.rate_lo, self.rate_hi, lo, hi)
+        if rate < target:
             if a >= _BRACKET_CAP:
-                raise InfeasibleTargetError(target=target_pi, supremum=ev.rate)
-            lo, rate_lo = a, ev.rate
+                self.error = InfeasibleTargetError(target=target, supremum=rate)
+                return True
+            self.lo = lo = a
+            self.rate_lo = rate
         else:
-            hi, rate_hi = a, ev.rate
-        step = a - (ev.rate - target_pi) / ev.slope if ev.slope > 0 else math.nan
+            self.hi = hi = a
+            self.rate_hi = rate
+        step = a - (rate - target) / slope if slope > 0 else math.nan
         if lo < step < hi:
-            a = min(step, _BRACKET_CAP)
+            self.a = min(step, _BRACKET_CAP)
         elif hi == math.inf:
-            a = min(2.0 * a, _BRACKET_CAP)
+            self.a = min(2.0 * a, _BRACKET_CAP)
         else:
-            a = 0.5 * (lo + hi)
+            self.a = a = 0.5 * (lo + hi)
             if a == lo or a == hi:  # bracket exhausted at float resolution
-                break
-    if best.residual > RATE_TOLERANCE:
-        logger.debug(
-            "multiplier search stopped at residual %.3e (tolerance %.3e)",
-            best.residual, RATE_TOLERANCE)
-    return best._replace(evaluations=evaluations)
+                return True
+        return self.evaluations >= RATE_MAX_EVALUATIONS
+
+    def result(self) -> _Multiplier:
+        residual, a, root, row = self.best
+        if residual > RATE_TOLERANCE and self.error is None:
+            logger.debug(
+                "multiplier search stopped at residual %.3e (tolerance %.3e)",
+                residual, RATE_TOLERANCE)
+        evaluations = self.evaluations if self.target else 0
+        return _Multiplier(a, root, row, residual, evaluations, self.error)
+
+
+def _solve_multiplier(
+    terms: _RateTerms, targets: list[float], starts: list[float | None], cutoff: float,
+) -> list[_Multiplier]:
+    """Every point's multiplier search, in lockstep: each round is one
+    stacked rate evaluation of the points still searching. A point whose
+    target is infeasible gets the error in its outcome."""
+    searches = [_Search(t, s) for t, s in zip(targets, starts)]
+    live = list(range(len(searches)))
+    while live:
+        ev = _predicted_rate(terms, [searches[k].a for k in live], cutoff)
+        keep = [row for row, (k, rate, slope) in enumerate(zip(live, ev.rate, ev.slope))
+                if not searches[k].update(rate, slope, ev.root, row)]
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            if keep:
+                terms = terms.take(keep)
+    return [s.result() for s in searches]
+
+
+def _row(root: PsdRoot, row: int) -> PsdRoot:
+    return PsdRoot(*(field[row] for field in root))
+
+
+def _gather(fits: list[_Multiplier]) -> PsdRoot:
+    """The stacked root of lam^2 at each point's multiplier."""
+    first = fits[0].root
+    if len(first.root) == len(fits) and all(
+            f.root is first and f.row == k for k, f in enumerate(fits)):
+        return first
+    return PsdRoot(*(np.stack(rows) for rows in zip(*(_row(f.root, f.row) for f in fits))))
+
+
+def _sweep(
+    fixed: _EnsembleTerms, x: np.ndarray, targets: list[float],
+    starts: list[float | None], cutoff: float,
+) -> tuple[np.ndarray, list[_Multiplier]]:
+    """One sweep of the stacked POVMs ``x``; each point's multiplier search
+    starts at its entry of ``starts`` when given. Returns the new stacked
+    POVMs and each point's search outcome, which holds its root of lam^2;
+    a point whose outcome holds an error has no valid row in the POVMs.
+
+    The new conclusive elements are lam^+ (p_j^2 rho_j Pi_j rho_j) lam^+,
+    and the inconclusive one is what completeness leaves of the identity:
+    a^2 lam^+ sigma Pi_0 sigma lam^+ plus the projector onto ker lam.
+    """
+    sandwiches, terms = _sweep_terms(fixed, x)
+    fits = _solve_multiplier(terms, targets, starts, cutoff)
+    laminv = _gather(fits).pinv_matrix()[:, None]
+    new = np.empty_like(x)
+    new[:, 1:] = herm(laminv @ sandwiches @ laminv)
+    new[:, 0] = np.eye(x.shape[-1]) - new[:, 1:].sum(axis=1)
+    return new, fits
 
 
 class _Anderson:
     """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
-    (2011)) for a fixed-point map G, on the real view of the flattened
-    iterate.
+    (2011)) for a fixed-point map G, on the real view of one point's
+    flattened iterate.
 
     It keeps the last ``depth`` differences of the residuals f = G(x) - x
     and of the map values G(x). With F and D those differences as columns,
@@ -374,10 +472,9 @@ class _Anderson:
         self.df: list[np.ndarray] = []
         self.dg: list[np.ndarray] = []
 
-    def extrapolate(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray | None:
-        """Next iterate from ``x`` and ``gx`` = G(x); None without history."""
-        f = (gx - x).view(np.float64).ravel()
-        g = gx.view(np.float64).ravel()
+    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Next iterate from the residual ``f`` and the map value ``g`` =
+        G(x), all real views; None without history."""
         if self.last is not None:
             self.df = [*self.df[1 - self.depth:], f - self.last[0]]
             self.dg = [*self.dg[1 - self.depth:], g - self.last[1]]
@@ -385,7 +482,19 @@ class _Anderson:
         if not self.df:
             return None
         gamma = np.linalg.lstsq(np.array(self.df).T, f, rcond=None)[0]
-        return (g - gamma @ np.array(self.dg)).view(np.complex128).reshape(gx.shape)
+        return g - gamma @ np.array(self.dg)
+
+
+class _Run:
+    """One grid point's state between lockstep sweeps."""
+
+    def __init__(self, target: float, x: np.ndarray):
+        self.target = target
+        self.x = self.plain = x          # next sweep's input; last sweep's output
+        self.mixer = _Anderson(ANDERSON_DEPTH)
+        self.history: list[float] = []
+        self.fit: _Multiplier | None = None   # last sweep's search outcome
+        self.evaluations = 0
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +513,10 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     return Povm(elements)
 
 
+def _one_point(e: StateEnsemble, povm: Povm) -> tuple[_EnsembleTerms, np.ndarray]:
+    return _ensemble_terms([e]), _stacked(povm)[None]
+
+
 def predicted_inconclusive_rate(
     e: StateEnsemble, povm: Povm, a: float, cfg: SolverConfig | None = None
 ) -> float:
@@ -411,8 +524,8 @@ def predicted_inconclusive_rate(
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
     cfg = cfg or SolverConfig()
-    terms = _sweep_terms(_ensemble_terms(e), _stacked(povm))
-    return _predicted_rate(terms, a, cfg.pinv_cutoff).rate
+    _, terms = _sweep_terms(*_one_point(e, povm))
+    return _predicted_rate(terms, [a], cfg.pinv_cutoff).rate[0]
 
 
 def solve_multiplier(
@@ -423,8 +536,11 @@ def solve_multiplier(
     if not 0.0 < target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
     cfg = cfg or SolverConfig()
-    fit = _solve_multiplier(_sweep_terms(_ensemble_terms(e), _stacked(povm)), target_pi, cfg)
-    return fit.a, frozen(fit.root.root_matrix())
+    _, terms = _sweep_terms(*_one_point(e, povm))
+    fit, = _solve_multiplier(terms, [target_pi], [None], cfg.pinv_cutoff)
+    if fit.error is not None:
+        raise fit.error
+    return fit.a, fit.lam()
 
 
 def iterate_once(
@@ -440,35 +556,12 @@ def iterate_once(
     element is exactly that fold-in (zero for a full-support multiplier).
     """
     require_target(target_pi)
-    new, root, fit = _sweep(_ensemble_terms(e), _stacked(povm), target_pi,
-                            cfg or SolverConfig())
-    return Povm(tuple(new)), frozen(root.root_matrix()), None if fit is None else fit.a
-
-
-def _sweep(
-    fixed: _EnsembleTerms, x: np.ndarray, target_pi: float, cfg: SolverConfig,
-    start: float | None = None,
-) -> tuple[np.ndarray, PsdRoot, _Multiplier | None]:
-    """One sweep of the stacked POVM ``x``; the multiplier search starts at
-    ``start`` when given. Returns the new stacked POVM, the root of lam^2,
-    and the search outcome (None at zero target)."""
-    terms = _sweep_terms(fixed, x)
-    fit: _Multiplier | None
-    if target_pi == 0.0:
-        fit, root = None, psd_root(terms.conclusive_sum, cfg.pinv_cutoff)
-        laminv = root.pinv_matrix()
-        new_inconclusive = np.zeros_like(fixed.sigma)
-    else:
-        fit = _solve_multiplier(terms, target_pi, cfg, start)
-        root = fit.root
-        laminv = root.pinv_matrix()
-        new_inconclusive = (fit.a * fit.a) * (laminv @ terms.inconclusive @ laminv)
-
-    new = np.empty_like(x)
-    new[1:] = herm(laminv @ terms.sandwiches @ laminv)
-    deficit = np.eye(x.shape[-1]) - new_inconclusive - new[1:].sum(axis=0)
-    new[0] = herm(new_inconclusive + deficit)
-    return new, root, fit
+    cfg = cfg or SolverConfig()
+    new, (fit,) = _sweep(*_one_point(e, povm), [target_pi], [None], cfg.pinv_cutoff)
+    if fit.error is not None:
+        raise fit.error
+    return (Povm(tuple(new[0])), fit.lam(),
+            None if target_pi == 0.0 else fit.a)
 
 
 def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
@@ -492,83 +585,133 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
 def solve(
     e: StateEnsemble, target_pi: float, cfg: SolverConfig | None = None
 ) -> SolveResult:
-    """Iterate the sweep G to a fixed point at the requested inconclusive rate.
+    """Iterate the sweep G to a fixed point at the requested inconclusive
+    rate: :func:`solve_grid` on one point, raising its InfeasibleTargetError."""
+    outcome, = solve_grid([(e, target_pi)], cfg)
+    if isinstance(outcome, InfeasibleTargetError):
+        raise outcome
+    return outcome
 
-    The iterate x_k is Anderson-accelerated (:class:`_Anderson`, depth
-    ANDERSON_DEPTH): the next one is the extrapolation from the recent
+
+def solve_grid(
+    points: list[tuple[StateEnsemble, float]], cfg: SolverConfig | None = None
+) -> list[SolveResult | InfeasibleTargetError]:
+    """Solve every (ensemble, target) point, all in lockstep on one stacked
+    iterate; the ensembles share their dimension and number of states.
+    Returns each point's SolveResult, or the InfeasibleTargetError it met.
+
+    Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
+    depth ANDERSON_DEPTH): its next one is the extrapolation from its recent
     sweeps when all its elements are PSD within POVM_PSD_FLOOR (one stacked
-    eigvalsh) and the sweep's multiplier search met RATE_TOLERANCE, and the
-    plain sweep's output G(x_k) otherwise, which also restarts the mixing.
-    Stops when the fixed-point residual, the largest Frobenius-norm
-    difference between elements of G(x_k) and x_k, drops to the configured
-    tolerance, or at the iteration cap (reported through ``converged``, not
-    an exception). The result is the last sweep's output G(x_k) with that
-    sweep's multipliers, never an extrapolation. Each multiplier search
-    starts from the previous sweep's multiplier. A sweep from an
-    extrapolation that finds the target infeasible is dropped and the solve
-    resumes from the last sweep's output; only a sweep from that output
-    raises InfeasibleTargetError.
+    eigvalsh for the grid) and its multiplier search met RATE_TOLERANCE,
+    and the plain sweep's output G(x_k) otherwise, which also restarts its
+    mixing. A point stops, and leaves the stack, when its fixed-point
+    residual, the largest Frobenius-norm difference between elements of
+    G(x_k) and x_k, drops to the configured tolerance, or at the iteration
+    cap (reported through ``converged``, not an exception). Its result is
+    its last sweep's output G(x_k) with that sweep's multipliers, never an
+    extrapolation. Each multiplier search starts from the point's previous
+    multiplier. A sweep from an extrapolation that finds the target
+    infeasible is dropped and the point resumes from its last sweep's
+    output; only a sweep from that output ends the point with the error.
+    The points share nothing but the stacked numpy calls, so a point's
+    outcome does not depend on the others in the grid.
     """
     cfg = cfg or SolverConfig()
-    e.require_valid()
-    require_target(target_pi)
+    for e, target in points:
+        e.require_valid()
+        require_target(target)
+    if len({(e.n_states, e.dim) for e, _ in points}) > 1:
+        raise ValueError("grid points must share the number of states and the dimension")
+    if not points:
+        return []
 
-    fixed = _ensemble_terms(e)
-    x = plain = _stacked(initial_povm(e, target_pi))
-    mixer = _Anderson(ANDERSON_DEPTH)
-    history: list[float] = []
-    a: float | None = None
-    residual = 0.0
-    evaluations = 0
-    while len(history) < cfg.max_iterations:
-        try:
-            new, root, fit = _sweep(fixed, x, target_pi, cfg, a)
-        except InfeasibleTargetError as exc:
-            if x is plain:
-                raise
-            logger.debug("sweep from an extrapolation infeasible (%s); "
-                         "resuming from the last sweep", exc)
-            x = plain
-            mixer.reset()
-            continue
-        if fit is not None:
-            a, residual = fit.a, fit.residual
-            evaluations += fit.evaluations
-        change = float(np.linalg.norm(new - x, axis=(1, 2)).max())
-        history.append(change)
-        guess = mixer.extrapolate(x, new) if change > cfg.povm_tolerance else None
-        x = plain = new
-        verdict = "none"
-        if guess is not None:
-            if (residual <= RATE_TOLERANCE
-                    and np.linalg.eigvalsh(guess)[:, 0].min() >= POVM_PSD_FLOOR):
-                x, verdict = guess, "accepted"
+    fixed = _ensemble_terms([e for e, _ in points])
+    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
+    # the points still in the stack: their indices and states
+    live = list(range(len(points)))
+    runs = [_Run(t, _stacked(initial_povm(e, t))) for e, t in points]
+    while live:
+        x = np.array([run.x for run in runs])
+        new, fits = _sweep(fixed, x, [run.target for run in runs],
+                           [run.fit and run.fit.a for run in runs], cfg.pinv_cutoff)
+        # real views of G(x) - x and G(x), a row per point
+        residuals = (new - x).view(np.float64).reshape(len(runs), -1)
+        values = new.view(np.float64).reshape(len(runs), -1)
+        # largest Frobenius norm of an element's change, per point
+        changes = np.sqrt(np.square(residuals).reshape(x.shape[:2] + (-1,)).sum(axis=-1))
+        changes = changes.max(axis=-1).tolist()
+        checks: list[tuple[_Run, np.ndarray]] = []
+        for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
+            if fit.error is not None:
+                if run.x is run.plain:
+                    outcomes[k] = fit.error
+                else:
+                    logger.debug("sweep from an extrapolation infeasible (%s); "
+                                 "resuming from the last sweep", fit.error)
+                    run.x = run.plain
+                    run.mixer.reset()
+                continue
+            run.fit = fit
+            run.evaluations += fit.evaluations
+            change = changes[row]
+            run.history.append(change)
+            run.x = run.plain = new[row]
+            if change <= cfg.povm_tolerance or len(run.history) >= cfg.max_iterations:
+                _log_sweep(run, "none")
+                outcomes[k] = _result(points[k][0], run, cfg)
+                continue
+            guess = run.mixer.extrapolate(residuals[row], values[row])
+            if guess is None:
+                _log_sweep(run, "none")
+            elif fit.residual <= RATE_TOLERANCE:
+                checks.append((run, guess))
             else:
-                mixer.reset()
-                verdict = "rejected"
-        logger.debug("sweep %d: residual %.3e, a=%s, rate residual %.3e, "
-                     "extrapolation %s", len(history), change, a, residual, verdict)
-        if change <= cfg.povm_tolerance:
-            break
-    else:
-        logger.warning(
-            "no fixed point within %d sweeps (last change %.3e)",
-            cfg.max_iterations, history[-1])
+                run.mixer.reset()
+                _log_sweep(run, "rejected")
+        if checks:
+            guesses = np.array([guess for _, guess in checks]).view(np.complex128)
+            margins = np.linalg.eigvalsh(guesses.reshape(-1, *x.shape[1:]))[..., 0]
+            for (run, guess), margin in zip(checks, margins.min(axis=-1).tolist()):
+                if margin >= POVM_PSD_FLOOR:
+                    run.x = guess.view(np.complex128).reshape(x.shape[1:])
+                    _log_sweep(run, "accepted")
+                else:
+                    run.mixer.reset()
+                    _log_sweep(run, "rejected")
+        if any(outcomes[k] is not None for k in live):
+            rows = [row for row, k in enumerate(live) if outcomes[k] is None]
+            live = [live[row] for row in rows]
+            runs = [runs[row] for row in rows]
+            fixed = fixed.take(rows)
+    return outcomes
 
-    povm = Povm(tuple(plain))
+
+def _log_sweep(run: _Run, verdict: str) -> None:
+    logger.debug("sweep %d at target %.17g: residual %.3e, a=%s, rate residual %.3e, "
+                 "extrapolation %s", len(run.history), run.target, run.history[-1],
+                 run.fit.a, run.fit.residual, verdict)
+
+
+def _result(e: StateEnsemble, run: _Run, cfg: SolverConfig) -> SolveResult:
+    history, fit = run.history, run.fit
+    if history[-1] > cfg.povm_tolerance:
+        logger.warning("no fixed point within %d sweeps (last change %.3e)",
+                       cfg.max_iterations, history[-1])
+    povm = Povm(tuple(run.plain.copy()))   # not a view that keeps the stack alive
     metrics = success_metrics(e, povm)
     return SolveResult(
         povm=povm,
         p_s=metrics.p_s,
         p_i=metrics.p_i,
         p_rs=metrics.p_rs,
-        lam=frozen(root.root_matrix()),
-        a=a,
+        lam=fit.lam(),
+        a=None if run.target == 0.0 else fit.a,
         iterations=len(history),
         final_change=history[-1],
         converged=(history[-1] <= cfg.povm_tolerance
-                   and residual <= RATE_TOLERANCE),
-        rate_residual=residual,
-        rate_evaluations=evaluations,
+                   and fit.residual <= RATE_TOLERANCE),
+        rate_residual=fit.residual,
+        rate_evaluations=run.evaluations,
         change_history=tuple(history),
     )

@@ -34,6 +34,7 @@ from povmlab.solver import (
     iterate_once,
     povm_violations,
     solve,
+    solve_grid,
     success_metrics,
 )
 
@@ -54,15 +55,16 @@ PLATEAU_ORACLE = {
 
 @pytest.fixture(scope="session")
 def sweep_solves():
-    """Solve the four-curve benchmark grid once; criteria 1, 2, 4, 5 share it."""
+    """Solve the four-curve benchmark grid once, each curve as one lockstep
+    grid as the CLI does; criteria 1, 2, 4, 5 share it."""
     started = time.perf_counter()
     records = []
     for eta in ETAS:
         p = SymmetricQubitProblem(eta, THETA)
         e = p.ensemble()
-        for target in default_sweep_grid(p, points=25):
-            r = solve(e, float(target))
-            records.append((p, e, float(target), r))
+        targets = [float(t) for t in default_sweep_grid(p, points=25)]
+        results = solve_grid([(e, t) for t in targets])
+        records += [(p, e, t, r) for t, r in zip(targets, results)]
     elapsed = time.perf_counter() - started
     print(f"\n[sweep fixture] {len(records)} solves in {elapsed:.2f}s")
     return records

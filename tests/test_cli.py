@@ -374,6 +374,14 @@ def test_fig1_output_shape(capsys):
     assert all(r[6] == "true" for r in rows)
 
 
+def test_fig1_parallel_matches_serial(capsys):
+    argv = ["fig1", "--etas", "0.8,0.9", "--points", "7"]
+    _, serial = run_cli(capsys, argv + ["--jobs", "1"])
+    _, parallel = run_cli(capsys, argv + ["--jobs", "2"])
+    assert serial == parallel
+    assert len(serial.strip().split("\n")) == 15
+
+
 def test_default_sweep_grid_avoids_onset(capsys):
     for eta in (0.7, 0.8, 0.9, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)

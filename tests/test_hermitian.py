@@ -83,6 +83,28 @@ def test_psd_root_inverts_on_support():
         assert np.linalg.norm(pinv @ root @ pinv - pinv, "fro") <= 1e-8 * dim
 
 
+def test_psd_root_on_a_stack_matches_one_call_per_matrix():
+    rng = np.random.default_rng(15)
+    g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    stack = np.array([
+        np.zeros((3, 3)),
+        g @ g.conj().T,                 # rank 2
+        h @ h.conj().T,
+        np.diag([1e-30, 1e-11, 4.0]),   # 1e-11 inverted, 1e-30 cut
+        np.diag([1e-30, 1e-20, 0.0]),   # both inverted: the cutoff is per matrix
+    ], dtype=complex)
+    whole = psd_root(stack)
+    for k, m in enumerate(stack):
+        one = psd_root(m)
+        for name in one._fields:
+            assert getattr(whole, name)[k].tobytes() == getattr(one, name).tobytes(), name
+        assert whole.root_matrix()[k].tobytes() == one.root_matrix().tobytes()
+        assert whole.pinv_matrix()[k].tobytes() == one.pinv_matrix().tobytes()
+    assert np.count_nonzero(whole.inverse[3]) == 2
+    assert np.count_nonzero(whole.inverse[4]) == 2
+
+
 def test_herm_takes_hermitian_part_without_check():
     m = np.array([[1.0, 2.0], [0.0, 3.0 + 4.0j]], dtype=complex)
     h = herm(m)

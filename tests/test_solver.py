@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import helstrom_two_state, plain_iteration, random_ensemble
-from povmlab import solver
+from povmlab import cli, solver
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
@@ -14,17 +14,20 @@ from povmlab.qubit_analytic import (
     analytic_povm,
     envelope_prs,
     phi_max_and_prs_max,
+    plateau_onset_pi,
 )
 from povmlab.solver import (
     InfeasibleTargetError,
     Povm,
     RelativeRateUndefinedError,
     SolverConfig,
+    SolveResult,
     initial_povm,
     iterate_once,
     povm_violations,
     predicted_inconclusive_rate,
     solve,
+    solve_grid,
     solve_multiplier,
     success_metrics,
 )
@@ -112,10 +115,10 @@ def test_initial_povm_tracks_target_exactly():
 def test_multiplier_operator_ignores_a_without_inconclusive():
     e = orthogonal_pair()
     povm = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
-    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(povm))
+    _, terms = solver._sweep_terms(*solver._one_point(e, povm))
     cutoff = SolverConfig().pinv_cutoff
-    lam0 = solver._predicted_rate(terms, 0.0, cutoff).root.root_matrix()
-    lam9 = solver._predicted_rate(terms, 9.0, cutoff).root.root_matrix()
+    lam0 = solver._predicted_rate(terms, [0.0], cutoff).root.root_matrix()[0]
+    lam9 = solver._predicted_rate(terms, [9.0], cutoff).root.root_matrix()[0]
     assert np.allclose(lam0, lam9)
     # p_j^2 rho_j Pi_j rho_j = rho_j / 4 here, so the root is (rho_1+rho_2)/2
     assert np.allclose(lam0, (PROJ0 + PROJ1) / 2)
@@ -176,13 +179,13 @@ def test_predicted_rate_slope_matches_finite_difference():
     povm = initial_povm(e, 0.3)
     for _ in range(3):
         povm, _, _ = iterate_once(e, povm, 0.3)
-    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(povm))
+    _, terms = solver._sweep_terms(*solver._one_point(e, povm))
     for a in (0.1, 0.7, 2.0, 10.0):
         h = 1e-6 * a
-        ev = solver._predicted_rate(terms, a, 1e-12)
-        up = solver._predicted_rate(terms, a + h, 1e-12).rate
-        down = solver._predicted_rate(terms, a - h, 1e-12).rate
-        assert ev.slope == pytest.approx((up - down) / (2 * h), rel=1e-7)
+        # the point's terms stacked three times, one multiplier each
+        ev = solver._predicted_rate(terms.take([0, 0, 0]), [a, a + h, a - h], 1e-12)
+        slope, (_, up, down) = ev.slope[0], ev.rate
+        assert slope == pytest.approx((up - down) / (2 * h), rel=1e-7)
 
 
 def test_warm_and_cold_search_agree():
@@ -194,11 +197,11 @@ def test_warm_and_cold_search_agree():
     povm, a, _ = plain_iteration(e, target, SolverConfig())
     assert r.a == pytest.approx(a, abs=1e-12)
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
-    # and one search on the same sweep terms, warm and cold
-    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(r.povm))
-    cfg = SolverConfig()
-    warm = solver._solve_multiplier(terms, target, cfg, start=0.9 * r.a)
-    cold = solver._solve_multiplier(terms, target, cfg)
+    # and one search on the same sweep terms, warm and cold, in lockstep
+    _, terms = solver._sweep_terms(*solver._one_point(e, r.povm))
+    cutoff = SolverConfig().pinv_cutoff
+    warm, cold = solver._solve_multiplier(
+        terms.take([0, 0]), [target, target], [0.9 * r.a, None], cutoff)
     assert warm.a == pytest.approx(cold.a, abs=1e-12)
     assert max(warm.residual, cold.residual) <= solver.RATE_TOLERANCE
 
@@ -208,15 +211,15 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     e = p.ensemble()
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
-    cfg = SolverConfig()
-    terms = solver._sweep_terms(solver._ensemble_terms(e), solver._stacked(plateau_povm))
-    start = solver._solve_multiplier(terms, 0.5, cfg).a
-    with pytest.raises(InfeasibleTargetError) as warm:
-        solver._solve_multiplier(terms, 0.95, cfg, start=start)
+    cutoff = SolverConfig().pinv_cutoff
+    _, terms = solver._sweep_terms(*solver._one_point(e, plateau_povm))
+    start = solver._solve_multiplier(terms, [0.5], [None], cutoff)[0].a
+    warm, = solver._solve_multiplier(terms, [0.95], [start], cutoff)
+    assert isinstance(warm.error, InfeasibleTargetError)
     with pytest.raises(InfeasibleTargetError) as cold:
         solve_multiplier(e, plateau_povm, 0.95)
-    assert saturation - 1e-6 <= warm.value.supremum < 0.95
-    assert warm.value.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
+    assert saturation - 1e-6 <= warm.error.supremum < 0.95
+    assert warm.error.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
     # a full-rank start reaches every rate below 1, so solve meets the cap
     # only from a rank-deficient inconclusive element
     monkeypatch.setattr(solver, "initial_povm", lambda e, t: plateau_povm)
@@ -248,14 +251,14 @@ def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, war
     evaluated = []
 
     def fake_rate(terms, a, cutoff):
-        rate, slope = shape(a)
-        evaluated.append((a, rate))
-        return solver._RateEval(rate, slope, None)
+        rate, slope = shape(a[0])
+        evaluated.append((a[0], rate))
+        return solver._RateEval([rate], [slope], None)
 
     monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
-    cfg = SolverConfig()
+    cutoff = SolverConfig().pinv_cutoff
     with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
-        fit = solver._solve_multiplier(None, target, cfg, start=start)
+        fit, = solver._solve_multiplier(None, [target], [start], cutoff)
     assert any("not monotone" in rec.message for rec in caplog.records) == warns
     assert fit.residual <= solver.RATE_TOLERANCE
     assert fit.evaluations == len(evaluated)
@@ -480,22 +483,23 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
     sweep = solver._sweep
     inputs, outputs, raised = [], [], []
 
-    def flaky_sweep(fixed, x, target_pi, cfg, start=None):
-        inputs.append(x)
-        if outputs and x is not outputs[-1] and not raised:
+    def flaky_sweep(fixed, x, targets, starts, cutoff):
+        inputs.append(x[0].copy())
+        new, fits = sweep(fixed, x, targets, starts, cutoff)
+        if outputs and not np.array_equal(x[0], outputs[-1]) and not raised:
             # x is an extrapolation: fail once, noting the next call's
             # index and the last sweep's output
             raised.append((len(inputs), outputs[-1]))
-            raise InfeasibleTargetError(target=target_pi, supremum=0.0)
-        result = sweep(fixed, x, target_pi, cfg, start)
-        outputs.append(result[0])
-        return result
+            error = InfeasibleTargetError(target=targets[0], supremum=0.0)
+            return new, [fits[0]._replace(error=error)]
+        outputs.append(new[0].copy())
+        return new, fits
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
     assert raised, "no sweep started from an extrapolation"
     after, last_output = raised[0]
-    assert inputs[after] is last_output
+    assert np.array_equal(inputs[after], last_output)
     assert r.converged and r.iterations == len(outputs)
     assert r.p_rs == pytest.approx(reference.p_rs, abs=1e-12)
     assert abs(r.p_i - 0.3) <= 1e-12
@@ -506,3 +510,69 @@ def test_solve_nonconvergence_is_flagged_not_raised():
     r = solve(e, 0.3, SolverConfig(max_iterations=3))
     assert not r.converged
     assert r.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# lockstep grid
+
+def _bits(r: SolveResult) -> tuple:
+    """Every field of a result, floats as their exact bit patterns."""
+    floats = (r.p_s, r.p_i, r.p_rs, r.final_change, r.rate_residual, *r.change_history)
+    return (np.stack(r.povm.elements).tobytes(), r.lam.tobytes(),
+            None if r.a is None else r.a.hex(), tuple(f.hex() for f in floats),
+            r.iterations, r.converged, r.rate_evaluations)
+
+
+@pytest.mark.parametrize("dim, n_states", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_solve_grid_matches_one_point_solves(dim, n_states):
+    rng = np.random.default_rng(90 + 10 * dim + n_states)
+    points = [(random_ensemble(rng, dim, n_states), t)
+              for _ in range(2) for t in (0.0, 0.2, 0.5, 0.9)]
+    cfg = SolverConfig(max_iterations=3000)
+    for (e, target), r in zip(points, solve_grid(points, cfg)):
+        single = solve(e, target, cfg)
+        assert r.converged == single.converged
+        assert abs(r.p_rs - single.p_rs) <= 1e-12
+
+
+def test_solve_grid_is_independent_of_stack_composition():
+    points = []
+    for eta in (0.7, 0.8, 0.9, 1.0):
+        p = SymmetricQubitProblem(eta, math.pi / 4)
+        points += [(p.ensemble(), float(t)) for t in default_sweep_grid(p)]
+    whole = [_bits(r) for r in solve_grid(points)]
+    halves = [None] * len(points)
+    for i in (0, 1):
+        halves[i::2] = [_bits(r) for r in solve_grid(points[i::2])]
+    single = [_bits(solve(e, t)) for e, t in points]
+    assert whole == halves
+    assert whole == single
+
+
+def test_solve_grid_isolates_failing_points(monkeypatch):
+    p = SymmetricQubitProblem(0.9, math.pi / 4)
+    e = p.ensemble()
+    plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
+    default_start = solver.initial_povm
+    # the 0.95 point starts from a rank-one inconclusive element, so a sweep
+    # from a plain iterate finds it infeasible; the onset point runs into
+    # the cap
+    monkeypatch.setattr(solver, "initial_povm",
+                        lambda e, t: plateau_povm if t == 0.95 else default_start(e, t))
+    cfg = SolverConfig(max_iterations=150)
+    targets = [0.0, 0.3, 0.95, plateau_onset_pi(p), 0.8]
+    grid = solve_grid([(e, t) for t in targets], cfg)
+    assert isinstance(grid[2], InfeasibleTargetError)
+    assert not grid[3].converged and grid[3].iterations == 150
+    for k in (0, 1, 4):
+        assert grid[k].converged
+        assert _bits(grid[k]) == _bits(solve(e, targets[k], cfg))
+    rows = [cli._sweep_row(e, t, r) for t, r in zip(targets, grid)]
+    assert [row[6] for row in rows] == ["ok", "ok", "infeasible", "maxiter", "ok"]
+
+
+def test_solve_grid_rejects_mixed_shapes():
+    rng = np.random.default_rng(44)
+    with pytest.raises(ValueError, match="share"):
+        solve_grid([(random_ensemble(rng, 2, 2), 0.1), (random_ensemble(rng, 3, 2), 0.1)])
+    assert solve_grid([]) == []
