@@ -66,20 +66,17 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     """
     e.require_valid()
     inv_sqrt = psd_root(average_state(e)).pinv_matrix()
-    per_state = []
-    kernel_dims = []
-    for p, rho in zip(e.priors, e.states):
-        w, _ = np.linalg.eigh(herm(inv_sqrt @ rho @ inv_sqrt))
-        top = float(w[-1])
-        per_state.append(float(p) * top)
-        mult = int(np.sum(w >= top * (1.0 - DEGENERACY_RTOL))) if top > 0 else len(w)
-        kernel_dims.append(mult)
+    spectra = np.linalg.eigvalsh(herm(inv_sqrt @ e.states @ inv_sqrt))   # (N, d), ascending
+    per_state = e.priors * spectra[:, -1]
     argmax = int(np.argmax(per_state))
+    w = spectra[argmax]
+    top = float(w[-1])
+    mult = int(np.sum(w >= top * (1.0 - DEGENERACY_RTOL))) if top > 0 else len(w)
     return PlateauBound(
-        prs_max=per_state[argmax],
-        per_state_a=tuple(per_state),
+        prs_max=float(per_state[argmax]),
+        per_state_a=tuple(per_state.tolist()),
         argmax_state=argmax,
-        kernel_dimension=kernel_dims[argmax],
+        kernel_dimension=mult,
     )
 
 

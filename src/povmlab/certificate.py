@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
-from .hermitian import frozen, herm, min_eigenvalue, trace_product
+from .hermitian import frozen, herm, trace_product
 from .solver import Povm, require_matching
 
 logger = logging.getLogger(__name__)
@@ -93,82 +93,57 @@ def check(e: StateEnsemble, povm: Povm) -> Certificate:
     """Reconstruct multipliers and test stationarity plus global optimality.
 
     With lam(a) = Herm(sum_j p_j rho_j Pi_j) + a * Herm(sigma Pi_0), every
-    stationarity block is affine in ``a``:
+    gap operator (lam - a sigma for outcome 0, lam - p_k rho_k for outcome
+    k >= 1) is base_k + a lin_k, and so is its stationarity block, the gap
+    times Pi_k. ``a`` is the closed-form minimizer of the blocks' summed
+    squared Frobenius norms. The anti-Hermitian remainder of the operator
+    multiplier is reported as ``lambda_asymmetry``; it vanishes only at
+    exact stationarity.
 
-        (lam(a) - p_j rho_j) Pi_j             (j = 1..N)
-        Herm(...) Pi_0 + a (Herm(sigma Pi_0) - sigma) Pi_0
-
-    ``a`` is the closed-form minimizer of the summed squared Frobenius
-    norms. The anti-Hermitian remainder of the operator multiplier is
-    reported as ``lambda_asymmetry``; it vanishes only at exact
-    stationarity.
-
-    Residual j >= 1 is ||(lam - p_j rho_j) Pi_j||_F and residual 0 is
-    ||(lam - a sigma) Pi_0||_F (zero by convention for a vanishing Pi_0);
-    margin j >= 1 is the smallest eigenvalue of lam - p_j rho_j and margin 0
-    that of lam - a sigma.
+    Residual k is the Frobenius norm of block k and margin k the smallest
+    eigenvalue of gap k; in the no-inconclusive-outcome branch a = 0 in
+    both and margin 0 is NaN.
     """
     e.require_valid()
     require_matching(e, povm)
     sig = average_state(e)
-    pi0 = povm.inconclusive
-    p_i = trace_product(sig, pi0)
+    pi = povm.elements
+    p_i = trace_product(sig, pi[0])
 
-    raw = sum(
-        p * (rho @ pi)
-        for p, rho, pi in zip(e.priors, e.states, povm.conclusive)
-    )
-    a: float | None
-    if p_i <= HELSTROM_RATE_EPS:
-        a = None
-    else:
-        herm_raw = herm(raw)
-        herm_spi = (sig @ pi0 + pi0 @ sig) / 2.0
-        blocks = [(herm_raw @ pi0, (herm_spi - sig) @ pi0)]
-        blocks += [
-            ((herm_raw - p * rho) @ pi, herm_spi @ pi)
-            for p, rho, pi in zip(e.priors, e.states, povm.conclusive)
-        ]
-        denom = sum(float(np.vdot(lin, lin).real) for _, lin in blocks)
+    weights = e.priors[:, None, None]
+    raw = (weights * (e.states @ pi[1:])).sum(axis=0)
+    spi = sig @ pi[0]
+    base = herm(raw) - np.concatenate(([np.zeros_like(sig)], weights * e.states))
+    lin = (spi + pi[0] @ sig) / 2.0 - np.concatenate(([sig], np.zeros_like(e.states)))
+    base_blocks, lin_blocks = np.stack((base, lin)) @ pi
+
+    a: float | None = None
+    if p_i > HELSTROM_RATE_EPS:
+        denom = float(np.vdot(lin_blocks, lin_blocks).real)
         if denom <= SINGULAR_MULTIPLIER_EPS:
             raise SingularMultiplierError(
                 "rate multiplier is undetermined: it has no influence on "
                 f"any stationarity block (coefficient norm {denom:.3e})")
-        cross = -sum(float(np.vdot(lin, base).real) for base, lin in blocks)
-        a = cross / denom
-        raw = raw + a * (sig @ pi0)
+        a = -float(np.vdot(lin_blocks, base_blocks).real) / denom
+    a_eff = 0.0 if a is None else a
 
+    raw = raw + a_eff * spi
     lam = herm(raw)
     asym = float(np.linalg.norm(raw - raw.conj().T, "fro")) / 2.0
     if asym > 1e-8:
         logger.info("multiplier operator asymmetry %.3e (far from stationary)", asym)
 
-    residuals = []
-    margins = []
+    residuals = np.linalg.norm(base_blocks + a_eff * lin_blocks, axis=(-2, -1))
+    margins = np.linalg.eigvalsh(herm(base + a_eff * lin))[:, 0]
     if a is None:
-        pi0_norm = float(np.linalg.norm(pi0, "fro"))
-        residuals.append(0.0 if pi0_norm == 0.0
-                         else float(np.linalg.norm(lam @ pi0, "fro")))
-        margins.append(math.nan)
-    else:
-        gap0 = lam - a * sig
-        residuals.append(float(np.linalg.norm(gap0 @ pi0, "fro")))
-        margins.append(min_eigenvalue(gap0))
-    for p, rho, pi in zip(e.priors, e.states, povm.conclusive):
-        gap = lam - p * rho
-        residuals.append(float(np.linalg.norm(gap @ pi, "fro")))
-        margins.append(min_eigenvalue(gap))
-
-    finite = [m for m in margins if not math.isnan(m)]
-    delta = max(0.0, -min(finite))
-    a_eff = 0.0 if a is None else a
+        margins[0] = math.nan
+    worst = float(np.nanmin(margins))
     return Certificate(
         lam=frozen(lam),
         a=a,
-        extremal_residuals=tuple(residuals),
-        positivity_margins=tuple(margins),
-        dual_bound=float(np.trace(lam).real - a_eff * p_i + e.dim * delta),
-        optimal=(all(r <= TOL_EXTREMAL for r in residuals)
-                 and all(m >= -TOL_POSITIVITY for m in finite)),
+        extremal_residuals=tuple(residuals.tolist()),
+        positivity_margins=tuple(margins.tolist()),
+        dual_bound=float(np.trace(lam).real - a_eff * p_i + e.dim * max(0.0, -worst)),
+        optimal=bool(residuals.max() <= TOL_EXTREMAL and worst >= -TOL_POSITIVITY),
         lambda_asymmetry=asym,
     )

@@ -248,10 +248,7 @@ def cmd_solve(args) -> int:
         "certificate": cert_payload,
     }
     if args.emit_povm:
-        payload["povm"] = {
-            "dim": r.povm.dim,
-            "elements": [fileio.matrix_to_pairs(m) for m in r.povm.elements],
-        }
+        payload["povm"] = fileio.povm_record(r.povm)
     _emit_record("solve", digest, config, payload, started, iterations=r.iterations)
     return EXIT_OK
 

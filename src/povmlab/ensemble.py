@@ -1,8 +1,9 @@
 """Discrimination problem data: mixed states with prior probabilities.
 
-A :class:`StateEnsemble` holds N density matrices and their priors. The
-constructor enforces only structure (square matrices of one common
-dimension, one prior per state); the physics invariants are checked by
+A :class:`StateEnsemble` holds N density matrices, as one read-only
+(N, d, d) array, and their priors. The constructor enforces only structure
+(square matrices of one common dimension, one prior per state, finite
+entries); the physics invariants are checked by
 :func:`validate`, which returns a report instead of raising so that callers
 can inspect files of unknown quality.
 """
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import frozen, herm, trace_product
+from .hermitian import frozen, herm, min_eigenvalue, operator_stack
 
 # Asymmetry above this is a genuine error, below it is round-off.
 HERMITICITY_ATOL = 1e-12
@@ -48,36 +49,32 @@ class EnsembleValidationError(ValueError):
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """N candidate states with strictly positive priors summing to one."""
+    """N candidate states with strictly positive priors summing to one.
 
-    states: tuple[np.ndarray, ...]
-    priors: np.ndarray
+    ``states`` may be given as a sequence of matrices or one stacked array;
+    it is kept, like ``priors``, as a read-only copy.
+    """
+
+    states: np.ndarray       # (N, d, d)
+    priors: np.ndarray       # (N,)
 
     def __post_init__(self):
-        states = tuple(np.asarray(s, dtype=np.complex128) for s in self.states)
-        priors = np.asarray(self.priors, dtype=np.float64)
+        states = operator_stack(self.states, "ensemble")
+        priors = frozen(np.array(self.priors, dtype=np.float64))
         if len(states) < 1:
             raise ValueError("ensemble needs at least one state")
         if priors.ndim != 1 or priors.size != len(states):
             raise ValueError(
                 f"got {priors.size} priors for {len(states)} states"
             )
-        dim = states[0].shape[0] if states[0].ndim == 2 else -1
-        for j, s in enumerate(states):
-            if s.ndim != 2 or s.shape[0] != s.shape[1]:
-                raise ValueError(f"state {j} is not a square matrix: shape {s.shape}")
-            if s.shape[0] != dim:
-                raise ValueError(
-                    f"state {j} has dimension {s.shape[0]}, expected {dim}"
-                )
-        if not (np.all(np.isfinite(priors)) and all(np.all(np.isfinite(s)) for s in states)):
+        if not np.all(np.isfinite(priors)):
             raise ValueError("ensemble entries must be finite")
-        object.__setattr__(self, "states", tuple(frozen(s) for s in states))
-        object.__setattr__(self, "priors", frozen(priors))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "priors", priors)
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[-1]
 
     @property
     def n_states(self) -> int:
@@ -107,7 +104,7 @@ def check_hermitian_psd(report: list[Violation], name: str, index: int,
             f"{name} {index} is not Hermitian (asymmetry {asym:.3e})",
             residual=asym, index=index))
         return False
-    wmin = float(np.linalg.eigvalsh(herm(m))[0])
+    wmin = min_eigenvalue(m)
     if wmin < floor:
         report.append(Violation(
             f"{name} {index} has negative eigenvalue {wmin:.3e}",
@@ -158,12 +155,10 @@ def average_state(e: StateEnsemble) -> np.ndarray:
 
 
 def overlaps_and_purities(e: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise trace overlaps Tr[rho_j rho_k]; the diagonal holds the purities."""
-    n = e.n_states
-    overlaps = np.empty((n, n), dtype=np.float64)
-    for j in range(n):
-        for k in range(j, n):
-            overlaps[j, k] = overlaps[k, j] = trace_product(e.states[j], e.states[k])
+    """Pairwise trace overlaps Re Tr[rho_j rho_k] of the states' Hermitian
+    parts; the diagonal holds the purities."""
+    h = herm(e.states)
+    overlaps = np.einsum("jab,kba->jk", h, h).real
     return frozen(overlaps), frozen(overlaps.diagonal().copy())
 
 
@@ -185,5 +180,5 @@ def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:
         ket = np.array([c, sign * s], dtype=np.complex128)
         rho = eta * np.outer(ket, ket.conj()) + (1.0 - eta) / 2.0 * np.eye(2)
         states.append(rho)
-    return StateEnsemble(states=tuple(states), priors=np.array([0.5, 0.5]))
+    return StateEnsemble(states=states, priors=np.array([0.5, 0.5]))
 

@@ -154,10 +154,10 @@ def load_ensemble(path, validate: bool = True) -> StateEnsemble:
     if not isinstance(states, list) or len(states) != len(priors):
         raise FileFormatError(
             f"{path}: \"states\" must list one matrix per prior")
-    matrices = tuple(
+    matrices = [
         _matrix_from_pairs(s, dim, f"{path}: state {j}")
         for j, s in enumerate(states)
-    )
+    ]
     try:
         e = StateEnsemble(matrices, np.array(priors, dtype=float))
     except ValueError as exc:
@@ -188,19 +188,23 @@ def load_povm(path) -> Povm:
     if not isinstance(elements, list) or len(elements) < 2:
         raise FileFormatError(
             f"{path}: \"elements\" must list at least two matrices")
-    matrices = tuple(
+    matrices = [
         _matrix_from_pairs(m, dim, f"{path}: element {k}")
         for k, m in enumerate(elements)
-    )
+    ]
     try:
         return Povm(matrices)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_povm(path, povm: Povm) -> None:
-    record = {
+def povm_record(povm: Povm) -> dict:
+    """The { "dim", "elements" } object that :func:`load_povm` parses."""
+    return {
         "dim": povm.dim,
         "elements": [matrix_to_pairs(m) for m in povm.elements],
     }
-    Path(path).write_text(dumps_json(record))
+
+
+def save_povm(path, povm: Povm) -> None:
+    Path(path).write_text(dumps_json(povm_record(povm)))

@@ -6,6 +6,8 @@ Lagrange multipliers alike. Input files are checked for that property by
 ``ensemble.validate`` and ``solver.povm_violations``; everywhere else
 :func:`herm` removes the round-off asymmetry without a check. Square roots
 and pseudoinverses all come from one eigendecomposition in :func:`psd_root`.
+A set of operators, such as an ensemble's states or a POVM's elements, is
+one read-only (n, d, d) array built by :func:`operator_stack`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,23 @@ def frozen(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it."""
     a.setflags(write=False)
     return a
+
+
+def operator_stack(matrices, owner: str) -> np.ndarray:
+    """A read-only complex (n, d, d) copy of ``matrices``, a sequence of
+    matrices or one stacked array; raise ValueError unless they are square,
+    share one dimension and have finite entries. ``owner`` names them in
+    the messages."""
+    try:
+        stack = np.array(matrices, dtype=np.complex128)
+    except ValueError as exc:  # ragged: matrices of different shapes
+        raise ValueError(f"{owner} matrices must share one shape") from exc
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(
+            f"{owner} matrices must be square and of one dimension, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError(f"{owner} entries must be finite")
+    return frozen(stack)
 
 
 def herm(m: np.ndarray) -> np.ndarray:

@@ -39,7 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import StateEnsemble, Violation, average_state, check_hermitian_psd
-from .hermitian import DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, psd_root, trace_product
+from .hermitian import (DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, operator_stack, psd_root,
+                        trace_product)
 
 logger = logging.getLogger(__name__)
 
@@ -84,28 +85,25 @@ class RelativeRateUndefinedError(ValueError):
 class Povm:
     """N+1 measurement elements; index 0 is the inconclusive outcome.
 
+    ``elements`` may be given as a sequence of matrices or one stacked
+    array; it is kept as a read-only (N+1, d, d) copy.
+
     Invariants (maintained by the solver, checked by :func:`povm_violations`):
     every element PSD within the floor, and the elements sum to the identity
     within round-off.
     """
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray     # (N+1, d, d)
 
     def __post_init__(self):
-        elems = tuple(np.asarray(m, dtype=np.complex128) for m in self.elements)
-        if len(elems) < 2:
+        elements = operator_stack(self.elements, "POVM")
+        if len(elements) < 2:
             raise ValueError("a POVM needs at least two elements")
-        dim = elems[0].shape[0] if elems[0].ndim == 2 else -1
-        for k, m in enumerate(elems):
-            if m.ndim != 2 or m.shape != (dim, dim):
-                raise ValueError(f"element {k} has shape {m.shape}, expected ({dim}, {dim})")
-        if not all(np.all(np.isfinite(m)) for m in elems):
-            raise ValueError("POVM entries must be finite")
-        object.__setattr__(self, "elements", tuple(frozen(m) for m in elems))
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[-1]
 
     @property
     def n_conclusive(self) -> int:
@@ -116,7 +114,7 @@ class Povm:
         return self.elements[0]
 
     @property
-    def conclusive(self) -> tuple[np.ndarray, ...]:
+    def conclusive(self) -> np.ndarray:
         return self.elements[1:]
 
 
@@ -245,12 +243,8 @@ class _RateTerms(NamedTuple):
         return _RateTerms(*(term[rows] for term in self))
 
 
-def _stacked(povm: Povm) -> np.ndarray:
-    return np.stack(povm.elements)
-
-
 def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
-    states = herm(np.stack([np.stack(e.states) for e in ensembles]))
+    states = herm(np.stack([e.states for e in ensembles]))
     priors = np.stack([e.priors for e in ensembles])
     weighted = (priors * priors)[..., None, None] * states
     return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, weighted)
@@ -507,14 +501,13 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     evenly, so Tr[sigma Pi_0] equals the target exactly.
     """
     require_target(target_pi)
-    eye = np.eye(e.dim, dtype=np.complex128)
-    share = (1.0 - target_pi) / e.n_states
-    elements = (target_pi * eye,) + tuple(share * eye for _ in range(e.n_states))
-    return Povm(elements)
+    shares = np.full(e.n_states + 1, (1.0 - target_pi) / e.n_states)
+    shares[0] = target_pi
+    return Povm(shares[:, None, None] * np.eye(e.dim))
 
 
 def _one_point(e: StateEnsemble, povm: Povm) -> tuple[_EnsembleTerms, np.ndarray]:
-    return _ensemble_terms([e]), _stacked(povm)[None]
+    return _ensemble_terms([e]), povm.elements[None]
 
 
 def predicted_inconclusive_rate(
@@ -560,7 +553,7 @@ def iterate_once(
     new, (fit,) = _sweep(*_one_point(e, povm), [target_pi], [None], cfg.pinv_cutoff)
     if fit.error is not None:
         raise fit.error
-    return (Povm(tuple(new[0])), fit.lam(),
+    return (Povm(new[0]), fit.lam(),
             None if target_pi == 0.0 else fit.a)
 
 
@@ -630,7 +623,7 @@ def solve_grid(
     outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
     # the points still in the stack: their indices and states
     live = list(range(len(points)))
-    runs = [_Run(t, _stacked(initial_povm(e, t))) for e, t in points]
+    runs = [_Run(t, initial_povm(e, t).elements) for e, t in points]
     while live:
         x = np.array([run.x for run in runs])
         new, fits = _sweep(fixed, x, [run.target for run in runs],
@@ -698,7 +691,7 @@ def _result(e: StateEnsemble, run: _Run, cfg: SolverConfig) -> SolveResult:
     if history[-1] > cfg.povm_tolerance:
         logger.warning("no fixed point within %d sweeps (last change %.3e)",
                        cfg.max_iterations, history[-1])
-    povm = Povm(tuple(run.plain.copy()))   # not a view that keeps the stack alive
+    povm = Povm(run.plain)
     metrics = success_metrics(e, povm)
     return SolveResult(
         povm=povm,

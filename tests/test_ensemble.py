@@ -21,7 +21,7 @@ from povmlab.ensemble import (
     validate,
 )
 from povmlab.hermitian import min_eigenvalue
-from povmlab.solver import initial_povm, solve
+from povmlab.solver import Povm, initial_povm, solve
 
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -95,6 +95,14 @@ def test_require_valid_raises_with_violations():
 def test_structural_rejections():
     with pytest.raises(ValueError):
         StateEnsemble((PROJ0, np.eye(3, dtype=complex)), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="share one shape"):
+        StateEnsemble([PROJ0, np.eye(3, dtype=complex) / 3], np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="square"):
+        StateEnsemble(np.zeros((2, 2, 3), dtype=complex), np.array([0.5, 0.5]))
+    # one stacked array is the same ensemble as its matrices in a tuple
+    stacked = StateEnsemble(np.array([PROJ0, PROJ1]), np.array([0.5, 0.5]))
+    assert stacked.states.shape == (2, 2, 2)
+    assert np.array_equal(stacked.states, orthogonal_pair().states)
     with pytest.raises(ValueError):
         StateEnsemble((np.zeros((2, 3)), np.zeros((2, 3))), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
@@ -200,6 +208,15 @@ def test_states_are_read_only():
         e.states[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         e.priors[0] = 5.0
+    # the caller's own arrays are copied, not frozen
+    rho0, rho1, priors = PROJ0.copy(), PROJ1.copy(), np.array([0.5, 0.5])
+    e = StateEnsemble((rho0, rho1), priors)
+    povm = Povm((rho0, rho1))
+    rho0[0, 0] = rho1[1, 1] = priors[0] = 5.0
+    assert np.array_equal(e.states, [PROJ0, PROJ1]) and np.array_equal(e.priors, [0.5, 0.5])
+    assert np.array_equal(povm.elements, [PROJ0, PROJ1])
+    with pytest.raises(ValueError):
+        povm.elements[1][0, 0] = 5.0
 
 
 @pytest.mark.parametrize("entry", [

@@ -48,6 +48,15 @@ def test_povm_structural_checks():
         Povm((np.eye(2, dtype=complex),))
     with pytest.raises(ValueError):
         Povm((np.eye(2, dtype=complex), np.eye(3, dtype=complex)))
+    with pytest.raises(ValueError, match="share one shape"):
+        Povm([np.eye(2, dtype=complex) / 2, np.eye(3, dtype=complex) / 2])
+    with pytest.raises(ValueError, match="square"):
+        Povm(np.zeros((2, 3, 2), dtype=complex))
+    # one stacked array is the same POVM as its elements in a tuple
+    halves = (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)
+    stacked = Povm(np.array(halves))
+    assert stacked.elements.shape == (2, 2, 2)
+    assert np.array_equal(stacked.elements, Povm(halves).elements)
     for bad in (math.nan, math.inf):
         entry = np.eye(2, dtype=complex)
         entry[0, 1] = bad
