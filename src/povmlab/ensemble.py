@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import frozen, herm, min_eigenvalue, operator_stack
+from .hermitian import frozen, herm, operator_stack
 
 # Asymmetry above this is a genuine error, below it is round-off.
 HERMITICITY_ATOL = 1e-12
@@ -72,6 +72,10 @@ class StateEnsemble:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 
+    def __reduce__(self):
+        # through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.states, self.priors)
+
     @property
     def dim(self) -> int:
         return self.states.shape[-1]
@@ -93,23 +97,27 @@ class StateEnsemble:
         return self
 
 
-def check_hermitian_psd(report: list[Violation], name: str, index: int,
-                        m: np.ndarray, atol: float, floor: float) -> bool:
-    """Report ``m`` (called ``name index``) if it is further than ``atol``
-    from Hermitian or, when it is not, if its smallest eigenvalue lies below
-    ``floor``. Returns whether ``m`` passed the Hermiticity test."""
-    asym = float(np.max(np.abs(m - m.conj().T)))
-    if asym > atol:
-        report.append(Violation(
-            f"{name} {index} is not Hermitian (asymmetry {asym:.3e})",
-            residual=asym, index=index))
-        return False
-    wmin = min_eigenvalue(m)
-    if wmin < floor:
-        report.append(Violation(
-            f"{name} {index} has negative eigenvalue {wmin:.3e}",
-            residual=wmin, index=index))
-    return True
+def hermitian_psd_checks(name: str, stack: np.ndarray, atol: float,
+                         floor: float) -> list[tuple[bool, Violation | None]]:
+    """Per matrix k of ``stack`` (called ``name k``): whether it lies within
+    ``atol`` of Hermitian, and its violation: the asymmetry when it does
+    not, else a smallest eigenvalue below ``floor``, else None. The
+    eigenvalues of the whole stack come from one call."""
+    asyms = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+    lows = np.linalg.eigvalsh(herm(stack))[:, 0].tolist()
+    checks: list[tuple[bool, Violation | None]] = []
+    for k, (asym, wmin) in enumerate(zip(asyms, lows)):
+        if asym > atol:
+            checks.append((False, Violation(
+                f"{name} {k} is not Hermitian (asymmetry {asym:.3e})",
+                residual=asym, index=k)))
+        elif wmin < floor:
+            checks.append((True, Violation(
+                f"{name} {k} has negative eigenvalue {wmin:.3e}",
+                residual=wmin, index=k)))
+        else:
+            checks.append((True, None))
+    return checks
 
 
 def validate(e: StateEnsemble) -> list[Violation]:
@@ -135,9 +143,11 @@ def validate(e: StateEnsemble) -> list[Violation]:
         report.append(
             Violation(f"priors sum to {s:.17g}", residual=abs(s - 1.0))
         )
-    for j, rho in enumerate(e.states):
-        if not check_hermitian_psd(report, "state", j, rho,
-                                   HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR):
+    checks = hermitian_psd_checks("state", e.states, HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR)
+    for j, (rho, (hermitian, violation)) in enumerate(zip(e.states, checks)):
+        if violation is not None:
+            report.append(violation)
+        if not hermitian:
             continue  # the trace check needs a Hermitian matrix
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > TRACE_ATOL:

@@ -92,17 +92,26 @@ def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm(a))[0])
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr[A B] for the Hermitian parts A, B of equal-sized ``a``, ``b``.
+def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[A B] for the Hermitian parts A, B of equal-sized ``a``, ``b``;
+    stacks (last two axes) are taken pair by pair.
 
-    The imaginary part of the trace is mathematically zero and is asserted
+    The imaginary part of each trace is mathematically zero and is asserted
     to stay below round-off scale.
     """
     am = herm(a)
     bm = herm(b)
     if am.shape != bm.shape:
         raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    t = complex(np.trace(am @ bm))
-    if abs(t.imag) > TRACE_IMAG_ATOL:
-        raise ValueError(f"trace of the product has imaginary part {t.imag:.3e}")
-    return float(t.real)
+    t = np.trace(am @ bm, axis1=-2, axis2=-1)
+    imag = t.imag.ravel()
+    worst = imag[np.abs(imag).argmax()]
+    if abs(worst) > TRACE_IMAG_ATOL:
+        raise ValueError(f"trace of the product has imaginary part {worst:.3e}")
+    return t.real
+
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr[A B] for the Hermitian parts A, B of equal-sized matrices
+    ``a``, ``b``: :func:`trace_products` of one pair."""
+    return float(trace_products(a, b))

@@ -21,12 +21,18 @@ POVM; global optimality is checked separately by the certificate module.
 
 :func:`solve_grid` accelerates the iteration with Anderson mixing of the
 recent sweeps. An extrapolated POVM keeps completeness and the
-inconclusive rate exactly but may leave the PSD cone, so it is used only
-when every element stays PSD within POVM_PSD_FLOOR. The per-sweep history
-it reports is the fixed-point residual, the largest element change one
-sweep makes to the point it was applied to. It solves many points in
-lockstep on one stacked iterate, so numpy's per-call cost is paid once
-per grid rather than once per point; :func:`solve` is its one-point case.
+inconclusive rate exactly but may leave the PSD cone. A full step whose
+elements stay PSD within POVM_PSD_FLOOR is taken; one that does not is
+backtracked toward the plain sweep's output, as in the diluted iteration
+of Rehacek et al., PRA 75, 042108 (2007), and safeguarded Anderson
+mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 3170 (2020)).
+A point that settles is checked for dual feasibility first, and one that
+fails is restarted on the plain map, so a stationary but non-optimal
+POVM does not end the solve. The per-sweep history it reports is the
+fixed-point residual, the largest element change one sweep makes to the
+point it was applied to. It solves many points in lockstep on one
+stacked iterate, so numpy's per-call cost is paid once per grid rather
+than once per point; :func:`solve` is its one-point case.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import StateEnsemble, Violation, average_state, check_hermitian_psd
+from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
 from .hermitian import (DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, operator_stack, psd_root,
-                        trace_product)
+                        trace_products)
 
 logger = logging.getLogger(__name__)
 
@@ -61,8 +67,14 @@ RATE_MAX_EVALUATIONS = 200
 _BRACKET_CAP = 2.0**60
 _TINY = np.finfo(np.float64).tiny
 
-# Sweeps of history the Anderson extrapolation in ``solve`` mixes.
+# Sweeps of history the Anderson extrapolation in ``solve_grid`` mixes.
 ANDERSON_DEPTH = 5
+# Halvings of a rejected extrapolation step ``solve_grid`` tries, beta =
+# 1/2 ... 1/2**BACKTRACK_STEPS; 0 switches backtracking off.
+BACKTRACK_STEPS = 6
+# A converged point's multipliers are dual feasible when lam - p_j rho_j and
+# lam - a sigma have no eigenvalue below this.
+DUAL_FEASIBILITY_FLOOR = -1e-9
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -100,6 +112,10 @@ class Povm:
         if len(elements) < 2:
             raise ValueError("a POVM needs at least two elements")
         object.__setattr__(self, "elements", elements)
+
+    def __reduce__(self):
+        # through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.elements,)
 
     @property
     def dim(self) -> int:
@@ -142,12 +158,10 @@ def require_target(target_pi: float) -> None:
 def povm_violations(povm: Povm) -> list[Violation]:
     """Report Hermiticity, PSD and completeness violations of a candidate
     POVM; a non-Hermitian element is left out of the completeness sum."""
-    report: list[Violation] = []
-    total = np.zeros((povm.dim, povm.dim), dtype=np.complex128)
-    for k, m in enumerate(povm.elements):
-        if check_hermitian_psd(report, "element", k, m,
-                               POVM_HERMITICITY_ATOL, POVM_PSD_FLOOR):
-            total = total + m
+    checks = hermitian_psd_checks("element", povm.elements,
+                                  POVM_HERMITICITY_ATOL, POVM_PSD_FLOOR)
+    report = [violation for _, violation in checks if violation is not None]
+    total = povm.elements[[hermitian for hermitian, _ in checks]].sum(axis=0)
     closure = float(np.linalg.norm(total - np.eye(povm.dim), "fro"))
     if closure > POVM_CLOSURE_RTOL * povm.dim:
         report.append(Violation(
@@ -226,10 +240,12 @@ class _EnsembleTerms:
 
     sigma: np.ndarray        # (P, d, d)
     states: np.ndarray       # Herm(rho_j), (P, N, d, d)
+    priors: np.ndarray       # p_j, (P, N)
     weighted: np.ndarray     # p_j^2 Herm(rho_j), (P, N, d, d)
 
     def take(self, rows: list[int]) -> _EnsembleTerms:
-        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.weighted[rows])
+        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.priors[rows],
+                              self.weighted[rows])
 
 
 class _RateTerms(NamedTuple):
@@ -247,7 +263,8 @@ def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
     states = herm(np.stack([e.states for e in ensembles]))
     priors = np.stack([e.priors for e in ensembles])
     weighted = (priors * priors)[..., None, None] * states
-    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, weighted)
+    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, priors,
+                          weighted)
 
 
 def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _RateTerms]:
@@ -484,11 +501,53 @@ class _Run:
 
     def __init__(self, target: float, x: np.ndarray):
         self.target = target
-        self.x = self.plain = x          # next sweep's input; last sweep's output
-        self.mixer = _Anderson(ANDERSON_DEPTH)
         self.history: list[float] = []
         self.fit: _Multiplier | None = None   # last sweep's search outcome
         self.evaluations = 0
+        self.backtrack = True            # off once the point was restarted
+        self.restart(x)
+
+    def restart(self, x: np.ndarray) -> None:
+        """Start again from ``x`` with no mixing history; the multiplier
+        search still starts from the last sweep's, and the sweep count and
+        evaluations carry on."""
+        self.x = self.plain = x          # next sweep's input; last sweep's output
+        self.mixer = _Anderson(ANDERSON_DEPTH)
+
+
+def _dual_margins(fixed: _EnsembleTerms, fits: list[_Multiplier]) -> list[float]:
+    """Per point, the smallest eigenvalue of lam - a sigma and of every
+    lam - p_j rho_j at its sweep's multipliers: nonnegative when they are
+    feasible for the dual of the rate-constrained problem (see
+    :mod:`povmlab.certificate`), which a stationary point must be to be
+    optimal. One stacked eigvalsh."""
+    lam = _gather(fits).root_matrix()
+    a = np.array([fit.a for fit in fits])
+    floors = np.concatenate((a[:, None, None, None] * fixed.sigma[:, None],
+                             fixed.priors[..., None, None] * fixed.states), axis=1)
+    return np.linalg.eigvalsh(lam[:, None] - floors)[..., 0].min(axis=-1).tolist()
+
+
+def _backtrack(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
+    """Per point, the largest beta = 1/2, 1/4, ... 1/2**BACKTRACK_STEPS for
+    which y = plain + beta (guess - plain) keeps every element's smallest
+    eigenvalue at least half the plain one's (POVM_PSD_FLOOR where that is
+    not positive), with that y; None when no beta does. ``plain`` and
+    ``guesses`` are stacked (T, N+1, d, d); the plain POVMs and all trials
+    go through one stacked eigvalsh."""
+    steps = guesses - plain
+    betas = 0.5 ** np.arange(1, BACKTRACK_STEPS + 1)
+    stack = np.empty((BACKTRACK_STEPS + 1,) + plain.shape, dtype=plain.dtype)
+    stack[0] = plain
+    for trial, beta in zip(stack[1:], betas):
+        np.multiply(steps, beta, out=trial)
+        trial += plain
+    lows = np.linalg.eigvalsh(stack)[..., 0]
+    floor = np.where(lows[0] > 0.0, lows[0] / 2.0, POVM_PSD_FLOOR)
+    inside = (lows[1:] >= floor).all(axis=-1)          # (beta, point)
+    first = inside.argmax(axis=0).tolist()
+    return [(float(betas[b]), stack[1 + b, k].copy()) if ok else None
+            for k, (b, ok) in enumerate(zip(first, inside.any(axis=0).tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +623,9 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
     p_rs = p_s / (1 - p_i), undefined when the inconclusive rate saturates.
     """
     require_matching(e, povm)
-    p_s = sum(
-        p * trace_product(rho, pi)
-        for p, rho, pi in zip(e.priors, e.states, povm.conclusive)
-    )
-    p_i = trace_product(average_state(e), povm.inconclusive)
+    p_i, *traces = trace_products(
+        np.concatenate((average_state(e)[None], e.states)), povm.elements).tolist()
+    p_s = sum(p * t for p, t in zip(e.priors.tolist(), traces))
     if p_i >= 1.0 - RELATIVE_RATE_EPS:
         raise RelativeRateUndefinedError(
             f"inconclusive rate {p_i:.17g} leaves no conclusive fraction")
@@ -594,21 +651,35 @@ def solve_grid(
     Returns each point's SolveResult, or the InfeasibleTargetError it met.
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
-    depth ANDERSON_DEPTH): its next one is the extrapolation from its recent
-    sweeps when all its elements are PSD within POVM_PSD_FLOOR (one stacked
-    eigvalsh for the grid) and its multiplier search met RATE_TOLERANCE,
-    and the plain sweep's output G(x_k) otherwise, which also restarts its
-    mixing. A point stops, and leaves the stack, when its fixed-point
-    residual, the largest Frobenius-norm difference between elements of
-    G(x_k) and x_k, drops to the configured tolerance, or at the iteration
-    cap (reported through ``converged``, not an exception). Its result is
-    its last sweep's output G(x_k) with that sweep's multipliers, never an
-    extrapolation. Each multiplier search starts from the point's previous
-    multiplier. A sweep from an extrapolation that finds the target
-    infeasible is dropped and the point resumes from its last sweep's
-    output; only a sweep from that output ends the point with the error.
-    The points share nothing but the stacked numpy calls, so a point's
-    outcome does not depend on the others in the grid.
+    depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
+    Its next iterate is the extrapolation x_A from its recent sweeps when
+    all its elements are PSD within POVM_PSD_FLOOR (one stacked eigvalsh
+    for the grid). Otherwise it is the first y = G(x_k) + beta (x_A -
+    G(x_k)), beta = 1/2 ... 1/2**BACKTRACK_STEPS, whose elements keep at
+    least half of G(x_k)'s smallest eigenvalues, or POVM_PSD_FLOOR where
+    those are not positive (:func:`_backtrack`, one more stacked eigvalsh
+    for every point whose full step failed). When no y does, or the search
+    missed the tolerance, the next iterate is the plain sweep's output
+    G(x_k), and its mixing starts over.
+
+    A point stops, and leaves the stack, when its fixed-point residual,
+    the largest Frobenius-norm difference between elements of G(x_k) and
+    x_k, drops to the configured tolerance, or at the iteration cap
+    (reported through ``converged``, not an exception). A point that
+    settles with its rate residual within RATE_TOLERANCE first checks
+    that its sweep's multipliers are dual feasible (:func:`_dual_margins`
+    to DUAL_FEASIBILITY_FLOOR, one stacked eigvalsh for the points that
+    settle in a sweep). If they are not, it restarts from
+    :func:`initial_povm` with a fresh mixing history and without
+    backtracking, and its sweep count carries on; a restarted point
+    stops as above without the check. Its result is its last sweep's
+    output G(x_k) with that sweep's multipliers, never an extrapolation.
+    Each multiplier search starts from the point's previous multiplier.
+    A sweep from an extrapolation that finds the target infeasible is
+    dropped and the point resumes from its last sweep's output; only a
+    sweep from that output ends the point with the error. The points
+    share nothing but the stacked numpy calls, so a point's outcome does
+    not depend on the others in the grid.
     """
     cfg = cfg or SolverConfig()
     for e, target in points:
@@ -635,6 +706,7 @@ def solve_grid(
         changes = np.sqrt(np.square(residuals).reshape(x.shape[:2] + (-1,)).sum(axis=-1))
         changes = changes.max(axis=-1).tolist()
         checks: list[tuple[_Run, np.ndarray]] = []
+        settled: list[tuple[int, int, _Run]] = []    # converged, to be checked
         for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
             if fit.error is not None:
                 if run.x is run.plain:
@@ -650,6 +722,9 @@ def solve_grid(
             change = changes[row]
             run.history.append(change)
             run.x = run.plain = new[row]
+            if run.backtrack and change <= cfg.povm_tolerance and fit.residual <= RATE_TOLERANCE:
+                settled.append((row, k, run))
+                continue
             if change <= cfg.povm_tolerance or len(run.history) >= cfg.max_iterations:
                 _log_sweep(run, "none")
                 outcomes[k] = _result(points[k][0], run, cfg)
@@ -658,20 +733,46 @@ def solve_grid(
             if guess is None:
                 _log_sweep(run, "none")
             elif fit.residual <= RATE_TOLERANCE:
-                checks.append((run, guess))
+                checks.append((run, guess.view(np.complex128).reshape(x.shape[1:])))
             else:
                 run.mixer.reset()
                 _log_sweep(run, "rejected")
+        if settled:
+            margins = _dual_margins(fixed.take([row for row, _, _ in settled]),
+                                    [run.fit for _, _, run in settled])
+            for (_, k, run), margin in zip(settled, margins):
+                _log_sweep(run, "none")
+                if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= cfg.max_iterations:
+                    outcomes[k] = _result(points[k][0], run, cfg)
+                else:
+                    logger.debug("sweep %d at target %.17g: stationary but not dual "
+                                 "feasible (margin %.3e); restarting without backtracking",
+                                 len(run.history), run.target, margin)
+                    run.backtrack = False
+                    run.restart(initial_povm(*points[k]).elements)
         if checks:
-            guesses = np.array([guess for _, guess in checks]).view(np.complex128)
-            margins = np.linalg.eigvalsh(guesses.reshape(-1, *x.shape[1:]))[..., 0]
-            for (run, guess), margin in zip(checks, margins.min(axis=-1).tolist()):
-                if margin >= POVM_PSD_FLOOR:
-                    run.x = guess.view(np.complex128).reshape(x.shape[1:])
+            guesses = np.array([guess for _, guess in checks])
+            lows = np.linalg.eigvalsh(guesses)[..., 0].min(axis=-1).tolist()
+            trials: list[tuple[_Run, np.ndarray]] = []
+            for (run, guess), low in zip(checks, lows):
+                if low >= POVM_PSD_FLOOR:
+                    run.x = guess
                     _log_sweep(run, "accepted")
+                elif run.backtrack and BACKTRACK_STEPS > 0:
+                    trials.append((run, guess))
                 else:
                     run.mixer.reset()
                     _log_sweep(run, "rejected")
+            if trials:
+                steps = _backtrack(np.array([run.plain for run, _ in trials]),
+                                   np.array([guess for _, guess in trials]))
+                for (run, _), step in zip(trials, steps):
+                    if step is None:
+                        run.mixer.reset()
+                        _log_sweep(run, "rejected")
+                    else:
+                        beta, run.x = step
+                        _log_sweep(run, f"backtracked with beta {beta:g}")
         if any(outcomes[k] is not None for k in live):
             rows = [row for row, k in enumerate(live) if outcomes[k] is None]
             live = [live[row] for row in rows]

@@ -107,8 +107,9 @@ def test_criterion_2_plateau_values(sweep_solves):
 def test_criterion_3_minimum_error_endpoint():
     rng = np.random.default_rng(2024)
     # near-degenerate instances (an eigenvalue of p1 rho1 - p2 rho2 close to
-    # zero) converge linearly but slowly, hence the generous sweep budget
-    cfg = SolverConfig(max_iterations=20000)
+    # zero) are slow for the plain map; the accelerated solve needs at most
+    # 63 sweeps on these 50
+    cfg = SolverConfig(max_iterations=200)
     for k in range(50):
         dim = 2 if k < 25 else 3
         e = random_ensemble(rng, dim, 2)
@@ -131,9 +132,9 @@ def test_criterion_4_convergence_rate(sweep_solves):
     evaluations = sum(r.rate_evaluations for *_, r in sweep_solves)
     print(f"max iterations: {worst_iters}, {sweeps} sweeps, "
           f"{evaluations} rate evaluations")
-    assert worst_iters <= 60
-    assert sweeps <= 2400
-    assert evaluations <= 7500
+    assert worst_iters <= 45
+    assert sweeps <= 1800
+    assert evaluations <= 6000
     # the plain map it accelerates converges linearly, within 200 sweeps
     worst_plain = 0
     worst_r2 = 1.0

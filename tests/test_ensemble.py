@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ def test_states_are_read_only():
     assert np.array_equal(povm.elements, [PROJ0, PROJ1])
     with pytest.raises(ValueError):
         povm.elements[1][0, 0] = 5.0
+
+
+def test_unpickled_ensemble_is_read_only():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    copy = pickle.loads(pickle.dumps(e))
+    assert np.array_equal(copy.states, e.states) and np.array_equal(copy.priors, e.priors)
+    assert not copy.states.flags.writeable and not copy.priors.flags.writeable
+    assert not validate(copy)
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_povm_structural_checks():
         entry[0, 1] = bad
         with pytest.raises(ValueError, match="POVM entries must be finite"):
             Povm((0.5 * np.eye(2, dtype=complex), entry))
+
+
+def test_unpickled_povm_is_read_only():
+    povm = initial_povm(symmetric_qubit_pair(0.9, math.pi / 4), 0.2)
+    copy = pickle.loads(pickle.dumps(povm))
+    assert np.array_equal(copy.elements, povm.elements)
+    assert not copy.elements.flags.writeable
 
 
 def test_povm_violations_reports():
@@ -470,13 +478,15 @@ def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
 
 
 def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
-    # no extrapolation passes an infinite positivity floor, so every sweep
+    # no full extrapolation step passes an infinite positivity floor, and
+    # with backtracking off none is scaled back instead, so every sweep
     # starts from the previous sweep's output, as in the plain map
     rng = np.random.default_rng(41)
     cases = [(symmetric_qubit_pair(0.9, math.pi / 4), t) for t in (0.0, 0.3, 0.75)]
     cases += [(random_ensemble(rng, 3, 3), 0.1), (random_ensemble(rng, 2, 3), 0.0)]
     accelerated = [solve(e, t).iterations for e, t in cases]
     monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
+    monkeypatch.setattr(solver, "BACKTRACK_STEPS", 0)
     for (e, target), fast in zip(cases, accelerated):
         r = solve(e, target)
         povm, _, history = plain_iteration(e, target, SolverConfig())
@@ -585,3 +595,100 @@ def test_solve_grid_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="share"):
         solve_grid([(random_ensemble(rng, 2, 2), 0.1), (random_ensemble(rng, 3, 2), 0.1)])
     assert solve_grid([]) == []
+
+
+# ---------------------------------------------------------------------------
+# backtracking and the certified exit
+
+ONSET_WINDOW = np.linspace(0.5563961030678929, 0.7163961030678928, 33)
+
+
+def _draw(seed: int, k: int) -> tuple[StateEnsemble, float]:
+    """The k-th (ensemble, target) draw of a random-instance loop."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        dim, n_states = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        e = random_ensemble(rng, dim, n_states)
+        target = float(rng.uniform(0, 0.9))
+    return e, target
+
+
+def test_backtrack_takes_the_largest_step_that_stays_inside():
+    half = np.eye(2, dtype=complex) / 2
+    plain = np.array([(half, half), (half, half), (PROJ0, PROJ1)])
+    # each step keeps the elements' sum; the first needs 0.5 - 2 beta >= 0.25,
+    # the second is small enough at beta = 1/2, and the third takes the
+    # singular element below the floor at every beta
+    shift = np.diag([2.0, 0.0]).astype(complex)
+    steps = np.array([(-shift, shift), (-shift / 10, shift / 10), (-PROJ1, PROJ1)])
+    found = solver._backtrack(plain, plain + steps)
+    assert found[2] is None
+    for k, beta in ((0, 0.125), (1, 0.5)):
+        assert found[k][0] == beta
+        assert np.array_equal(found[k][1], plain[k] + beta * steps[k])
+
+
+def test_solve_converges_at_the_plateau_onset(monkeypatch, caplog):
+    # the full steps keep leaving the PSD cone there; the backtracked ones
+    # keep completeness and the rate, and the point converges within the
+    # default cap, certified
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    target = 0.9 * math.cos(math.pi / 4)
+    sigma = average_state(e)
+    sweep = solver._sweep
+    inputs = []
+
+    def recording_sweep(fixed, x, targets, starts, cutoff):
+        inputs.append(x[0].copy())
+        return sweep(fixed, x, targets, starts, cutoff)
+
+    monkeypatch.setattr(solver, "_sweep", recording_sweep)
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        r = solve(e, target)
+    assert any("backtracked with beta" in rec.message for rec in caplog.records)
+    for x in inputs:
+        assert np.abs(x.sum(axis=0) - np.eye(2)).max() <= 1e-12
+        assert abs(np.trace(sigma @ x[0]).real - target) <= 1e-12
+    assert r.converged
+    assert check(e, r.povm).optimal
+
+
+@pytest.mark.parametrize("seed, k", [(9, 15), (2, 80)])
+def test_trapped_backtracking_restarts_on_the_plain_map(caplog, seed, k):
+    # backtracking alone stops at a stationary POVM whose multipliers are
+    # not dual feasible; the exit check catches it and restarts the point
+    e, target = _draw(seed, k)
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        r = solve(e, target, SolverConfig(max_iterations=5000))
+    restarts = [rec for rec in caplog.records if "restarting" in rec.message]
+    assert len(restarts) == 1
+    assert r.converged
+    assert check(e, r.povm).optimal
+
+
+def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    e.require_valid()
+    counts = {"eigvalsh": 0, "sweeps": 0}
+    eigvalsh, sweep = np.linalg.eigvalsh, solver._sweep
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_sweep(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(solver, "_sweep", counting_sweep)
+    results = solve_grid([(e, float(t)) for t in ONSET_WINDOW],
+                         SolverConfig(max_iterations=1000))
+    monkeypatch.undo()
+    # two positivity calls per lockstep sweep (full steps, then the
+    # backtracking trials), and one dual check per sweep in which points settle
+    settling = len({r.iterations for r in results})
+    assert counts["eigvalsh"] <= 2 * counts["sweeps"] + settling
+    assert all(r.converged and check(e, r.povm).optimal for r in results)
+    assert sum(r.iterations for r in results) <= 1700
+    assert max(r.iterations for r in results) <= 250
