@@ -30,6 +30,7 @@ import numpy as np
 
 from . import bounds, certificate, fileio, qubit_analytic
 from .ensemble import EnsembleValidationError, validate as validate_ensemble
+from .hermitian import PINV_CUTOFF
 from .solver import (RATE_MAX_EVALUATIONS, RATE_TOLERANCE, InfeasibleTargetError,
                      SolverConfig, povm_violations, require_matching, require_target,
                      solve, solve_grid)
@@ -43,6 +44,11 @@ EXIT_INFEASIBLE = 3
 EXIT_NOT_OPTIMAL = 5
 
 TRADEOFF_HEADER = "pi,ps,prs,iterations,residual,certified,status"
+
+# Half-width of the window around the plateau onset that
+# default_sweep_grid skips, and the largest rate it samples.
+GRID_GAP = 0.08
+GRID_STOP = 0.84
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +76,7 @@ def _emit_record(command: str, digest: str, config: dict, payload: dict,
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        max_iterations=args.max_iter,
-        povm_tolerance=args.tol,
-        pinv_cutoff=args.pinv_cutoff,
-    )
+    return SolverConfig(max_iterations=args.max_iter, povm_tolerance=args.tol)
 
 
 def _config_echo(cfg: SolverConfig) -> dict:
@@ -83,7 +85,7 @@ def _config_echo(cfg: SolverConfig) -> dict:
         "povm_tolerance": cfg.povm_tolerance,
         "bisection_tolerance": RATE_TOLERANCE,
         "bisection_max_steps": RATE_MAX_EVALUATIONS,
-        "pinv_cutoff": cfg.pinv_cutoff,
+        "pinv_cutoff": PINV_CUTOFF,
     }
 
 
@@ -356,20 +358,20 @@ def cmd_fig1(args) -> int:
 
 
 def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
-                       points: int = 25, gap: float = 0.08,
-                       stop: float = 0.84) -> np.ndarray:
-    """Inconclusive-rate grid sampling both branches of the trade-off curve.
+                       points: int = 25) -> np.ndarray:
+    """Inconclusive-rate grid sampling both branches of the trade-off curve
+    up to GRID_STOP.
 
     The fixed-point map slows down critically right at the plateau onset
     (iterations grow like 1/distance), so the grid skips a window of
-    half-width ``gap`` around the onset and samples the rising branch and
+    half-width GRID_GAP around the onset and samples the rising branch and
     the plateau separately.
     """
     onset = qubit_analytic.plateau_onset_pi(p)
     n_lo = (points + 1) // 2
     n_hi = points - n_lo
-    lo = np.linspace(0.0, max(onset - gap, 0.0), n_lo)
-    hi = np.linspace(min(onset + gap, stop), stop, n_hi)
+    lo = np.linspace(0.0, max(onset - GRID_GAP, 0.0), n_lo)
+    hi = np.linspace(min(onset + GRID_GAP, GRID_STOP), GRID_STOP, n_hi)
     return np.concatenate([lo, hi])
 
 
@@ -381,10 +383,6 @@ def _add_solver_flags(sub) -> None:
                      help="per-sweep POVM change at which iteration stops")
     sub.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
                      help="iteration cap")
-    sub.add_argument("--pinv-cutoff", type=float,
-                     default=SolverConfig.pinv_cutoff,
-                     help="relative eigenvalue cutoff: eigenvalues at or below "
-                          "this fraction of the largest are not inverted")
 
 
 def build_parser() -> argparse.ArgumentParser:

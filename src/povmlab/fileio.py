@@ -23,6 +23,9 @@ import numpy as np
 from .ensemble import StateEnsemble
 from .solver import Povm
 
+# Spaces per nesting level in emitted records and files.
+JSON_INDENT = 2
+
 
 class FileFormatError(ValueError):
     """The file is not a structurally valid ensemble or POVM description."""
@@ -61,9 +64,9 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # 17-significant-digit JSON
 
-def _emit(o, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(o, out: list, level: int) -> None:
+    pad = " " * (JSON_INDENT * level)
+    pad_in = " " * (JSON_INDENT * (level + 1))
     if o is None:
         out.append("null")
     elif isinstance(o, bool):
@@ -82,7 +85,7 @@ def _emit(o, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for k, item in enumerate(o):
             out.append(pad_in)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if k < len(o) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(o, dict):
@@ -95,19 +98,20 @@ def _emit(o, out: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
             out.append(pad_in + json.dumps(key) + ": ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if k < len(items) - 1 else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot serialize {type(o)} to JSON")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize to JSON with every finite float at 17 significant digits
-    (lossless round-trip) and non-finite floats as null. Key order is
-    insertion order, so equal inputs produce byte-identical output."""
+def dumps_json(obj) -> str:
+    """Serialize to JSON, indented by JSON_INDENT spaces, with every finite
+    float at 17 significant digits (lossless round-trip) and non-finite
+    floats as null. Key order is insertion order, so equal inputs produce
+    byte-identical output."""
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 

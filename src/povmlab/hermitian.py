@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Relative eigenvalue cutoff for the pseudoinverse.
-DEFAULT_PINV_CUTOFF = 1e-12
+PINV_CUTOFF = 1e-12
 TRACE_IMAG_ATOL = 1e-10
 _TINY = np.finfo(np.float64).tiny
 
@@ -72,18 +72,18 @@ class PsdRoot(NamedTuple):
         return herm((v * values[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def psd_root(a: np.ndarray, cutoff: float = DEFAULT_PINV_CUTOFF) -> PsdRoot:
+def psd_root(a: np.ndarray) -> PsdRoot:
     """PSD square root of a Hermitian ``a`` and its pseudoinverse, from one
     eigendecomposition; a stack of matrices (last two axes) is taken matrix
     by matrix. Eigenvalues are clipped at zero before the root is taken;
-    modes whose eigenvalue is at or below ``cutoff`` times the largest one of
-    the same matrix (all of them for the zero matrix) are not inverted."""
+    modes whose eigenvalue is at or below PINV_CUTOFF times the largest one
+    of the same matrix (all of them for the zero matrix) are not inverted."""
     w, v = np.linalg.eigh(a)
     wc = np.maximum(w, 0.0)
     s = np.sqrt(wc)
     # an inverted mode has wc > 0, so s > 0 there; the floor only keeps the
     # division finite on the modes the mask drops, where True / s is 0 / s
-    sinv = (wc > cutoff * wc[..., -1:]) / np.maximum(s, _TINY)
+    sinv = (wc > PINV_CUTOFF * wc[..., -1:]) / np.maximum(s, _TINY)
     return PsdRoot(w, v, s, sinv)
 
 

@@ -106,24 +106,17 @@ def family_pi_supremum(p: SymmetricQubitProblem) -> float:
     return 0.5 * (1.0 + p.eta * math.cos(p.theta))
 
 
-def phi_for_pi(
-    p: SymmetricQubitProblem, target_pi: float, clamp_to_plateau: bool = False
-) -> float:
+def phi_for_pi(p: SymmetricQubitProblem, target_pi: float) -> float:
     """Angle whose inconclusive rate equals ``target_pi``.
 
     Closed-form inverse: tan^2(phi/2) = 1 / (1 - 2 t / (1 + eta cos theta)).
-    With ``clamp_to_plateau`` the result is capped at the angle where the
-    trade-off curve flattens; the cap is never applied silently.
     """
     sup = family_pi_supremum(p)
     if not 0.0 <= target_pi < sup:
         raise InfeasibleRateError(
             f"inconclusive rate {target_pi} outside the family range [0, {sup:.17g})")
     t2 = 1.0 / (1.0 - target_pi / sup)
-    phi = 2.0 * math.atan(math.sqrt(t2))
-    if clamp_to_plateau:
-        phi = min(phi, phi_max_and_prs_max(p)[0])
-    return phi
+    return 2.0 * math.atan(math.sqrt(t2))
 
 
 def phi_max_and_prs_max(p: SymmetricQubitProblem) -> tuple[float, float]:

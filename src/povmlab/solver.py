@@ -45,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
-from .hermitian import (DEFAULT_PINV_CUTOFF, PsdRoot, frozen, herm, operator_stack, psd_root,
-                        trace_products)
+from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root, trace_products
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +69,7 @@ _TINY = np.finfo(np.float64).tiny
 # Sweeps of history the Anderson extrapolation in ``solve_grid`` mixes.
 ANDERSON_DEPTH = 5
 # Halvings of a rejected extrapolation step ``solve_grid`` tries, beta =
-# 1/2 ... 1/2**BACKTRACK_STEPS; 0 switches backtracking off.
+# 1/2 ... 1/2**BACKTRACK_STEPS.
 BACKTRACK_STEPS = 6
 # A converged point's multipliers are dual feasible when lam - p_j rho_j and
 # lam - a sigma have no eigenvalue below this.
@@ -172,20 +171,21 @@ def povm_violations(povm: Povm) -> list[Violation]:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration knobs; the tolerances are strictly positive. The multiplier
-    search's bounds are the module constants RATE_TOLERANCE and
-    RATE_MAX_EVALUATIONS."""
+    """The sweep cap and the fixed-point tolerance, which is finite and
+    strictly positive. Every other setting is a module constant, such as
+    the multiplier search's bounds RATE_TOLERANCE and RATE_MAX_EVALUATIONS
+    and ``hermitian.PINV_CUTOFF`` for every pseudoinverse."""
 
     max_iterations: int = 500
     povm_tolerance: float = 1e-12          # max Frobenius change per sweep
-    pinv_cutoff: float = DEFAULT_PINV_CUTOFF
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        for name in ("povm_tolerance", "pinv_cutoff"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if self.povm_tolerance <= 0:
+            raise ValueError("povm_tolerance must be strictly positive")
+        if not math.isfinite(self.povm_tolerance):
+            raise ValueError(f"povm_tolerance must be finite, got {self.povm_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,6 @@ class _RateTerms(NamedTuple):
     """Operators fixed during one sweep's multiplier search."""
 
     conclusive_sum: np.ndarray   # sum_j p_j^2 rho_j Pi_j rho_j, (P, d, d)
-    inconclusive: np.ndarray     # sigma Pi_0 sigma, (P, d, d)
     pair: np.ndarray             # sigma and sigma Pi_0 sigma, (P, 2, d, d)
 
     def take(self, rows: list[int]) -> _RateTerms:
@@ -272,10 +271,9 @@ def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _Rat
     and the terms of their multiplier search."""
     sig = fixed.sigma
     sandwiches = herm(fixed.weighted @ x[:, 1:] @ fixed.states)
-    m0 = herm(sig @ x[:, 0] @ sig)
-    pair = np.concatenate((sig[:, None], m0[:, None]), axis=1)
+    pair = np.stack((sig, herm(sig @ x[:, 0] @ sig)), axis=1)
     # a sum of exactly Hermitian matrices is exactly Hermitian
-    return sandwiches, _RateTerms(sandwiches.sum(axis=1), m0, pair)
+    return sandwiches, _RateTerms(sandwiches.sum(axis=1), pair)
 
 
 class _RateEval(NamedTuple):
@@ -303,7 +301,7 @@ class _Multiplier(NamedTuple):
         return frozen(_row(self.root, self.row).root_matrix())
 
 
-def _predicted_rate(terms: _RateTerms, a: list[float], cutoff: float) -> _RateEval:
+def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:
     """Inconclusive rate each point's sweep would produce with its multiplier
     in ``a``, and its derivative in the multiplier, worked out in the
     eigenbasis of lam^2 without forming lam^+ itself.
@@ -318,7 +316,7 @@ def _predicted_rate(terms: _RateTerms, a: list[float], cutoff: float) -> _RateEv
     g = -G; the rate's slope is 2a q + a^2 dq/da = a (2q - 4a^2 r).
     """
     a2 = np.array([b * b for b in a])
-    root = psd_root(terms.conclusive_sum + a2[:, None, None] * terms.inconclusive, cutoff)
+    root = psd_root(terms.conclusive_sum + a2[:, None, None] * terms.pair[:, 1])
     v, s, x = root.vectors, root.root, root.inverse
     both = v.conj().swapaxes(-1, -2)[:, None] @ terms.pair @ v[:, None]
     st, mt = both[:, 0], both[:, 1]
@@ -408,7 +406,7 @@ class _Search:
 
 
 def _solve_multiplier(
-    terms: _RateTerms, targets: list[float], starts: list[float | None], cutoff: float,
+    terms: _RateTerms, targets: list[float], starts: list[float | None],
 ) -> list[_Multiplier]:
     """Every point's multiplier search, in lockstep: each round is one
     stacked rate evaluation of the points still searching. A point whose
@@ -416,7 +414,7 @@ def _solve_multiplier(
     searches = [_Search(t, s) for t, s in zip(targets, starts)]
     live = list(range(len(searches)))
     while live:
-        ev = _predicted_rate(terms, [searches[k].a for k in live], cutoff)
+        ev = _predicted_rate(terms, [searches[k].a for k in live])
         keep = [row for row, (k, rate, slope) in enumerate(zip(live, ev.rate, ev.slope))
                 if not searches[k].update(rate, slope, ev.root, row)]
         if len(keep) < len(live):
@@ -440,8 +438,7 @@ def _gather(fits: list[_Multiplier]) -> PsdRoot:
 
 
 def _sweep(
-    fixed: _EnsembleTerms, x: np.ndarray, targets: list[float],
-    starts: list[float | None], cutoff: float,
+    fixed: _EnsembleTerms, x: np.ndarray, targets: list[float], starts: list[float | None],
 ) -> tuple[np.ndarray, list[_Multiplier]]:
     """One sweep of the stacked POVMs ``x``; each point's multiplier search
     starts at its entry of ``starts`` when given. Returns the new stacked
@@ -453,7 +450,7 @@ def _sweep(
     a^2 lam^+ sigma Pi_0 sigma lam^+ plus the projector onto ker lam.
     """
     sandwiches, terms = _sweep_terms(fixed, x)
-    fits = _solve_multiplier(terms, targets, starts, cutoff)
+    fits = _solve_multiplier(terms, targets, starts)
     laminv = _gather(fits).pinv_matrix()[:, None]
     new = np.empty_like(x)
     new[:, 1:] = herm(laminv @ sandwiches @ laminv)
@@ -569,34 +566,30 @@ def _one_point(e: StateEnsemble, povm: Povm) -> tuple[_EnsembleTerms, np.ndarray
     return _ensemble_terms([e]), povm.elements[None]
 
 
-def predicted_inconclusive_rate(
-    e: StateEnsemble, povm: Povm, a: float, cfg: SolverConfig | None = None
-) -> float:
+def predicted_inconclusive_rate(e: StateEnsemble, povm: Povm, a: float) -> float:
     """Inconclusive rate the next sweep would produce with multiplier ``a``."""
     if a < 0:
         raise ValueError("the scalar multiplier must be nonnegative")
-    cfg = cfg or SolverConfig()
     _, terms = _sweep_terms(*_one_point(e, povm))
-    return _predicted_rate(terms, [a], cfg.pinv_cutoff).rate[0]
+    return _predicted_rate(terms, [a]).rate[0]
 
 
 def solve_multiplier(
-    e: StateEnsemble, povm: Povm, target_pi: float, cfg: SolverConfig | None = None
+    e: StateEnsemble, povm: Povm, target_pi: float
 ) -> tuple[float, np.ndarray]:
     """Scalar multiplier whose sweep reproduces the target inconclusive rate,
     together with the matching operator multiplier."""
     if not 0.0 < target_pi < 1.0:
         raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
-    cfg = cfg or SolverConfig()
     _, terms = _sweep_terms(*_one_point(e, povm))
-    fit, = _solve_multiplier(terms, [target_pi], [None], cfg.pinv_cutoff)
+    fit, = _solve_multiplier(terms, [target_pi], [None])
     if fit.error is not None:
         raise fit.error
     return fit.a, fit.lam()
 
 
 def iterate_once(
-    e: StateEnsemble, povm: Povm, target_pi: float, cfg: SolverConfig | None = None
+    e: StateEnsemble, povm: Povm, target_pi: float
 ) -> tuple[Povm, np.ndarray, float | None]:
     """One symmetrized sweep; returns the new POVM and the multipliers used.
 
@@ -608,8 +601,7 @@ def iterate_once(
     element is exactly that fold-in (zero for a full-support multiplier).
     """
     require_target(target_pi)
-    cfg = cfg or SolverConfig()
-    new, (fit,) = _sweep(*_one_point(e, povm), [target_pi], [None], cfg.pinv_cutoff)
+    new, (fit,) = _sweep(*_one_point(e, povm), [target_pi], [None])
     if fit.error is not None:
         raise fit.error
     return (Povm(new[0]), fit.lam(),
@@ -698,7 +690,7 @@ def solve_grid(
     while live:
         x = np.array([run.x for run in runs])
         new, fits = _sweep(fixed, x, [run.target for run in runs],
-                           [run.fit and run.fit.a for run in runs], cfg.pinv_cutoff)
+                           [run.fit and run.fit.a for run in runs])
         # real views of G(x) - x and G(x), a row per point
         residuals = (new - x).view(np.float64).reshape(len(runs), -1)
         values = new.view(np.float64).reshape(len(runs), -1)
@@ -758,7 +750,7 @@ def solve_grid(
                 if low >= POVM_PSD_FLOOR:
                     run.x = guess
                     _log_sweep(run, "accepted")
-                elif run.backtrack and BACKTRACK_STEPS > 0:
+                elif run.backtrack:
                     trials.append((run, guess))
                 else:
                     run.mixer.reset()

@@ -85,7 +85,7 @@ def plain_iteration(e: StateEnsemble, target: float, cfg: SolverConfig):
     history: list[float] = []
     while len(history) < cfg.max_iterations and (
             not history or history[-1] > cfg.povm_tolerance):
-        new, _, a = iterate_once(e, povm, target, cfg)
+        new, _, a = iterate_once(e, povm, target)
         history.append(max(float(np.linalg.norm(n - o))
                            for n, o in zip(new.elements, povm.elements)))
         povm = new

@@ -85,8 +85,15 @@ def test_solve_record_shape(capsys, ensemble_file):
     code, rec = run_json(capsys, ["solve", str(ensemble_file), "--pi", "0.1"])
     assert code == cli.EXIT_OK
     assert rec["command"] == "solve"
-    assert rec["config"]["target_pi"] == 0.1
-    assert rec["config"]["max_iterations"] == 500
+    # the whole echo, in record order; the fixed settings come from constants
+    assert list(rec["config"].items()) == [
+        ("max_iterations", 500),
+        ("povm_tolerance", 1e-12),
+        ("bisection_tolerance", 1e-14),
+        ("bisection_max_steps", 200),
+        ("pinv_cutoff", 1e-12),
+        ("target_pi", 0.1),
+    ]
     res = rec["result"]
     assert abs(res["p_i"] - 0.1) < 1e-10
     assert res["converged"] is True
@@ -347,6 +354,8 @@ def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
     (["tradeoff", "FILE", "--pi-grid", "0.5:0.9999999999999:2", "--jobs", "1"],
      "target inconclusive rate 0.99999999999989997 leaves no conclusive "
      "fraction to renormalize"),
+    (["solve", "FILE", "--pi", "0.2", "--tol", "nan"], "povm_tolerance must be finite, got nan"),
+    (["fig1", "--tol", "nan", "--points", "2"], "povm_tolerance must be finite, got nan"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     argv = [str(ensemble_file) if a == "FILE" else a for a in argv]

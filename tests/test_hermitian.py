@@ -45,8 +45,9 @@ def test_psd_root_identity_and_rank_deficient():
 
 
 def test_psd_root_cutoff_zeroes_negligible_mode():
-    # root values 2 and 1e-15: the second lies below 1e-12 * 2
-    r = psd_root(np.diag([4.0, 1e-30]).astype(complex), cutoff=1e-12)
+    # eigenvalues 4 and 1e-30: the second is at or below PINV_CUTOFF times
+    # the largest, 1e-12 * 4, so its mode is not inverted
+    r = psd_root(np.diag([4.0, 1e-30]).astype(complex))
     assert np.allclose(r.pinv_matrix(), np.diag([0.5, 0.0]))
     assert np.array_equal(r.inverse, [0.0, 0.5])
 

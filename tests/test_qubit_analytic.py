@@ -104,11 +104,8 @@ def test_phi_for_pi_clamp_is_explicit():
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     onset = plateau_onset_pi(p)
     phi_max, _ = phi_max_and_prs_max(p)
-    beyond = onset + 0.05
-    assert phi_for_pi(p, beyond) > phi_max
-    assert phi_for_pi(p, beyond, clamp_to_plateau=True) == pytest.approx(phi_max)
-    below = onset - 0.05
-    assert phi_for_pi(p, below, clamp_to_plateau=True) == phi_for_pi(p, below)
+    # past the onset the family angle is returned as is, never capped
+    assert phi_for_pi(p, onset + 0.05) > phi_max
 
 
 def test_plateau_values():

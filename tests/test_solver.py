@@ -133,9 +133,8 @@ def test_multiplier_operator_ignores_a_without_inconclusive():
     e = orthogonal_pair()
     povm = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
     _, terms = solver._sweep_terms(*solver._one_point(e, povm))
-    cutoff = SolverConfig().pinv_cutoff
-    lam0 = solver._predicted_rate(terms, [0.0], cutoff).root.root_matrix()[0]
-    lam9 = solver._predicted_rate(terms, [9.0], cutoff).root.root_matrix()[0]
+    lam0 = solver._predicted_rate(terms, [0.0]).root.root_matrix()[0]
+    lam9 = solver._predicted_rate(terms, [9.0]).root.root_matrix()[0]
     assert np.allclose(lam0, lam9)
     # p_j^2 rho_j Pi_j rho_j = rho_j / 4 here, so the root is (rho_1+rho_2)/2
     assert np.allclose(lam0, (PROJ0 + PROJ1) / 2)
@@ -200,7 +199,7 @@ def test_predicted_rate_slope_matches_finite_difference():
     for a in (0.1, 0.7, 2.0, 10.0):
         h = 1e-6 * a
         # the point's terms stacked three times, one multiplier each
-        ev = solver._predicted_rate(terms.take([0, 0, 0]), [a, a + h, a - h], 1e-12)
+        ev = solver._predicted_rate(terms.take([0, 0, 0]), [a, a + h, a - h])
         slope, (_, up, down) = ev.slope[0], ev.rate
         assert slope == pytest.approx((up - down) / (2 * h), rel=1e-7)
 
@@ -216,9 +215,8 @@ def test_warm_and_cold_search_agree():
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
     # and one search on the same sweep terms, warm and cold, in lockstep
     _, terms = solver._sweep_terms(*solver._one_point(e, r.povm))
-    cutoff = SolverConfig().pinv_cutoff
     warm, cold = solver._solve_multiplier(
-        terms.take([0, 0]), [target, target], [0.9 * r.a, None], cutoff)
+        terms.take([0, 0]), [target, target], [0.9 * r.a, None])
     assert warm.a == pytest.approx(cold.a, abs=1e-12)
     assert max(warm.residual, cold.residual) <= solver.RATE_TOLERANCE
 
@@ -228,10 +226,9 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     e = p.ensemble()
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
-    cutoff = SolverConfig().pinv_cutoff
     _, terms = solver._sweep_terms(*solver._one_point(e, plateau_povm))
-    start = solver._solve_multiplier(terms, [0.5], [None], cutoff)[0].a
-    warm, = solver._solve_multiplier(terms, [0.95], [start], cutoff)
+    start = solver._solve_multiplier(terms, [0.5], [None])[0].a
+    warm, = solver._solve_multiplier(terms, [0.95], [start])
     assert isinstance(warm.error, InfeasibleTargetError)
     with pytest.raises(InfeasibleTargetError) as cold:
         solve_multiplier(e, plateau_povm, 0.95)
@@ -267,15 +264,14 @@ def _steep_rate(a):
 def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, warns):
     evaluated = []
 
-    def fake_rate(terms, a, cutoff):
+    def fake_rate(terms, a):
         rate, slope = shape(a[0])
         evaluated.append((a[0], rate))
         return solver._RateEval([rate], [slope], None)
 
     monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
-    cutoff = SolverConfig().pinv_cutoff
     with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
-        fit, = solver._solve_multiplier(None, [target], [start], cutoff)
+        fit, = solver._solve_multiplier(None, [target], [start])
     assert any("not monotone" in rec.message for rec in caplog.records) == warns
     assert fit.residual <= solver.RATE_TOLERANCE
     assert fit.evaluations == len(evaluated)
@@ -443,10 +439,9 @@ def test_solve_rejects_bad_targets_and_config():
         solve(e, 1.0 - 1e-14)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(povm_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(pinv_cutoff=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(povm_tolerance=bad)
 
 
 def test_solve_change_history_is_recorded():
@@ -479,14 +474,14 @@ def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
 
 def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
     # no full extrapolation step passes an infinite positivity floor, and
-    # with backtracking off none is scaled back instead, so every sweep
-    # starts from the previous sweep's output, as in the plain map
+    # no backtracking step is found for any point, so every sweep starts
+    # from the previous sweep's output, as in the plain map
     rng = np.random.default_rng(41)
     cases = [(symmetric_qubit_pair(0.9, math.pi / 4), t) for t in (0.0, 0.3, 0.75)]
     cases += [(random_ensemble(rng, 3, 3), 0.1), (random_ensemble(rng, 2, 3), 0.0)]
     accelerated = [solve(e, t).iterations for e, t in cases]
     monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
-    monkeypatch.setattr(solver, "BACKTRACK_STEPS", 0)
+    monkeypatch.setattr(solver, "_backtrack", lambda plain, guesses: [None] * len(plain))
     for (e, target), fast in zip(cases, accelerated):
         r = solve(e, target)
         povm, _, history = plain_iteration(e, target, SolverConfig())
@@ -502,9 +497,9 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
     sweep = solver._sweep
     inputs, outputs, raised = [], [], []
 
-    def flaky_sweep(fixed, x, targets, starts, cutoff):
+    def flaky_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        new, fits = sweep(fixed, x, targets, starts, cutoff)
+        new, fits = sweep(fixed, x, targets, starts)
         if outputs and not np.array_equal(x[0], outputs[-1]) and not raised:
             # x is an extrapolation: fail once, noting the next call's
             # index and the last sweep's output
@@ -638,9 +633,9 @@ def test_solve_converges_at_the_plateau_onset(monkeypatch, caplog):
     sweep = solver._sweep
     inputs = []
 
-    def recording_sweep(fixed, x, targets, starts, cutoff):
+    def recording_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        return sweep(fixed, x, targets, starts, cutoff)
+        return sweep(fixed, x, targets, starts)
 
     monkeypatch.setattr(solver, "_sweep", recording_sweep)
     with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
