@@ -144,33 +144,58 @@ def prs_max_from_invariants(purity: float, overlap: float) -> float:
     return 0.5 * (1.0 + float(np.sqrt((purity - overlap) / rest)))
 
 
-def plateau_povm_direction(e: StateEnsemble, bound: PlateauBound) -> np.ndarray:
-    """Projector onto the subspace carrying the limiting conclusive element.
+@dataclass(frozen=True)
+class PlateauMeasurement:
+    """Conclusive elements X_j that reach the ceiling, and their
+    inconclusive rate ``rate`` = 1 - sum_j Tr[sigma X_j].
 
-    The conclusive element for the maximizing state must live in the kernel
-    of prs_max * sigma - p_j* rho_j* within supp sigma (the operator also
-    vanishes on the kernel of sigma, where no state has weight). Eigenvalues
-    below KERNEL_RTOL of the operator's largest |eigenvalue| count as
-    kernel; a vanishing operator (identical-states degeneracy) yields the
-    projector onto supp sigma.
+    Mixed with the always-inconclusive measurement, (1 - t)/(1 - rate) X_j
+    and the identity's remainder reach the ceiling at every rate t >= rate.
+    When one state attains the ceiling, ``rate`` is the plateau onset;
+    when several tie, it is an upper bound on the onset.
+    """
+
+    prs_max: float
+    rate: float
+    conclusive: np.ndarray     # (N, d, d), zero for a state below the ceiling
+
+
+def plateau_measurement(e: StateEnsemble, bound: PlateauBound) -> PlateauMeasurement:
+    """The measurement that reaches the ceiling ``bound.prs_max`` at the
+    least inconclusive rate found.
+
+    P_RS = prs_max needs every Pi_j inside the kernel of the PSD operator
+    prs_max * sigma - p_j rho_j, which within supp sigma is nonzero only for
+    a state that attains the ceiling. P_j is the projector onto that
+    kernel within supp sigma: eigenvalues below KERNEL_RTOL of the
+    operator's largest |eigenvalue| count as kernel, and a vanishing
+    operator (identical-states degeneracy) gives the projector onto supp
+    sigma. A state whose operator has a kernel attains the ceiling. When
+    one does, X_j* = P_j*, which carries the most conclusive weight a
+    single element can, so ``rate`` = 1 - Tr[sigma P_j*] is the onset. When
+    several tie, X_j = c P_j with c = 1 / lambda_max(sum_j P_j), the common
+    scale that keeps the elements' sum at most I; the least rate over all
+    scalings is a small SDP that is not solved here.
     """
     e.require_valid()
     if len(bound.per_state_a) != e.n_states:
         raise ValueError("bound was computed for a different ensemble size")
-    j = bound.argmax_state
     sigma = average_state(e)
     root = psd_root(sigma)
     support = root.vectors[:, root.inverse > 0.0]
-    op = bound.prs_max * sigma - float(e.priors[j]) * e.states[j]
-    w, v = np.linalg.eigh(herm(support.conj().T @ op @ support))
-    scale = float(np.max(np.abs(w)))
-    if scale <= KERNEL_RTOL:
-        vecs = support
-    else:
-        mask = np.abs(w) <= KERNEL_RTOL * scale
-        if not np.any(mask):
-            raise InconsistentBoundError(
-                f"no kernel at the computed ceiling (smallest |eigenvalue| "
-                f"{float(np.min(np.abs(w))):.3e} vs scale {scale:.3e})")
-        vecs = support @ v[:, mask]
-    return frozen(herm(vecs @ vecs.conj().T))
+    ops = bound.prs_max * sigma - e.priors[:, None, None] * e.states
+    w, v = np.linalg.eigh(herm(support.conj().T @ ops @ support))
+    scale = np.abs(w).max(axis=-1, keepdims=True)
+    kernel = (np.abs(w) <= KERNEL_RTOL * scale) | (scale <= KERNEL_RTOL)
+    j = bound.argmax_state
+    if not kernel[j].any():
+        raise InconsistentBoundError(
+            f"no kernel at the computed ceiling (smallest |eigenvalue| "
+            f"{float(np.min(np.abs(w[j]))):.3e} vs scale {float(scale[j, 0]):.3e})")
+    vecs = support @ v
+    projectors = herm((vecs * kernel[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
+    tied = int(kernel.any(axis=-1).sum())
+    if tied > 1:
+        projectors = projectors / np.linalg.norm(projectors.sum(axis=0), 2)
+    rate = 1.0 - trace_product(sigma, projectors.sum(axis=0))
+    return PlateauMeasurement(bound.prs_max, max(rate, 0.0), frozen(projectors))

@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -166,6 +165,8 @@ def _run_jobs(worker, points: list, n_workers: int, *context) -> list[list[str]]
     if n <= 1:
         parts = [worker(job) for job in jobs]
     else:
+        # imported here: the module costs every serial command its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n) as pool:
             parts = list(pool.map(worker, jobs))
     rows: list = [None] * len(points)
@@ -292,11 +293,17 @@ def cmd_bound(args) -> int:
     if status is not None:
         return status
     b = bounds.max_relative_success(e)
+    try:
+        plateau_pi = bounds.plateau_measurement(e, b).rate
+    except bounds.InconsistentBoundError as exc:
+        logger.warning("no plateau measurement: %s", exc)
+        plateau_pi = None
     payload = {
         "prs_max": b.prs_max,
         "per_state_a": list(b.per_state_a),
         "argmax_state": b.argmax_state,
         "kernel_dimension": b.kernel_dimension,
+        "plateau_pi": plateau_pi,
     }
     _emit_record("bound", digest, {}, payload, started)
     return EXIT_OK
@@ -378,6 +385,32 @@ def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
 # ---------------------------------------------------------------------------
 # parser
 
+# Flags whose value is a float, which may start with '-'.
+FLOAT_FLAGS = ("--pi", "--theta", "--tol")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with a float flag and a value after it that starts with '-'
+    joined into one argument, ``--tol=-inf``: argparse takes a separate
+    ``-inf`` or ``-1e-3`` for an unknown option and stops with a usage
+    error before the value's own check can emit its error record."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in FLOAT_FLAGS and arg.startswith("-") and _is_float(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=SolverConfig.povm_tolerance,
                      help="per-sweep POVM change at which iteration stops")
@@ -447,7 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_float_values(argv))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -33,6 +33,12 @@ fixed-point residual, the largest element change one sweep makes to the
 point it was applied to. It solves many points in lockstep on one
 stacked iterate, so numpy's per-call cost is paid once per grid rather
 than once per point; :func:`solve` is its one-point case.
+
+Past the plateau onset the renormalized success rate stays at its
+ceiling, so a target at or above the rate of the ceiling-reaching
+measurement from :func:`bounds.plateau_measurement` is answered in
+closed form, by mixing that measurement with the always-inconclusive
+one, and is not iterated.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bounds
 from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
 from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root, trace_products
 
@@ -208,7 +215,9 @@ class SolveResult:
     difference between an element of the sweep's output and of the point
     it swept, which is an extrapolated one after an accepted Anderson step;
     ``final_change`` is its last entry. ``converged`` requires both that
-    residual and the rate residual within their tolerances.
+    residual and the rate residual within their tolerances. A plateau
+    target answered in closed form has no sweeps: 0 iterations and rate
+    evaluations, an empty history and a ``final_change`` of 0.
     """
 
     povm: Povm
@@ -627,8 +636,8 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
 def solve(
     e: StateEnsemble, target_pi: float, cfg: SolverConfig | None = None
 ) -> SolveResult:
-    """Iterate the sweep G to a fixed point at the requested inconclusive
-    rate: :func:`solve_grid` on one point, raising its InfeasibleTargetError."""
+    """Optimal POVM at the requested inconclusive rate: :func:`solve_grid`
+    on one point, raising its InfeasibleTargetError."""
     outcome, = solve_grid([(e, target_pi)], cfg)
     if isinstance(outcome, InfeasibleTargetError):
         raise outcome
@@ -638,9 +647,83 @@ def solve(
 def solve_grid(
     points: list[tuple[StateEnsemble, float]], cfg: SolverConfig | None = None
 ) -> list[SolveResult | InfeasibleTargetError]:
-    """Solve every (ensemble, target) point, all in lockstep on one stacked
-    iterate; the ensembles share their dimension and number of states.
-    Returns each point's SolveResult, or the InfeasibleTargetError it met.
+    """Solve every (ensemble, target) point; the ensembles share their
+    dimension and number of states. Returns each point's SolveResult, or
+    the InfeasibleTargetError it met.
+
+    For each distinct ensemble, :func:`bounds.plateau_measurement` gives
+    conclusive elements X_j that reach the ceiling prs_max at a rate t_c.
+    A target t >= t_c is answered without sweeps: Pi_j = (1 - t)/(1 - t_c)
+    X_j and Pi_0 = I - sum_j Pi_j, with multipliers lam = prs_max sigma and
+    a = prs_max, which are dual feasible and make that POVM stationary.
+    Its result reports 0 iterations, a final change of 0 and 0 rate
+    evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
+    other point, and every point of an ensemble whose limiting operator
+    shows no kernel (logged as a warning), is iterated in lockstep by
+    :func:`_iterate_grid`.
+    """
+    cfg = cfg or SolverConfig()
+    for e, target in points:
+        e.require_valid()
+        require_target(target)
+    if len({(e.n_states, e.dim) for e, _ in points}) > 1:
+        raise ValueError("grid points must share the number of states and the dimension")
+    plateaus: dict[int, bounds.PlateauMeasurement | None] = {}
+    for e, _ in points:
+        if id(e) not in plateaus:
+            plateaus[id(e)] = _plateau(e)
+    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
+    iterated = []
+    for k, (e, target) in enumerate(points):
+        plateau = plateaus[id(e)]
+        if plateau is not None and target >= plateau.rate:
+            outcomes[k] = _plateau_result(e, plateau, target)
+        else:
+            iterated.append(k)
+    for k, outcome in zip(iterated, _iterate_grid([points[k] for k in iterated], cfg)):
+        outcomes[k] = outcome
+    return outcomes
+
+
+def _plateau(e: StateEnsemble) -> bounds.PlateauMeasurement | None:
+    """The ensemble's plateau measurement, or None when its limiting
+    operator shows no kernel."""
+    try:
+        return bounds.plateau_measurement(e, bounds.max_relative_success(e))
+    except bounds.InconsistentBoundError as exc:
+        logger.warning("no plateau measurement, so plateau targets are iterated: %s", exc)
+        return None
+
+
+def _plateau_result(e: StateEnsemble, plateau: bounds.PlateauMeasurement,
+                    target: float) -> SolveResult:
+    """The closed-form result at a ``target`` at or above ``plateau.rate``."""
+    elements = np.empty((e.n_states + 1, e.dim, e.dim), dtype=np.complex128)
+    elements[1:] = (1.0 - target) / (1.0 - plateau.rate) * plateau.conclusive
+    elements[0] = np.eye(e.dim) - elements[1:].sum(axis=0)
+    povm = Povm(elements)
+    metrics = success_metrics(e, povm)
+    residual = abs(metrics.p_i - target)
+    return SolveResult(
+        povm=povm,
+        p_s=metrics.p_s,
+        p_i=metrics.p_i,
+        p_rs=metrics.p_rs,
+        lam=frozen(plateau.prs_max * average_state(e)),
+        a=None if target == 0.0 else plateau.prs_max,
+        iterations=0,
+        final_change=0.0,
+        converged=residual <= RATE_TOLERANCE,
+        rate_residual=residual,
+        rate_evaluations=0,
+    )
+
+
+def _iterate_grid(
+    points: list[tuple[StateEnsemble, float]], cfg: SolverConfig
+) -> list[SolveResult | InfeasibleTargetError]:
+    """Iterate every (ensemble, target) point, all in lockstep on one
+    stacked iterate; the points are validated and share their shape.
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
@@ -673,15 +756,8 @@ def solve_grid(
     share nothing but the stacked numpy calls, so a point's outcome does
     not depend on the others in the grid.
     """
-    cfg = cfg or SolverConfig()
-    for e, target in points:
-        e.require_valid()
-        require_target(target)
-    if len({(e.n_states, e.dim) for e, _ in points}) > 1:
-        raise ValueError("grid points must share the number of states and the dimension")
     if not points:
         return []
-
     fixed = _ensemble_terms([e for e, _ in points])
     outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
     # the points still in the stack: their indices and states

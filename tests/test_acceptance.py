@@ -27,6 +27,7 @@ from povmlab.qubit_analytic import (
     SymmetricQubitProblem,
     envelope_prs,
     phi_max_and_prs_max,
+    plateau_onset_pi,
 )
 from povmlab.solver import (
     SolverConfig,
@@ -122,19 +123,21 @@ def test_criterion_3_minimum_error_endpoint():
 def test_criterion_4_convergence_rate(sweep_solves):
     # the accelerated solve: sweep cap per point, and machine-independent
     # totals over the grid (the plain map takes 4304 sweeps and 11615 rate
-    # evaluations)
+    # evaluations); the 48 points on the plateau take no sweeps
     worst_iters = 0
-    for _, _, _, r in sweep_solves:
+    for p, _, target, r in sweep_solves:
         assert r.converged
         assert r.final_change <= 1e-12
+        assert (r.iterations == 0) == (target >= plateau_onset_pi(p))
         worst_iters = max(worst_iters, r.iterations)
     sweeps = sum(r.iterations for *_, r in sweep_solves)
     evaluations = sum(r.rate_evaluations for *_, r in sweep_solves)
     print(f"max iterations: {worst_iters}, {sweeps} sweeps, "
           f"{evaluations} rate evaluations")
+    assert sum(r.iterations == 0 for *_, r in sweep_solves) == 48
     assert worst_iters <= 45
-    assert sweeps <= 1800
-    assert evaluations <= 6000
+    assert sweeps <= 900
+    assert evaluations <= 2800
     # the plain map it accelerates converges linearly, within 200 sweeps
     worst_plain = 0
     worst_r2 = 1.0

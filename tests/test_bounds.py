@@ -7,7 +7,7 @@ from conftest import padded, random_density, random_ensemble
 from povmlab.bounds import (
     InconsistentBoundError,
     max_relative_success,
-    plateau_povm_direction,
+    plateau_measurement,
     prs_max_from_invariants,
     qubit_quadratic_a,
 )
@@ -21,6 +21,7 @@ from povmlab.qubit_analytic import (
     SymmetricQubitProblem,
     analytic_povm,
     phi_max_and_prs_max,
+    plateau_onset_pi,
 )
 from povmlab.solver import solve
 
@@ -181,44 +182,58 @@ def test_invariants_closed_form_domain():
 
 
 def test_plateau_direction_symmetric_pair_is_family_projector():
+    # the two states tie, and their common scale gives the analytic family's
+    # conclusive elements at the plateau angle
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     e = p.ensemble()
     b = max_relative_success(e)
-    proj = plateau_povm_direction(e, b)
-    assert np.trace(proj).real == pytest.approx(b.kernel_dimension, abs=1e-9)
-    assert np.allclose(proj @ proj, proj, atol=1e-9)
-    # the limiting conclusive element of the analytic family at the plateau
-    # angle lies inside this kernel
+    plateau = plateau_measurement(e, b)
+    assert plateau.prs_max == b.prs_max
     phi_max, _ = phi_max_and_prs_max(p)
-    direction = analytic_povm(p, phi_max).elements[1 + b.argmax_state]
-    direction = direction / np.trace(direction).real
-    assert np.trace(proj @ direction).real == pytest.approx(1.0, abs=1e-9)
+    family = analytic_povm(p, phi_max).conclusive
+    assert np.max(np.abs(plateau.conclusive - family)) <= 1e-12
+    # each element is the common scale times a projector of rank kernel_dimension
+    for x in plateau.conclusive:
+        unit = x / np.linalg.norm(x, 2)
+        assert np.trace(unit).real == pytest.approx(b.kernel_dimension, abs=1e-9)
+        assert np.allclose(unit @ unit, unit, atol=1e-9)
+
+
+@pytest.mark.parametrize("eta", [0.7, 0.8, 0.9, 1.0])
+def test_plateau_pi_is_the_onset_of_the_symmetric_pair(eta):
+    p = SymmetricQubitProblem(eta, math.pi / 4)
+    e = p.ensemble()
+    assert abs(plateau_measurement(e, max_relative_success(e)).rate
+               - plateau_onset_pi(p)) <= 1e-15
 
 
 def test_plateau_direction_orthogonal_pure_pair():
     e = StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.5]))
-    b = max_relative_success(e)
-    proj = plateau_povm_direction(e, b)
-    assert np.allclose(proj, e.states[b.argmax_state], atol=1e-9)
+    plateau = plateau_measurement(e, max_relative_success(e))
+    assert np.allclose(plateau.conclusive, e.states, atol=1e-9)
+    assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plateau_direction_identical_states_degenerates_to_identity():
     rho = mixed_qubit(0.2)
     e = StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5]))
-    proj = plateau_povm_direction(e, max_relative_success(e))
-    assert np.allclose(proj, np.eye(2))
+    plateau = plateau_measurement(e, max_relative_success(e))
+    assert np.allclose(plateau.conclusive, [np.eye(2) / 2, np.eye(2) / 2])
+    assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plateau_direction_padded_pair_is_padded_qubit_direction():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    proj = plateau_povm_direction(e, max_relative_success(e))
+    plateau = plateau_measurement(e, max_relative_success(e))
     for dim in (3, 4):
         ep = padded(e, dim)
         bp = max_relative_success(ep)
-        expected = np.zeros((dim, dim), dtype=complex)
-        expected[:2, :2] = proj
+        expected = np.zeros((2, dim, dim), dtype=complex)
+        expected[:, :2, :2] = plateau.conclusive
         assert bp.kernel_dimension == 1
-        assert np.max(np.abs(plateau_povm_direction(ep, bp) - expected)) <= 1e-12
+        padded_plateau = plateau_measurement(ep, bp)
+        assert np.max(np.abs(padded_plateau.conclusive - expected)) <= 1e-12
+        assert padded_plateau.rate == pytest.approx(plateau.rate, abs=1e-14)
 
 
 def test_plateau_direction_padded_identical_states_is_support():
@@ -226,15 +241,35 @@ def test_plateau_direction_padded_identical_states_is_support():
     e = padded(StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5])), 3)
     b = max_relative_success(e)
     assert b.kernel_dimension == 2
-    proj = plateau_povm_direction(e, b)
-    assert np.allclose(proj, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    plateau = plateau_measurement(e, b)
+    assert np.allclose(plateau.conclusive, [np.diag([0.5, 0.5, 0.0])] * 2, atol=1e-12)
+
+
+def test_plateau_direction_of_one_state_is_its_kernel_projector():
+    # no tie: the maximizer's element is the projector onto the kernel of
+    # prs_max sigma - p_j rho_j, the others are zero, and the rate is
+    # 1 - Tr[sigma P]
+    for k, (dim, n_states) in enumerate([(2, 2), (3, 3), (4, 2)]):
+        e = random_ensemble(np.random.default_rng(60 + k), dim, n_states)
+        b = max_relative_success(e)
+        plateau = plateau_measurement(e, b)
+        j = b.argmax_state
+        proj = plateau.conclusive[j]
+        assert np.allclose(proj @ proj, proj, atol=1e-12)
+        gap = b.prs_max * average_state(e) - e.priors[j] * e.states[j]
+        assert np.linalg.norm(gap @ proj) <= 1e-12
+        assert np.trace(proj).real == pytest.approx(b.kernel_dimension, abs=1e-12)
+        others = np.delete(plateau.conclusive, j, axis=0)
+        assert not others.any()
+        assert plateau.rate == pytest.approx(
+            1.0 - np.trace(average_state(e) @ proj).real, abs=1e-15)
 
 
 def test_plateau_direction_checks_ensemble_size():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     b = max_relative_success(random_ensemble(np.random.default_rng(54), 2, 3))
     with pytest.raises(ValueError):
-        plateau_povm_direction(e, b)
+        plateau_measurement(e, b)
 
 
 def test_solver_never_beats_the_bound():
@@ -261,5 +296,5 @@ def test_bound_on_nearly_singular_average_state():
     reference = [p * max(np.linalg.eigvals(np.linalg.solve(sig, rho)).real)
                  for p, rho in zip(e.priors, e.states)]
     assert b.per_state_a == pytest.approx(reference, rel=1e-6)
-    proj = plateau_povm_direction(e, b)
+    proj = plateau_measurement(e, b).conclusive[b.argmax_state]
     assert np.allclose(proj @ proj, proj, atol=1e-10)

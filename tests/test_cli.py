@@ -171,6 +171,17 @@ def test_tradeoff_csv(capsys, ensemble_file):
     assert all(b >= a - 1e-12 for a, b in zip(prs, prs[1:]))
 
 
+def test_tradeoff_plateau_rows_take_no_sweeps(capsys, ensemble_file):
+    onset = plateau_onset_pi(PROBLEM)
+    code, out = run_cli(capsys, [
+        "tradeoff", str(ensemble_file), "--pi-grid", f"{onset!r}:0.8:3", "--jobs", "1"])
+    assert code == cli.EXIT_OK
+    _, prs_max = phi_max_and_prs_max(PROBLEM)
+    for line in out.strip().split("\n")[1:]:
+        assert line.endswith(",0,0,true,ok")
+        assert float(line.split(",")[2]) == pytest.approx(prs_max, abs=1e-12)
+
+
 def test_tradeoff_parallel_matches_serial(capsys, ensemble_file):
     argv = ["tradeoff", str(ensemble_file), "--pi-grid", "0:0.3:4"]
     _, serial = run_cli(capsys, argv + ["--jobs", "1"])
@@ -217,6 +228,17 @@ def test_bound_record(capsys, ensemble_file):
     assert rec["result"]["prs_max"] == pytest.approx(expected.prs_max, abs=1e-15)
     assert rec["result"]["kernel_dimension"] == expected.kernel_dimension
     assert len(rec["result"]["per_state_a"]) == 2
+    assert abs(rec["result"]["plateau_pi"] - plateau_onset_pi(PROBLEM)) <= 1e-15
+
+
+def test_bound_record_without_a_plateau_measurement(capsys, ensemble_file, monkeypatch):
+    def no_kernel(e, bound):
+        raise cli.bounds.InconsistentBoundError("no kernel at the computed ceiling")
+
+    monkeypatch.setattr(cli.bounds, "plateau_measurement", no_kernel)
+    code, rec = run_json(capsys, ["bound", str(ensemble_file)])
+    assert code == cli.EXIT_OK
+    assert rec["result"]["plateau_pi"] is None
 
 
 def test_bound_on_padded_pair(capsys, tmp_path):
@@ -356,6 +378,10 @@ def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
      "fraction to renormalize"),
     (["solve", "FILE", "--pi", "0.2", "--tol", "nan"], "povm_tolerance must be finite, got nan"),
     (["fig1", "--tol", "nan", "--points", "2"], "povm_tolerance must be finite, got nan"),
+    (["solve", "FILE", "--pi", "0.2", "--tol", "-inf"], "povm_tolerance must be strictly positive"),
+    (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--tol", "-1e-3"],
+     "povm_tolerance must be strictly positive"),
+    (["fig1", "--theta", "-1e-3"], "theta must lie in (0, pi/2), got -0.001"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     argv = [str(ensemble_file) if a == "FILE" else a for a in argv]

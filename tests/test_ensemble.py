@@ -9,7 +9,7 @@ from povmlab import ensemble as ensemble_module
 from povmlab.bounds import (
     PlateauBound,
     max_relative_success,
-    plateau_povm_direction,
+    plateau_measurement,
     qubit_quadratic_a,
 )
 from povmlab.certificate import check
@@ -232,9 +232,9 @@ def test_unpickled_ensemble_is_read_only():
     lambda e: solve(e, 0.2),
     lambda e: check(e, initial_povm(e, 0.2)),
     max_relative_success,
-    lambda e: plateau_povm_direction(e, PlateauBound(0.9, (0.9, 0.8), 0, 1)),
+    lambda e: plateau_measurement(e, PlateauBound(0.9, (0.9, 0.8), 0, 1)),
     lambda e: qubit_quadratic_a(e, 0),
-], ids=["solve", "check", "max_relative_success", "plateau_povm_direction",
+], ids=["solve", "check", "max_relative_success", "plateau_measurement",
         "qubit_quadratic_a"])
 def test_entry_points_reject_invalid_ensemble(entry):
     e = StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.6]))

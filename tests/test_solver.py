@@ -7,6 +7,7 @@ import pytest
 
 from conftest import helstrom_two_state, plain_iteration, random_ensemble
 from povmlab import cli, solver
+from povmlab.bounds import InconsistentBoundError, max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
@@ -39,6 +40,15 @@ PROJ1 = np.diag([0.0, 1.0]).astype(complex)
 
 def orthogonal_pair() -> StateEnsemble:
     return StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.5]))
+
+
+def _iterate(e: StateEnsemble, target: float, cfg: SolverConfig | None = None) -> SolveResult:
+    """:func:`solve` on the iterative path, which a target at or above the
+    plateau rate takes only here."""
+    outcome, = solver._iterate_grid([(e, target)], cfg or SolverConfig())
+    if isinstance(outcome, InfeasibleTargetError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +248,7 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     # only from a rank-deficient inconclusive element
     monkeypatch.setattr(solver, "initial_povm", lambda e, t: plateau_povm)
     with pytest.raises(InfeasibleTargetError) as err:
-        solve(e, 0.95)
+        _iterate(e, 0.95)
     assert err.value.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
 
 
@@ -479,11 +489,11 @@ def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
     rng = np.random.default_rng(41)
     cases = [(symmetric_qubit_pair(0.9, math.pi / 4), t) for t in (0.0, 0.3, 0.75)]
     cases += [(random_ensemble(rng, 3, 3), 0.1), (random_ensemble(rng, 2, 3), 0.0)]
-    accelerated = [solve(e, t).iterations for e, t in cases]
+    accelerated = [_iterate(e, t).iterations for e, t in cases]
     monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
     monkeypatch.setattr(solver, "_backtrack", lambda plain, guesses: [None] * len(plain))
     for (e, target), fast in zip(cases, accelerated):
-        r = solve(e, target)
+        r = _iterate(e, target)
         povm, _, history = plain_iteration(e, target, SolverConfig())
         assert r.converged
         assert r.iterations == len(history)
@@ -575,12 +585,12 @@ def test_solve_grid_isolates_failing_points(monkeypatch):
                         lambda e, t: plateau_povm if t == 0.95 else default_start(e, t))
     cfg = SolverConfig(max_iterations=150)
     targets = [0.0, 0.3, 0.95, plateau_onset_pi(p), 0.8]
-    grid = solve_grid([(e, t) for t in targets], cfg)
+    grid = solver._iterate_grid([(e, t) for t in targets], cfg)
     assert isinstance(grid[2], InfeasibleTargetError)
     assert not grid[3].converged and grid[3].iterations == 150
     for k in (0, 1, 4):
         assert grid[k].converged
-        assert _bits(grid[k]) == _bits(solve(e, targets[k], cfg))
+        assert _bits(grid[k]) == _bits(_iterate(e, targets[k], cfg))
     rows = [cli._sweep_row(e, t, r) for t, r in zip(targets, grid)]
     assert [row[6] for row in rows] == ["ok", "ok", "infeasible", "maxiter", "ok"]
 
@@ -639,7 +649,7 @@ def test_solve_converges_at_the_plateau_onset(monkeypatch, caplog):
 
     monkeypatch.setattr(solver, "_sweep", recording_sweep)
     with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
-        r = solve(e, target)
+        r = _iterate(e, target)
     assert any("backtracked with beta" in rec.message for rec in caplog.records)
     for x in inputs:
         assert np.abs(x.sum(axis=0) - np.eye(2)).max() <= 1e-12
@@ -654,7 +664,7 @@ def test_trapped_backtracking_restarts_on_the_plain_map(caplog, seed, k):
     # not dual feasible; the exit check catches it and restarts the point
     e, target = _draw(seed, k)
     with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
-        r = solve(e, target, SolverConfig(max_iterations=5000))
+        r = _iterate(e, target, SolverConfig(max_iterations=5000))
     restarts = [rec for rec in caplog.records if "restarting" in rec.message]
     assert len(restarts) == 1
     assert r.converged
@@ -685,5 +695,61 @@ def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
     settling = len({r.iterations for r in results})
     assert counts["eigvalsh"] <= 2 * counts["sweeps"] + settling
     assert all(r.converged and check(e, r.povm).optimal for r in results)
-    assert sum(r.iterations for r in results) <= 1700
-    assert max(r.iterations for r in results) <= 250
+    # the onset and the 16 points above it are answered without sweeps
+    assert [r.iterations == 0 for r in results] == [k >= 16 for k in range(33)]
+    assert sum(r.iterations for r in results) <= 850
+    assert max(r.iterations for r in results) <= 125
+
+
+# ---------------------------------------------------------------------------
+# plateau targets in closed form
+
+UNTIED = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("k", range(len(UNTIED)))
+def test_plateau_rate_is_the_onset_of_an_untied_ensemble(k):
+    dim, n_states = UNTIED[k]
+    e = random_ensemble(np.random.default_rng(300 + k), dim, n_states)
+    b = max_relative_success(e)
+    assert sorted(b.per_state_a)[-2] < b.prs_max - 1e-3
+    onset = plateau_measurement(e, b).rate
+    r = solve(e, onset)
+    assert (r.iterations, r.final_change, r.rate_evaluations) == (0, 0.0, 0)
+    assert r.converged and check(e, r.povm).optimal
+    # the iteration reaches the ceiling just above that rate and not below it
+    above, below = solver._iterate_grid([(e, onset + 0.05), (e, onset - 0.005)],
+                                        SolverConfig(max_iterations=1000))
+    assert above.converged and abs(above.p_rs - b.prs_max) <= 1e-12
+    assert below.converged and below.p_rs < b.prs_max - 1e-6
+
+
+def test_closed_form_results_close_and_meet_the_rate():
+    grids = []
+    for eta in (0.7, 0.8, 0.9, 1.0):
+        p = SymmetricQubitProblem(eta, math.pi / 4)
+        grids.append([(p.ensemble(), float(t)) for t in default_sweep_grid(p)])
+    for k, (dim, n_states) in enumerate(UNTIED):
+        e = random_ensemble(np.random.default_rng(300 + k), dim, n_states)
+        onset = plateau_measurement(e, max_relative_success(e)).rate
+        grids.append([(e, t) for t in np.linspace(onset, 0.99, 5).tolist()])
+    closed = [(e, t, r) for points in grids
+              for (e, t), r in zip(points, solve_grid(points)) if r.iterations == 0]
+    assert len(closed) == 48 + 5 * len(UNTIED)
+    for e, target, r in closed:
+        assert np.abs(r.povm.elements.sum(axis=0) - np.eye(e.dim)).max() <= 1e-14
+        assert povm_violations(r.povm) == []
+        assert abs(np.trace(average_state(e) @ r.povm.inconclusive).real - target) <= 1e-14
+        assert r.rate_residual <= 1e-14 and r.converged
+
+
+def test_plateau_targets_are_iterated_without_a_kernel(monkeypatch, caplog):
+    def no_kernel(e, bound):
+        raise InconsistentBoundError("no kernel at the computed ceiling")
+
+    monkeypatch.setattr(solver.bounds, "plateau_measurement", no_kernel)
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
+        r = solve(e, 0.75)
+    assert r.iterations > 0 and r.converged
+    assert any("no plateau measurement" in rec.message for rec in caplog.records)
