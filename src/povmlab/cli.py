@@ -22,6 +22,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import sys
 import time
 
@@ -385,8 +386,9 @@ def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
 # ---------------------------------------------------------------------------
 # parser
 
-# Flags whose value is a float, which may start with '-'.
-FLOAT_FLAGS = ("--pi", "--theta", "--tol")
+# Flags whose value may start with '-': a float, or a list of floats that
+# --etas separates by ',' and --pi-grid by ':'.
+VALUE_FLAGS = ("--pi", "--theta", "--tol", "--etas", "--pi-grid")
 
 
 def _is_float(text: str) -> bool:
@@ -398,13 +400,15 @@ def _is_float(text: str) -> bool:
 
 
 def _attach_float_values(argv: list[str]) -> list[str]:
-    """``argv`` with a float flag and a value after it that starts with '-'
-    joined into one argument, ``--tol=-inf``: argparse takes a separate
-    ``-inf`` or ``-1e-3`` for an unknown option and stops with a usage
-    error before the value's own check can emit its error record."""
+    """``argv`` with a value flag and a value after it whose first number
+    starts with '-' joined into one argument, ``--tol=-inf`` or
+    ``--etas=-0.5,0.9``: argparse takes a separate ``-inf`` or ``-0.5,0.9``
+    for an unknown option and stops with a usage error before the value's
+    own check can emit its error record."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in FLOAT_FLAGS and arg.startswith("-") and _is_float(arg):
+        if (joined and joined[-1] in VALUE_FLAGS and arg.startswith("-")
+                and _is_float(re.split("[,:]", arg)[0])):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -21,11 +21,12 @@ POVM; global optimality is checked separately by the certificate module.
 
 :func:`solve_grid` accelerates the iteration with Anderson mixing of the
 recent sweeps. An extrapolated POVM keeps completeness and the
-inconclusive rate exactly but may leave the PSD cone. A full step whose
-elements stay PSD within POVM_PSD_FLOOR is taken; one that does not is
-backtracked toward the plain sweep's output, as in the diluted iteration
-of Rehacek et al., PRA 75, 042108 (2007), and safeguarded Anderson
-mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 3170 (2020)).
+inconclusive rate exactly but may leave the PSD cone. One rule decides
+the step: the largest of the full step and its halvings toward the plain
+sweep's output whose elements stay PSD within POVM_PSD_FLOOR is taken, as
+in the diluted iteration of Rehacek et al., PRA 75, 042108 (2007), and
+safeguarded Anderson mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim.
+30, 3170 (2020)).
 A point that settles is checked for dual feasibility first, and one that
 fails is restarted on the plain map, so a stationary but non-optimal
 POVM does not end the solve. The per-sweep history it reports is the
@@ -75,8 +76,8 @@ _TINY = np.finfo(np.float64).tiny
 
 # Sweeps of history the Anderson extrapolation in ``solve_grid`` mixes.
 ANDERSON_DEPTH = 5
-# Halvings of a rejected extrapolation step ``solve_grid`` tries, beta =
-# 1/2 ... 1/2**BACKTRACK_STEPS.
+# Halvings of an extrapolation step ``solve_grid`` tries after the full
+# one, beta = 1/2 ... 1/2**BACKTRACK_STEPS.
 BACKTRACK_STEPS = 6
 # A converged point's multipliers are dual feasible when lam - p_j rho_j and
 # lam - a sigma have no eigenvalue below this.
@@ -534,25 +535,22 @@ def _dual_margins(fixed: _EnsembleTerms, fits: list[_Multiplier]) -> list[float]
     return np.linalg.eigvalsh(lam[:, None] - floors)[..., 0].min(axis=-1).tolist()
 
 
-def _backtrack(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
-    """Per point, the largest beta = 1/2, 1/4, ... 1/2**BACKTRACK_STEPS for
+def _step(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
+    """Per point, the largest beta = 1, 1/2, ... 1/2**BACKTRACK_STEPS for
     which y = plain + beta (guess - plain) keeps every element's smallest
-    eigenvalue at least half the plain one's (POVM_PSD_FLOOR where that is
-    not positive), with that y; None when no beta does. ``plain`` and
-    ``guesses`` are stacked (T, N+1, d, d); the plain POVMs and all trials
-    go through one stacked eigvalsh."""
+    eigenvalue at or above POVM_PSD_FLOOR, with that y; None when no beta
+    does. At beta = 1, y is the guess itself. ``plain`` and ``guesses`` are
+    stacked (T, N+1, d, d); all trials go through one stacked eigvalsh."""
+    betas = 0.5 ** np.arange(BACKTRACK_STEPS + 1)
+    stack = np.empty((len(betas),) + plain.shape, dtype=plain.dtype)
+    stack[0] = guesses
     steps = guesses - plain
-    betas = 0.5 ** np.arange(1, BACKTRACK_STEPS + 1)
-    stack = np.empty((BACKTRACK_STEPS + 1,) + plain.shape, dtype=plain.dtype)
-    stack[0] = plain
-    for trial, beta in zip(stack[1:], betas):
+    for trial, beta in zip(stack[1:], betas[1:]):
         np.multiply(steps, beta, out=trial)
         trial += plain
-    lows = np.linalg.eigvalsh(stack)[..., 0]
-    floor = np.where(lows[0] > 0.0, lows[0] / 2.0, POVM_PSD_FLOOR)
-    inside = (lows[1:] >= floor).all(axis=-1)          # (beta, point)
+    inside = (np.linalg.eigvalsh(stack)[..., 0] >= POVM_PSD_FLOOR).all(axis=-1)  # (beta, point)
     first = inside.argmax(axis=0).tolist()
-    return [(float(betas[b]), stack[1 + b, k].copy()) if ok else None
+    return [(float(betas[b]), stack[b, k].copy()) if ok else None
             for k, (b, ok) in enumerate(zip(first, inside.any(axis=0).tolist()))]
 
 
@@ -727,15 +725,13 @@ def _iterate_grid(
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
-    Its next iterate is the extrapolation x_A from its recent sweeps when
-    all its elements are PSD within POVM_PSD_FLOOR (one stacked eigvalsh
-    for the grid). Otherwise it is the first y = G(x_k) + beta (x_A -
-    G(x_k)), beta = 1/2 ... 1/2**BACKTRACK_STEPS, whose elements keep at
-    least half of G(x_k)'s smallest eigenvalues, or POVM_PSD_FLOOR where
-    those are not positive (:func:`_backtrack`, one more stacked eigvalsh
-    for every point whose full step failed). When no y does, or the search
-    missed the tolerance, the next iterate is the plain sweep's output
-    G(x_k), and its mixing starts over.
+    Its next iterate is y = G(x_k) + beta (x_A - G(x_k)) for the
+    extrapolation x_A from its recent sweeps and the largest beta = 1,
+    1/2 ... 1/2**BACKTRACK_STEPS whose elements are all PSD within
+    POVM_PSD_FLOOR (:func:`_step`, one stacked eigvalsh for the grid); at
+    beta = 1, y is x_A itself. When no beta passes, or the search missed
+    the tolerance, the next iterate is the plain sweep's output G(x_k),
+    and its mixing starts over.
 
     A point stops, and leaves the stack, when its fixed-point residual,
     the largest Frobenius-norm difference between elements of G(x_k) and
@@ -745,8 +741,8 @@ def _iterate_grid(
     that its sweep's multipliers are dual feasible (:func:`_dual_margins`
     to DUAL_FEASIBILITY_FLOOR, one stacked eigvalsh for the points that
     settle in a sweep). If they are not, it restarts from
-    :func:`initial_povm` with a fresh mixing history and without
-    backtracking, and its sweep count carries on; a restarted point
+    :func:`initial_povm` with a fresh mixing history and takes only
+    beta = 1 from then on, and its sweep count carries on; a restarted point
     stops as above without the check. Its result is its last sweep's
     output G(x_k) with that sweep's multipliers, never an extrapolation.
     Each multiplier search starts from the point's previous multiplier.
@@ -819,28 +815,17 @@ def _iterate_grid(
                     run.backtrack = False
                     run.restart(initial_povm(*points[k]).elements)
         if checks:
-            guesses = np.array([guess for _, guess in checks])
-            lows = np.linalg.eigvalsh(guesses)[..., 0].min(axis=-1).tolist()
-            trials: list[tuple[_Run, np.ndarray]] = []
-            for (run, guess), low in zip(checks, lows):
-                if low >= POVM_PSD_FLOOR:
-                    run.x = guess
-                    _log_sweep(run, "accepted")
-                elif run.backtrack:
-                    trials.append((run, guess))
-                else:
+            steps = _step(np.array([run.plain for run, _ in checks]),
+                          np.array([guess for _, guess in checks]))
+            for (run, _), step in zip(checks, steps):
+                # a restarted point takes the full step or none
+                if step is None or (step[0] < 1.0 and not run.backtrack):
                     run.mixer.reset()
                     _log_sweep(run, "rejected")
-            if trials:
-                steps = _backtrack(np.array([run.plain for run, _ in trials]),
-                                   np.array([guess for _, guess in trials]))
-                for (run, _), step in zip(trials, steps):
-                    if step is None:
-                        run.mixer.reset()
-                        _log_sweep(run, "rejected")
-                    else:
-                        beta, run.x = step
-                        _log_sweep(run, f"backtracked with beta {beta:g}")
+                else:
+                    beta, run.x = step
+                    _log_sweep(run, "accepted" if beta == 1.0
+                               else f"backtracked with beta {beta:g}")
         if any(outcomes[k] is not None for k in live):
             rows = [row for row, k in enumerate(live) if outcomes[k] is None]
             live = [live[row] for row in rows]

@@ -382,6 +382,9 @@ def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
     (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--tol", "-1e-3"],
      "povm_tolerance must be strictly positive"),
     (["fig1", "--theta", "-1e-3"], "theta must lie in (0, pi/2), got -0.001"),
+    (["fig1", "--etas", "-0.5,0.9"], "eta must lie in (0, 1], got -0.5"),
+    (["tradeoff", "FILE", "--pi-grid", "-0.1:0.5:3"],
+     "--pi-grid range must satisfy 0 <= start <= stop < 1"),
 ])
 def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     argv = [str(ensemble_file) if a == "FILE" else a for a in argv]

@@ -483,15 +483,14 @@ def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
 
 
 def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
-    # no full extrapolation step passes an infinite positivity floor, and
-    # no backtracking step is found for any point, so every sweep starts
-    # from the previous sweep's output, as in the plain map
+    # no extrapolation step passes an infinite positivity floor at any
+    # beta, so every sweep starts from the previous sweep's output, as in
+    # the plain map
     rng = np.random.default_rng(41)
     cases = [(symmetric_qubit_pair(0.9, math.pi / 4), t) for t in (0.0, 0.3, 0.75)]
     cases += [(random_ensemble(rng, 3, 3), 0.1), (random_ensemble(rng, 2, 3), 0.0)]
     accelerated = [_iterate(e, t).iterations for e, t in cases]
     monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
-    monkeypatch.setattr(solver, "_backtrack", lambda plain, guesses: [None] * len(plain))
     for (e, target), fast in zip(cases, accelerated):
         r = _iterate(e, target)
         povm, _, history = plain_iteration(e, target, SolverConfig())
@@ -620,17 +619,23 @@ def _draw(seed: int, k: int) -> tuple[StateEnsemble, float]:
 
 def test_backtrack_takes_the_largest_step_that_stays_inside():
     half = np.eye(2, dtype=complex) / 2
-    plain = np.array([(half, half), (half, half), (PROJ0, PROJ1)])
-    # each step keeps the elements' sum; the first needs 0.5 - 2 beta >= 0.25,
-    # the second is small enough at beta = 1/2, and the third takes the
-    # singular element below the floor at every beta
+    eye = np.eye(2, dtype=complex)
+    plain = np.array([(half, half), (half, half), (PROJ0, PROJ1), (0.7 * eye, 0.3 * eye)])
+    # each step keeps the elements' sum; the first needs 0.5 - 2 beta >= 0,
+    # the second and the fourth stay inside at beta = 1, and the third
+    # takes the singular element below the floor at every beta
     shift = np.diag([2.0, 0.0]).astype(complex)
-    steps = np.array([(-shift, shift), (-shift / 10, shift / 10), (-PROJ1, PROJ1)])
-    found = solver._backtrack(plain, plain + steps)
+    guesses = np.array([(half - shift, half + shift), (half - shift / 10, half + shift / 10),
+                        (PROJ0 - PROJ1, 2 * PROJ1), (0.1 * eye, 0.9 * eye)])
+    found = solver._step(plain, guesses)
     assert found[2] is None
-    for k, beta in ((0, 0.125), (1, 0.5)):
-        assert found[k][0] == beta
-        assert np.array_equal(found[k][1], plain[k] + beta * steps[k])
+    assert [found[k][0] for k in (0, 1, 3)] == [0.25, 1.0, 1.0]
+    assert np.array_equal(found[0][1], plain[0] + 0.25 * (guesses[0] - plain[0]))
+    # the full step is the guess itself, bit for bit, where plain +
+    # (guess - plain) rounds away from it
+    assert not np.array_equal(plain[3] + (guesses[3] - plain[3]), guesses[3])
+    for k in (1, 3):
+        assert np.array_equal(found[k][1], guesses[k])
 
 
 def test_solve_converges_at_the_plateau_onset(monkeypatch, caplog):
@@ -690,15 +695,15 @@ def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
     results = solve_grid([(e, float(t)) for t in ONSET_WINDOW],
                          SolverConfig(max_iterations=1000))
     monkeypatch.undo()
-    # two positivity calls per lockstep sweep (full steps, then the
-    # backtracking trials), and one dual check per sweep in which points settle
+    # one positivity call per lockstep sweep (every beta of every point's
+    # step), and one dual check per sweep in which points settle
     settling = len({r.iterations for r in results})
-    assert counts["eigvalsh"] <= 2 * counts["sweeps"] + settling
+    assert counts["eigvalsh"] <= counts["sweeps"] + settling
     assert all(r.converged and check(e, r.povm).optimal for r in results)
     # the onset and the 16 points above it are answered without sweeps
     assert [r.iterations == 0 for r in results] == [k >= 16 for k in range(33)]
-    assert sum(r.iterations for r in results) <= 850
-    assert max(r.iterations for r in results) <= 125
+    assert sum(r.iterations for r in results) <= 800
+    assert max(r.iterations for r in results) <= 112
 
 
 # ---------------------------------------------------------------------------
