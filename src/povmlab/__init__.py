@@ -16,7 +16,7 @@ from .bounds import max_relative_success
 from .certificate import check
 from .ensemble import EnsembleValidationError, StateEnsemble, symmetric_qubit_pair
 from .fileio import FileFormatError
-from .solver import InfeasibleTargetError, Povm, SolverConfig, solve
+from .solver import InfeasibleTargetError, Povm, solve
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "FileFormatError",
     "InfeasibleTargetError",
     "Povm",
-    "SolverConfig",
     "StateEnsemble",
     "check",
     "max_relative_success",

@@ -31,9 +31,9 @@ import numpy as np
 from . import bounds, certificate, fileio, qubit_analytic
 from .ensemble import EnsembleValidationError, validate as validate_ensemble
 from .hermitian import PINV_CUTOFF
-from .solver import (RATE_MAX_EVALUATIONS, RATE_TOLERANCE, InfeasibleTargetError,
-                     SolverConfig, povm_violations, require_matching, require_target,
-                     solve, solve_grid)
+from .solver import (MAX_ITERATIONS, POVM_TOLERANCE, RATE_MAX_EVALUATIONS,
+                     RATE_TOLERANCE, InfeasibleTargetError, povm_violations,
+                     require_matching, require_target, solve, solve_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -75,14 +75,10 @@ def _emit_record(command: str, digest: str, config: dict, payload: dict,
     sys.stdout.write(fileio.dumps_json(record))
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iterations=args.max_iter, povm_tolerance=args.tol)
-
-
-def _config_echo(cfg: SolverConfig) -> dict:
+def _config_echo(max_iterations: int) -> dict:
     return {
-        "max_iterations": cfg.max_iterations,
-        "povm_tolerance": cfg.povm_tolerance,
+        "max_iterations": max_iterations,
+        "povm_tolerance": POVM_TOLERANCE,
         "bisection_tolerance": RATE_TOLERANCE,
         "bisection_max_steps": RATE_MAX_EVALUATIONS,
         "pinv_cutoff": PINV_CUTOFF,
@@ -126,17 +122,18 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 def _sweep_point_file(job: tuple) -> list[list[str]]:
     """Rows of one share of tradeoff points, solved in lockstep; the job
     carries the ensemble loaded from the file."""
-    targets, e, cfg = job
-    outcomes = solve_grid([(e, t) for t in targets], cfg)
+    targets, e, max_iterations = job
+    outcomes = solve_grid([(e, t) for t in targets], max_iterations=max_iterations)
     return [_sweep_row(e, t, r) for t, r in zip(targets, outcomes)]
 
 
 def _sweep_point_symmetric(job: tuple) -> list[list[str]]:
     """Rows of one share of fig1's (eta, target) points, solved in lockstep."""
-    points, theta, cfg = job
+    points, theta, max_iterations = job
     ensembles = {eta: qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
                  for eta, _ in points}
-    outcomes = solve_grid([(ensembles[eta], t) for eta, t in points], cfg)
+    outcomes = solve_grid([(ensembles[eta], t) for eta, t in points],
+                          max_iterations=max_iterations)
     return [[fileio.float_repr(eta)] + _sweep_row(ensembles[eta], t, r)
             for (eta, t), r in zip(points, outcomes)]
 
@@ -222,9 +219,9 @@ def cmd_solve(args) -> int:
         return status
     config = {"target_pi": args.pi}
     try:
-        cfg = _solver_config(args)
-        config = _config_echo(cfg) | config
-        r = solve(e, args.pi, cfg)
+        _require_positive("--max-iter", args.max_iter)
+        config = _config_echo(args.max_iter) | config
+        r = solve(e, args.pi, max_iterations=args.max_iter)
     except ValueError as exc:
         _emit_record("solve", digest, config, {"error": str(exc)}, started)
         return EXIT_VALIDATION
@@ -279,12 +276,13 @@ def cmd_tradeoff(args) -> int:
         grid = _parse_grid(args.pi_grid)
         require_target(float(grid[-1]))
         _require_positive("--jobs", args.jobs)
-        cfg = _solver_config(args)
+        _require_positive("--max-iter", args.max_iter)
     except ValueError as exc:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     targets = [float(t) for t in grid]
-    _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, targets, args.jobs, e, cfg))
+    _write_csv(TRADEOFF_HEADER,
+               _run_jobs(_sweep_point_file, targets, args.jobs, e, args.max_iter))
     return EXIT_OK
 
 
@@ -352,7 +350,7 @@ def cmd_fig1(args) -> int:
         etas = [float(x) for x in args.etas.split(",") if x]
         if not etas:
             raise ValueError("--etas must list at least one value")
-        cfg = _solver_config(args)
+        _require_positive("--max-iter", args.max_iter)
         points = []
         for eta in etas:
             p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
@@ -361,26 +359,32 @@ def cmd_fig1(args) -> int:
         _emit_record("fig1", "", {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     _write_csv("eta," + TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_symmetric, points, args.jobs, args.theta, cfg))
+               _run_jobs(_sweep_point_symmetric, points, args.jobs, args.theta,
+                         args.max_iter))
     return EXIT_OK
 
 
 def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
                        points: int = 25) -> np.ndarray:
-    """Inconclusive-rate grid sampling both branches of the trade-off curve
-    up to GRID_STOP.
+    """``points`` distinct inconclusive rates in [0, GRID_STOP], none within
+    GRID_GAP of the plateau onset, sampling both branches of the trade-off
+    curve: the rising branch from 0 and the plateau up to GRID_STOP. When
+    one branch has no room, the other takes every point.
 
-    The fixed-point map slows down critically right at the plateau onset
-    (iterations grow like 1/distance), so the grid skips a window of
-    half-width GRID_GAP around the onset and samples the rising branch and
-    the plateau separately.
+    The solver converges at the onset and answers plateau targets in closed
+    form, so the window spares it no slow points; it stays so that the
+    default grids, and fig1's rows, do not change.
     """
     onset = qubit_analytic.plateau_onset_pi(p)
+    lo_stop = min(onset - GRID_GAP, GRID_STOP)
+    hi_start = onset + GRID_GAP
+    if lo_stop <= 0.0:
+        return np.linspace(hi_start, GRID_STOP, points)
+    if hi_start >= GRID_STOP:
+        return np.linspace(0.0, lo_stop, points)
     n_lo = (points + 1) // 2
-    n_hi = points - n_lo
-    lo = np.linspace(0.0, max(onset - GRID_GAP, 0.0), n_lo)
-    hi = np.linspace(min(onset + GRID_GAP, GRID_STOP), GRID_STOP, n_hi)
-    return np.concatenate([lo, hi])
+    return np.concatenate([np.linspace(0.0, lo_stop, n_lo),
+                           np.linspace(hi_start, GRID_STOP, points - n_lo)])
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +392,7 @@ def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
 
 # Flags whose value may start with '-': a float, or a list of floats that
 # --etas separates by ',' and --pi-grid by ':'.
-VALUE_FLAGS = ("--pi", "--theta", "--tol", "--etas", "--pi-grid")
+VALUE_FLAGS = ("--pi", "--theta", "--etas", "--pi-grid")
 
 
 def _is_float(text: str) -> bool:
@@ -401,7 +405,7 @@ def _is_float(text: str) -> bool:
 
 def _attach_float_values(argv: list[str]) -> list[str]:
     """``argv`` with a value flag and a value after it whose first number
-    starts with '-' joined into one argument, ``--tol=-inf`` or
+    starts with '-' joined into one argument, ``--pi=-inf`` or
     ``--etas=-0.5,0.9``: argparse takes a separate ``-inf`` or ``-0.5,0.9``
     for an unknown option and stops with a usage error before the value's
     own check can emit its error record."""
@@ -416,9 +420,7 @@ def _attach_float_values(argv: list[str]) -> list[str]:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--tol", type=float, default=SolverConfig.povm_tolerance,
-                     help="per-sweep POVM change at which iteration stops")
-    sub.add_argument("--max-iter", type=int, default=SolverConfig.max_iterations,
+    sub.add_argument("--max-iter", type=int, default=MAX_ITERATIONS,
                      help="iteration cap")
 
 

@@ -140,7 +140,7 @@ def _load_json(path) -> dict:
 
 def _require_dim(obj: dict, path) -> int:
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise FileFormatError(f"{path}: \"dim\" must be a positive integer")
     return dim
 

@@ -87,11 +87,6 @@ def psd_root(a: np.ndarray) -> PsdRoot:
     return PsdRoot(w, v, s, sinv)
 
 
-def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``a``."""
-    return float(np.linalg.eigvalsh(herm(a))[0])
-
-
 def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr[A B] for the Hermitian parts A, B of equal-sized ``a``, ``b``;
     stacks (last two axes) are taken pair by pair.

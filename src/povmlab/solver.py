@@ -70,6 +70,10 @@ RELATIVE_RATE_EPS = 1e-12
 # close to the target, or after this many rate evaluations.
 RATE_TOLERANCE = 1e-14
 RATE_MAX_EVALUATIONS = 200
+# The fixed-point tolerance: the largest Frobenius change of one element in
+# one sweep at which a point stops. MAX_ITERATIONS is the default sweep cap.
+POVM_TOLERANCE = 1e-12
+MAX_ITERATIONS = 500
 
 _BRACKET_CAP = 2.0**60
 _TINY = np.finfo(np.float64).tiny
@@ -175,25 +179,6 @@ def povm_violations(povm: Povm) -> list[Violation]:
             f"elements sum to identity only within {closure:.3e}",
             residual=closure))
     return report
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The sweep cap and the fixed-point tolerance, which is finite and
-    strictly positive. Every other setting is a module constant, such as
-    the multiplier search's bounds RATE_TOLERANCE and RATE_MAX_EVALUATIONS
-    and ``hermitian.PINV_CUTOFF`` for every pseudoinverse."""
-
-    max_iterations: int = 500
-    povm_tolerance: float = 1e-12          # max Frobenius change per sweep
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.povm_tolerance <= 0:
-            raise ValueError("povm_tolerance must be strictly positive")
-        if not math.isfinite(self.povm_tolerance):
-            raise ValueError(f"povm_tolerance must be finite, got {self.povm_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -632,18 +617,18 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
 
 
 def solve(
-    e: StateEnsemble, target_pi: float, cfg: SolverConfig | None = None
+    e: StateEnsemble, target_pi: float, *, max_iterations: int = MAX_ITERATIONS
 ) -> SolveResult:
     """Optimal POVM at the requested inconclusive rate: :func:`solve_grid`
     on one point, raising its InfeasibleTargetError."""
-    outcome, = solve_grid([(e, target_pi)], cfg)
+    outcome, = solve_grid([(e, target_pi)], max_iterations=max_iterations)
     if isinstance(outcome, InfeasibleTargetError):
         raise outcome
     return outcome
 
 
 def solve_grid(
-    points: list[tuple[StateEnsemble, float]], cfg: SolverConfig | None = None
+    points: list[tuple[StateEnsemble, float]], *, max_iterations: int = MAX_ITERATIONS
 ) -> list[SolveResult | InfeasibleTargetError]:
     """Solve every (ensemble, target) point; the ensembles share their
     dimension and number of states. Returns each point's SolveResult, or
@@ -658,9 +643,10 @@ def solve_grid(
     evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
     other point, and every point of an ensemble whose limiting operator
     shows no kernel (logged as a warning), is iterated in lockstep by
-    :func:`_iterate_grid`.
+    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps.
     """
-    cfg = cfg or SolverConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be positive")
     for e, target in points:
         e.require_valid()
         require_target(target)
@@ -678,7 +664,8 @@ def solve_grid(
             outcomes[k] = _plateau_result(e, plateau, target)
         else:
             iterated.append(k)
-    for k, outcome in zip(iterated, _iterate_grid([points[k] for k in iterated], cfg)):
+    iterated_points = [points[k] for k in iterated]
+    for k, outcome in zip(iterated, _iterate_grid(iterated_points, max_iterations)):
         outcomes[k] = outcome
     return outcomes
 
@@ -718,7 +705,7 @@ def _plateau_result(e: StateEnsemble, plateau: bounds.PlateauMeasurement,
 
 
 def _iterate_grid(
-    points: list[tuple[StateEnsemble, float]], cfg: SolverConfig
+    points: list[tuple[StateEnsemble, float]], max_iterations: int
 ) -> list[SolveResult | InfeasibleTargetError]:
     """Iterate every (ensemble, target) point, all in lockstep on one
     stacked iterate; the points are validated and share their shape.
@@ -735,7 +722,7 @@ def _iterate_grid(
 
     A point stops, and leaves the stack, when its fixed-point residual,
     the largest Frobenius-norm difference between elements of G(x_k) and
-    x_k, drops to the configured tolerance, or at the iteration cap
+    x_k, drops to POVM_TOLERANCE, or at ``max_iterations`` sweeps
     (reported through ``converged``, not an exception). A point that
     settles with its rate residual within RATE_TOLERANCE first checks
     that its sweep's multipliers are dual feasible (:func:`_dual_margins`
@@ -786,12 +773,12 @@ def _iterate_grid(
             change = changes[row]
             run.history.append(change)
             run.x = run.plain = new[row]
-            if run.backtrack and change <= cfg.povm_tolerance and fit.residual <= RATE_TOLERANCE:
+            if run.backtrack and change <= POVM_TOLERANCE and fit.residual <= RATE_TOLERANCE:
                 settled.append((row, k, run))
                 continue
-            if change <= cfg.povm_tolerance or len(run.history) >= cfg.max_iterations:
+            if change <= POVM_TOLERANCE or len(run.history) >= max_iterations:
                 _log_sweep(run, "none")
-                outcomes[k] = _result(points[k][0], run, cfg)
+                outcomes[k] = _result(points[k][0], run, max_iterations)
                 continue
             guess = run.mixer.extrapolate(residuals[row], values[row])
             if guess is None:
@@ -806,8 +793,8 @@ def _iterate_grid(
                                     [run.fit for _, _, run in settled])
             for (_, k, run), margin in zip(settled, margins):
                 _log_sweep(run, "none")
-                if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= cfg.max_iterations:
-                    outcomes[k] = _result(points[k][0], run, cfg)
+                if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= max_iterations:
+                    outcomes[k] = _result(points[k][0], run, max_iterations)
                 else:
                     logger.debug("sweep %d at target %.17g: stationary but not dual "
                                  "feasible (margin %.3e); restarting without backtracking",
@@ -840,11 +827,11 @@ def _log_sweep(run: _Run, verdict: str) -> None:
                  run.fit.a, run.fit.residual, verdict)
 
 
-def _result(e: StateEnsemble, run: _Run, cfg: SolverConfig) -> SolveResult:
+def _result(e: StateEnsemble, run: _Run, max_iterations: int) -> SolveResult:
     history, fit = run.history, run.fit
-    if history[-1] > cfg.povm_tolerance:
+    if history[-1] > POVM_TOLERANCE:
         logger.warning("no fixed point within %d sweeps (last change %.3e)",
-                       cfg.max_iterations, history[-1])
+                       max_iterations, history[-1])
     povm = Povm(run.plain)
     metrics = success_metrics(e, povm)
     return SolveResult(
@@ -856,7 +843,7 @@ def _result(e: StateEnsemble, run: _Run, cfg: SolverConfig) -> SolveResult:
         a=None if run.target == 0.0 else fit.a,
         iterations=len(history),
         final_change=history[-1],
-        converged=(history[-1] <= cfg.povm_tolerance
+        converged=(history[-1] <= POVM_TOLERANCE
                    and fit.residual <= RATE_TOLERANCE),
         rate_residual=fit.residual,
         rate_evaluations=run.evaluations,

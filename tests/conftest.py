@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from povmlab import Povm, SolverConfig, StateEnsemble
+from povmlab import Povm, StateEnsemble
 from povmlab.ensemble import average_state
-from povmlab.solver import initial_povm, iterate_once
+from povmlab.solver import MAX_ITERATIONS, POVM_TOLERANCE, initial_povm, iterate_once
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -76,15 +76,16 @@ def helstrom_two_state(e: StateEnsemble) -> float:
     return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(gap)))))
 
 
-def plain_iteration(e: StateEnsemble, target: float, cfg: SolverConfig):
+def plain_iteration(e: StateEnsemble, target: float,
+                    max_iterations: int = MAX_ITERATIONS):
     """The unaccelerated map: iterate_once from the default start until the
-    largest element change is within cfg.povm_tolerance or
-    cfg.max_iterations sweeps ran. Returns the last POVM, the last ``a``
-    and the change of every sweep."""
+    largest element change is within POVM_TOLERANCE or ``max_iterations``
+    sweeps ran. Returns the last POVM, the last ``a`` and the change of
+    every sweep."""
     povm, a = initial_povm(e, target), None
     history: list[float] = []
-    while len(history) < cfg.max_iterations and (
-            not history or history[-1] > cfg.povm_tolerance):
+    while len(history) < max_iterations and (
+            not history or history[-1] > POVM_TOLERANCE):
         new, _, a = iterate_once(e, povm, target)
         history.append(max(float(np.linalg.norm(n - o))
                            for n, o in zip(new.elements, povm.elements)))

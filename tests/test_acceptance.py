@@ -30,7 +30,6 @@ from povmlab.qubit_analytic import (
     plateau_onset_pi,
 )
 from povmlab.solver import (
-    SolverConfig,
     initial_povm,
     iterate_once,
     povm_violations,
@@ -110,11 +109,10 @@ def test_criterion_3_minimum_error_endpoint():
     # near-degenerate instances (an eigenvalue of p1 rho1 - p2 rho2 close to
     # zero) are slow for the plain map; the accelerated solve needs at most
     # 39 sweeps on these 50
-    cfg = SolverConfig(max_iterations=200)
     for k in range(50):
         dim = 2 if k < 25 else 3
         e = random_ensemble(rng, dim, 2)
-        r = solve(e, 0.0, cfg)
+        r = solve(e, 0.0, max_iterations=200)
         assert r.converged
         oracle = helstrom_two_state(e)
         assert r.p_s == pytest.approx(oracle, abs=1e-8)
@@ -142,7 +140,7 @@ def test_criterion_4_convergence_rate(sweep_solves):
     worst_plain = 0
     worst_r2 = 1.0
     for _, e, target, _ in sweep_solves:
-        _, _, history = plain_iteration(e, target, SolverConfig(max_iterations=200))
+        _, _, history = plain_iteration(e, target, max_iterations=200)
         assert history[-1] <= 1e-12
         worst_plain = max(worst_plain, len(history))
         worst_r2 = min(worst_r2, log_linear_r2(history))
@@ -165,11 +163,10 @@ def test_criterion_5_certificates(sweep_solves):
     rng = np.random.default_rng(515)
     shapes = [(2, 2), (2, 3), (3, 2), (3, 3)]
     targets = [0.0, 0.05, 0.15]
-    cfg = SolverConfig(max_iterations=20000)
     for k in range(50):
         dim, n_states = shapes[k % 4]
         e = random_ensemble(rng, dim, n_states)
-        r = solve(e, targets[k % 3], cfg)
+        r = solve(e, targets[k % 3], max_iterations=20000)
         assert r.converged
         _assert_certified(e, r)
 

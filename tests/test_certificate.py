@@ -11,7 +11,7 @@ from povmlab.qubit_analytic import (
     analytic_povm,
     phi_max_and_prs_max,
 )
-from povmlab.solver import Povm, SolverConfig, solve, success_metrics
+from povmlab.solver import Povm, solve, success_metrics
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -138,9 +138,8 @@ def test_dual_bound_holds_at_the_candidate_rate():
              for eta in (0.7, 0.9) for t in (0.0, 0.2, 0.5)]
     cases += [(random_ensemble(rng, dim, n), t)
               for dim, n in ((2, 3), (3, 2), (3, 3), (3, 3)) for t in (0.0, 0.1)]
-    cfg = SolverConfig(max_iterations=20000)
     for e, t in cases:
-        best = solve(e, t, cfg)
+        best = solve(e, t, max_iterations=20000)
         assert best.converged
         for _ in range(100):
             candidate = at_rate(e, random_povm(rng, e.dim, e.n_states + 1), t)

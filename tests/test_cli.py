@@ -137,7 +137,7 @@ def test_solve_rejects_bad_target(capsys, ensemble_file):
 
 
 def test_solve_infeasible_exit(capsys, ensemble_file, monkeypatch):
-    def fake_solve(e, target, cfg):
+    def fake_solve(e, target, *, max_iterations):
         raise InfeasibleTargetError(target, 0.75)
 
     monkeypatch.setattr(cli, "solve", fake_solve)
@@ -362,12 +362,12 @@ def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["solve", "FILE", "--pi", "0.2", "--tol", "0"], "povm_tolerance must be strictly positive"),
+    (["solve", "FILE", "--pi", "0.2", "--max-iter", "0"], "--max-iter must be at least 1, got 0"),
     (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--max-iter", "0", "--jobs", "1"],
-     "max_iterations must be positive"),
+     "--max-iter must be at least 1, got 0"),
     (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--jobs", "0"],
      "--jobs must be at least 1, got 0"),
-    (["fig1", "--tol", "0", "--points", "2"], "povm_tolerance must be strictly positive"),
+    (["fig1", "--max-iter", "0"], "--max-iter must be at least 1, got 0"),
     (["fig1", "--etas", "0.9,1.5"], "eta must lie in (0, 1], got 1.5"),
     (["fig1", "--points", "0"], "--points must be at least 1, got 0"),
     (["fig1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
@@ -376,11 +376,11 @@ def test_certify_rejects_non_finite_povm(capsys, ensemble_file, tmp_path):
     (["tradeoff", "FILE", "--pi-grid", "0.5:0.9999999999999:2", "--jobs", "1"],
      "target inconclusive rate 0.99999999999989997 leaves no conclusive "
      "fraction to renormalize"),
-    (["solve", "FILE", "--pi", "0.2", "--tol", "nan"], "povm_tolerance must be finite, got nan"),
-    (["fig1", "--tol", "nan", "--points", "2"], "povm_tolerance must be finite, got nan"),
-    (["solve", "FILE", "--pi", "0.2", "--tol", "-inf"], "povm_tolerance must be strictly positive"),
-    (["tradeoff", "FILE", "--pi-grid", "0:0.5:3", "--tol", "-1e-3"],
-     "povm_tolerance must be strictly positive"),
+    (["solve", "FILE", "--pi", "nan"], "target inconclusive rate must lie in [0, 1), got nan"),
+    (["fig1", "--theta", "nan"], "theta must lie in (0, pi/2), got nan"),
+    (["solve", "FILE", "--pi", "-inf"], "target inconclusive rate must lie in [0, 1), got -inf"),
+    (["tradeoff", "FILE", "--pi-grid", "0:nan:3"],
+     "--pi-grid range must satisfy 0 <= start <= stop < 1"),
     (["fig1", "--theta", "-1e-3"], "theta must lie in (0, pi/2), got -0.001"),
     (["fig1", "--etas", "-0.5,0.9"], "eta must lie in (0, 1], got -0.5"),
     (["tradeoff", "FILE", "--pi-grid", "-0.1:0.5:3"],
@@ -392,6 +392,13 @@ def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     assert code == cli.EXIT_VALIDATION
     assert rec["command"] == argv[0]
     assert rec["result"] == {"error": error}
+
+
+def test_tol_flag_stops_in_argparse(ensemble_file):
+    # the fixed-point tolerance is solver.POVM_TOLERANCE, not a flag
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["solve", str(ensemble_file), "--tol", "1e-10"])
+    assert exc_info.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +428,24 @@ def test_fig1_parallel_matches_serial(capsys):
 
 
 def test_default_sweep_grid_avoids_onset(capsys):
-    for eta in (0.7, 0.8, 0.9, 1.0):
-        p = SymmetricQubitProblem(eta, math.pi / 4)
-        grid = cli.default_sweep_grid(p, points=25)
+    # (eta, theta, points, both branches fit); with the onset within
+    # GRID_GAP of GRID_STOP or of 0, one branch takes every point
+    cases = [(eta, math.pi / 4, 25, True) for eta in (0.7, 0.8, 0.9, 1.0)]
+    cases += [(1.0, 0.5, 9, False), (0.1, math.pi / 4, 9, False), (1.0, 0.1, 9, False)]
+    for eta, theta, points, both in cases:
+        p = SymmetricQubitProblem(eta, theta)
+        grid = cli.default_sweep_grid(p, points=points)
         onset = plateau_onset_pi(p)
-        assert len(grid) == 25
-        assert grid.min() == 0.0
+        assert len(grid) == points
+        assert len(set(grid.tolist())) == points
+        assert grid.min() >= 0.0
         assert grid.max() <= 0.84
         assert np.abs(grid - onset).min() >= 0.08 - 1e-12
-        # both branches of the curve are sampled
-        assert (grid < onset).sum() >= 10
-        assert (grid > onset).sum() >= 10
+        if both:
+            assert grid.min() == 0.0
+            # both branches of the curve are sampled
+            assert (grid < onset).sum() >= 10
+            assert (grid > onset).sum() >= 10
 
 
 # ---------------------------------------------------------------------------

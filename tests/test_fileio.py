@@ -84,6 +84,15 @@ def test_load_rejects_structural_problems(tmp_path):
     with pytest.raises(FileFormatError):
         load_povm(path)
 
+    # bool is an int subclass, but no dimension
+    path.write_text(json.dumps({"dim": True, "priors": [1.0], "states": [[[[1.0, 0.0]]]]}))
+    with pytest.raises(FileFormatError, match='"dim" must be a positive integer'):
+        load_ensemble(path)
+    path.write_text(json.dumps({"dim": True,
+                                "elements": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]]}))
+    with pytest.raises(FileFormatError, match='"dim" must be a positive integer'):
+        load_povm(path)
+
 
 def test_load_separates_physics_validation(tmp_path):
     # well-formed file describing a physically invalid ensemble

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmlab.ensemble import HERMITICITY_ATOL
-from povmlab.hermitian import herm, min_eigenvalue, psd_root, trace_product
+from povmlab.hermitian import herm, psd_root, trace_product
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -26,13 +26,13 @@ def test_sqrt_squares_back_random():
         a = g @ g.conj().T
         b = psd_root(a).root_matrix()
         assert np.linalg.norm(b @ b - a, "fro") <= 1e-9 * dim
-        assert min_eigenvalue(b) >= -1e-10
+        assert np.linalg.eigvalsh(b)[0] >= -1e-10
 
 
 def test_sqrt_clamps_roundoff_negativity():
     a = np.diag([1.0, -1e-12]).astype(complex)
     b = psd_root(a).root_matrix()
-    assert min_eigenvalue(b) >= 0.0
+    assert np.linalg.eigvalsh(b)[0] >= 0.0
 
 
 def test_psd_root_identity_and_rank_deficient():
@@ -123,12 +123,6 @@ def test_herm_on_a_stack_is_matrix_by_matrix():
         assert np.array_equal(h[k], h[k].conj().T)
 
 
-def test_min_eigenvalue_examples():
-    assert min_eigenvalue(np.eye(2, dtype=complex)) == pytest.approx(1.0)
-    assert min_eigenvalue(np.diag([-0.3, 7.0]).astype(complex)) == pytest.approx(-0.3)
-    assert min_eigenvalue(PAULI_X) == pytest.approx(-1.0)
-
-
 def test_trace_product_examples():
     assert trace_product(np.eye(2, dtype=complex), np.eye(2, dtype=complex)) == pytest.approx(2.0)
     assert trace_product(PAULI_X, PAULI_Z) == pytest.approx(0.0)
@@ -151,7 +145,6 @@ def test_trace_product_and_min_eigenvalue_symmetrize_round_off():
     skew = np.array([[0.0, 5e-11], [-5e-11, 0.0]], dtype=complex)
     assert np.max(np.abs(skew - skew.conj().T)) > HERMITICITY_ATOL
     assert trace_product(PAULI_X + skew, PAULI_X) == trace_product(PAULI_X, PAULI_X)
-    assert min_eigenvalue(PAULI_X + skew) == min_eigenvalue(PAULI_X)
 
 
 def test_trace_product_dimension_mismatch():

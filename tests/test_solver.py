@@ -22,7 +22,6 @@ from povmlab.solver import (
     InfeasibleTargetError,
     Povm,
     RelativeRateUndefinedError,
-    SolverConfig,
     SolveResult,
     initial_povm,
     iterate_once,
@@ -42,10 +41,11 @@ def orthogonal_pair() -> StateEnsemble:
     return StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.5]))
 
 
-def _iterate(e: StateEnsemble, target: float, cfg: SolverConfig | None = None) -> SolveResult:
+def _iterate(e: StateEnsemble, target: float,
+             max_iterations: int = solver.MAX_ITERATIONS) -> SolveResult:
     """:func:`solve` on the iterative path, which a target at or above the
     plateau rate takes only here."""
-    outcome, = solver._iterate_grid([(e, target)], cfg or SolverConfig())
+    outcome, = solver._iterate_grid([(e, target)], max_iterations)
     if isinstance(outcome, InfeasibleTargetError):
         raise outcome
     return outcome
@@ -220,7 +220,7 @@ def test_warm_and_cold_search_agree():
     r = solve(e, target)
     # cold reference: the public sweep restarts the multiplier search from
     # a = 1 every time; it runs unaccelerated to the solver's own tolerance
-    povm, a, _ = plain_iteration(e, target, SolverConfig())
+    povm, a, _ = plain_iteration(e, target)
     assert r.a == pytest.approx(a, abs=1e-12)
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
     # and one search on the same sweep terms, warm and cold, in lockstep
@@ -447,11 +447,10 @@ def test_solve_rejects_bad_targets_and_config():
             solve(e, bad)
     with pytest.raises(ValueError):
         solve(e, 1.0 - 1e-14)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SolverConfig(povm_tolerance=bad)
+    with pytest.raises(ValueError, match="max_iterations must be positive"):
+        solve(e, 0.2, max_iterations=0)
+    with pytest.raises(ValueError, match="max_iterations must be positive"):
+        solve_grid([(e, 0.2)], max_iterations=0)
 
 
 def test_solve_change_history_is_recorded():
@@ -477,7 +476,7 @@ def test_solve_not_converged_while_rate_residual_is_high(monkeypatch):
     monkeypatch.setattr(solver, "RATE_MAX_EVALUATIONS", 1)
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     r = solve(e, 0.3)
-    assert r.final_change <= SolverConfig().povm_tolerance
+    assert r.final_change <= solver.POVM_TOLERANCE
     assert r.rate_residual > solver.RATE_TOLERANCE
     assert not r.converged
 
@@ -493,7 +492,7 @@ def test_solve_with_every_extrapolation_rejected_is_the_plain_map(monkeypatch):
     monkeypatch.setattr(solver, "POVM_PSD_FLOOR", math.inf)
     for (e, target), fast in zip(cases, accelerated):
         r = _iterate(e, target)
-        povm, _, history = plain_iteration(e, target, SolverConfig())
+        povm, _, history = plain_iteration(e, target)
         assert r.converged
         assert r.iterations == len(history)
         assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
@@ -530,7 +529,7 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
 
 def test_solve_nonconvergence_is_flagged_not_raised():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    r = solve(e, 0.3, SolverConfig(max_iterations=3))
+    r = solve(e, 0.3, max_iterations=3)
     assert not r.converged
     assert r.iterations == 3
 
@@ -551,9 +550,8 @@ def test_solve_grid_matches_one_point_solves(dim, n_states):
     rng = np.random.default_rng(90 + 10 * dim + n_states)
     points = [(random_ensemble(rng, dim, n_states), t)
               for _ in range(2) for t in (0.0, 0.2, 0.5, 0.9)]
-    cfg = SolverConfig(max_iterations=3000)
-    for (e, target), r in zip(points, solve_grid(points, cfg)):
-        single = solve(e, target, cfg)
+    for (e, target), r in zip(points, solve_grid(points, max_iterations=3000)):
+        single = solve(e, target, max_iterations=3000)
         assert r.converged == single.converged
         assert abs(r.p_rs - single.p_rs) <= 1e-12
 
@@ -582,14 +580,13 @@ def test_solve_grid_isolates_failing_points(monkeypatch):
     # the cap
     monkeypatch.setattr(solver, "initial_povm",
                         lambda e, t: plateau_povm if t == 0.95 else default_start(e, t))
-    cfg = SolverConfig(max_iterations=150)
     targets = [0.0, 0.3, 0.95, plateau_onset_pi(p), 0.8]
-    grid = solver._iterate_grid([(e, t) for t in targets], cfg)
+    grid = solver._iterate_grid([(e, t) for t in targets], 150)
     assert isinstance(grid[2], InfeasibleTargetError)
     assert not grid[3].converged and grid[3].iterations == 150
     for k in (0, 1, 4):
         assert grid[k].converged
-        assert _bits(grid[k]) == _bits(_iterate(e, targets[k], cfg))
+        assert _bits(grid[k]) == _bits(_iterate(e, targets[k], 150))
     rows = [cli._sweep_row(e, t, r) for t, r in zip(targets, grid)]
     assert [row[6] for row in rows] == ["ok", "ok", "infeasible", "maxiter", "ok"]
 
@@ -669,7 +666,7 @@ def test_trapped_backtracking_restarts_on_the_plain_map(caplog, seed, k):
     # not dual feasible; the exit check catches it and restarts the point
     e, target = _draw(seed, k)
     with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
-        r = _iterate(e, target, SolverConfig(max_iterations=5000))
+        r = _iterate(e, target, 5000)
     restarts = [rec for rec in caplog.records if "restarting" in rec.message]
     assert len(restarts) == 1
     assert r.converged
@@ -692,8 +689,7 @@ def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(solver, "_sweep", counting_sweep)
-    results = solve_grid([(e, float(t)) for t in ONSET_WINDOW],
-                         SolverConfig(max_iterations=1000))
+    results = solve_grid([(e, float(t)) for t in ONSET_WINDOW], max_iterations=1000)
     monkeypatch.undo()
     # one positivity call per lockstep sweep (every beta of every point's
     # step), and one dual check per sweep in which points settle
@@ -723,8 +719,7 @@ def test_plateau_rate_is_the_onset_of_an_untied_ensemble(k):
     assert (r.iterations, r.final_change, r.rate_evaluations) == (0, 0.0, 0)
     assert r.converged and check(e, r.povm).optimal
     # the iteration reaches the ceiling just above that rate and not below it
-    above, below = solver._iterate_grid([(e, onset + 0.05), (e, onset - 0.005)],
-                                        SolverConfig(max_iterations=1000))
+    above, below = solver._iterate_grid([(e, onset + 0.05), (e, onset - 0.005)], 1000)
     assert above.converged and abs(above.p_rs - b.prs_max) <= 1e-12
     assert below.converged and below.p_rs < b.prs_max - 1e-6
 
