@@ -117,19 +117,17 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so a process pool can pickle them)
+# sweeps: every point of a command's grid in one lockstep solve
 
-def _sweep_point_file(job: tuple) -> list[list[str]]:
-    """Rows of one share of tradeoff points, solved in lockstep; the job
-    carries the ensemble loaded from the file."""
-    targets, e, max_iterations = job
+def _sweep_point_file(targets: list, e, max_iterations: int) -> list[list[str]]:
+    """Rows of tradeoff's targets on the ensemble loaded from the file."""
     outcomes = solve_grid([(e, t) for t in targets], max_iterations=max_iterations)
     return [_sweep_row(e, t, r) for t, r in zip(targets, outcomes)]
 
 
-def _sweep_point_symmetric(job: tuple) -> list[list[str]]:
-    """Rows of one share of fig1's (eta, target) points, solved in lockstep."""
-    points, theta, max_iterations = job
+def _sweep_point_symmetric(points: list, theta: float,
+                           max_iterations: int) -> list[list[str]]:
+    """Rows of fig1's (eta, target) points."""
     ensembles = {eta: qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
                  for eta, _ in points}
     outcomes = solve_grid([(ensembles[eta], t) for eta, t in points],
@@ -153,24 +151,12 @@ def _sweep_row(e, target: float, outcome) -> list[str]:
             "ok" if outcome.converged else "maxiter"]
 
 
-def _run_jobs(worker, points: list, n_workers: int, *context) -> list[list[str]]:
-    """Rows of ``points``, in order. The points are dealt into at most
-    ``n_workers`` interleaved shares (points i::n), and ``worker`` turns the
-    job (share, *context) into that share's rows; with two shares or more,
-    each runs in its own process."""
-    n = min(n_workers, len(points))
-    jobs = [(points[i::n], *context) for i in range(n)]
-    if n <= 1:
-        parts = [worker(job) for job in jobs]
-    else:
-        # imported here: the module costs every serial command its import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(worker, jobs))
-    rows: list = [None] * len(points)
-    for i, part in enumerate(parts):
-        rows[i::n] = part
-    return rows
+def _run_jobs(worker, *args) -> list[list[str]]:
+    """The rows ``worker(*args)`` returns, solved in this process whatever
+    ``--jobs`` says: a stacked sweep costs about as much for a whole grid as
+    for a share of it, so a process pool only adds work and start-up time.
+    The benchmark's tracer wraps this name and the three sweep functions."""
+    return worker(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +267,7 @@ def cmd_tradeoff(args) -> int:
         _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     targets = [float(t) for t in grid]
-    _write_csv(TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_file, targets, args.jobs, e, args.max_iter))
+    _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, targets, e, args.max_iter))
     return EXIT_OK
 
 
@@ -359,8 +344,7 @@ def cmd_fig1(args) -> int:
         _emit_record("fig1", "", {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     _write_csv("eta," + TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_symmetric, points, args.jobs, args.theta,
-                         args.max_iter))
+               _run_jobs(_sweep_point_symmetric, points, args.theta, args.max_iter))
     return EXIT_OK
 
 
@@ -424,6 +408,12 @@ def _add_solver_flags(sub) -> None:
                      help="iteration cap")
 
 
+def _add_jobs_flag(sub) -> None:
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="ignored: the grid is solved in one process "
+                          "(must be at least 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="povmlab",
@@ -448,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ensemble")
     p.add_argument("--pi-grid", required=True, metavar="START:STOP:STEPS",
                    help="inconclusive-rate grid, e.g. 0:0.8:25")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes, each solving an interleaved share of "
-                        "the grid in lockstep (default: available parallelism)")
+    _add_jobs_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_tradeoff)
 
@@ -470,9 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated mixing weights")
     p.add_argument("--points", type=int, default=25,
                    help="grid points per curve")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes, each solving an interleaved share of "
-                        "the grid in lockstep (default: available parallelism)")
+    _add_jobs_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_fig1)
 

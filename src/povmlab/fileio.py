@@ -51,7 +51,11 @@ def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
                     or not all(_is_number(x) for x in entry)):
                 raise FileFormatError(
                     f"{what}: entry ({r},{c}) is not a two-element [re, im] array")
-            out[r, c] = complex(entry[0], entry[1])
+            try:
+                out[r, c] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise FileFormatError(
+                    f"{what}: entry ({r},{c}) is too large for a float") from None
     return out
 
 
@@ -131,7 +135,7 @@ def _load_json(path) -> dict:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
@@ -164,6 +168,8 @@ def load_ensemble(path, validate: bool = True) -> StateEnsemble:
     ]
     try:
         e = StateEnsemble(matrices, np.array(priors, dtype=float))
+    except OverflowError:
+        raise FileFormatError(f"{path}: a prior is too large for a float") from None
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     if validate:

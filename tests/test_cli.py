@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -71,6 +73,20 @@ def test_validate_malformed_file(capsys, tmp_path):
     code, rec = run_json(capsys, ["validate", str(path)])
     assert code == cli.EXIT_IO
     assert "error" in rec["result"]
+
+
+def test_integer_too_large_for_a_float_is_io_error(capsys, ensemble_file, tmp_path):
+    big = json.loads(ensemble_file.read_text())
+    big["states"][0][0][0][0] = 10 ** 400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    povm_path = tmp_path / "big_povm.json"
+    povm_path.write_text(json.dumps({"dim": big["dim"], "elements": big["states"]}))
+    for argv in (["validate", str(path)], ["bound", str(path)],
+                 ["certify", str(ensemble_file), str(povm_path)]):
+        code, rec = run_json(capsys, argv)
+        assert code == cli.EXIT_IO
+        assert "is too large for a float" in rec["result"]["error"]
 
 
 def test_missing_file_is_io_error(capsys, tmp_path):
@@ -182,11 +198,22 @@ def test_tradeoff_plateau_rows_take_no_sweeps(capsys, ensemble_file):
         assert float(line.split(",")[2]) == pytest.approx(prs_max, abs=1e-12)
 
 
-def test_tradeoff_parallel_matches_serial(capsys, ensemble_file):
+def _forbid_processes(monkeypatch):
+    """Make starting a process, directly or through a pool, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+def test_tradeoff_jobs_2_runs_in_process(capsys, ensemble_file, monkeypatch):
     argv = ["tradeoff", str(ensemble_file), "--pi-grid", "0:0.3:4"]
     _, serial = run_cli(capsys, argv + ["--jobs", "1"])
-    _, parallel = run_cli(capsys, argv + ["--jobs", "2"])
-    assert serial == parallel
+    _forbid_processes(monkeypatch)
+    code, jobs_2 = run_cli(capsys, argv + ["--jobs", "2"])
+    assert code == cli.EXIT_OK
+    assert jobs_2 == serial
 
 
 def test_tradeoff_marks_capped_points(capsys, ensemble_file):
@@ -419,11 +446,13 @@ def test_fig1_output_shape(capsys):
     assert all(r[6] == "true" for r in rows)
 
 
-def test_fig1_parallel_matches_serial(capsys):
+def test_fig1_jobs_2_runs_in_process(capsys, monkeypatch):
     argv = ["fig1", "--etas", "0.8,0.9", "--points", "7"]
     _, serial = run_cli(capsys, argv + ["--jobs", "1"])
-    _, parallel = run_cli(capsys, argv + ["--jobs", "2"])
-    assert serial == parallel
+    _forbid_processes(monkeypatch)
+    code, jobs_2 = run_cli(capsys, argv + ["--jobs", "2"])
+    assert code == cli.EXIT_OK
+    assert jobs_2 == serial
     assert len(serial.strip().split("\n")) == 15
 
 

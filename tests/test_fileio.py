@@ -94,6 +94,31 @@ def test_load_rejects_structural_problems(tmp_path):
         load_povm(path)
 
 
+def test_load_rejects_integers_too_large_for_a_float(tmp_path):
+    # JSON integers are exact; one of 400 digits has no float value
+    huge = 10 ** 400
+    path = tmp_path / "huge.json"
+    state = [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+    big = [[[1, 0], [0, 0]], [[0, 0], [huge, 0]]]
+
+    path.write_text(json.dumps({"dim": 2, "priors": [1], "states": [big]}))
+    with pytest.raises(FileFormatError, match=r"state 0: entry \(1,1\) is too large"):
+        load_ensemble(path)
+
+    path.write_text(json.dumps({"dim": 2, "priors": [huge], "states": [state]}))
+    with pytest.raises(FileFormatError, match="a prior is too large for a float"):
+        load_ensemble(path, validate=False)
+
+    path.write_text(json.dumps({"dim": 2, "elements": [state, big]}))
+    with pytest.raises(FileFormatError, match=r"element 1: entry \(1,1\) is too large"):
+        load_povm(path)
+
+    # past the interpreter's limit on integer digits, JSON parsing itself fails
+    path.write_text('{"dim": 1, "priors": [1' + "0" * 5000 + '], "states": [[[[1, 0]]]]}')
+    with pytest.raises(FileFormatError):
+        load_ensemble(path)
+
+
 def test_load_separates_physics_validation(tmp_path):
     # well-formed file describing a physically invalid ensemble
     bad_priors = {
