@@ -7,9 +7,9 @@ fraction of outcomes to an inconclusive result, sweeping the whole range
 between minimum-error discrimination (no inconclusive outcomes) and the
 regime where the renormalized success rate saturates its ceiling. Optimality
 of any candidate measurement can be certified independently through
-reconstructed Lagrange multipliers, the ceiling has a closed form from a
-single eigenvalue problem, and a symmetric two-qubit family is solved
-entirely in closed form as a cross-check oracle.
+reconstructed Lagrange multipliers, and the ceiling has a closed form from
+a single eigenvalue problem. The test suite carries the closed-form
+solution of a symmetric qubit pair as an independent cross-check.
 """
 
 from .bounds import max_relative_success

@@ -15,10 +15,11 @@ supp sigma and zero on its kernel. For N linearly independent pure states
 in a larger space the ceiling is exactly 1, the unambiguous limit. The
 conclusive elements of the limiting measurement live in the kernel of
 a sigma - p_j* rho_j* within supp sigma. For qubits the
-determinant condition is a quadratic in a_j with coefficients built from
-the scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2], which
-gives an independent route to the same number and, for the symmetric
-equal-prior pair, a closed form in the overlap and the common purity.
+determinant condition is also a quadratic in a_j with coefficients built
+from the scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2],
+and for the symmetric equal-prior pair it has a closed form in the
+overlap and the common purity. Neither route is needed here; the tests
+check the eigenvalue route against both (``tests/closed_forms.py``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 from .ensemble import StateEnsemble, average_state
 from .hermitian import frozen, herm, psd_root, trace_product
 
-# Quadratic root must match the eigenvalue route this closely to be selected.
-ROOT_SELECTION_ATOL = 1e-8
 # Relative threshold below which eigenvalues of a*sigma - p*rho count as kernel.
 KERNEL_RTOL = 1e-9
 # Top-eigenvalue multiplicity is counted within this relative spread.
@@ -78,70 +77,6 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
         argmax_state=argmax,
         kernel_dimension=mult,
     )
-
-
-def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
-    """Ceiling contribution of state ``j`` via the qubit determinant route.
-
-    For dim 2 the condition det[a sigma - p rho] = 0 expands, using
-    det M = (Tr[M]^2 - Tr[M^2]) / 2, into
-
-        a^2 (1 - Tr[sigma^2]) - 2 a p (1 - Tr[sigma rho]) + p^2 (1 - Tr[rho^2]) = 0.
-
-    Both roots are computed and the one matching the eigenvalue route is
-    returned; the match is asserted, not assumed. The ensemble is
-    validated through :func:`max_relative_success`.
-    """
-    if e.dim != 2:
-        raise ValueError(f"the quadratic route applies to qubits only, got dim {e.dim}")
-    if not 0 <= j < e.n_states:
-        raise IndexError(f"state index {j} out of range for {e.n_states} states")
-    reference = max_relative_success(e).per_state_a[j]
-
-    sig = average_state(e)
-    if psd_root(sig).inverse[0] == 0.0:
-        # a pure sigma forces every rho_j = sigma, so all coefficients vanish
-        raise ValueError("the quadratic route does not determine a for a pure average state")
-    rho = e.states[j]
-    p = float(e.priors[j])
-    c2 = 1.0 - trace_product(sig, sig)
-    c1 = -2.0 * p * (1.0 - trace_product(sig, rho))
-    c0 = p * p * (1.0 - trace_product(rho, rho))
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        if disc < -1e-14:
-            raise InconsistentBoundError(
-                f"determinant quadratic has no real root (discriminant {disc:.3e})")
-        disc = 0.0
-    sq = float(np.sqrt(disc))
-    roots = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
-
-    matches = [r for r in roots if abs(r - reference) <= ROOT_SELECTION_ATOL]
-    if not matches:
-        raise InconsistentBoundError(
-            f"no quadratic root within {ROOT_SELECTION_ATOL:g} of the eigenvalue "
-            f"route ({reference:.17g}); roots: {roots}")
-    root = min(matches, key=lambda r: abs(r - reference))
-    assert abs(root - reference) <= 1e-8
-    return float(root)
-
-
-def prs_max_from_invariants(purity: float, overlap: float) -> float:
-    """Closed-form ceiling for the symmetric equal-prior qubit pair.
-
-    Valid for two equally pure states with Tr[rho_j^2] = purity and
-    Tr[rho_1 rho_2] = overlap:
-
-        (1 + sqrt((purity - overlap) / (2 - purity - overlap))) / 2.
-    """
-    if not 0.5 <= purity <= 1.0:
-        raise ValueError(f"qubit purity must lie in [1/2, 1], got {purity}")
-    if overlap > purity:
-        raise ValueError(f"overlap {overlap} exceeds purity {purity}")
-    rest = 2.0 - purity - overlap
-    if rest <= 0.0:
-        raise ValueError(f"2 - purity - overlap must be positive, got {rest}")
-    return 0.5 * (1.0 + float(np.sqrt((purity - overlap) / rest)))
 
 
 @dataclass(frozen=True)

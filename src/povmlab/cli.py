@@ -28,8 +28,8 @@ import time
 
 import numpy as np
 
-from . import bounds, certificate, fileio, qubit_analytic
-from .ensemble import EnsembleValidationError, validate as validate_ensemble
+from . import bounds, certificate, fileio
+from .ensemble import EnsembleValidationError, symmetric_qubit_pair, validate as validate_ensemble
 from .hermitian import PINV_CUTOFF
 from .solver import (MAX_ITERATIONS, POVM_TOLERANCE, RATE_MAX_EVALUATIONS,
                      RATE_TOLERANCE, InfeasibleTargetError, povm_violations,
@@ -125,11 +125,9 @@ def _sweep_point_file(targets: list, e, max_iterations: int) -> list[list[str]]:
     return [_sweep_row(e, t, r) for t, r in zip(targets, outcomes)]
 
 
-def _sweep_point_symmetric(points: list, theta: float,
+def _sweep_point_symmetric(points: list, ensembles: dict,
                            max_iterations: int) -> list[list[str]]:
-    """Rows of fig1's (eta, target) points."""
-    ensembles = {eta: qubit_analytic.SymmetricQubitProblem(eta, theta).ensemble()
-                 for eta, _ in points}
+    """Rows of fig1's (eta, target) points on each eta's ensemble."""
     outcomes = solve_grid([(ensembles[eta], t) for eta, t in points],
                           max_iterations=max_iterations)
     return [[fileio.float_repr(eta)] + _sweep_row(ensembles[eta], t, r)
@@ -336,30 +334,30 @@ def cmd_fig1(args) -> int:
         if not etas:
             raise ValueError("--etas must list at least one value")
         _require_positive("--max-iter", args.max_iter)
-        points = []
+        ensembles, points = {}, []
         for eta in etas:
-            p = qubit_analytic.SymmetricQubitProblem(eta, args.theta)
-            points += [(eta, float(t)) for t in default_sweep_grid(p, points=args.points)]
+            ensembles[eta] = symmetric_qubit_pair(eta, args.theta)
+            onset = eta * math.cos(args.theta)
+            points += [(eta, float(t)) for t in default_sweep_grid(onset, points=args.points)]
     except ValueError as exc:
         _emit_record("fig1", "", {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     _write_csv("eta," + TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_symmetric, points, args.theta, args.max_iter))
+               _run_jobs(_sweep_point_symmetric, points, ensembles, args.max_iter))
     return EXIT_OK
 
 
-def default_sweep_grid(p: qubit_analytic.SymmetricQubitProblem,
-                       points: int = 25) -> np.ndarray:
+def default_sweep_grid(onset: float, points: int = 25) -> np.ndarray:
     """``points`` distinct inconclusive rates in [0, GRID_STOP], none within
-    GRID_GAP of the plateau onset, sampling both branches of the trade-off
-    curve: the rising branch from 0 and the plateau up to GRID_STOP. When
-    one branch has no room, the other takes every point.
+    GRID_GAP of the plateau ``onset``, sampling both branches of the
+    trade-off curve: the rising branch from 0 and the plateau up to
+    GRID_STOP. When one branch has no room, the other takes every point.
+    fig1 passes eta cos(theta), the onset of its symmetric pair.
 
     The solver converges at the onset and answers plateau targets in closed
     form, so the window spares it no slow points; it stays so that the
     default grids, and fig1's rows, do not change.
     """
-    onset = qubit_analytic.plateau_onset_pi(p)
     lo_stop = min(onset - GRID_GAP, GRID_STOP)
     hi_start = onset + GRID_GAP
     if lo_stop <= 0.0:

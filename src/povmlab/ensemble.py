@@ -164,14 +164,6 @@ def average_state(e: StateEnsemble) -> np.ndarray:
     return frozen(herm(sig))
 
 
-def overlaps_and_purities(e: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise trace overlaps Re Tr[rho_j rho_k] of the states' Hermitian
-    parts; the diagonal holds the purities."""
-    h = herm(e.states)
-    overlaps = np.einsum("jab,kba->jk", h, h).real
-    return frozen(overlaps), frozen(overlaps.diagonal().copy())
-
-
 def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:
     """Two equally likely qubit states of equal purity, symmetric about z.
 

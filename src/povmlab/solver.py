@@ -441,8 +441,9 @@ def _sweep(
     a point whose outcome holds an error has no valid row in the POVMs.
 
     The new conclusive elements are lam^+ (p_j^2 rho_j Pi_j rho_j) lam^+,
-    and the inconclusive one is what completeness leaves of the identity:
-    a^2 lam^+ sigma Pi_0 sigma lam^+ plus the projector onto ker lam.
+    congruences of PSD operators and so PSD, and the inconclusive one is
+    what completeness leaves of the identity: a^2 lam^+ sigma Pi_0 sigma
+    lam^+ plus the projector onto ker lam, which no state sees.
     """
     sandwiches, terms = _sweep_terms(fixed, x)
     fits = _solve_multiplier(terms, targets, starts)
@@ -552,52 +553,6 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     shares = np.full(e.n_states + 1, (1.0 - target_pi) / e.n_states)
     shares[0] = target_pi
     return Povm(shares[:, None, None] * np.eye(e.dim))
-
-
-def _one_point(e: StateEnsemble, povm: Povm) -> tuple[_EnsembleTerms, np.ndarray]:
-    return _ensemble_terms([e]), povm.elements[None]
-
-
-def predicted_inconclusive_rate(e: StateEnsemble, povm: Povm, a: float) -> float:
-    """Inconclusive rate the next sweep would produce with multiplier ``a``."""
-    if a < 0:
-        raise ValueError("the scalar multiplier must be nonnegative")
-    _, terms = _sweep_terms(*_one_point(e, povm))
-    return _predicted_rate(terms, [a]).rate[0]
-
-
-def solve_multiplier(
-    e: StateEnsemble, povm: Povm, target_pi: float
-) -> tuple[float, np.ndarray]:
-    """Scalar multiplier whose sweep reproduces the target inconclusive rate,
-    together with the matching operator multiplier."""
-    if not 0.0 < target_pi < 1.0:
-        raise ValueError(f"target inconclusive rate must lie in (0, 1), got {target_pi}")
-    _, terms = _sweep_terms(*_one_point(e, povm))
-    fit, = _solve_multiplier(terms, [target_pi], [None])
-    if fit.error is not None:
-        raise fit.error
-    return fit.a, fit.lam()
-
-
-def iterate_once(
-    e: StateEnsemble, povm: Povm, target_pi: float
-) -> tuple[Povm, np.ndarray, float | None]:
-    """One symmetrized sweep; returns the new POVM and the multipliers used.
-
-    Every new element is a congruence transform of a PSD operator, hence
-    PSD. Completeness holds on the support of the operator multiplier;
-    whatever identity weight falls outside that support carries zero
-    probability for every state and is folded into the inconclusive
-    element, restoring exact completeness. At zero target the inconclusive
-    element is exactly that fold-in (zero for a full-support multiplier).
-    """
-    require_target(target_pi)
-    new, (fit,) = _sweep(*_one_point(e, povm), [target_pi], [None])
-    if fit.error is not None:
-        raise fit.error
-    return (Povm(new[0]), fit.lam(),
-            None if target_pi == 0.0 else fit.a)
 
 
 def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:

@@ -1,7 +1,17 @@
-"""Closed-form oracle for a symmetric pair of equally mixed qubits.
+"""Closed-form oracles for the test suite, independent of the solver.
 
-The two states are depolarized versions of pure states tilted by +-theta
-from the z axis,
+Two routes to the paper's numbers that do not go through the solver:
+
+- the symmetric pair of equally mixed qubits, whose optimal measurement
+  family, trade-off curve and plateau are known in closed form;
+- the ceiling of the renormalized success rate for qubits from the
+  scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2]
+  (:func:`qubit_quadratic_a`), and for the symmetric equal-prior pair in
+  the common purity and the overlap (:func:`prs_max_from_invariants` with
+  :func:`overlaps_and_purities`).
+
+The symmetric pair's two states are depolarized versions of pure states
+tilted by +-theta from the z axis,
 
     rho_{1,2} = eta |psi_{1,2}><psi_{1,2}| + (1 - eta)/2 * identity,
     |psi_{1,2}(x)> = cos(x/2)|0> +- sin(x/2)|1>,
@@ -12,8 +22,7 @@ projectors psi_{1,2}(phi) scaled by 1/(2 sin^2(phi/2)) and the inconclusive
 element is (1 - 1/tan^2(phi/2)) |0><0|, which closes to the identity as an
 algebraic identity. Success and inconclusive rates then have closed forms,
 the trade-off curve rises until cos(phi) = -eta cos(theta) and is flat
-beyond, and everything here is evaluated without any linear algebra, which
-makes the module an independent oracle for the iterative solver.
+beyond, and the family is evaluated without any linear algebra.
 """
 
 from __future__ import annotations
@@ -23,8 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import StateEnsemble, symmetric_qubit_pair
-from .solver import Povm
+from povmlab.bounds import InconsistentBoundError, max_relative_success
+from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
+from povmlab.hermitian import frozen, herm, psd_root, trace_product
+from povmlab.solver import Povm
+
+# Quadratic root must match the eigenvalue route this closely to be selected.
+ROOT_SELECTION_ATOL = 1e-8
 
 PHI_LO = math.pi / 2.0
 PHI_HI = math.pi
@@ -36,16 +50,14 @@ class InfeasibleRateError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetricQubitProblem:
-    """Mixing weight eta in (0, 1] and half-separation theta in (0, pi/2)."""
+    """Mixing weight eta in (0, 1] and half-separation theta in (0, pi/2),
+    checked by :func:`symmetric_qubit_pair`."""
 
     eta: float
     theta: float
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        if not 0.0 < self.theta < math.pi / 2.0:
-            raise ValueError(f"theta must lie in (0, pi/2), got {self.theta}")
+        self.ensemble()
 
     def ensemble(self) -> StateEnsemble:
         return symmetric_qubit_pair(self.eta, self.theta)
@@ -150,3 +162,78 @@ def envelope_prs(p: SymmetricQubitProblem, target_pi: float) -> float:
     if target_pi >= plateau_onset_pi(p):
         return prs_max
     return analytic_prs(p, phi_for_pi(p, target_pi))
+
+
+# ---------------------------------------------------------------------------
+# the ceiling from scalar invariants
+
+def overlaps_and_purities(e: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise trace overlaps Re Tr[rho_j rho_k] of the states' Hermitian
+    parts; the diagonal holds the purities."""
+    h = herm(e.states)
+    overlaps = np.einsum("jab,kba->jk", h, h).real
+    return frozen(overlaps), frozen(overlaps.diagonal().copy())
+
+
+def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
+    """Ceiling contribution of state ``j`` via the qubit determinant route.
+
+    For dim 2 the condition det[a sigma - p rho] = 0 expands, using
+    det M = (Tr[M]^2 - Tr[M^2]) / 2, into
+
+        a^2 (1 - Tr[sigma^2]) - 2 a p (1 - Tr[sigma rho]) + p^2 (1 - Tr[rho^2]) = 0.
+
+    Both roots are computed and the one matching the eigenvalue route is
+    returned; the match is asserted, not assumed. The ensemble is
+    validated through :func:`max_relative_success`.
+    """
+    if e.dim != 2:
+        raise ValueError(f"the quadratic route applies to qubits only, got dim {e.dim}")
+    if not 0 <= j < e.n_states:
+        raise IndexError(f"state index {j} out of range for {e.n_states} states")
+    reference = max_relative_success(e).per_state_a[j]
+
+    sig = average_state(e)
+    if psd_root(sig).inverse[0] == 0.0:
+        # a pure sigma forces every rho_j = sigma, so all coefficients vanish
+        raise ValueError("the quadratic route does not determine a for a pure average state")
+    rho = e.states[j]
+    p = float(e.priors[j])
+    c2 = 1.0 - trace_product(sig, sig)
+    c1 = -2.0 * p * (1.0 - trace_product(sig, rho))
+    c0 = p * p * (1.0 - trace_product(rho, rho))
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        if disc < -1e-14:
+            raise InconsistentBoundError(
+                f"determinant quadratic has no real root (discriminant {disc:.3e})")
+        disc = 0.0
+    sq = float(np.sqrt(disc))
+    roots = [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
+
+    matches = [r for r in roots if abs(r - reference) <= ROOT_SELECTION_ATOL]
+    if not matches:
+        raise InconsistentBoundError(
+            f"no quadratic root within {ROOT_SELECTION_ATOL:g} of the eigenvalue "
+            f"route ({reference:.17g}); roots: {roots}")
+    root = min(matches, key=lambda r: abs(r - reference))
+    assert abs(root - reference) <= 1e-8
+    return float(root)
+
+
+def prs_max_from_invariants(purity: float, overlap: float) -> float:
+    """Closed-form ceiling for the symmetric equal-prior qubit pair.
+
+    Valid for two equally pure states with Tr[rho_j^2] = purity and
+    Tr[rho_1 rho_2] = overlap:
+
+        (1 + sqrt((purity - overlap) / (2 - purity - overlap))) / 2.
+    """
+    if not 0.5 <= purity <= 1.0:
+        raise ValueError(f"qubit purity must lie in [1/2, 1], got {purity}")
+    if overlap > purity:
+        raise ValueError(f"overlap {overlap} exceeds purity {purity}")
+    rest = 2.0 - purity - overlap
+    if rest <= 0.0:
+        raise ValueError(f"2 - purity - overlap must be positive, got {rest}")
+    return 0.5 * (1.0 + float(np.sqrt((purity - overlap) / rest)))

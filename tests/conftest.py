@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from povmlab import Povm, StateEnsemble
+from povmlab import Povm, StateEnsemble, solver
 from povmlab.ensemble import average_state
-from povmlab.solver import MAX_ITERATIONS, POVM_TOLERANCE, initial_povm, iterate_once
+from povmlab.solver import MAX_ITERATIONS, POVM_TOLERANCE, initial_povm
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
@@ -76,17 +76,35 @@ def helstrom_two_state(e: StateEnsemble) -> float:
     return 0.5 * (1.0 + float(np.sum(np.abs(np.linalg.eigvalsh(gap)))))
 
 
+def rate_terms(e: StateEnsemble, povm: Povm):
+    """The terms of the multiplier search in one sweep of ``povm`` on
+    ``e``, as a stack of one point."""
+    return solver._sweep_terms(solver._ensemble_terms([e]), povm.elements[None])[1]
+
+
+def sweep_once(e: StateEnsemble, povm: Povm, target: float):
+    """One sweep of the map on ``povm`` with a cold multiplier search: the
+    new POVM and the search's outcome, whose ``a`` and ``lam()`` are the
+    multipliers the sweep used. Raises the outcome's InfeasibleTargetError."""
+    new, (fit,) = solver._sweep(solver._ensemble_terms([e]), povm.elements[None],
+                                [target], [None])
+    if fit.error is not None:
+        raise fit.error
+    return Povm(new[0]), fit
+
+
 def plain_iteration(e: StateEnsemble, target: float,
                     max_iterations: int = MAX_ITERATIONS):
-    """The unaccelerated map: iterate_once from the default start until the
-    largest element change is within POVM_TOLERANCE or ``max_iterations``
-    sweeps ran. Returns the last POVM, the last ``a`` and the change of
-    every sweep."""
+    """The unaccelerated map: :func:`sweep_once` from the default start
+    until the largest element change is within POVM_TOLERANCE or
+    ``max_iterations`` sweeps ran. Returns the last POVM, the last ``a``
+    and the change of every sweep."""
     povm, a = initial_povm(e, target), None
     history: list[float] = []
     while len(history) < max_iterations and (
             not history or history[-1] > POVM_TOLERANCE):
-        new, _, a = iterate_once(e, povm, target)
+        new, fit = sweep_once(e, povm, target)
+        a = fit.a
         history.append(max(float(np.linalg.norm(n - o))
                            for n, o in zip(new.elements, povm.elements)))
         povm = new

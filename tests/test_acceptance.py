@@ -14,24 +14,27 @@ import time
 import numpy as np
 import pytest
 
-from conftest import helstrom_two_state, plain_iteration, random_ensemble, random_povm
-from povmlab.bounds import (
-    max_relative_success,
-    prs_max_from_invariants,
-    qubit_quadratic_a,
-)
-from povmlab.certificate import check
-from povmlab.cli import default_sweep_grid
-from povmlab.ensemble import average_state
-from povmlab.qubit_analytic import (
+from closed_forms import (
     SymmetricQubitProblem,
     envelope_prs,
     phi_max_and_prs_max,
     plateau_onset_pi,
+    prs_max_from_invariants,
+    qubit_quadratic_a,
 )
+from conftest import (
+    helstrom_two_state,
+    plain_iteration,
+    random_ensemble,
+    random_povm,
+    sweep_once,
+)
+from povmlab.bounds import max_relative_success
+from povmlab.certificate import check
+from povmlab.cli import default_sweep_grid
+from povmlab.ensemble import average_state
 from povmlab.solver import (
     initial_povm,
-    iterate_once,
     povm_violations,
     solve,
     solve_grid,
@@ -62,7 +65,7 @@ def sweep_solves():
     for eta in ETAS:
         p = SymmetricQubitProblem(eta, THETA)
         e = p.ensemble()
-        targets = [float(t) for t in default_sweep_grid(p, points=25)]
+        targets = [float(t) for t in default_sweep_grid(plateau_onset_pi(p), points=25)]
         results = solve_grid([(e, t) for t in targets])
         records += [(p, e, t, r) for t, r in zip(targets, results)]
     elapsed = time.perf_counter() - started
@@ -200,7 +203,7 @@ def test_criterion_7_invariants_and_weak_duality():
         sigma = average_state(e)
         povm = initial_povm(e, target)
         for _ in range(60):
-            new_povm, _, _ = iterate_once(e, povm, target)
+            new_povm, _ = sweep_once(e, povm, target)
             assert not povm_violations(new_povm)
             tracked = float(np.trace(sigma @ new_povm.elements[0]).real)
             assert abs(tracked - target) <= 1e-10

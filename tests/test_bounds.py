@@ -3,26 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import padded, random_density, random_ensemble
-from povmlab.bounds import (
-    InconsistentBoundError,
-    max_relative_success,
-    plateau_measurement,
+from closed_forms import (
+    SymmetricQubitProblem,
+    analytic_povm,
+    overlaps_and_purities,
+    phi_max_and_prs_max,
+    plateau_onset_pi,
     prs_max_from_invariants,
     qubit_quadratic_a,
 )
-from povmlab.ensemble import (
-    StateEnsemble,
-    average_state,
-    overlaps_and_purities,
-    symmetric_qubit_pair,
-)
-from povmlab.qubit_analytic import (
-    SymmetricQubitProblem,
-    analytic_povm,
-    phi_max_and_prs_max,
-    plateau_onset_pi,
-)
+from conftest import padded, random_density, random_ensemble
+from povmlab.bounds import InconsistentBoundError, max_relative_success, plateau_measurement
+from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.solver import solve
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)

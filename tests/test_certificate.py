@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import at_rate, random_ensemble, random_povm
-from povmlab.certificate import SingularMultiplierError, check
-from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.qubit_analytic import (
+from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
     phi_max_and_prs_max,
 )
+from conftest import at_rate, random_ensemble, random_povm
+from povmlab.certificate import SingularMultiplierError, check
+from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.solver import Povm, solve, success_metrics
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)

@@ -9,17 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import padded
-from povmlab import cli
-from povmlab.bounds import max_relative_success
-from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.fileio import load_povm, save_ensemble, save_povm
-from povmlab.qubit_analytic import (
+from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
     phi_max_and_prs_max,
     plateau_onset_pi,
 )
+from conftest import padded
+from povmlab import cli
+from povmlab.bounds import max_relative_success
+from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
+from povmlab.fileio import load_povm, save_ensemble, save_povm
 from povmlab.solver import InfeasibleTargetError, Povm, solve
 
 PROBLEM = SymmetricQubitProblem(0.9, math.pi / 4)
@@ -462,9 +462,8 @@ def test_default_sweep_grid_avoids_onset(capsys):
     cases = [(eta, math.pi / 4, 25, True) for eta in (0.7, 0.8, 0.9, 1.0)]
     cases += [(1.0, 0.5, 9, False), (0.1, math.pi / 4, 9, False), (1.0, 0.1, 9, False)]
     for eta, theta, points, both in cases:
-        p = SymmetricQubitProblem(eta, theta)
-        grid = cli.default_sweep_grid(p, points=points)
-        onset = plateau_onset_pi(p)
+        onset = plateau_onset_pi(SymmetricQubitProblem(eta, theta))
+        grid = cli.default_sweep_grid(onset, points=points)
         assert len(grid) == points
         assert len(set(grid.tolist())) == points
         assert grid.min() >= 0.0
@@ -475,6 +474,19 @@ def test_default_sweep_grid_avoids_onset(capsys):
             # both branches of the curve are sampled
             assert (grid < onset).sum() >= 10
             assert (grid > onset).sum() >= 10
+
+
+def test_fig1_grid_uses_the_family_onset(capsys):
+    # the two states are equal in double precision here, and the plateau
+    # measurement's rate is 0 rather than the family's onset; the grid comes
+    # from eta cos(theta) = 0.9 and keeps only its rising branch, 0 ... 0.82
+    code, out = run_cli(capsys, ["fig1", "--etas", "0.9", "--theta", "1e-16",
+                                 "--points", "5"])
+    assert code == cli.EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    expected = cli.default_sweep_grid(0.9 * math.cos(1e-16), 5).tolist()
+    assert [float(r[1]) for r in rows] == expected
+    assert expected[0] == 0.0 and expected[-1] == pytest.approx(0.82, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,15 @@ import pickle
 import numpy as np
 import pytest
 
+from closed_forms import overlaps_and_purities, qubit_quadratic_a
 from conftest import random_ensemble
 from povmlab import ensemble as ensemble_module
-from povmlab.bounds import (
-    PlateauBound,
-    max_relative_success,
-    plateau_measurement,
-    qubit_quadratic_a,
-)
+from povmlab.bounds import PlateauBound, max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.ensemble import (
     EnsembleValidationError,
     StateEnsemble,
     average_state,
-    overlaps_and_purities,
     symmetric_qubit_pair,
     validate,
 )

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from povmlab.bounds import max_relative_success
-from povmlab.certificate import check
-from povmlab.qubit_analytic import (
+from closed_forms import (
     InfeasibleRateError,
     SymmetricQubitProblem,
     analytic_pi,
@@ -17,6 +15,8 @@ from povmlab.qubit_analytic import (
     phi_max_and_prs_max,
     plateau_onset_pi,
 )
+from povmlab.bounds import max_relative_success
+from povmlab.certificate import check
 from povmlab.solver import povm_violations, success_metrics
 
 ETAS = (0.5, 0.7, 0.9, 1.0)

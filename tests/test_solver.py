@@ -5,31 +5,34 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import helstrom_two_state, plain_iteration, random_ensemble
-from povmlab import cli, solver
-from povmlab.bounds import InconsistentBoundError, max_relative_success, plateau_measurement
-from povmlab.certificate import check
-from povmlab.cli import default_sweep_grid
-from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
-from povmlab.qubit_analytic import (
+from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
     envelope_prs,
     phi_max_and_prs_max,
     plateau_onset_pi,
 )
+from conftest import (
+    helstrom_two_state,
+    plain_iteration,
+    random_ensemble,
+    rate_terms,
+    sweep_once,
+)
+from povmlab import cli, solver
+from povmlab.bounds import InconsistentBoundError, max_relative_success, plateau_measurement
+from povmlab.certificate import check
+from povmlab.cli import default_sweep_grid
+from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.solver import (
     InfeasibleTargetError,
     Povm,
     RelativeRateUndefinedError,
     SolveResult,
     initial_povm,
-    iterate_once,
     povm_violations,
-    predicted_inconclusive_rate,
     solve,
     solve_grid,
-    solve_multiplier,
     success_metrics,
 )
 
@@ -142,7 +145,7 @@ def test_initial_povm_tracks_target_exactly():
 def test_multiplier_operator_ignores_a_without_inconclusive():
     e = orthogonal_pair()
     povm = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
-    _, terms = solver._sweep_terms(*solver._one_point(e, povm))
+    terms = rate_terms(e, povm)
     lam0 = solver._predicted_rate(terms, [0.0]).root.root_matrix()[0]
     lam9 = solver._predicted_rate(terms, [9.0]).root.root_matrix()[0]
     assert np.allclose(lam0, lam9)
@@ -152,32 +155,29 @@ def test_multiplier_operator_ignores_a_without_inconclusive():
 
 def test_predicted_rate_zero_cases():
     e = orthogonal_pair()
-    start = initial_povm(e, 0.3)
-    assert predicted_inconclusive_rate(e, start, 0.0) == pytest.approx(0.0)
-    no_inc = Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1))
+    start = rate_terms(e, initial_povm(e, 0.3))
+    assert solver._predicted_rate(start, [0.0]).rate[0] == pytest.approx(0.0)
+    no_inc = rate_terms(e, Povm((np.zeros((2, 2), dtype=complex), PROJ0, PROJ1)))
     for a in (0.5, 3.0, 100.0):
-        assert predicted_inconclusive_rate(e, no_inc, a) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        predicted_inconclusive_rate(e, start, -1.0)
+        assert solver._predicted_rate(no_inc, [a]).rate[0] == pytest.approx(0.0)
 
 
 def test_predicted_rate_monotone_in_multiplier():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    start = initial_povm(e, 0.3)
-    values = [predicted_inconclusive_rate(e, start, a)
+    terms = rate_terms(e, initial_povm(e, 0.3))
+    values = [solver._predicted_rate(terms, [a]).rate[0]
               for a in np.linspace(0.0, 100.0, 200)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_solve_multiplier_hits_target():
     e = symmetric_qubit_pair(1.0, math.pi / 4)
-    start = initial_povm(e, 0.2)
-    a, lam = solve_multiplier(e, start, 0.2)
-    assert a > 0
-    assert abs(predicted_inconclusive_rate(e, start, a) - 0.2) <= 1e-14
+    terms = rate_terms(e, initial_povm(e, 0.2))
+    fit, = solver._solve_multiplier(terms, [0.2], [None])
+    assert fit.a > 0
+    assert abs(solver._predicted_rate(terms, [fit.a]).rate[0] - 0.2) <= 1e-14
+    lam = fit.lam()
     assert np.allclose(lam, lam.conj().T)
-    with pytest.raises(ValueError):
-        solve_multiplier(e, start, 0.0)
 
 
 def test_solve_multiplier_matches_certificate_after_convergence():
@@ -194,18 +194,18 @@ def test_solve_multiplier_infeasible_reports_supremum():
     phi_max, _ = phi_max_and_prs_max(p)
     plateau_povm = analytic_povm(p, phi_max)
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2  # about 0.818
-    with pytest.raises(InfeasibleTargetError) as err:
-        solve_multiplier(e, plateau_povm, 0.95)
-    assert err.value.target == pytest.approx(0.95)
-    assert saturation - 1e-6 <= err.value.supremum < 0.95
+    fit, = solver._solve_multiplier(rate_terms(e, plateau_povm), [0.95], [None])
+    assert isinstance(fit.error, InfeasibleTargetError)
+    assert fit.error.target == pytest.approx(0.95)
+    assert saturation - 1e-6 <= fit.error.supremum < 0.95
 
 
 def test_predicted_rate_slope_matches_finite_difference():
     e = random_ensemble(np.random.default_rng(33), 3, 3)
     povm = initial_povm(e, 0.3)
     for _ in range(3):
-        povm, _, _ = iterate_once(e, povm, 0.3)
-    _, terms = solver._sweep_terms(*solver._one_point(e, povm))
+        povm, _ = sweep_once(e, povm, 0.3)
+    terms = rate_terms(e, povm)
     for a in (0.1, 0.7, 2.0, 10.0):
         h = 1e-6 * a
         # the point's terms stacked three times, one multiplier each
@@ -218,13 +218,13 @@ def test_warm_and_cold_search_agree():
     e = symmetric_qubit_pair(0.8, math.pi / 4)
     target = 0.25
     r = solve(e, target)
-    # cold reference: the public sweep restarts the multiplier search from
-    # a = 1 every time; it runs unaccelerated to the solver's own tolerance
+    # cold reference: plain_iteration restarts the multiplier search from
+    # a = 1 every sweep; it runs unaccelerated to the solver's own tolerance
     povm, a, _ = plain_iteration(e, target)
     assert r.a == pytest.approx(a, abs=1e-12)
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
     # and one search on the same sweep terms, warm and cold, in lockstep
-    _, terms = solver._sweep_terms(*solver._one_point(e, r.povm))
+    terms = rate_terms(e, r.povm)
     warm, cold = solver._solve_multiplier(
         terms.take([0, 0]), [target, target], [0.9 * r.a, None])
     assert warm.a == pytest.approx(cold.a, abs=1e-12)
@@ -236,20 +236,20 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     e = p.ensemble()
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
-    _, terms = solver._sweep_terms(*solver._one_point(e, plateau_povm))
+    terms = rate_terms(e, plateau_povm)
     start = solver._solve_multiplier(terms, [0.5], [None])[0].a
     warm, = solver._solve_multiplier(terms, [0.95], [start])
     assert isinstance(warm.error, InfeasibleTargetError)
-    with pytest.raises(InfeasibleTargetError) as cold:
-        solve_multiplier(e, plateau_povm, 0.95)
+    cold, = solver._solve_multiplier(terms, [0.95], [None])
+    assert isinstance(cold.error, InfeasibleTargetError)
     assert saturation - 1e-6 <= warm.error.supremum < 0.95
-    assert warm.error.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
+    assert warm.error.supremum == pytest.approx(cold.error.supremum, abs=1e-12)
     # a full-rank start reaches every rate below 1, so solve meets the cap
     # only from a rank-deficient inconclusive element
     monkeypatch.setattr(solver, "initial_povm", lambda e, t: plateau_povm)
     with pytest.raises(InfeasibleTargetError) as err:
         _iterate(e, 0.95)
-    assert err.value.supremum == pytest.approx(cold.value.supremum, abs=1e-12)
+    assert err.value.supremum == pytest.approx(cold.error.supremum, abs=1e-12)
 
 
 def _dip_rate(a):
@@ -304,7 +304,7 @@ def test_warm_start_keeps_rate_evaluations_per_sweep_low():
     for eta in (0.7, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)
         e = p.ensemble()
-        results = [solve(e, float(t)) for t in default_sweep_grid(p)[::4]]
+        results = [solve(e, float(t)) for t in default_sweep_grid(plateau_onset_pi(p))[::4]]
         sweeps = sum(r.iterations for r in results)
         evaluations = sum(r.rate_evaluations for r in results)
         assert evaluations / sweeps <= 3.5
@@ -319,7 +319,7 @@ def test_iterate_once_fixed_point_of_analytic_povm():
     for phi in (math.pi / 2 + 0.1, 2.0, phi_max_and_prs_max(p)[0]):
         povm = analytic_povm(p, phi)
         target = np.trace(average_state(e) @ povm.inconclusive).real
-        new, _, _ = iterate_once(e, povm, float(target))
+        new, _ = sweep_once(e, povm, float(target))
         change = max(np.linalg.norm(n - o, "fro")
                      for n, o in zip(new.elements, povm.elements))
         assert change <= 1e-10
@@ -332,7 +332,7 @@ def test_iterate_once_invariants_random():
         target = 0.25
         povm = initial_povm(e, target)
         for _ in range(30):
-            povm, lam, a = iterate_once(e, povm, target)
+            povm, _ = sweep_once(e, povm, target)
             total = sum(povm.elements)
             assert np.linalg.norm(total - np.eye(dim), "fro") <= 1e-9 * dim
             for m in povm.elements:
@@ -344,8 +344,9 @@ def test_iterate_once_invariants_random():
 def test_iterate_once_helstrom_branch_pins_inconclusive():
     e = orthogonal_pair()
     povm = initial_povm(e, 0.0)
-    new, lam, a = iterate_once(e, povm, 0.0)
-    assert a is None
+    new, fit = sweep_once(e, povm, 0.0)
+    # at zero target the search takes lam^2 at a = 0 without an evaluation
+    assert (fit.a, fit.evaluations) == (0.0, 0)
     assert np.allclose(new.inconclusive, 0.0, atol=1e-12)
 
 
@@ -424,7 +425,7 @@ def test_solve_constraint_tracking_along_history():
     target = 0.2
     povm = initial_povm(e, target)
     for _ in range(40):
-        povm, _, _ = iterate_once(e, povm, target)
+        povm, _ = sweep_once(e, povm, target)
         p_i = np.trace(average_state(e) @ povm.inconclusive).real
         assert abs(p_i - target) <= 1e-10
 
@@ -560,7 +561,7 @@ def test_solve_grid_is_independent_of_stack_composition():
     points = []
     for eta in (0.7, 0.8, 0.9, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)
-        points += [(p.ensemble(), float(t)) for t in default_sweep_grid(p)]
+        points += [(p.ensemble(), float(t)) for t in default_sweep_grid(plateau_onset_pi(p))]
     whole = [_bits(r) for r in solve_grid(points)]
     halves = [None] * len(points)
     for i in (0, 1):
@@ -728,7 +729,7 @@ def test_closed_form_results_close_and_meet_the_rate():
     grids = []
     for eta in (0.7, 0.8, 0.9, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)
-        grids.append([(p.ensemble(), float(t)) for t in default_sweep_grid(p)])
+        grids.append([(p.ensemble(), float(t)) for t in default_sweep_grid(plateau_onset_pi(p))])
     for k, (dim, n_states) in enumerate(UNTIED):
         e = random_ensemble(np.random.default_rng(300 + k), dim, n_states)
         onset = plateau_measurement(e, max_relative_success(e)).rate
