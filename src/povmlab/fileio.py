@@ -1,11 +1,15 @@
 """JSON file formats for ensembles and measurements, plus record emission.
 
 Complex matrices are stored as nested row-major lists whose innermost
-entries are two-element [re, im] arrays. Structural problems (wrong keys,
+entries are two-element [re, im] arrays. A file's whole list of matrices is
+converted by one numpy call, accepted only when its shape is right and every
+number is a JSON integer or float; otherwise a per-entry walk names the first
+bad entry, and never returns a matrix. Structural problems (wrong keys,
 ragged shapes, non-numeric entries) raise FileFormatError; physics-level
 violations (hermiticity, traces, prior normalization) are reported through
 the ensemble validation path so callers can distinguish a broken file from
-a well-formed description of invalid data.
+a well-formed description of invalid data. The file's encoding (UTF-8, -16
+or -32, with or without a byte-order mark) is detected from its bytes.
 
 Emitted records print every float with 17 significant digits so values
 round-trip losslessly; the stdlib encoder offers no hook for that, hence
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +44,28 @@ def _is_number(x) -> bool:
 # ---------------------------------------------------------------------------
 # complex matrix <-> [re, im] pairs
 
-def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
+def _stack_from_pairs(objs: list, dim: int, what: str) -> np.ndarray:
+    """The complex (len(objs), dim, dim) stack of the matrices in ``objs``;
+    ``what`` names one of them in messages, e.g. "path: state"."""
+    try:
+        a = np.array(objs, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        a = None
+    # numpy would also take true, "1.5" and null (as NaN), so the check on
+    # the leaves' exact types is what keeps them format errors
+    if (a is not None and a.shape == (len(objs), dim, dim, 2)
+            and set(map(type, chain.from_iterable(chain.from_iterable(
+                chain.from_iterable(objs))))) <= {int, float}):
+        return a.view(np.complex128)[..., 0]
+    for j, obj in enumerate(objs):
+        _raise_first_fault(obj, dim, f"{what} {j}")
+    raise FileFormatError(f"{what}s are not {dim} x {dim} matrices of [re, im] pairs")
+
+
+def _raise_first_fault(obj, dim: int, what: str) -> None:
+    """Raise FileFormatError for the first bad row or entry of one matrix."""
     if not isinstance(obj, list) or len(obj) != dim:
         raise FileFormatError(f"{what}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=np.complex128)
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise FileFormatError(f"{what}: row {r} is not a list of {dim} entries")
@@ -52,17 +75,16 @@ def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
                 raise FileFormatError(
                     f"{what}: entry ({r},{c}) is not a two-element [re, im] array")
             try:
-                out[r, c] = complex(entry[0], entry[1])
+                complex(entry[0], entry[1])
             except OverflowError:
                 raise FileFormatError(
                     f"{what}: entry ({r},{c}) is too large for a float") from None
-    return out
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(m[r, c].real), float(m[r, c].imag)]
-             for c in range(m.shape[1])]
-            for r in range(m.shape[0])]
+    """The nested [re, im] lists of a complex matrix, or of a stack of them."""
+    return (np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+            .reshape(m.shape + (2,)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +152,13 @@ def float_repr(x: float) -> str:
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        obj = json.loads(data)  # detects UTF-8, -16 or -32 as RFC 8259 allows
+    except ValueError as exc:
+        # undecodable bytes, JSONDecodeError, or an integer of too many digits
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
@@ -162,10 +185,7 @@ def load_ensemble(path, validate: bool = True) -> StateEnsemble:
     if not isinstance(states, list) or len(states) != len(priors):
         raise FileFormatError(
             f"{path}: \"states\" must list one matrix per prior")
-    matrices = [
-        _matrix_from_pairs(s, dim, f"{path}: state {j}")
-        for j, s in enumerate(states)
-    ]
+    matrices = _stack_from_pairs(states, dim, f"{path}: state")
     try:
         e = StateEnsemble(matrices, np.array(priors, dtype=float))
     except OverflowError:
@@ -181,7 +201,7 @@ def save_ensemble(path, e: StateEnsemble) -> None:
     record = {
         "dim": e.dim,
         "priors": [float(p) for p in e.priors],
-        "states": [matrix_to_pairs(s) for s in e.states],
+        "states": matrix_to_pairs(e.states),
     }
     Path(path).write_text(dumps_json(record))
 
@@ -198,10 +218,7 @@ def load_povm(path) -> Povm:
     if not isinstance(elements, list) or len(elements) < 2:
         raise FileFormatError(
             f"{path}: \"elements\" must list at least two matrices")
-    matrices = [
-        _matrix_from_pairs(m, dim, f"{path}: element {k}")
-        for k, m in enumerate(elements)
-    ]
+    matrices = _stack_from_pairs(elements, dim, f"{path}: element")
     try:
         return Povm(matrices)
     except ValueError as exc:
@@ -212,7 +229,7 @@ def povm_record(povm: Povm) -> dict:
     """The { "dim", "elements" } object that :func:`load_povm` parses."""
     return {
         "dim": povm.dim,
-        "elements": [matrix_to_pairs(m) for m in povm.elements],
+        "elements": matrix_to_pairs(povm.elements),
     }
 
 

@@ -94,6 +94,21 @@ def test_missing_file_is_io_error(capsys, tmp_path):
     assert code == cli.EXIT_IO
 
 
+def test_undecodable_file_is_io_error(capsys, ensemble_file, tmp_path):
+    # bytes that are not UTF-8, -16 or -32 make a format-error record
+    bad = tmp_path / "bytes.json"
+    bad.write_bytes(b"\xff\xfe\x00")
+    povm_path = tmp_path / "povm.json"
+    save_povm(povm_path, analytic_povm(PROBLEM, 2.0 * math.pi / 3.0))
+    for argv in (["validate", str(bad)], ["bound", str(bad)],
+                 ["certify", str(bad), str(povm_path)],
+                 ["certify", str(ensemble_file), str(bad)]):
+        code, rec = run_json(capsys, argv)
+        assert code == cli.EXIT_IO
+        assert rec["command"] == argv[0]
+        assert rec["result"]["error"].startswith(f"{bad} is not valid JSON: ")
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -12,9 +13,13 @@ from povmlab.fileio import (
     float_repr,
     load_ensemble,
     load_povm,
+    matrix_to_pairs,
     save_ensemble,
     save_povm,
 )
+
+# RFC 8259 lets a JSON file be UTF-8, -16 or -32; the reader detects which
+ENCODINGS = ("utf-8-sig", "utf-16", "utf-16-be", "utf-32", "utf-32-le")
 
 
 def test_ensemble_round_trip_exact(tmp_path):
@@ -27,6 +32,12 @@ def test_ensemble_round_trip_exact(tmp_path):
     assert np.array_equal(back.priors, e.priors)
     for a, b in zip(back.states, e.states):
         assert np.array_equal(a, b)
+    text = path.read_text()
+    for encoding in ENCODINGS:
+        path.write_bytes(text.encode(encoding))
+        again = load_ensemble(path)
+        assert np.array_equal(again.priors, e.priors)
+        assert np.array_equal(again.states, e.states)
 
 
 def test_povm_round_trip_exact(tmp_path):
@@ -36,6 +47,71 @@ def test_povm_round_trip_exact(tmp_path):
     back = load_povm(path)
     for a, b in zip(back.elements, povm.elements):
         assert np.array_equal(a, b)
+    text = path.read_text()
+    for encoding in ENCODINGS:
+        path.write_bytes(text.encode(encoding))
+        assert np.array_equal(load_povm(path).elements, povm.elements)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_reader_matches_complex_per_entry(tmp_path, dim):
+    # the one numpy conversion is bit for bit complex(re, im) per entry
+    rng = np.random.default_rng(64 + dim)
+    specials = [0, 7, -3, -0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                2 ** 53 + 1, 10 ** 20, -(10 ** 20) - 1, 1e308, -1e308]
+    n = 3
+    leaves = rng.standard_normal(n * dim * dim * 2).tolist()
+    ints = rng.choice(len(leaves), size=len(leaves) // 4, replace=False)
+    for k in ints:
+        leaves[k] = int(rng.integers(-9, 10))
+    for k, x in zip(rng.permutation(len(leaves)), specials):
+        leaves[k] = x
+    mats = np.array(leaves, dtype=object).reshape(n, dim, dim, 2).tolist()
+    expected = np.array([[[complex(re, im) for re, im in row] for row in m]
+                         for m in mats], dtype=np.complex128)
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"dim": dim, "priors": [1, 1, 1], "states": mats}))
+    assert load_ensemble(path, validate=False).states.tobytes() == expected.tobytes()
+    path.write_text(json.dumps({"dim": dim, "elements": mats}))
+    assert load_povm(path).elements.tobytes() == expected.tobytes()
+
+
+GOOD_MATRIX = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
+def _with_entry(value, r=1, c=0):
+    """GOOD_MATRIX with ``value`` at (r, c) and a later bad entry at (1,1)."""
+    m = copy.deepcopy(GOOD_MATRIX)
+    m[1][1] = [True, 0.0]
+    m[r][c] = value
+    return m
+
+
+@pytest.mark.parametrize("bad, fault", [
+    (_with_entry([True, 0.0]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([0.0, "1.5"]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([None, 0.0]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry({}), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([{}, 0.0]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([0.5]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([0.5, 0.0, 0.0]), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry("0.5", 0, 1), "entry (0,1) is not a two-element [re, im] array"),
+    (_with_entry([10 ** 400, 0]), "entry (1,0) is too large for a float"),
+    ([GOOD_MATRIX[0], GOOD_MATRIX[1][:1]], "row 1 is not a list of 2 entries"),
+    ([GOOD_MATRIX[0]], "expected 2 rows"),
+])
+def test_load_names_the_first_bad_entry(tmp_path, bad, fault):
+    # matrix 1 holds the fault; matrix 2 is bad too, so the walk must stop at 1
+    mats = [GOOD_MATRIX, bad, _with_entry([10 ** 400, 0], 0, 0)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "priors": [1, 1, 1], "states": mats}))
+    with pytest.raises(FileFormatError) as exc_info:
+        load_ensemble(path, validate=False)
+    assert str(exc_info.value) == f"{path}: state 1: {fault}"
+    path.write_text(json.dumps({"dim": 2, "elements": mats}))
+    with pytest.raises(FileFormatError) as exc_info:
+        load_povm(path)
+    assert str(exc_info.value) == f"{path}: element 1: {fault}"
 
 
 def test_load_rejects_missing_file(tmp_path):
@@ -148,6 +224,13 @@ def test_complex_entries_survive(tmp_path):
     back = load_ensemble(path)
     assert np.array_equal(back.states[0], e_rot.states[0])
     assert back.states[0][0, 1].imag != 0.0
+    # the writer keeps the sign of a zero and reads a transposed (strided) view
+    m = e_rot.states[0].copy()
+    m[1, 1] = complex(-0.0, -0.0)
+    for view in (m, m.T, e_rot.states):
+        per_entry = [[float(x.real), float(x.imag)] for x in view.flat]
+        assert dumps_json(matrix_to_pairs(view)) == dumps_json(
+            np.array(per_entry).reshape(view.shape + (2,)).tolist())
 
 
 def test_dumps_json_formatting():
