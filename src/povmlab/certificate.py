@@ -26,6 +26,11 @@ For any candidate, lam + delta I with -delta the most negative positivity
 margin (delta = 0 when none is negative) is dual feasible, so its
 objective Tr[lam] + d delta - a p_i is an upper bound on the success rate
 at the candidate's rate that a non-optimal candidate cannot meet.
+
+:func:`check_grid` certifies a whole grid of candidates in one stacked
+pass, so numpy's per-call cost is paid once per grid rather than once per
+candidate, and a candidate's numbers do not depend on the others in the
+grid; :func:`check` is its one-point case.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
-from .hermitian import frozen, herm, trace_product
+from .hermitian import frozen, herm, trace_products
 from .solver import Povm, require_matching
 
 logger = logging.getLogger(__name__)
@@ -90,7 +95,21 @@ class Certificate:
 
 
 def check(e: StateEnsemble, povm: Povm) -> Certificate:
-    """Reconstruct multipliers and test stationarity plus global optimality.
+    """The certificate of one candidate: :func:`check_grid` on one pair,
+    raising its SingularMultiplierError."""
+    outcome, = check_grid([(e, povm)])
+    if isinstance(outcome, SingularMultiplierError):
+        raise outcome
+    return outcome
+
+
+def check_grid(
+    pairs: list[tuple[StateEnsemble, Povm]],
+) -> list[Certificate | SingularMultiplierError]:
+    """Reconstruct multipliers and test stationarity plus global optimality
+    for every (ensemble, POVM) pair; the pairs share their dimension and
+    number of states. Returns each pair's Certificate, or the
+    SingularMultiplierError it met.
 
     With lam(a) = Herm(sum_j p_j rho_j Pi_j) + a * Herm(sigma Pi_0), every
     gap operator (lam - a sigma for outcome 0, lam - p_k rho_k for outcome
@@ -103,47 +122,68 @@ def check(e: StateEnsemble, povm: Povm) -> Certificate:
     Residual k is the Frobenius norm of block k and margin k the smallest
     eigenvalue of gap k; in the no-inconclusive-outcome branch a = 0 in
     both and margin 0 is NaN.
+
+    All pairs go through one stacked pass (one eigvalsh for every gap
+    operator), so a pair's numbers are those it gets on its own; only
+    ``a`` and ``lambda_asymmetry`` are reduced pair by pair.
     """
-    e.require_valid()
-    require_matching(e, povm)
-    sig = average_state(e)
-    pi = povm.elements
-    p_i = trace_product(sig, pi[0])
+    if not pairs:
+        return []
+    for e, povm in pairs:
+        e.require_valid()
+        require_matching(e, povm)
+    if len({povm.elements.shape for _, povm in pairs}) > 1:
+        raise ValueError("pairs must share the number of states and the dimension")
+    sig = np.array([average_state(e) for e, _ in pairs])            # (P, d, d)
+    states = np.array([e.states for e, _ in pairs])                 # (P, N, d, d)
+    weights = np.array([e.priors for e, _ in pairs])[..., None, None]
+    pi = np.array([povm.elements for _, povm in pairs])             # (P, N+1, d, d)
+    p_i = trace_products(sig, pi[:, 0]).tolist()
 
-    weights = e.priors[:, None, None]
-    raw = (weights * (e.states @ pi[1:])).sum(axis=0)
-    spi = sig @ pi[0]
-    base = herm(raw) - np.concatenate(([np.zeros_like(sig)], weights * e.states))
-    lin = (spi + pi[0] @ sig) / 2.0 - np.concatenate(([sig], np.zeros_like(e.states)))
-    base_blocks, lin_blocks = np.stack((base, lin)) @ pi
+    raw = (weights * (states @ pi[:, 1:])).sum(axis=1)
+    spi = sig @ pi[:, 0]
+    zeros = np.zeros_like(sig[:, None])
+    base = herm(raw)[:, None] - np.concatenate((zeros, weights * states), axis=1)
+    lin = ((spi + pi[:, 0] @ sig) / 2.0)[:, None] - np.concatenate(
+        (sig[:, None], np.zeros_like(states)), axis=1)
+    base_blocks, lin_blocks = base @ pi, lin @ pi
 
-    a: float | None = None
-    if p_i > HELSTROM_RATE_EPS:
-        denom = float(np.vdot(lin_blocks, lin_blocks).real)
-        if denom <= SINGULAR_MULTIPLIER_EPS:
-            raise SingularMultiplierError(
-                "rate multiplier is undetermined: it has no influence on "
-                f"any stationarity block (coefficient norm {denom:.3e})")
-        a = -float(np.vdot(lin_blocks, base_blocks).real) / denom
-    a_eff = 0.0 if a is None else a
+    outcomes: list[Certificate | SingularMultiplierError | None] = [None] * len(pairs)
+    a: list[float | None] = [None] * len(pairs)
+    for k in range(len(pairs)):
+        if p_i[k] > HELSTROM_RATE_EPS:
+            denom = float(np.vdot(lin_blocks[k], lin_blocks[k]).real)
+            if denom <= SINGULAR_MULTIPLIER_EPS:
+                outcomes[k] = SingularMultiplierError(
+                    "rate multiplier is undetermined: it has no influence on "
+                    f"any stationarity block (coefficient norm {denom:.3e})")
+                continue
+            a[k] = -float(np.vdot(lin_blocks[k], base_blocks[k]).real) / denom
+    a_eff = np.array([0.0 if x is None else x for x in a])[:, None, None]
 
     raw = raw + a_eff * spi
-    lam = herm(raw)
-    asym = float(np.linalg.norm(raw - raw.conj().T, "fro")) / 2.0
-    if asym > 1e-8:
-        logger.info("multiplier operator asymmetry %.3e (far from stationary)", asym)
-
-    residuals = np.linalg.norm(base_blocks + a_eff * lin_blocks, axis=(-2, -1))
-    margins = np.linalg.eigvalsh(herm(base + a_eff * lin))[:, 0]
-    if a is None:
-        margins[0] = math.nan
-    worst = float(np.nanmin(margins))
-    return Certificate(
-        lam=frozen(lam),
-        a=a,
-        extremal_residuals=tuple(residuals.tolist()),
-        positivity_margins=tuple(margins.tolist()),
-        dual_bound=float(np.trace(lam).real - a_eff * p_i + e.dim * max(0.0, -worst)),
-        optimal=bool(residuals.max() <= TOL_EXTREMAL and worst >= -TOL_POSITIVITY),
-        lambda_asymmetry=asym,
-    )
+    lam = frozen(herm(raw))
+    residuals = np.linalg.norm(base_blocks + a_eff[:, None] * lin_blocks, axis=(-2, -1))
+    margins = np.linalg.eigvalsh(herm(base + a_eff[:, None] * lin))[..., 0]
+    margins[:, 0][[x is None for x in a]] = math.nan
+    worst = np.nanmin(margins, axis=1).tolist()
+    largest = residuals.max(axis=1).tolist()
+    traces = np.trace(lam, axis1=-2, axis2=-1).real.tolist()
+    dim = sig.shape[-1]
+    rows = zip(a, p_i, raw, lam, residuals.tolist(), margins.tolist(), worst, largest, traces)
+    for k, (a_k, rate, raw_k, lam_k, res, marg, low, high, tr) in enumerate(rows):
+        if outcomes[k] is not None:
+            continue
+        asym = float(np.linalg.norm(raw_k - raw_k.conj().T, "fro")) / 2.0
+        if asym > 1e-8:
+            logger.info("multiplier operator asymmetry %.3e (far from stationary)", asym)
+        outcomes[k] = Certificate(
+            lam=lam_k,
+            a=a_k,
+            extremal_residuals=tuple(res),
+            positivity_margins=tuple(marg),
+            dual_bound=tr - (a_k or 0.0) * rate + dim * max(0.0, -low),
+            optimal=high <= TOL_EXTREMAL and low >= -TOL_POSITIVITY,
+            lambda_asymmetry=asym,
+        )
+    return outcomes

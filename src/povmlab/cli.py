@@ -18,7 +18,6 @@ log verbosity on standard error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import math
 import os
@@ -54,12 +53,12 @@ GRID_STOP = 0.84
 # ---------------------------------------------------------------------------
 # record plumbing
 
-def _digest(path) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise fileio.FileFormatError(f"cannot read {path}: {exc}") from exc
+def _read(path) -> tuple[bytes, str]:
+    """The bytes of the file at ``path`` and the SHA-256 hex digest of
+    exactly those bytes, which the command then parses."""
+    import hashlib  # loads OpenSSL, which commands without a digest skip
+    data = fileio.read_bytes(path)
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _emit_record(command: str, digest: str, config: dict, payload: dict,
@@ -122,28 +121,39 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 def _sweep_point_file(targets: list, e, max_iterations: int) -> list[list[str]]:
     """Rows of tradeoff's targets on the ensemble loaded from the file."""
     outcomes = solve_grid([(e, t) for t in targets], max_iterations=max_iterations)
-    return [_sweep_row(e, t, r) for t, r in zip(targets, outcomes)]
+    verdicts = _certified([e] * len(targets), outcomes)
+    return [_sweep_row(t, r, v) for t, r, v in zip(targets, outcomes, verdicts)]
 
 
 def _sweep_point_symmetric(points: list, ensembles: dict,
                            max_iterations: int) -> list[list[str]]:
     """Rows of fig1's (eta, target) points on each eta's ensemble."""
-    outcomes = solve_grid([(ensembles[eta], t) for eta, t in points],
+    chosen = [ensembles[eta] for eta, _ in points]
+    outcomes = solve_grid([(e, t) for e, (_, t) in zip(chosen, points)],
                           max_iterations=max_iterations)
-    return [[fileio.float_repr(eta)] + _sweep_row(ensembles[eta], t, r)
-            for (eta, t), r in zip(points, outcomes)]
+    verdicts = _certified(chosen, outcomes)
+    return [[fileio.float_repr(eta)] + _sweep_row(t, r, v)
+            for (eta, t), r, v in zip(points, outcomes, verdicts)]
 
 
-def _sweep_row(e, target: float, outcome) -> list[str]:
-    """CSV cells of one solved point: its SolveResult, certified here, or the
-    InfeasibleTargetError it met."""
+def _certified(ensembles: list, outcomes: list) -> list[bool]:
+    """Per point, whether its solved POVM is certified optimal: False for an
+    InfeasibleTargetError or a SingularMultiplierError. Every solved point
+    is certified by one :func:`certificate.check_grid` call."""
+    solved = [k for k, r in enumerate(outcomes) if not isinstance(r, InfeasibleTargetError)]
+    certs = certificate.check_grid([(ensembles[k], outcomes[k].povm) for k in solved])
+    verdicts = [False] * len(outcomes)
+    for k, cert in zip(solved, certs):
+        verdicts[k] = isinstance(cert, certificate.Certificate) and cert.optimal
+    return verdicts
+
+
+def _sweep_row(target: float, outcome, certified: bool) -> list[str]:
+    """CSV cells of one solved point: its SolveResult, with the verdict of
+    its certificate, or the InfeasibleTargetError it met."""
     f = fileio.float_repr
     if isinstance(outcome, InfeasibleTargetError):
         return [f(target), "", "", "", "", "", "infeasible"]
-    try:
-        certified = certificate.check(e, outcome.povm).optimal
-    except certificate.SingularMultiplierError:
-        certified = False
     return [f(target), f(outcome.p_s), f(outcome.p_rs), str(outcome.iterations),
             f(outcome.final_change), "true" if certified else "false",
             "ok" if outcome.converged else "maxiter"]
@@ -163,8 +173,8 @@ def _run_jobs(worker, *args) -> list[list[str]]:
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     try:
-        digest = _digest(args.ensemble)
-        e = fileio.load_ensemble(args.ensemble, validate=False)
+        data, digest = _read(args.ensemble)
+        e = fileio.load_ensemble(args.ensemble, validate=False, data=data)
     except fileio.FileFormatError as exc:
         _emit_record("validate", "", {}, {"error": str(exc)}, started)
         return EXIT_IO
@@ -182,8 +192,8 @@ def cmd_validate(args) -> int:
 def _load_for_command(args, started, command: str) -> tuple:
     """Shared ensemble loading with the validate/parse exit-code split."""
     try:
-        digest = _digest(args.ensemble)
-        e = fileio.load_ensemble(args.ensemble)
+        data, digest = _read(args.ensemble)
+        e = fileio.load_ensemble(args.ensemble, data=data)
         return e, digest, None
     except fileio.FileFormatError as exc:
         _emit_record(command, "", {}, {"error": str(exc)}, started)
@@ -297,8 +307,8 @@ def cmd_certify(args) -> int:
     if status is not None:
         return status
     try:
-        povm_digest = _digest(args.povm)
-        povm = fileio.load_povm(args.povm)
+        data, povm_digest = _read(args.povm)
+        povm = fileio.load_povm(args.povm, data=data)
     except fileio.FileFormatError as exc:
         _emit_record("certify", digest, {}, {"error": str(exc)}, started)
         return EXIT_IO

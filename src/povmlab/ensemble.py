@@ -89,6 +89,12 @@ class StateEnsemble:
         # States and priors are read-only, so one report serves every caller.
         return tuple(validate(self))
 
+    @cached_property
+    def _average_state(self) -> np.ndarray:
+        # read-only for the same reason, so one mixture serves every caller
+        sig = sum(p * rho for p, rho in zip(self.priors, self.states))
+        return frozen(herm(sig))
+
     def require_valid(self) -> "StateEnsemble":
         """Raise :class:`EnsembleValidationError` unless :func:`validate` is
         clean; the report is computed on the first call only."""
@@ -159,9 +165,9 @@ def validate(e: StateEnsemble) -> list[Violation]:
 
 
 def average_state(e: StateEnsemble) -> np.ndarray:
-    """Prior-weighted mixture of the ensemble states (unit trace, PSD)."""
-    sig = sum(p * rho for p, rho in zip(e.priors, e.states))
-    return frozen(herm(sig))
+    """Prior-weighted mixture of the ensemble states (unit trace, PSD), as
+    a read-only array computed on the first call only."""
+    return e._average_state
 
 
 def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:

@@ -150,11 +150,17 @@ def float_repr(x: float) -> str:
 # ---------------------------------------------------------------------------
 # ensemble files
 
-def _load_json(path) -> dict:
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; FileFormatError when it cannot be read."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path, data: bytes | None) -> dict:
+    if data is None:
+        data = read_bytes(path)
     try:
         obj = json.loads(data)  # detects UTF-8, -16 or -32 as RFC 8259 allows
     except ValueError as exc:
@@ -172,10 +178,12 @@ def _require_dim(obj: dict, path) -> int:
     return dim
 
 
-def load_ensemble(path, validate: bool = True) -> StateEnsemble:
+def load_ensemble(path, validate: bool = True, data: bytes | None = None) -> StateEnsemble:
     """Parse { "dim", "priors", "states" }; with ``validate`` the physics
-    checks run too and raise EnsembleValidationError on violations."""
-    obj = _load_json(path)
+    checks run too and raise EnsembleValidationError on violations. When
+    ``data`` is given it is the file's bytes, already read, and ``path``
+    only names the file in messages."""
+    obj = _load_json(path, data)
     dim = _require_dim(obj, path)
     priors = obj.get("priors")
     states = obj.get("states")
@@ -209,10 +217,11 @@ def save_ensemble(path, e: StateEnsemble) -> None:
 # ---------------------------------------------------------------------------
 # POVM files
 
-def load_povm(path) -> Povm:
+def load_povm(path, data: bytes | None = None) -> Povm:
     """Parse { "dim", "elements" }; element 0 is the inconclusive outcome.
-    PSD and closure are semantic checks, left to povm_violations."""
-    obj = _load_json(path)
+    PSD and closure are semantic checks, left to povm_violations. ``data``
+    is the file's bytes when already read, as for :func:`load_ensemble`."""
+    obj = _load_json(path, data)
     dim = _require_dim(obj, path)
     elements = obj.get("elements")
     if not isinstance(elements, list) or len(elements) < 2:

@@ -145,6 +145,19 @@ class Povm:
         return self.elements[1:]
 
 
+def _povms(elements: np.ndarray) -> list[Povm]:
+    """A Povm for each row of the stacked (P, N+1, d, d) ``elements``, each
+    a view of one read-only copy that is checked as the constructor checks
+    one POVM."""
+    stack = operator_stack(elements.reshape((-1,) + elements.shape[2:]), "POVM")
+    povms = []
+    for rows in stack.reshape(elements.shape):
+        povm = object.__new__(Povm)
+        object.__setattr__(povm, "elements", rows)
+        povms.append(povm)
+    return povms
+
+
 def require_matching(e: StateEnsemble, povm: Povm) -> None:
     """Raise ValueError unless the POVM has one conclusive element per state
     and the states' dimension."""
@@ -293,7 +306,7 @@ class _Multiplier(NamedTuple):
 
     def lam(self) -> np.ndarray:
         """The operator multiplier, the square root of lam^2 at ``a``."""
-        return frozen(_row(self.root, self.row).root_matrix())
+        return frozen(PsdRoot(*(field[self.row] for field in self.root)).root_matrix())
 
 
 def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:
@@ -419,17 +432,24 @@ def _solve_multiplier(
     return [s.result() for s in searches]
 
 
-def _row(root: PsdRoot, row: int) -> PsdRoot:
-    return PsdRoot(*(field[row] for field in root))
-
-
 def _gather(fits: list[_Multiplier]) -> PsdRoot:
-    """The stacked root of lam^2 at each point's multiplier."""
+    """The stacked root of lam^2 at each point's multiplier: one fancy index
+    per field of each distinct stacked root the points' rows lie in."""
     first = fits[0].root
     if len(first.root) == len(fits) and all(
             f.root is first and f.row == k for k, f in enumerate(fits)):
         return first
-    return PsdRoot(*(np.stack(rows) for rows in zip(*(_row(f.root, f.row) for f in fits))))
+    sources: dict[int, tuple[PsdRoot, list[int], list[int]]] = {}
+    for k, f in enumerate(fits):
+        _, rows, slots = sources.setdefault(id(f.root), (f.root, [], []))
+        rows.append(f.row)
+        slots.append(k)
+    gathered = PsdRoot(*(np.empty((len(fits),) + field.shape[1:], field.dtype)
+                         for field in first))
+    for root, rows, slots in sources.values():
+        for out, field in zip(gathered, root):
+            out[slots] = field[rows]
+    return gathered
 
 
 def _sweep(
@@ -562,13 +582,23 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
     p_rs = p_s / (1 - p_i), undefined when the inconclusive rate saturates.
     """
     require_matching(e, povm)
-    p_i, *traces = trace_products(
-        np.concatenate((average_state(e)[None], e.states)), povm.elements).tolist()
-    p_s = sum(p * t for p, t in zip(e.priors.tolist(), traces))
-    if p_i >= 1.0 - RELATIVE_RATE_EPS:
-        raise RelativeRateUndefinedError(
-            f"inconclusive rate {p_i:.17g} leaves no conclusive fraction")
-    return SuccessMetrics(float(p_s), float(p_i), float(p_s / (1.0 - p_i)))
+    return _success_metrics([e], povm.elements[None])[0]
+
+
+def _success_metrics(ensembles: list[StateEnsemble],
+                     elements: np.ndarray) -> list[SuccessMetrics]:
+    """:func:`success_metrics` of each ensemble with its POVM in the stack
+    ``elements``, all traces from one call; the shapes match."""
+    operands = np.concatenate((np.stack([average_state(e) for e in ensembles])[:, None],
+                               np.stack([e.states for e in ensembles])), axis=1)
+    metrics = []
+    for e, (p_i, *traces) in zip(ensembles, trace_products(operands, elements).tolist()):
+        p_s = sum(p * t for p, t in zip(e.priors.tolist(), traces))
+        if p_i >= 1.0 - RELATIVE_RATE_EPS:
+            raise RelativeRateUndefinedError(
+                f"inconclusive rate {p_i:.17g} leaves no conclusive fraction")
+        metrics.append(SuccessMetrics(float(p_s), float(p_i), float(p_s / (1.0 - p_i))))
+    return metrics
 
 
 def solve(
@@ -598,7 +628,9 @@ def solve_grid(
     evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
     other point, and every point of an ensemble whose limiting operator
     shows no kernel (logged as a warning), is iterated in lockstep by
-    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps.
+    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps. The
+    closed-form results, and the iterated ones that stop in the same
+    sweep, are each built as one stack.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -611,16 +643,15 @@ def solve_grid(
     for e, _ in points:
         if id(e) not in plateaus:
             plateaus[id(e)] = _plateau(e)
-    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
-    iterated = []
+    closed, iterated = [], []
     for k, (e, target) in enumerate(points):
         plateau = plateaus[id(e)]
-        if plateau is not None and target >= plateau.rate:
-            outcomes[k] = _plateau_result(e, plateau, target)
-        else:
-            iterated.append(k)
-    iterated_points = [points[k] for k in iterated]
-    for k, outcome in zip(iterated, _iterate_grid(iterated_points, max_iterations)):
+        (closed if plateau is not None and target >= plateau.rate else iterated).append(k)
+    results = (_plateau_results([points[k] for k in closed],
+                                [plateaus[id(points[k][0])] for k in closed])
+               + _iterate_grid([points[k] for k in iterated], max_iterations))
+    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
+    for k, outcome in zip(closed + iterated, results):
         outcomes[k] = outcome
     return outcomes
 
@@ -635,28 +666,40 @@ def _plateau(e: StateEnsemble) -> bounds.PlateauMeasurement | None:
         return None
 
 
-def _plateau_result(e: StateEnsemble, plateau: bounds.PlateauMeasurement,
-                    target: float) -> SolveResult:
-    """The closed-form result at a ``target`` at or above ``plateau.rate``."""
-    elements = np.empty((e.n_states + 1, e.dim, e.dim), dtype=np.complex128)
-    elements[1:] = (1.0 - target) / (1.0 - plateau.rate) * plateau.conclusive
-    elements[0] = np.eye(e.dim) - elements[1:].sum(axis=0)
-    povm = Povm(elements)
-    metrics = success_metrics(e, povm)
-    residual = abs(metrics.p_i - target)
-    return SolveResult(
-        povm=povm,
-        p_s=metrics.p_s,
-        p_i=metrics.p_i,
-        p_rs=metrics.p_rs,
-        lam=frozen(plateau.prs_max * average_state(e)),
-        a=None if target == 0.0 else plateau.prs_max,
-        iterations=0,
-        final_change=0.0,
-        converged=residual <= RATE_TOLERANCE,
-        rate_residual=residual,
-        rate_evaluations=0,
-    )
+def _plateau_results(points: list[tuple[StateEnsemble, float]],
+                     plateaus: list[bounds.PlateauMeasurement]) -> list[SolveResult]:
+    """The closed-form results at targets at or above their plateau's rate,
+    built as one stack."""
+    if not points:
+        return []
+    ensembles = [e for e, _ in points]
+    n_states, dim = ensembles[0].n_states, ensembles[0].dim
+    scales = np.array([(1.0 - t) / (1.0 - plateau.rate)
+                       for (_, t), plateau in zip(points, plateaus)])
+    elements = np.empty((len(points), n_states + 1, dim, dim), dtype=np.complex128)
+    elements[:, 1:] = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
+    elements[:, 0] = np.eye(dim) - elements[:, 1:].sum(axis=1)
+    lams = frozen(np.array([p.prs_max for p in plateaus])[:, None, None]
+                  * np.stack([average_state(e) for e in ensembles]))
+    results = []
+    for (_, target), plateau, povm, metrics, lam in zip(
+            points, plateaus, _povms(elements), _success_metrics(ensembles, elements),
+            lams):
+        residual = abs(metrics.p_i - target)
+        results.append(SolveResult(
+            povm=povm,
+            p_s=metrics.p_s,
+            p_i=metrics.p_i,
+            p_rs=metrics.p_rs,
+            lam=lam,
+            a=None if target == 0.0 else plateau.prs_max,
+            iterations=0,
+            final_change=0.0,
+            converged=residual <= RATE_TOLERANCE,
+            rate_residual=residual,
+            rate_evaluations=0,
+        ))
+    return results
 
 
 def _iterate_grid(
@@ -713,6 +756,7 @@ def _iterate_grid(
         changes = changes.max(axis=-1).tolist()
         checks: list[tuple[_Run, np.ndarray]] = []
         settled: list[tuple[int, int, _Run]] = []    # converged, to be checked
+        done: list[int] = []                         # stopped in this sweep
         for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
             if fit.error is not None:
                 if run.x is run.plain:
@@ -733,7 +777,7 @@ def _iterate_grid(
                 continue
             if change <= POVM_TOLERANCE or len(run.history) >= max_iterations:
                 _log_sweep(run, "none")
-                outcomes[k] = _result(points[k][0], run, max_iterations)
+                done.append(row)
                 continue
             guess = run.mixer.extrapolate(residuals[row], values[row])
             if guess is None:
@@ -746,10 +790,10 @@ def _iterate_grid(
         if settled:
             margins = _dual_margins(fixed.take([row for row, _, _ in settled]),
                                     [run.fit for _, _, run in settled])
-            for (_, k, run), margin in zip(settled, margins):
+            for (row, k, run), margin in zip(settled, margins):
                 _log_sweep(run, "none")
                 if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= max_iterations:
-                    outcomes[k] = _result(points[k][0], run, max_iterations)
+                    done.append(row)
                 else:
                     logger.debug("sweep %d at target %.17g: stationary but not dual "
                                  "feasible (margin %.3e); restarting without backtracking",
@@ -768,6 +812,11 @@ def _iterate_grid(
                     beta, run.x = step
                     _log_sweep(run, "accepted" if beta == 1.0
                                else f"backtracked with beta {beta:g}")
+        if done:
+            finished = _results([points[live[row]][0] for row in done],
+                                [runs[row] for row in done], max_iterations)
+            for row, result in zip(done, finished):
+                outcomes[live[row]] = result
         if any(outcomes[k] is not None for k in live):
             rows = [row for row, k in enumerate(live) if outcomes[k] is None]
             live = [live[row] for row in rows]
@@ -782,25 +831,35 @@ def _log_sweep(run: _Run, verdict: str) -> None:
                  run.fit.a, run.fit.residual, verdict)
 
 
-def _result(e: StateEnsemble, run: _Run, max_iterations: int) -> SolveResult:
-    history, fit = run.history, run.fit
-    if history[-1] > POVM_TOLERANCE:
-        logger.warning("no fixed point within %d sweeps (last change %.3e)",
-                       max_iterations, history[-1])
-    povm = Povm(run.plain)
-    metrics = success_metrics(e, povm)
-    return SolveResult(
-        povm=povm,
-        p_s=metrics.p_s,
-        p_i=metrics.p_i,
-        p_rs=metrics.p_rs,
-        lam=fit.lam(),
-        a=None if run.target == 0.0 else fit.a,
-        iterations=len(history),
-        final_change=history[-1],
-        converged=(history[-1] <= POVM_TOLERANCE
-                   and fit.residual <= RATE_TOLERANCE),
-        rate_residual=fit.residual,
-        rate_evaluations=run.evaluations,
-        change_history=tuple(history),
-    )
+def _results(ensembles: list[StateEnsemble], runs: list[_Run],
+             max_iterations: int) -> list[SolveResult]:
+    """The results of the points that stop in one sweep, each its last
+    sweep's output with that sweep's multipliers; their metrics come from
+    one stacked call, and their lam from one stacked root."""
+    for run in runs:
+        if run.history[-1] > POVM_TOLERANCE:
+            logger.warning("no fixed point within %d sweeps (last change %.3e)",
+                           max_iterations, run.history[-1])
+    elements = np.array([run.plain for run in runs])
+    fits = [run.fit for run in runs]
+    lams = frozen(_gather(fits).root_matrix())
+    results = []
+    for run, fit, povm, metrics, lam in zip(
+            runs, fits, _povms(elements), _success_metrics(ensembles, elements), lams):
+        history = run.history
+        results.append(SolveResult(
+            povm=povm,
+            p_s=metrics.p_s,
+            p_i=metrics.p_i,
+            p_rs=metrics.p_rs,
+            lam=lam,
+            a=None if run.target == 0.0 else fit.a,
+            iterations=len(history),
+            final_change=history[-1],
+            converged=(history[-1] <= POVM_TOLERANCE
+                       and fit.residual <= RATE_TOLERANCE),
+            rate_residual=fit.residual,
+            rate_evaluations=run.evaluations,
+            change_history=tuple(history),
+        ))
+    return results

@@ -7,11 +7,13 @@ from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
     phi_max_and_prs_max,
+    plateau_onset_pi,
 )
 from conftest import at_rate, random_ensemble, random_povm
-from povmlab.certificate import SingularMultiplierError, check
+from povmlab.certificate import SingularMultiplierError, check, check_grid
+from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.solver import Povm, solve, success_metrics
+from povmlab.solver import Povm, initial_povm, solve, solve_grid, success_metrics
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ1 = np.diag([0.0, 1.0]).astype(complex)
@@ -175,3 +177,88 @@ def test_lambda_is_hermitian_and_asymmetry_reported():
     cert_bad = check(e, candidate)
     assert cert_bad.lambda_asymmetry > 1e-8
     assert not cert_bad.optimal
+
+
+# ---------------------------------------------------------------------------
+# the stacked certificate
+
+def _fields(outcome) -> tuple:
+    """Every field of a certificate, floats as their exact bit patterns; an
+    error as its type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+
+    def bits(x):
+        return None if x is None else float(x).hex()
+
+    return (outcome.lam.tobytes(), bits(outcome.a),
+            tuple(map(bits, outcome.extremal_residuals)),
+            tuple(map(bits, outcome.positivity_margins)),
+            bits(outcome.dual_bound), outcome.optimal, bits(outcome.lambda_asymmetry))
+
+
+def _one_point(e, povm):
+    try:
+        return check(e, povm)
+    except SingularMultiplierError as exc:
+        return exc
+
+
+def _assert_grid_matches_one_point_checks(pairs):
+    grid = check_grid(pairs)
+    assert len(grid) == len(pairs)
+    for (e, povm), outcome in zip(pairs, grid):
+        assert _fields(outcome) == _fields(_one_point(e, povm))
+    return grid
+
+
+def test_check_grid_matches_check_on_the_fig1_grid_and_onset_window():
+    points = []
+    for eta in (0.7, 0.8, 0.9, 1.0):
+        p = SymmetricQubitProblem(eta, math.pi / 4)
+        points += [(p.ensemble(), float(t)) for t in default_sweep_grid(plateau_onset_pi(p))]
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    window = [(e, float(t)) for t in np.linspace(0.5563961030678929, 0.7163961030678928, 33)]
+    for grid, cap in ((points, 500), (window, 1000)):
+        certs = _assert_grid_matches_one_point_checks(
+            [(e, r.povm) for (e, _), r in zip(grid, solve_grid(grid, max_iterations=cap))])
+        assert all(c.optimal for c in certs)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4])
+def test_check_grid_matches_check_on_random_ensembles(n_states):
+    rng = np.random.default_rng(60 + n_states)
+    for dim in range(2, 17):
+        pairs = []
+        for _ in range(2):
+            e = random_ensemble(rng, dim, n_states)
+            pairs += [(e, random_povm(rng, dim, n_states + 1)), (e, initial_povm(e, 0.3))]
+            if dim <= 6:
+                pairs += [(e, r.povm) for r in solve_grid([(e, 0.0), (e, 0.4)],
+                                                          max_iterations=200)]
+        _assert_grid_matches_one_point_checks(pairs)
+
+
+def test_check_grid_keeps_a_singular_point_to_itself():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    helstrom, solved = (r.povm for r in solve_grid([(e, 0.0), (e, 0.3)]))
+    orthogonal, projective = orthogonal_projective()
+    singular = Povm((PROJ0, 0.5 * PROJ1, 0.5 * PROJ1))
+    grid = _assert_grid_matches_one_point_checks(
+        [(e, helstrom), (e, singular), (orthogonal, projective), (e, solved), (e, singular)])
+    assert isinstance(grid[1], SingularMultiplierError)
+    assert isinstance(grid[4], SingularMultiplierError)
+    for k in (0, 2):
+        assert grid[k].a is None and math.isnan(grid[k].positivity_margins[0])
+    assert all(grid[k].optimal for k in (0, 2, 3))
+    assert grid[3].a is not None
+
+
+def test_check_grid_rejects_mixed_shapes():
+    rng = np.random.default_rng(61)
+    e2, e3 = random_ensemble(rng, 2, 2), random_ensemble(rng, 3, 2)
+    with pytest.raises(ValueError, match="share"):
+        check_grid([(e2, initial_povm(e2, 0.1)), (e3, initial_povm(e3, 0.1))])
+    with pytest.raises(ValueError):
+        check_grid([(e2, initial_povm(e3, 0.1))])
+    assert check_grid([]) == []

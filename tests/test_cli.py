@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -19,8 +20,9 @@ from conftest import padded
 from povmlab import cli
 from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.fileio import load_povm, save_ensemble, save_povm
-from povmlab.solver import InfeasibleTargetError, Povm, solve
+from povmlab.certificate import check
+from povmlab.fileio import load_ensemble, load_povm, save_ensemble, save_povm
+from povmlab.solver import InfeasibleTargetError, Povm, solve, solve_grid
 
 PROBLEM = SymmetricQubitProblem(0.9, math.pi / 4)
 
@@ -251,6 +253,19 @@ def test_tradeoff_loads_the_file_once(capsys, ensemble_file, monkeypatch):
         "tradeoff", str(ensemble_file), "--pi-grid", "0:0.3:4", "--jobs", "1"])
     assert code == cli.EXIT_OK
     assert len(loads) == 1
+
+
+def test_tradeoff_certified_column_is_each_points_check(capsys, ensemble_file):
+    # at a cap of 3 sweeps the iterated rows are not certified and the
+    # closed-form plateau rows are
+    code, out = run_cli(capsys, [
+        "tradeoff", str(ensemble_file), "--pi-grid", "0:0.8:9", "--max-iter", "3"])
+    assert code == cli.EXIT_OK
+    column = [line.split(",")[5] == "true" for line in out.strip().split("\n")[1:]]
+    e = load_ensemble(ensemble_file)
+    grid = solve_grid([(e, float(t)) for t in np.linspace(0.0, 0.8, 9)], max_iterations=3)
+    assert column == [check(e, r.povm).optimal for r in grid]
+    assert True in column and False in column
 
 
 def test_tradeoff_rejects_bad_grid(capsys, ensemble_file):
@@ -505,6 +520,49 @@ def test_fig1_grid_uses_the_family_onset(capsys):
 
 
 # ---------------------------------------------------------------------------
+# input files
+
+_OPEN_LOG: dict = {"hooked": False, "paths": None}
+
+
+def _log_open(event, args):
+    if event == "open" and _OPEN_LOG["paths"] is not None:
+        _OPEN_LOG["paths"].append(str(args[0]))
+
+
+@pytest.fixture
+def opened():
+    """The paths opened while the test runs, from the interpreter's "open"
+    audit events. An audit hook cannot be removed, so one is added on first
+    use and records only inside this fixture."""
+    if not _OPEN_LOG["hooked"]:
+        sys.addaudithook(_log_open)
+        _OPEN_LOG["hooked"] = True
+    _OPEN_LOG["paths"] = paths = []
+    yield paths
+    _OPEN_LOG["paths"] = None
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "tradeoff", "bound", "certify"])
+def test_each_input_is_read_once_and_digested(capsys, ensemble_file, tmp_path, opened, command):
+    povm_file = tmp_path / "povm.json"
+    save_povm(povm_file, solve(PROBLEM.ensemble(), 0.2).povm)
+    argv = {"validate": [], "solve": ["--pi", "0.2"], "tradeoff": ["--pi-grid", "0:0.3:2"],
+            "bound": [], "certify": [str(povm_file)]}[command]
+    opened.clear()
+    code, out = run_cli(capsys, [command, str(ensemble_file), *argv])
+    assert code == cli.EXIT_OK
+    inputs = [str(ensemble_file)] + ([str(povm_file)] if command == "certify" else [])
+    assert sorted(path for path in opened if path in inputs) == sorted(inputs)
+    if command == "tradeoff":
+        return
+    rec = json.loads(out)
+    assert rec["input_digest"] == hashlib.sha256(ensemble_file.read_bytes()).hexdigest()
+    if command == "certify":
+        assert rec["config"]["povm_digest"] == hashlib.sha256(povm_file.read_bytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
 # entry point
 
 def test_console_script_runs(ensemble_file):
@@ -513,6 +571,16 @@ def test_console_script_runs(ensemble_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["valid"] is True
+
+
+def test_fig1_does_not_import_hashlib():
+    # fig1 records no digest, so it does not pay for loading OpenSSL
+    code = ("import sys; from povmlab import cli; "
+            "code = cli.main(['fig1', '--etas', '0.9', '--points', '3']); "
+            "sys.exit('hashlib imported' if 'hashlib' in sys.modules else code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta,pi,")
 
 
 def test_package_root_exports_resolve():

@@ -136,6 +136,28 @@ def test_average_is_density_matrix_random():
         assert np.linalg.eigvalsh(sig)[0] >= -1e-10
 
 
+def test_average_is_the_prior_weighted_sum_computed_once():
+    rng = np.random.default_rng(22)
+    for e in (symmetric_qubit_pair(0.9, math.pi / 4), random_ensemble(rng, 5, 3)):
+        sig = average_state(e)
+        mixture = sum(p * rho for p, rho in zip(e.priors, e.states))
+        expected = (mixture + mixture.conj().T) / 2.0
+        assert sig.tobytes() == expected.tobytes()
+        assert not sig.flags.writeable
+        with pytest.raises(ValueError):
+            sig[0, 0] = 1.0
+        assert average_state(e) is sig
+
+
+def test_unpickled_ensemble_recomputes_its_average():
+    e = random_ensemble(np.random.default_rng(23), 3, 2)
+    sig = average_state(e)
+    copy = pickle.loads(pickle.dumps(e))
+    again = average_state(copy)
+    assert again is not sig and again.tobytes() == sig.tobytes()
+    assert not again.flags.writeable
+
+
 def test_overlaps_pure_orthogonal():
     o, p = overlaps_and_purities(orthogonal_pair())
     assert np.allclose(p, [1.0, 1.0])

@@ -588,7 +588,8 @@ def test_solve_grid_isolates_failing_points(monkeypatch):
     for k in (0, 1, 4):
         assert grid[k].converged
         assert _bits(grid[k]) == _bits(_iterate(e, targets[k], 150))
-    rows = [cli._sweep_row(e, t, r) for t, r in zip(targets, grid)]
+    verdicts = cli._certified([e] * len(targets), grid)
+    rows = [cli._sweep_row(t, r, v) for t, r, v in zip(targets, grid, verdicts)]
     assert [row[6] for row in rows] == ["ok", "ok", "infeasible", "maxiter", "ok"]
 
 
