@@ -150,13 +150,17 @@ def _certified(ensembles: list, outcomes: list) -> list[bool]:
 
 def _sweep_row(target: float, outcome, certified: bool) -> list[str]:
     """CSV cells of one solved point: its SolveResult, with the verdict of
-    its certificate, or the InfeasibleTargetError it met."""
+    its certificate, or the InfeasibleTargetError it met. A converged point
+    is ``ok`` only when certified, and ``uncertified`` otherwise."""
     f = fileio.float_repr
     if isinstance(outcome, InfeasibleTargetError):
         return [f(target), "", "", "", "", "", "infeasible"]
+    if not outcome.converged:
+        status = "maxiter"
+    else:
+        status = "ok" if certified else "uncertified"
     return [f(target), f(outcome.p_s), f(outcome.p_rs), str(outcome.iterations),
-            f(outcome.final_change), "true" if certified else "false",
-            "ok" if outcome.converged else "maxiter"]
+            f(outcome.final_change), "true" if certified else "false", status]
 
 
 def _run_jobs(worker, *args) -> list[list[str]]:

@@ -33,7 +33,10 @@ POVM does not end the solve. The per-sweep history it reports is the
 fixed-point residual, the largest element change one sweep makes to the
 point it was applied to. It solves many points in lockstep on one
 stacked iterate, so numpy's per-call cost is paid once per grid rather
-than once per point; :func:`solve` is its one-point case.
+than once per point; :func:`solve` is its one-point case. The Anderson
+least squares of all points with the same history depth are one call of
+the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so each point's
+coefficients are bit for bit those of its own ``lstsq``.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import bounds
 from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
@@ -476,15 +480,16 @@ def _sweep(
 
 class _Anderson:
     """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 1715
-    (2011)) for a fixed-point map G, on the real view of one point's
-    flattened iterate.
+    (2011)) for a fixed-point map G: the history of one point, kept on the
+    real view of its flattened iterate.
 
     It keeps the last ``depth`` differences of the residuals f = G(x) - x
     and of the map values G(x). With F and D those differences as columns,
     the next iterate is G(x) - D gamma for the gamma that minimizes
-    |f - F gamma|. Its weights on the recent map values sum to 1, so it
-    keeps every affine constraint that all of them meet: completeness and
-    Tr[sigma Pi_0] = target here. Positivity is the caller's to check.
+    |f - F gamma| (:func:`_extrapolate`, for a stack of points). Its
+    weights on the recent map values sum to 1, so it keeps every affine
+    constraint that all of them meet: completeness and Tr[sigma Pi_0] =
+    target here. Positivity is the caller's to check.
     """
 
     def __init__(self, depth: int):
@@ -496,17 +501,49 @@ class _Anderson:
         self.df: list[np.ndarray] = []
         self.dg: list[np.ndarray] = []
 
-    def extrapolate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-        """Next iterate from the residual ``f`` and the map value ``g`` =
-        G(x), all real views; None without history."""
+    def record(self, f: np.ndarray, g: np.ndarray) -> bool:
+        """Take the residual ``f`` and the map value ``g`` = G(x), real
+        views; True when there is history to extrapolate from."""
         if self.last is not None:
             self.df = [*self.df[1 - self.depth:], f - self.last[0]]
             self.dg = [*self.dg[1 - self.depth:], g - self.last[1]]
         self.last = (f, g)
-        if not self.df:
-            return None
-        gamma = np.linalg.lstsq(np.array(self.df).T, f, rcond=None)[0]
-        return g - gamma @ np.array(self.dg)
+        return bool(self.df)
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solutions of the stacked (P, m, n) ``a`` and (P, m,
+    1) ``b``, each bit for bit what ``np.linalg.lstsq(a[k], b[k], rcond=None)``
+    gives: the LAPACK gelsd gufunc that lstsq calls, with its cutoff and
+    error handling, over the whole stack in one call."""
+    m, n = a.shape[-2:]
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b, np.finfo(np.float64).eps * max(m, n),
+                                         signature="ddd->ddid")
+    return x
+
+
+def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each point's Anderson iterate G(x) - D gamma from its history in
+    ``mixers`` and its rows of ``f`` and ``g``, the stacked real views of
+    G(x) - x and G(x). The points are grouped by history depth, and each
+    depth takes one :func:`_lstsq` and one matmul for its points, so every
+    gamma is the one a point's own ``np.linalg.lstsq`` gives; padding to
+    a common depth would change gelsd's answer."""
+    guesses = np.empty_like(g)
+    depths = [len(mixer.df) for mixer in mixers]
+    for depth in set(depths):
+        rows = [k for k, n in enumerate(depths) if n == depth]
+        df = np.array([mixers[k].df for k in rows])     # (P, depth, L)
+        dg = np.array([mixers[k].dg for k in rows])
+        gamma = _lstsq(df.swapaxes(-1, -2), f[rows, :, None])
+        guesses[rows] = g[rows] - (gamma.swapaxes(-1, -2) @ dg)[:, 0]
+    return guesses
 
 
 class _Run:
@@ -546,14 +583,12 @@ def _step(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarra
     which y = plain + beta (guess - plain) keeps every element's smallest
     eigenvalue at or above POVM_PSD_FLOOR, with that y; None when no beta
     does. At beta = 1, y is the guess itself. ``plain`` and ``guesses`` are
-    stacked (T, N+1, d, d); all trials go through one stacked eigvalsh."""
+    stacked (T, N+1, d, d); all trials are built by one broadcast and go
+    through one stacked eigvalsh."""
     betas = 0.5 ** np.arange(BACKTRACK_STEPS + 1)
-    stack = np.empty((len(betas),) + plain.shape, dtype=plain.dtype)
+    stack = betas[:, None, None, None, None] * (guesses - plain)
+    stack += plain
     stack[0] = guesses
-    steps = guesses - plain
-    for trial, beta in zip(stack[1:], betas[1:]):
-        np.multiply(steps, beta, out=trial)
-        trial += plain
     inside = (np.linalg.eigvalsh(stack)[..., 0] >= POVM_PSD_FLOOR).all(axis=-1)  # (beta, point)
     first = inside.argmax(axis=0).tolist()
     return [(float(betas[b]), stack[b, k].copy()) if ok else None
@@ -714,9 +749,12 @@ def _iterate_grid(
     extrapolation x_A from its recent sweeps and the largest beta = 1,
     1/2 ... 1/2**BACKTRACK_STEPS whose elements are all PSD within
     POVM_PSD_FLOOR (:func:`_step`, one stacked eigvalsh for the grid); at
-    beta = 1, y is x_A itself. When no beta passes, or the search missed
-    the tolerance, the next iterate is the plain sweep's output G(x_k),
-    and its mixing starts over.
+    beta = 1, y is x_A itself. The sweep's extrapolations come from
+    :func:`_extrapolate`, one least-squares call per history depth. When
+    no beta passes, or the search missed the tolerance, the next iterate
+    is the plain sweep's output G(x_k), and its mixing starts over; a
+    point that missed the tolerance records the sweep in its history but
+    solves no least squares.
 
     A point stops, and leaves the stack, when its fixed-point residual,
     the largest Frobenius-norm difference between elements of G(x_k) and
@@ -754,7 +792,8 @@ def _iterate_grid(
         # largest Frobenius norm of an element's change, per point
         changes = np.sqrt(np.square(residuals).reshape(x.shape[:2] + (-1,)).sum(axis=-1))
         changes = changes.max(axis=-1).tolist()
-        checks: list[tuple[_Run, np.ndarray]] = []
+        debug = logger.isEnabledFor(logging.DEBUG)
+        mixing: list[int] = []                       # rows that extrapolate
         settled: list[tuple[int, int, _Run]] = []    # converged, to be checked
         done: list[int] = []                         # stopped in this sweep
         for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
@@ -776,22 +815,25 @@ def _iterate_grid(
                 settled.append((row, k, run))
                 continue
             if change <= POVM_TOLERANCE or len(run.history) >= max_iterations:
-                _log_sweep(run, "none")
+                if debug:
+                    _log_sweep(run, "none")
                 done.append(row)
                 continue
-            guess = run.mixer.extrapolate(residuals[row], values[row])
-            if guess is None:
-                _log_sweep(run, "none")
+            if not run.mixer.record(residuals[row], values[row]):
+                if debug:
+                    _log_sweep(run, "none")
             elif fit.residual <= RATE_TOLERANCE:
-                checks.append((run, guess.view(np.complex128).reshape(x.shape[1:])))
+                mixing.append(row)
             else:
                 run.mixer.reset()
-                _log_sweep(run, "rejected")
+                if debug:
+                    _log_sweep(run, "rejected")
         if settled:
             margins = _dual_margins(fixed.take([row for row, _, _ in settled]),
                                     [run.fit for _, _, run in settled])
             for (row, k, run), margin in zip(settled, margins):
-                _log_sweep(run, "none")
+                if debug:
+                    _log_sweep(run, "none")
                 if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= max_iterations:
                     done.append(row)
                 else:
@@ -800,18 +842,23 @@ def _iterate_grid(
                                  len(run.history), run.target, margin)
                     run.backtrack = False
                     run.restart(initial_povm(*points[k]).elements)
-        if checks:
-            steps = _step(np.array([run.plain for run, _ in checks]),
-                          np.array([guess for _, guess in checks]))
-            for (run, _), step in zip(checks, steps):
+        if mixing:
+            guesses = _extrapolate([runs[row].mixer for row in mixing],
+                                   residuals[mixing], values[mixing])
+            steps = _step(new[mixing], guesses.view(np.complex128).reshape(
+                (len(mixing),) + x.shape[1:]))
+            for row, step in zip(mixing, steps):
+                run = runs[row]
                 # a restarted point takes the full step or none
                 if step is None or (step[0] < 1.0 and not run.backtrack):
                     run.mixer.reset()
-                    _log_sweep(run, "rejected")
+                    if debug:
+                        _log_sweep(run, "rejected")
                 else:
                     beta, run.x = step
-                    _log_sweep(run, "accepted" if beta == 1.0
-                               else f"backtracked with beta {beta:g}")
+                    if debug:
+                        _log_sweep(run, "accepted" if beta == 1.0
+                                   else f"backtracked with beta {beta:g}")
         if done:
             finished = _results([points[live[row]][0] for row in done],
                                 [runs[row] for row in done], max_iterations)

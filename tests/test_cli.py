@@ -476,6 +476,37 @@ def test_fig1_output_shape(capsys):
     assert all(r[6] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("argv, uncertified", [
+    # sigma's small eigenvalue falls below the pseudoinverse cutoff, so the
+    # closed-form rows and the iterated target-0 row are wrong and say so
+    (["--theta", "1e-6", "--etas", "1", "--points", "5"], 5),
+    # target 0 stops at the anti-Helstrom measurement and target 0.84 as
+    # close to optimal, both with positivity margins just past the
+    # certificate's tolerance (-1.50e-9 and -1.57e-9)
+    (["--theta", "1e-8", "--etas", "0.3", "--points", "5"], 2),
+])
+def test_fig1_converged_but_uncertified_rows_are_not_ok(capsys, argv, uncertified):
+    code, out = run_cli(capsys, ["fig1", *argv])
+    assert code == cli.EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 5
+    assert sum(r[7] == "uncertified" for r in rows) == uncertified
+    for r in rows:
+        assert r[7] in ("ok", "uncertified", "maxiter")
+        if r[7] != "maxiter":
+            assert (r[7] == "ok") == (r[6] == "true")
+
+
+def test_default_grids_print_every_row_certified_and_ok(capsys, ensemble_file):
+    _, fig1 = run_cli(capsys, ["fig1"])
+    _, window = run_cli(capsys, ["tradeoff", str(ensemble_file), "--pi-grid",
+                                 "0.5563961030678929:0.7163961030678928:33",
+                                 "--max-iter", "1000"])
+    rows = fig1.strip().split("\n")[1:] + window.strip().split("\n")[1:]
+    assert len(rows) == 133
+    assert all(row.endswith(",true,ok") for row in rows)
+
+
 def test_fig1_jobs_2_runs_in_process(capsys, monkeypatch):
     argv = ["fig1", "--etas", "0.8,0.9", "--points", "7"]
     _, serial = run_cli(capsys, argv + ["--jobs", "1"])

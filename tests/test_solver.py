@@ -1,6 +1,7 @@
 import logging
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -600,6 +601,75 @@ def test_solve_grid_rejects_mixed_shapes():
     assert solve_grid([]) == []
 
 
+def test_sweeps_are_logged_only_at_debug_level(monkeypatch, caplog):
+    calls = []
+    log_sweep = solver._log_sweep
+    monkeypatch.setattr(solver, "_log_sweep",
+                        lambda *args: calls.append(args) or log_sweep(*args))
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    with caplog.at_level(logging.INFO, logger="povmlab.solver"):
+        solve(e, 0.3)
+    assert calls == []
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        r = solve(e, 0.3)
+    assert len(calls) == r.iterations
+
+
+# ---------------------------------------------------------------------------
+# stacked Anderson least squares
+
+def _history(rng: np.random.Generator, m: int, depth: int, kind: str) -> solver._Anderson:
+    """An Anderson history of ``depth`` random differences of length ``m``.
+    Its residual differences are rank deficient (``kind`` "deficient": a
+    zero column and a repeated one), ill-conditioned ("ill": columns 1e-10
+    apart), near gelsd's rank cutoff ("cutoff": columns 1e-14 apart) or
+    none of these ("random")."""
+    mixer = solver._Anderson(solver.ANDERSON_DEPTH)
+    df = list(rng.standard_normal((depth, m)))
+    if kind == "deficient":
+        df[0] = np.zeros(m)
+        if depth > 2:
+            df[-1] = df[1].copy()
+    elif kind in ("ill", "cutoff"):
+        spacing = 1e-10 if kind == "ill" else 1e-14
+        df[1:] = [df[0] + spacing * rng.standard_normal(m) for _ in df[1:]]
+    mixer.df, mixer.dg = df, list(rng.standard_normal((depth, m)))
+    return mixer
+
+
+@pytest.mark.parametrize("m", [8, 24, 72, 512])
+def test_stacked_least_squares_is_each_points_lstsq_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    mixers = [_history(rng, m, depth, kind)
+              for depth in range(1, solver.ANDERSON_DEPTH + 1)
+              for kind in ("random", "deficient", "ill", "cutoff") for _ in range(2)]
+    mixers = [mixers[k] for k in rng.permutation(len(mixers))]   # depths interleaved
+    f, g = rng.standard_normal((2, len(mixers), m))
+    guesses = solver._extrapolate(mixers, f, g)
+    for depth in range(1, solver.ANDERSON_DEPTH + 1):
+        rows = [k for k, mixer in enumerate(mixers) if len(mixer.df) == depth]
+        stacked = solver._lstsq(np.array([mixers[k].df for k in rows]).swapaxes(-1, -2),
+                                f[rows, :, None])
+        for k, gamma in zip(rows, stacked[..., 0]):
+            expected = np.linalg.lstsq(np.array(mixers[k].df).T, f[k], rcond=None)[0]
+            assert gamma.tobytes() == expected.tobytes()
+            guess = g[k] - expected @ np.array(mixers[k].dg)
+            assert guesses[k].tobytes() == guess.tobytes()
+
+
+def test_stacked_least_squares_raises_numpys_error_on_a_nan_column():
+    rng = np.random.default_rng(7)
+    mixers = [_history(rng, 24, 3, "random") for _ in range(3)]
+    mixers[1].df[2] = np.full(24, np.nan)
+    f, g = rng.standard_normal((2, 3, 24))
+    with pytest.raises(np.linalg.LinAlgError) as per_point:
+        np.linalg.lstsq(np.array(mixers[1].df).T, f[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        solver._extrapolate(mixers, f, g)
+    assert str(stacked.value) == str(per_point.value) == (
+        "SVD did not converge in Linear Least Squares")
+
+
 # ---------------------------------------------------------------------------
 # backtracking and the certified exit
 
@@ -702,6 +772,34 @@ def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
     assert [r.iterations == 0 for r in results] == [k >= 16 for k in range(33)]
     assert sum(r.iterations for r in results) <= 800
     assert max(r.iterations for r in results) <= 112
+
+
+def test_onset_window_solves_its_least_squares_once_per_depth_and_sweep(monkeypatch):
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    points = [(e, float(t)) for t in ONSET_WINDOW]
+    reference = [_bits(r) for r in solve_grid(points, max_iterations=1000)]
+    calls: list[int] = []    # gelsd gufunc calls, one entry per lockstep sweep
+    gufunc, sweep = solver._umath_linalg.lstsq, solver._sweep
+
+    def refuse_lstsq(*args, **kwargs):
+        raise AssertionError("a point solved its own least squares")
+
+    def counting_gufunc(*args, **kwargs):
+        calls[-1] += 1
+        return gufunc(*args, **kwargs)
+
+    def counting_sweep(*args):
+        calls.append(0)
+        return sweep(*args)
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse_lstsq)
+    monkeypatch.setattr(solver, "_umath_linalg", SimpleNamespace(lstsq=counting_gufunc))
+    monkeypatch.setattr(solver, "_sweep", counting_sweep)
+    results = solve_grid(points, max_iterations=1000)
+    monkeypatch.undo()
+    assert [_bits(r) for r in results] == reference
+    assert sum(calls) > 0
+    assert max(calls) <= solver.ANDERSON_DEPTH
 
 
 # ---------------------------------------------------------------------------
