@@ -142,10 +142,10 @@ def check_grid(
 
     raw = (weights * (states @ pi[:, 1:])).sum(axis=1)
     spi = sig @ pi[:, 0]
-    zeros = np.zeros_like(sig[:, None])
-    base = herm(raw)[:, None] - np.concatenate((zeros, weights * states), axis=1)
-    lin = ((spi + pi[:, 0] @ sig) / 2.0)[:, None] - np.concatenate(
-        (sig[:, None], np.zeros_like(states)), axis=1)
+    fixed, slope = herm(raw), (spi + pi[:, 0] @ sig) / 2.0
+    base, lin = np.empty_like(pi), np.empty_like(pi)
+    base[:, 0], base[:, 1:] = fixed, fixed[:, None] - weights * states
+    lin[:, 0], lin[:, 1:] = slope - sig, slope[:, None]
     base_blocks, lin_blocks = base @ pi, lin @ pi
 
     outcomes: list[Certificate | SingularMultiplierError | None] = [None] * len(pairs)
@@ -166,7 +166,8 @@ def check_grid(
     residuals = np.linalg.norm(base_blocks + a_eff[:, None] * lin_blocks, axis=(-2, -1))
     margins = np.linalg.eigvalsh(herm(base + a_eff[:, None] * lin))[..., 0]
     margins[:, 0][[x is None for x in a]] = math.nan
-    worst = np.nanmin(margins, axis=1).tolist()
+    # np.nanmin without its all-NaN warning check: only margin 0 is set to NaN
+    worst = np.fmin.reduce(margins, axis=1).tolist()
     largest = residuals.max(axis=1).tolist()
     traces = np.trace(lam, axis1=-2, axis2=-1).real.tolist()
     dim = sig.shape[-1]

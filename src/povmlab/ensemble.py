@@ -67,7 +67,7 @@ class StateEnsemble:
             raise ValueError(
                 f"got {priors.size} priors for {len(states)} states"
             )
-        if not np.all(np.isfinite(priors)):
+        if not np.isfinite(priors).all():
             raise ValueError("ensemble entries must be finite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
@@ -138,11 +138,11 @@ def validate(e: StateEnsemble) -> list[Violation]:
             Violation(f"ensemble has {e.n_states} state(s), need at least 2",
                       residual=float(2 - e.n_states))
         )
-    for j, p in enumerate(e.priors):
+    for j, p in enumerate(e.priors.tolist()):
         if p <= 0:
             report.append(
                 Violation(f"prior {j} is {p:.17g}, must be strictly positive",
-                          residual=float(p), index=j)
+                          residual=p, index=j)
             )
     s = float(np.sum(e.priors))
     if abs(s - 1.0) > PRIOR_SUM_ATOL:
@@ -150,12 +150,12 @@ def validate(e: StateEnsemble) -> list[Violation]:
             Violation(f"priors sum to {s:.17g}", residual=abs(s - 1.0))
         )
     checks = hermitian_psd_checks("state", e.states, HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR)
-    for j, (rho, (hermitian, violation)) in enumerate(zip(e.states, checks)):
+    traces = np.trace(e.states, axis1=-2, axis2=-1).tolist()
+    for j, (tr, (hermitian, violation)) in enumerate(zip(traces, checks)):
         if violation is not None:
             report.append(violation)
         if not hermitian:
             continue  # the trace check needs a Hermitian matrix
-        tr = complex(np.trace(rho))
         if abs(tr - 1.0) > TRACE_ATOL:
             report.append(
                 Violation(f"state {j} trace deviates from 1 by {abs(tr - 1.0):.3e}",

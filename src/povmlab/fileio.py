@@ -2,14 +2,16 @@
 
 Complex matrices are stored as nested row-major lists whose innermost
 entries are two-element [re, im] arrays. A file's whole list of matrices is
-converted by one numpy call, accepted only when its shape is right and every
-number is a JSON integer or float; otherwise a per-entry walk names the first
-bad entry, and never returns a matrix. Structural problems (wrong keys,
-ragged shapes, non-numeric entries) raise FileFormatError; physics-level
-violations (hermiticity, traces, prior normalization) are reported through
-the ensemble validation path so callers can distinguish a broken file from
-a well-formed description of invalid data. The file's encoding (UTF-8, -16
-or -32, with or without a byte-order mark) is detected from its bytes.
+checked level by level on flattened lists (every matrix, row and entry a
+list of the right length, every number a JSON integer or float), and its
+numbers are converted by one numpy call; any other input goes to a
+per-entry walk that names the first bad entry, and never returns a matrix.
+Structural problems (wrong keys, ragged shapes, non-numeric entries) raise
+FileFormatError; physics-level violations (hermiticity, traces, prior
+normalization) are reported through the ensemble validation path so
+callers can distinguish a broken file from a well-formed description of
+invalid data. The file's encoding (UTF-8, -16 or -32, with or without a
+byte-order mark) is detected from its bytes.
 
 Emitted records print every float with 17 significant digits so values
 round-trip losslessly; the stdlib encoder offers no hook for that, hence
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +48,30 @@ def _is_number(x) -> bool:
 # ---------------------------------------------------------------------------
 # complex matrix <-> [re, im] pairs
 
+def _flat_leaves(objs: list, dim: int) -> list | None:
+    """The numbers of the matrices in ``objs`` in row-major order, [re, im]
+    by [re, im]; None unless every matrix, row and entry is a list of the
+    right length and every number a JSON integer or float (numpy alone would
+    also take true, "1.5" and null)."""
+    nodes = objs
+    for width in (dim, dim, 2):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {width}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    return nodes if set(map(type, nodes)) <= {int, float} else None
+
+
 def _stack_from_pairs(objs: list, dim: int, what: str) -> np.ndarray:
     """The complex (len(objs), dim, dim) stack of the matrices in ``objs``;
     ``what`` names one of them in messages, e.g. "path: state"."""
-    try:
-        a = np.array(objs, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        a = None
-    # numpy would also take true, "1.5" and null (as NaN), so the check on
-    # the leaves' exact types is what keeps them format errors
-    if (a is not None and a.shape == (len(objs), dim, dim, 2)
-            and set(map(type, chain.from_iterable(chain.from_iterable(
-                chain.from_iterable(objs))))) <= {int, float}):
-        return a.view(np.complex128)[..., 0]
+    leaves = _flat_leaves(objs, dim)
+    if leaves is not None:
+        try:
+            a = np.array(leaves, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer too large for a float, which the walk names
+        else:
+            return a.view(np.complex128).reshape(len(objs), dim, dim)
     for j, obj in enumerate(objs):
         _raise_first_fault(obj, dim, f"{what} {j}")
     raise FileFormatError(f"{what}s are not {dim} x {dim} matrices of [re, im] pairs")
@@ -90,43 +105,56 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # 17-significant-digit JSON
 
+def _json_float(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+# what _emit writes for each scalar type that records hold, by exact type;
+# encode_basestring_ascii is what json.dumps does with a str
+_SCALARS = {
+    float: _json_float,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _emit(o, out: list, level: int) -> None:
-    pad = " " * (JSON_INDENT * level)
-    pad_in = " " * (JSON_INDENT * (level + 1))
-    if o is None:
-        out.append("null")
-    elif isinstance(o, bool):
-        out.append("true" if o else "false")
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        out.append(scalar(o))
     elif isinstance(o, (int, np.integer)):
         out.append(str(int(o)))
     elif isinstance(o, (float, np.floating)):
-        x = float(o)
-        out.append(format(x, ".17g") if math.isfinite(x) else "null")
+        out.append(_json_float(float(o)))
     elif isinstance(o, str):
-        out.append(json.dumps(o))
+        out.append(encode_basestring_ascii(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
-        out.append("[\n")
+        pad_in = " " * (JSON_INDENT * (level + 1))
+        out.append("[\n" + pad_in)
         for k, item in enumerate(o):
-            out.append(pad_in)
+            if k:
+                out.append(",\n" + pad_in)
             _emit(item, out, level + 1)
-            out.append(",\n" if k < len(o) - 1 else "\n")
-        out.append(pad + "]")
+        out.append("\n" + " " * (JSON_INDENT * level) + "]")
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
-        out.append("{\n")
-        items = list(o.items())
-        for k, (key, value) in enumerate(items):
+        pad_in = " " * (JSON_INDENT * (level + 1))
+        out.append("{\n" + pad_in)
+        for k, (key, value) in enumerate(o.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
-            out.append(pad_in + json.dumps(key) + ": ")
+            if k:
+                out.append(",\n" + pad_in)
+            out.append(encode_basestring_ascii(key) + ": ")
             _emit(value, out, level + 1)
-            out.append(",\n" if k < len(items) - 1 else "\n")
-        out.append(pad + "}")
+        out.append("\n" + " " * (JSON_INDENT * level) + "}")
     else:
         raise TypeError(f"cannot serialize {type(o)} to JSON")
 
@@ -153,7 +181,9 @@ def float_repr(x: float) -> str:
 def read_bytes(path) -> bytes:
     """The bytes of the file at ``path``; FileFormatError when it cannot be read."""
     try:
-        return Path(path).read_bytes()
+        # os.fspath keeps a non-path argument, such as a file descriptor, a TypeError
+        with open(os.fspath(path), "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
 

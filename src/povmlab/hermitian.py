@@ -40,7 +40,7 @@ def operator_stack(matrices, owner: str) -> np.ndarray:
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(
             f"{owner} matrices must be square and of one dimension, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise ValueError(f"{owner} entries must be finite")
     return frozen(stack)
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import hashlib
 import json
 import math
@@ -94,6 +95,14 @@ def test_integer_too_large_for_a_float_is_io_error(capsys, ensemble_file, tmp_pa
 def test_missing_file_is_io_error(capsys, tmp_path):
     code, rec = run_json(capsys, ["solve", str(tmp_path / "absent.json")])
     assert code == cli.EXIT_IO
+    # validate names a missing file and a directory with the OS's message
+    folder = tmp_path / "folder.json"
+    folder.mkdir()
+    for path, number in ((tmp_path / "absent.json", errno.ENOENT), (folder, errno.EISDIR)):
+        code, rec = run_json(capsys, ["validate", str(path)])
+        assert code == cli.EXIT_IO
+        assert rec["result"]["error"] == (
+            f"cannot read {path}: [Errno {number}] {os.strerror(number)}: {str(path)!r}")
 
 
 def test_undecodable_file_is_io_error(capsys, ensemble_file, tmp_path):

@@ -1,6 +1,8 @@
 import copy
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -99,6 +101,16 @@ def _with_entry(value, r=1, c=0):
     (_with_entry([10 ** 400, 0]), "entry (1,0) is too large for a float"),
     ([GOOD_MATRIX[0], GOOD_MATRIX[1][:1]], "row 1 is not a list of 2 entries"),
     ([GOOD_MATRIX[0]], "expected 2 rows"),
+    # a number where a list belongs has no length at all
+    (_with_entry(0.5), "entry (1,0) is not a two-element [re, im] array"),
+    ([GOOD_MATRIX[0], None], "row 1 is not a list of 2 entries"),
+    (7, "expected 2 rows"),
+    # each of these has the length a flat count over the level would expect
+    (_with_entry("ab"), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry({"re": 0.5, "im": 0.0}), "entry (1,0) is not a two-element [re, im] array"),
+    (_with_entry([[1, 2], [3, 4]]), "entry (1,0) is not a two-element [re, im] array"),
+    ([GOOD_MATRIX[0], "ab"], "row 1 is not a list of 2 entries"),
+    ({"r0": GOOD_MATRIX[0], "r1": GOOD_MATRIX[1]}, "expected 2 rows"),
 ])
 def test_load_names_the_first_bad_entry(tmp_path, bad, fault):
     # matrix 1 holds the fault; matrix 2 is bad too, so the walk must stop at 1
@@ -115,8 +127,18 @@ def test_load_names_the_first_bad_entry(tmp_path, bad, fault):
 
 
 def test_load_rejects_missing_file(tmp_path):
-    with pytest.raises(FileFormatError):
-        load_ensemble(tmp_path / "nope.json")
+    # a missing file and a directory, named as str or as Path, give the OS's message
+    missing, folder = tmp_path / "nope.json", tmp_path / "folder.json"
+    folder.mkdir()
+    for path, code in ((missing, errno.ENOENT), (folder, errno.EISDIR)):
+        text = f"cannot read {path}: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
+        for arg in (path, str(path)):
+            with pytest.raises(FileFormatError) as exc_info:
+                load_ensemble(arg)
+            assert str(exc_info.value) == text
+            with pytest.raises(FileFormatError) as exc_info:
+                load_povm(arg)
+            assert str(exc_info.value) == text
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -246,6 +268,53 @@ def test_dumps_json_formatting():
     assert text.endswith("\n")
 
 
+def test_dumps_json_golden_bytes():
+    record = {
+        "empty": [[], {}, [[]], {"k": {}}],
+        "floats": [-0.0, 0.1, 1e-300, math.nan, math.inf, -math.inf],
+        "numpy": [np.float64(2.0 / 3.0), np.int64(-7), np.float32(0.5), np.int32(3)],
+        "tuple": (1, True, None),
+        "text": "caf\u00e9 \"q\"\n",
+        "\u03c1": "key",
+    }
+    assert dumps_json(record) == (
+        '{\n'
+        '  "empty": [\n'
+        '    [],\n'
+        '    {},\n'
+        '    [\n'
+        '      []\n'
+        '    ],\n'
+        '    {\n'
+        '      "k": {}\n'
+        '    }\n'
+        '  ],\n'
+        '  "floats": [\n'
+        '    -0,\n'
+        '    0.10000000000000001,\n'
+        '    1e-300,\n'
+        '    null,\n'
+        '    null,\n'
+        '    null\n'
+        '  ],\n'
+        '  "numpy": [\n'
+        '    0.66666666666666663,\n'
+        '    -7,\n'
+        '    0.5,\n'
+        '    3\n'
+        '  ],\n'
+        '  "tuple": [\n'
+        '    1,\n'
+        '    true,\n'
+        '    null\n'
+        '  ],\n'
+        '  "text": "caf\\u00e9 \\"q\\"\\n",\n'
+        '  "\\u03c1": "key"\n'
+        '}\n')
+    assert dumps_json([]) == "[]\n" and dumps_json({}) == "{}\n"
+    assert dumps_json(-0.0) == "-0\n" and dumps_json("\u00e9") == '"\\u00e9"\n'
+
+
 def test_dumps_json_is_deterministic():
     payload = {"b": [0.1, 0.2], "a": {"k": 3.0}}
     assert dumps_json(payload) == dumps_json(payload)
@@ -256,6 +325,8 @@ def test_dumps_json_rejects_unknown_types():
         dumps_json({"z": complex(1, 2)})
     with pytest.raises(TypeError):
         dumps_json({1: "non-string key"})
+    with pytest.raises(TypeError):
+        dumps_json([np.bool_(True)])
 
 
 def test_float_repr_is_lossless():
