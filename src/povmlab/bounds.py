@@ -10,35 +10,35 @@ average state, lam = a * sigma, and the stationarity system then forces
 so the ceiling is a_j = p_j * (largest eigenvalue of sigma^{-1/2} rho_j
 sigma^{-1/2}) maximized over j. Since p_j rho_j <= sigma, every state lives
 in the support of sigma, so sigma need not be invertible: sigma^{-1/2} is
-the pseudoinverse root from ``hermitian.psd_root``, the inverse root on
-supp sigma and zero on its kernel. For N linearly independent pure states
-in a larger space the ceiling is exactly 1, the unambiguous limit. The
-conclusive elements of the limiting measurement live in the kernel of
-a sigma - p_j* rho_j* within supp sigma. For qubits the
-determinant condition is also a quadratic in a_j with coefficients built
-from the scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2],
-and for the symmetric equal-prior pair it has a closed form in the
-overlap and the common purity. Neither route is needed here; the tests
+the pseudoinverse root from ``ensemble.average_root`` (one decomposition
+per ensemble), the inverse root on supp sigma and zero on its kernel. For N
+linearly independent pure states in a larger space the ceiling is exactly
+1, the unambiguous limit. The conclusive elements of the limiting
+measurement live in the kernel of a sigma - p_j* rho_j* within supp sigma,
+and :func:`plateau_measurement` finds them from the ensemble alone. For
+qubits the determinant condition is also a quadratic in a_j with
+coefficients built from the scalar invariants Tr[sigma^2], Tr[sigma rho_j],
+Tr[rho_j^2], and for the symmetric equal-prior pair it has a closed form
+in the overlap and the common purity. Neither route is needed here; the tests
 check the eigenvalue route against both (``tests/closed_forms.py``).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import StateEnsemble, average_state
-from .hermitian import frozen, herm, psd_root, trace_product
+from .ensemble import StateEnsemble, average_root, average_state
+from .hermitian import frozen, herm, trace_product
+
+logger = logging.getLogger(__name__)
 
 # Relative threshold below which eigenvalues of a*sigma - p*rho count as kernel.
 KERNEL_RTOL = 1e-9
 # Top-eigenvalue multiplicity is counted within this relative spread.
 DEGENERACY_RTOL = 1e-10
-
-
-class InconsistentBoundError(RuntimeError):
-    """The limiting operator shows no numerical kernel at the computed ceiling."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     numerically symmetric); the ceiling is the largest a_j.
     """
     e.require_valid()
-    inv_sqrt = psd_root(average_state(e)).pinv_matrix()
+    inv_sqrt = average_root(e).pinv_matrix()
     spectra = np.linalg.eigvalsh(herm(inv_sqrt @ e.states @ inv_sqrt))   # (N, d), ascending
     per_state = e.priors * spectra[:, -1]
     argmax = int(np.argmax(per_state))
@@ -81,23 +81,24 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
 
 @dataclass(frozen=True)
 class PlateauMeasurement:
-    """Conclusive elements X_j that reach the ceiling, and their
-    inconclusive rate ``rate`` = 1 - sum_j Tr[sigma X_j].
+    """The ensemble's ceiling ``bound``, conclusive elements X_j that reach
+    it, and their inconclusive rate ``rate`` = 1 - sum_j Tr[sigma X_j].
 
     Mixed with the always-inconclusive measurement, (1 - t)/(1 - rate) X_j
     and the identity's remainder reach the ceiling at every rate t >= rate.
     When one state attains the ceiling, ``rate`` is the plateau onset;
-    when several tie, it is an upper bound on the onset.
+    when several tie, it is an upper bound on the onset. ``rate`` and
+    ``conclusive`` are None when the limiting operator shows no kernel.
     """
 
-    prs_max: float
-    rate: float
-    conclusive: np.ndarray     # (N, d, d), zero for a state below the ceiling
+    bound: PlateauBound
+    rate: float | None
+    conclusive: np.ndarray | None    # (N, d, d), zero for a state below the ceiling
 
 
-def plateau_measurement(e: StateEnsemble, bound: PlateauBound) -> PlateauMeasurement:
-    """The measurement that reaches the ceiling ``bound.prs_max`` at the
-    least inconclusive rate found.
+def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:
+    """The measurement that reaches the ceiling from
+    :func:`max_relative_success` at the least inconclusive rate found.
 
     P_RS = prs_max needs every Pi_j inside the kernel of the PSD operator
     prs_max * sigma - p_j rho_j, which within supp sigma is nonzero only for
@@ -110,13 +111,12 @@ def plateau_measurement(e: StateEnsemble, bound: PlateauBound) -> PlateauMeasure
     single element can, so ``rate`` = 1 - Tr[sigma P_j*] is the onset. When
     several tie, X_j = c P_j with c = 1 / lambda_max(sum_j P_j), the common
     scale that keeps the elements' sum at most I; the least rate over all
-    scalings is a small SDP that is not solved here.
+    scalings is a small SDP that is not solved here. If the operator of
+    j* shows no kernel, a warning is logged and ``rate`` is None.
     """
-    e.require_valid()
-    if len(bound.per_state_a) != e.n_states:
-        raise ValueError("bound was computed for a different ensemble size")
+    bound = max_relative_success(e)
     sigma = average_state(e)
-    root = psd_root(sigma)
+    root = average_root(e)
     support = root.vectors[:, root.inverse > 0.0]
     ops = bound.prs_max * sigma - e.priors[:, None, None] * e.states
     w, v = np.linalg.eigh(herm(support.conj().T @ ops @ support))
@@ -124,13 +124,14 @@ def plateau_measurement(e: StateEnsemble, bound: PlateauBound) -> PlateauMeasure
     kernel = (np.abs(w) <= KERNEL_RTOL * scale) | (scale <= KERNEL_RTOL)
     j = bound.argmax_state
     if not kernel[j].any():
-        raise InconsistentBoundError(
-            f"no kernel at the computed ceiling (smallest |eigenvalue| "
-            f"{float(np.min(np.abs(w[j]))):.3e} vs scale {float(scale[j, 0]):.3e})")
+        logger.warning(
+            "no plateau measurement: no kernel at the computed ceiling (smallest "
+            "|eigenvalue| %.3e vs scale %.3e)", float(np.min(np.abs(w[j]))), float(scale[j, 0]))
+        return PlateauMeasurement(bound, None, None)
     vecs = support @ v
     projectors = herm((vecs * kernel[:, None, :]) @ vecs.conj().swapaxes(-1, -2))
     tied = int(kernel.any(axis=-1).sum())
     if tied > 1:
         projectors = projectors / np.linalg.norm(projectors.sum(axis=0), 2)
     rate = 1.0 - trace_product(sigma, projectors.sum(axis=0))
-    return PlateauMeasurement(bound.prs_max, max(rate, 0.0), frozen(projectors))
+    return PlateauMeasurement(bound, max(rate, 0.0), frozen(projectors))

@@ -288,18 +288,14 @@ def cmd_bound(args) -> int:
     e, digest, status = _load_for_command(args, started, "bound")
     if status is not None:
         return status
-    b = bounds.max_relative_success(e)
-    try:
-        plateau_pi = bounds.plateau_measurement(e, b).rate
-    except bounds.InconsistentBoundError as exc:
-        logger.warning("no plateau measurement: %s", exc)
-        plateau_pi = None
+    plateau = bounds.plateau_measurement(e)
+    b = plateau.bound
     payload = {
         "prs_max": b.prs_max,
         "per_state_a": list(b.per_state_a),
         "argmax_state": b.argmax_state,
         "kernel_dimension": b.kernel_dimension,
-        "plateau_pi": plateau_pi,
+        "plateau_pi": plateau.rate,
     }
     _emit_record("bound", digest, {}, payload, started)
     return EXIT_OK

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hermitian import frozen, herm, operator_stack
+from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root
 
 # Asymmetry above this is a genuine error, below it is round-off.
 HERMITICITY_ATOL = 1e-12
@@ -95,6 +95,11 @@ class StateEnsemble:
         sig = sum(p * rho for p, rho in zip(self.priors, self.states))
         return frozen(herm(sig))
 
+    @cached_property
+    def _average_root(self) -> PsdRoot:
+        # one decomposition fixes sigma's support and inverse root for every caller
+        return PsdRoot(*map(frozen, psd_root(self._average_state)))
+
     def require_valid(self) -> "StateEnsemble":
         """Raise :class:`EnsembleValidationError` unless :func:`validate` is
         clean; the report is computed on the first call only."""
@@ -168,6 +173,12 @@ def average_state(e: StateEnsemble) -> np.ndarray:
     """Prior-weighted mixture of the ensemble states (unit trace, PSD), as
     a read-only array computed on the first call only."""
     return e._average_state
+
+
+def average_root(e: StateEnsemble) -> PsdRoot:
+    """:func:`hermitian.psd_root` of :func:`average_state`, read-only and
+    computed on the first call only."""
+    return e._average_root
 
 
 def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:

@@ -40,9 +40,9 @@ coefficients are bit for bit those of its own ``lstsq``.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
-measurement from :func:`bounds.plateau_measurement` is answered in
-closed form, by mixing that measurement with the always-inconclusive
-one, and is not iterated.
+measurement from :func:`bounds.plateau_measurement`, one call per
+ensemble, is answered in closed form, by mixing that measurement with
+the always-inconclusive one, and is not iterated.
 """
 
 from __future__ import annotations
@@ -655,14 +655,14 @@ def solve_grid(
     the InfeasibleTargetError it met.
 
     For each distinct ensemble, :func:`bounds.plateau_measurement` gives
-    conclusive elements X_j that reach the ceiling prs_max at a rate t_c.
+    the ceiling prs_max and conclusive elements X_j reaching it at rate t_c.
     A target t >= t_c is answered without sweeps: Pi_j = (1 - t)/(1 - t_c)
     X_j and Pi_0 = I - sum_j Pi_j, with multipliers lam = prs_max sigma and
     a = prs_max, which are dual feasible and make that POVM stationary.
     Its result reports 0 iterations, a final change of 0 and 0 rate
     evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
-    other point, and every point of an ensemble whose limiting operator
-    shows no kernel (logged as a warning), is iterated in lockstep by
+    other point, and every point of an ensemble whose plateau measurement
+    has no rate (no kernel), is iterated in lockstep by
     :func:`_iterate_grid`, for at most ``max_iterations`` sweeps. The
     closed-form results, and the iterated ones that stop in the same
     sweep, are each built as one stack.
@@ -674,14 +674,14 @@ def solve_grid(
         require_target(target)
     if len({(e.n_states, e.dim) for e, _ in points}) > 1:
         raise ValueError("grid points must share the number of states and the dimension")
-    plateaus: dict[int, bounds.PlateauMeasurement | None] = {}
+    plateaus: dict[int, bounds.PlateauMeasurement] = {}
     for e, _ in points:
         if id(e) not in plateaus:
-            plateaus[id(e)] = _plateau(e)
+            plateaus[id(e)] = bounds.plateau_measurement(e)
     closed, iterated = [], []
     for k, (e, target) in enumerate(points):
-        plateau = plateaus[id(e)]
-        (closed if plateau is not None and target >= plateau.rate else iterated).append(k)
+        rate = plateaus[id(e)].rate
+        (closed if rate is not None and target >= rate else iterated).append(k)
     results = (_plateau_results([points[k] for k in closed],
                                 [plateaus[id(points[k][0])] for k in closed])
                + _iterate_grid([points[k] for k in iterated], max_iterations))
@@ -689,16 +689,6 @@ def solve_grid(
     for k, outcome in zip(closed + iterated, results):
         outcomes[k] = outcome
     return outcomes
-
-
-def _plateau(e: StateEnsemble) -> bounds.PlateauMeasurement | None:
-    """The ensemble's plateau measurement, or None when its limiting
-    operator shows no kernel."""
-    try:
-        return bounds.plateau_measurement(e, bounds.max_relative_success(e))
-    except bounds.InconsistentBoundError as exc:
-        logger.warning("no plateau measurement, so plateau targets are iterated: %s", exc)
-        return None
 
 
 def _plateau_results(points: list[tuple[StateEnsemble, float]],
@@ -714,7 +704,7 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]],
     elements = np.empty((len(points), n_states + 1, dim, dim), dtype=np.complex128)
     elements[:, 1:] = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
     elements[:, 0] = np.eye(dim) - elements[:, 1:].sum(axis=1)
-    lams = frozen(np.array([p.prs_max for p in plateaus])[:, None, None]
+    lams = frozen(np.array([p.bound.prs_max for p in plateaus])[:, None, None]
                   * np.stack([average_state(e) for e in ensembles]))
     results = []
     for (_, target), plateau, povm, metrics, lam in zip(
@@ -727,7 +717,7 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]],
             p_i=metrics.p_i,
             p_rs=metrics.p_rs,
             lam=lam,
-            a=None if target == 0.0 else plateau.prs_max,
+            a=None if target == 0.0 else plateau.bound.prs_max,
             iterations=0,
             final_change=0.0,
             converged=residual <= RATE_TOLERANCE,

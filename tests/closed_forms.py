@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from povmlab.bounds import InconsistentBoundError, max_relative_success
+from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.hermitian import frozen, herm, psd_root, trace_product
 from povmlab.solver import Povm
@@ -46,6 +46,10 @@ PHI_HI = math.pi
 
 class InfeasibleRateError(ValueError):
     """Requested inconclusive rate is outside what the family reaches."""
+
+
+class QuadraticRouteError(RuntimeError):
+    """The qubit determinant quadratic has no root matching the eigenvalue route."""
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         if disc < -1e-14:
-            raise InconsistentBoundError(
+            raise QuadraticRouteError(
                 f"determinant quadratic has no real root (discriminant {disc:.3e})")
         disc = 0.0
     sq = float(np.sqrt(disc))
@@ -213,7 +217,7 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
 
     matches = [r for r in roots if abs(r - reference) <= ROOT_SELECTION_ATOL]
     if not matches:
-        raise InconsistentBoundError(
+        raise QuadraticRouteError(
             f"no quadratic root within {ROOT_SELECTION_ATOL:g} of the eigenvalue "
             f"route ({reference:.17g}); roots: {roots}")
     root = min(matches, key=lambda r: abs(r - reference))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from closed_forms import (
     qubit_quadratic_a,
 )
 from conftest import padded, random_density, random_ensemble
-from povmlab.bounds import InconsistentBoundError, max_relative_success, plateau_measurement
+from povmlab.bounds import max_relative_success, plateau_measurement
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
 from povmlab.solver import solve
 
@@ -179,8 +180,8 @@ def test_plateau_direction_symmetric_pair_is_family_projector():
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     e = p.ensemble()
     b = max_relative_success(e)
-    plateau = plateau_measurement(e, b)
-    assert plateau.prs_max == b.prs_max
+    plateau = plateau_measurement(e)
+    assert plateau.bound.prs_max == b.prs_max
     phi_max, _ = phi_max_and_prs_max(p)
     family = analytic_povm(p, phi_max).conclusive
     assert np.max(np.abs(plateau.conclusive - family)) <= 1e-12
@@ -195,13 +196,12 @@ def test_plateau_direction_symmetric_pair_is_family_projector():
 def test_plateau_pi_is_the_onset_of_the_symmetric_pair(eta):
     p = SymmetricQubitProblem(eta, math.pi / 4)
     e = p.ensemble()
-    assert abs(plateau_measurement(e, max_relative_success(e)).rate
-               - plateau_onset_pi(p)) <= 1e-15
+    assert abs(plateau_measurement(e).rate - plateau_onset_pi(p)) <= 1e-15
 
 
 def test_plateau_direction_orthogonal_pure_pair():
     e = StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.5]))
-    plateau = plateau_measurement(e, max_relative_success(e))
+    plateau = plateau_measurement(e)
     assert np.allclose(plateau.conclusive, e.states, atol=1e-9)
     assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
@@ -209,21 +209,21 @@ def test_plateau_direction_orthogonal_pure_pair():
 def test_plateau_direction_identical_states_degenerates_to_identity():
     rho = mixed_qubit(0.2)
     e = StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5]))
-    plateau = plateau_measurement(e, max_relative_success(e))
+    plateau = plateau_measurement(e)
     assert np.allclose(plateau.conclusive, [np.eye(2) / 2, np.eye(2) / 2])
     assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plateau_direction_padded_pair_is_padded_qubit_direction():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    plateau = plateau_measurement(e, max_relative_success(e))
+    plateau = plateau_measurement(e)
     for dim in (3, 4):
         ep = padded(e, dim)
         bp = max_relative_success(ep)
         expected = np.zeros((2, dim, dim), dtype=complex)
         expected[:, :2, :2] = plateau.conclusive
         assert bp.kernel_dimension == 1
-        padded_plateau = plateau_measurement(ep, bp)
+        padded_plateau = plateau_measurement(ep)
         assert np.max(np.abs(padded_plateau.conclusive - expected)) <= 1e-12
         assert padded_plateau.rate == pytest.approx(plateau.rate, abs=1e-14)
 
@@ -233,7 +233,7 @@ def test_plateau_direction_padded_identical_states_is_support():
     e = padded(StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5])), 3)
     b = max_relative_success(e)
     assert b.kernel_dimension == 2
-    plateau = plateau_measurement(e, b)
+    plateau = plateau_measurement(e)
     assert np.allclose(plateau.conclusive, [np.diag([0.5, 0.5, 0.0])] * 2, atol=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_plateau_direction_of_one_state_is_its_kernel_projector():
     for k, (dim, n_states) in enumerate([(2, 2), (3, 3), (4, 2)]):
         e = random_ensemble(np.random.default_rng(60 + k), dim, n_states)
         b = max_relative_success(e)
-        plateau = plateau_measurement(e, b)
+        plateau = plateau_measurement(e)
         j = b.argmax_state
         proj = plateau.conclusive[j]
         assert np.allclose(proj @ proj, proj, atol=1e-12)
@@ -257,11 +257,17 @@ def test_plateau_direction_of_one_state_is_its_kernel_projector():
             1.0 - np.trace(average_state(e) @ proj).real, abs=1e-15)
 
 
-def test_plateau_direction_checks_ensemble_size():
-    e = symmetric_qubit_pair(0.9, math.pi / 4)
-    b = max_relative_success(random_ensemble(np.random.default_rng(54), 2, 3))
-    with pytest.raises(ValueError):
-        plateau_measurement(e, b)
+def test_plateau_measurement_without_a_kernel_has_no_rate(caplog):
+    # the states are 1e-8 apart in angle, and the maximizer's limiting
+    # operator has no |eigenvalue| below KERNEL_RTOL times its largest one
+    e = symmetric_qubit_pair(0.3, 1e-8)
+    with caplog.at_level(logging.WARNING):
+        plateau = plateau_measurement(e)
+    assert plateau.rate is None and plateau.conclusive is None
+    assert plateau.bound == max_relative_success(e)
+    assert [(rec.name, rec.levelno) for rec in caplog.records] == [
+        ("povmlab.bounds", logging.WARNING)]
+    assert caplog.records[0].getMessage().startswith("no plateau measurement: no kernel")
 
 
 def test_solver_never_beats_the_bound():
@@ -288,5 +294,5 @@ def test_bound_on_nearly_singular_average_state():
     reference = [p * max(np.linalg.eigvals(np.linalg.solve(sig, rho)).real)
                  for p, rho in zip(e.priors, e.states)]
     assert b.per_state_a == pytest.approx(reference, rel=1e-6)
-    proj = plateau_measurement(e, b).conclusive[b.argmax_state]
+    proj = plateau_measurement(e).conclusive[b.argmax_state]
     assert np.allclose(proj @ proj, proj, atol=1e-10)

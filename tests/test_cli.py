@@ -297,14 +297,41 @@ def test_bound_record(capsys, ensemble_file):
     assert abs(rec["result"]["plateau_pi"] - plateau_onset_pi(PROBLEM)) <= 1e-15
 
 
-def test_bound_record_without_a_plateau_measurement(capsys, ensemble_file, monkeypatch):
-    def no_kernel(e, bound):
-        raise cli.bounds.InconsistentBoundError("no kernel at the computed ceiling")
-
-    monkeypatch.setattr(cli.bounds, "plateau_measurement", no_kernel)
-    code, rec = run_json(capsys, ["bound", str(ensemble_file)])
+def test_bound_record_without_a_plateau_measurement(capsys, tmp_path):
+    # the states are 1e-8 apart in angle, and their limiting operator shows no
+    # kernel
+    path = tmp_path / "close.json"
+    save_ensemble(path, symmetric_qubit_pair(0.3, 1e-8))
+    code, out = run_cli(capsys, ["bound", str(path)])
     assert code == cli.EXIT_OK
-    assert rec["result"]["plateau_pi"] is None
+    assert '"plateau_pi": null' in out
+    assert json.loads(out)["result"]["plateau_pi"] is None
+
+
+def test_average_state_is_decomposed_once(capsys, ensemble_file, monkeypatch):
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    # sigma's root, shared by the ceiling and the plateau measurement, and
+    # the stacked eigh of the limiting operators
+    assert cli.main(["bound", str(ensemble_file)]) == cli.EXIT_OK
+    assert calls[0] == 2
+    # the default grid: one root of sigma per ensemble, and every eigh of
+    # the command made inside its solve_grid call
+    calls[0] = 0
+    assert cli.main(["fig1"]) == cli.EXIT_OK
+    assert calls[0] == 125
+    capsys.readouterr()
+    e = PROBLEM.ensemble()
+    max_relative_success(e)
+    calls[0] = 0
+    max_relative_success(e)
+    assert calls[0] == 0
 
 
 def test_bound_on_padded_pair(capsys, tmp_path):

@@ -7,15 +7,17 @@ import pytest
 from closed_forms import overlaps_and_purities, qubit_quadratic_a
 from conftest import random_ensemble
 from povmlab import ensemble as ensemble_module
-from povmlab.bounds import PlateauBound, max_relative_success, plateau_measurement
+from povmlab.bounds import max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.ensemble import (
     EnsembleValidationError,
     StateEnsemble,
+    average_root,
     average_state,
     symmetric_qubit_pair,
     validate,
 )
+from povmlab.hermitian import psd_root
 from povmlab.solver import Povm, initial_povm, solve
 
 
@@ -147,6 +149,11 @@ def test_average_is_the_prior_weighted_sum_computed_once():
         with pytest.raises(ValueError):
             sig[0, 0] = 1.0
         assert average_state(e) is sig
+        # and so is its root, decomposed once for every caller
+        root = average_root(e)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(root, psd_root(sig)))
+        assert not any(a.flags.writeable for a in root)
+        assert average_root(e) is root
 
 
 def test_unpickled_ensemble_recomputes_its_average():
@@ -248,7 +255,7 @@ def test_unpickled_ensemble_is_read_only():
     lambda e: solve(e, 0.2),
     lambda e: check(e, initial_povm(e, 0.2)),
     max_relative_success,
-    lambda e: plateau_measurement(e, PlateauBound(0.9, (0.9, 0.8), 0, 1)),
+    plateau_measurement,
     lambda e: qubit_quadratic_a(e, 0),
 ], ids=["solve", "check", "max_relative_success", "plateau_measurement",
         "qubit_quadratic_a"])
