@@ -53,12 +53,12 @@ GRID_STOP = 0.84
 # ---------------------------------------------------------------------------
 # record plumbing
 
-def _read(path) -> tuple[bytes, str]:
-    """The bytes of the file at ``path`` and the SHA-256 hex digest of
-    exactly those bytes, which the command then parses."""
-    import hashlib  # loads OpenSSL, which commands without a digest skip
-    data = fileio.read_bytes(path)
-    return data, hashlib.sha256(data).hexdigest()
+def _digest(data: bytes) -> str:
+    """The SHA-256 hex digest of an input's bytes, the ones the command
+    parsed; taken only for a record, so a command that emits none skips
+    loading hashlib (and OpenSSL)."""
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
 
 
 def _emit_record(command: str, digest: str, config: dict, payload: dict,
@@ -177,7 +177,7 @@ def _run_jobs(worker, *args) -> list[list[str]]:
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     try:
-        data, digest = _read(args.ensemble)
+        data = fileio.read_bytes(args.ensemble)
         e = fileio.load_ensemble(args.ensemble, validate=False, data=data)
     except fileio.FileFormatError as exc:
         _emit_record("validate", "", {}, {"error": str(exc)}, started)
@@ -189,16 +189,17 @@ def cmd_validate(args) -> int:
         "n_states": e.n_states,
         "violations": _violation_list(violations),
     }
-    _emit_record("validate", digest, {}, payload, started)
+    _emit_record("validate", _digest(data), {}, payload, started)
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
 def _load_for_command(args, started, command: str) -> tuple:
-    """Shared ensemble loading with the validate/parse exit-code split."""
+    """Shared ensemble loading with the validate/parse exit-code split:
+    the ensemble and the bytes it was parsed from, or the exit code."""
     try:
-        data, digest = _read(args.ensemble)
+        data = fileio.read_bytes(args.ensemble)
         e = fileio.load_ensemble(args.ensemble, data=data)
-        return e, digest, None
+        return e, data, None
     except fileio.FileFormatError as exc:
         _emit_record(command, "", {}, {"error": str(exc)}, started)
         return None, None, EXIT_IO
@@ -212,9 +213,10 @@ def _load_for_command(args, started, command: str) -> tuple:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    e, digest, status = _load_for_command(args, started, "solve")
+    e, data, status = _load_for_command(args, started, "solve")
     if status is not None:
         return status
+    digest = _digest(data)
     config = {"target_pi": args.pi}
     try:
         _require_positive("--max-iter", args.max_iter)
@@ -267,7 +269,7 @@ def _parse_grid(spec_text: str) -> np.ndarray:
 
 def cmd_tradeoff(args) -> int:
     started = time.perf_counter()
-    e, digest, status = _load_for_command(args, started, "tradeoff")
+    e, data, status = _load_for_command(args, started, "tradeoff")
     if status is not None:
         return status
     try:
@@ -276,7 +278,7 @@ def cmd_tradeoff(args) -> int:
         _require_positive("--jobs", args.jobs)
         _require_positive("--max-iter", args.max_iter)
     except ValueError as exc:
-        _emit_record("tradeoff", digest, {}, {"error": str(exc)}, started)
+        _emit_record("tradeoff", _digest(data), {}, {"error": str(exc)}, started)
         return EXIT_VALIDATION
     targets = [float(t) for t in grid]
     _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, targets, e, args.max_iter))
@@ -285,7 +287,7 @@ def cmd_tradeoff(args) -> int:
 
 def cmd_bound(args) -> int:
     started = time.perf_counter()
-    e, digest, status = _load_for_command(args, started, "bound")
+    e, data, status = _load_for_command(args, started, "bound")
     if status is not None:
         return status
     plateau = bounds.plateau_measurement(e)
@@ -297,22 +299,23 @@ def cmd_bound(args) -> int:
         "kernel_dimension": b.kernel_dimension,
         "plateau_pi": plateau.rate,
     }
-    _emit_record("bound", digest, {}, payload, started)
+    _emit_record("bound", _digest(data), {}, payload, started)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
     started = time.perf_counter()
-    e, digest, status = _load_for_command(args, started, "certify")
+    e, data, status = _load_for_command(args, started, "certify")
     if status is not None:
         return status
+    digest = _digest(data)
     try:
-        data, povm_digest = _read(args.povm)
-        povm = fileio.load_povm(args.povm, data=data)
+        povm_data = fileio.read_bytes(args.povm)
+        povm = fileio.load_povm(args.povm, data=povm_data)
     except fileio.FileFormatError as exc:
         _emit_record("certify", digest, {}, {"error": str(exc)}, started)
         return EXIT_IO
-    config = {"povm_digest": povm_digest}
+    config = {"povm_digest": _digest(povm_data)}
     try:
         require_matching(e, povm)
     except ValueError as exc:

@@ -18,6 +18,9 @@ starts from the previous sweep's ``a``. This is the iteration of Jezek,
 Rehacek and Fiurasek, PRA 65, 060301(R) (2002). Iterated from a maximally
 uninformative start it converges, empirically linearly, to a stationary
 POVM; global optimality is checked separately by the certificate module.
+:func:`solve_grid` starts a point below its ensemble's plateau rate from
+the plateau measurement mixed down to the point's rate instead, which is
+nearer the optimum.
 
 :func:`solve_grid` accelerates the iteration with Anderson mixing of the
 recent sweeps. An extrapolated POVM keeps completeness and the
@@ -549,13 +552,14 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 class _Run:
     """One grid point's state between lockstep sweeps."""
 
-    def __init__(self, target: float, x: np.ndarray):
+    def __init__(self, target: float, x: np.ndarray, warm: bool):
         self.target = target
         self.history: list[float] = []
         self.fit: _Multiplier | None = None   # last sweep's search outcome
         self.evaluations = 0
         self.backtrack = True            # off once the point was restarted
         self.restart(x)
+        self.warm = warm                 # x is the plateau start, not restarted since
 
     def restart(self, x: np.ndarray) -> None:
         """Start again from ``x`` with no mixing history; the multiplier
@@ -563,6 +567,7 @@ class _Run:
         evaluations carry on."""
         self.x = self.plain = x          # next sweep's input; last sweep's output
         self.mixer = _Anderson(ANDERSON_DEPTH)
+        self.warm = False
 
 
 def _dual_margins(fixed: _EnsembleTerms, fits: list[_Multiplier]) -> list[float]:
@@ -608,6 +613,23 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     shares = np.full(e.n_states + 1, (1.0 - target_pi) / e.n_states)
     shares[0] = target_pi
     return Povm(shares[:, None, None] * np.eye(e.dim))
+
+
+def _plateau_start(e: StateEnsemble, target_pi: float,
+                   plateau: bounds.PlateauMeasurement) -> np.ndarray:
+    """Start of a target below the plateau rate t_c: mu M + (1 - mu) U_0
+    for mu = target / t_c, with M the plateau measurement (Pi_j = X_j and
+    Pi_0 = I - sum_j X_j) and U_0 the uninformative start at rate 0.
+
+    The rate is affine in the POVM, so the mix is a POVM at rate mu t_c =
+    target, with full-rank conclusive elements since mu < 1; at target 0
+    it is ``initial_povm(e, 0)`` bit for bit.
+    """
+    plateau_povm = np.empty((e.n_states + 1, e.dim, e.dim), dtype=np.complex128)
+    plateau_povm[1:] = plateau.conclusive
+    plateau_povm[0] = np.eye(e.dim) - plateau.conclusive.sum(axis=0)
+    mu = target_pi / plateau.rate
+    return mu * plateau_povm + (1.0 - mu) * initial_povm(e, 0.0).elements
 
 
 def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
@@ -663,9 +685,11 @@ def solve_grid(
     evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
     other point, and every point of an ensemble whose plateau measurement
     has no rate (no kernel), is iterated in lockstep by
-    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps. The
-    closed-form results, and the iterated ones that stop in the same
-    sweep, are each built as one stack.
+    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps; a point
+    below t_c starts from that measurement mixed with the uninformative
+    start down to its rate (:func:`_plateau_start`). The closed-form
+    results, and the iterated ones that stop in the same sweep, are each
+    built as one stack.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -684,7 +708,8 @@ def solve_grid(
         (closed if rate is not None and target >= rate else iterated).append(k)
     results = (_plateau_results([points[k] for k in closed],
                                 [plateaus[id(points[k][0])] for k in closed])
-               + _iterate_grid([points[k] for k in iterated], max_iterations))
+               + _iterate_grid([points[k] for k in iterated], max_iterations,
+                               [plateaus[id(points[k][0])] for k in iterated]))
     outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
     for k, outcome in zip(closed + iterated, results):
         outcomes[k] = outcome
@@ -728,10 +753,15 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]],
 
 
 def _iterate_grid(
-    points: list[tuple[StateEnsemble, float]], max_iterations: int
+    points: list[tuple[StateEnsemble, float]], max_iterations: int,
+    plateaus: list[bounds.PlateauMeasurement] | None = None,
 ) -> list[SolveResult | InfeasibleTargetError]:
     """Iterate every (ensemble, target) point, all in lockstep on one
     stacked iterate; the points are validated and share their shape.
+
+    A point starts from :func:`_plateau_start` when its entry of
+    ``plateaus`` has a rate, and from :func:`initial_povm` otherwise, or
+    when ``plateaus`` is None.
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
@@ -760,10 +790,16 @@ def _iterate_grid(
     output G(x_k) with that sweep's multipliers, never an extrapolation.
     Each multiplier search starts from the point's previous multiplier.
     A sweep from an extrapolation that finds the target infeasible is
-    dropped and the point resumes from its last sweep's output; only a
-    sweep from that output ends the point with the error. The points
-    share nothing but the stacked numpy calls, so a point's outcome does
-    not depend on the others in the grid.
+    dropped and the point resumes from its last sweep's output. A sweep
+    from the plateau start, or from an output descending from it, that
+    finds the target infeasible is dropped too, and the point restarts
+    from :func:`initial_povm` with its sweep count carrying on: that
+    start's Pi_0 can be rank-deficient (for tied states), every sweep
+    keeps the rank, and a rank-deficient Pi_0 can make a rate unreachable
+    that the problem allows. Only a sweep from the uninformative start,
+    or from an output descending from it, ends the point with the error.
+    The points share nothing but the stacked numpy calls, so a point's
+    outcome does not depend on the others in the grid.
     """
     if not points:
         return []
@@ -771,7 +807,11 @@ def _iterate_grid(
     outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
     # the points still in the stack: their indices and states
     live = list(range(len(points)))
-    runs = [_Run(t, initial_povm(e, t).elements) for e, t in points]
+    runs = []
+    for (e, t), plateau in zip(points, plateaus or [None] * len(points)):
+        warm = plateau is not None and plateau.rate is not None
+        runs.append(_Run(t, _plateau_start(e, t, plateau) if warm
+                         else initial_povm(e, t).elements, warm))
     while live:
         x = np.array([run.x for run in runs])
         new, fits = _sweep(fixed, x, [run.target for run in runs],
@@ -788,13 +828,17 @@ def _iterate_grid(
         done: list[int] = []                         # stopped in this sweep
         for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
             if fit.error is not None:
-                if run.x is run.plain:
-                    outcomes[k] = fit.error
-                else:
+                if run.x is not run.plain:
                     logger.debug("sweep from an extrapolation infeasible (%s); "
                                  "resuming from the last sweep", fit.error)
                     run.x = run.plain
                     run.mixer.reset()
+                elif run.warm:
+                    logger.debug("sweep from the plateau start infeasible (%s); "
+                                 "restarting from the uninformative start", fit.error)
+                    run.restart(initial_povm(*points[k]).elements)
+                else:
+                    outcomes[k] = fit.error
                 continue
             run.fit = fit
             run.evaluations += fit.evaluations

@@ -122,9 +122,11 @@ def test_criterion_3_minimum_error_endpoint():
 
 
 def test_criterion_4_convergence_rate(sweep_solves):
-    # the accelerated solve: sweep cap per point, and machine-independent
-    # totals over the grid (the plain map takes 4304 sweeps and 11615 rate
-    # evaluations); the 48 points on the plateau take no sweeps
+    # the accelerated solve from the plateau start: sweep cap per point, and
+    # machine-independent totals over the grid (the plain map takes 4304
+    # sweeps and 11615 rate evaluations, and the accelerated one from the
+    # uninformative start 832 and 2545); the 48 points on the plateau take
+    # no sweeps
     worst_iters = 0
     for p, _, target, r in sweep_solves:
         assert r.converged
@@ -136,9 +138,9 @@ def test_criterion_4_convergence_rate(sweep_solves):
     print(f"max iterations: {worst_iters}, {sweeps} sweeps, "
           f"{evaluations} rate evaluations")
     assert sum(r.iterations == 0 for *_, r in sweep_solves) == 48
-    assert worst_iters <= 45
-    assert sweeps <= 870
-    assert evaluations <= 2650
+    assert worst_iters <= 12
+    assert sweeps <= 360
+    assert evaluations <= 1150
     # the plain map it accelerates converges linearly, within 200 sweeps
     worst_plain = 0
     worst_r2 = 1.0

@@ -325,7 +325,7 @@ def test_average_state_is_decomposed_once(capsys, ensemble_file, monkeypatch):
     # the command made inside its solve_grid call
     calls[0] = 0
     assert cli.main(["fig1"]) == cli.EXIT_OK
-    assert calls[0] == 125
+    assert calls[0] == 44
     capsys.readouterr()
     e = PROBLEM.ensemble()
     max_relative_success(e)
@@ -543,6 +543,17 @@ def test_default_grids_print_every_row_certified_and_ok(capsys, ensemble_file):
     assert all(row.endswith(",true,ok") for row in rows)
 
 
+@pytest.mark.parametrize("theta", ["1e-3", "1e-4"])
+def test_nearly_parallel_pairs_print_every_row_certified_and_ok(capsys, theta):
+    # from the uninformative start 11 and 22 of these rows ran into the
+    # default cap of 500 sweeps
+    code, out = run_cli(capsys, ["fig1", "--theta", theta, "--points", "25"])
+    assert code == cli.EXIT_OK
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 100
+    assert all(row.endswith(",true,ok") for row in rows)
+
+
 def test_fig1_jobs_2_runs_in_process(capsys, monkeypatch):
     argv = ["fig1", "--etas", "0.8,0.9", "--points", "7"]
     _, serial = run_cli(capsys, argv + ["--jobs", "1"])
@@ -648,6 +659,23 @@ def test_fig1_does_not_import_hashlib():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("eta,pi,")
+
+
+def test_tradeoff_digests_its_input_only_for_a_record(ensemble_file):
+    # a grid prints CSV without loading hashlib; a bad grid's error record
+    # carries the digest of the bytes read
+    code = ("import sys; from povmlab import cli; "
+            "code = cli.main(['tradeoff', sys.argv[1], '--pi-grid', sys.argv[2]]); "
+            "sys.exit(f'{code} hashlib' if 'hashlib' in sys.modules else code)")
+    proc = subprocess.run([sys.executable, "-c", code, str(ensemble_file), "0:0.3:3"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pi,ps,")
+    proc = subprocess.run([sys.executable, "-c", code, str(ensemble_file), "0:0.3:0"],
+                          capture_output=True, text=True)
+    assert "1 hashlib" in proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["input_digest"] == hashlib.sha256(ensemble_file.read_bytes()).hexdigest()
 
 
 def test_package_root_exports_resolve():
