@@ -30,7 +30,11 @@ at the candidate's rate that a non-optimal candidate cannot meet.
 :func:`check_grid` certifies a whole grid of candidates in one stacked
 pass, so numpy's per-call cost is paid once per grid rather than once per
 candidate, and a candidate's numbers do not depend on the others in the
-grid; :func:`check` is its one-point case.
+grid; :func:`check` is its one-point case. It is also the solver's exit
+test: a settled point stops only when its certificate is optimal, and
+every solver result carries the certificate it stopped with. The module
+is a leaf of the package: it depends on the ensemble and Hermitian helpers
+only, and uses the solver's Povm type in annotations alone.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ensemble import StateEnsemble, average_state
 from .hermitian import frozen, herm, trace_products
-from .solver import Povm, require_matching
+
+if TYPE_CHECKING:
+    from .solver import Povm
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +99,16 @@ class Certificate:
     dual_bound: float
     optimal: bool
     lambda_asymmetry: float
+
+
+def require_matching(e: StateEnsemble, povm: Povm) -> None:
+    """Raise ValueError unless the POVM has one conclusive element per state
+    and the states' dimension."""
+    if povm.n_conclusive != e.n_states:
+        raise ValueError(
+            f"POVM has {povm.n_conclusive} conclusive elements for {e.n_states} states")
+    if povm.dim != e.dim:
+        raise ValueError(f"POVM has dimension {povm.dim} for states of dimension {e.dim}")
 
 
 def check(e: StateEnsemble, povm: Povm) -> Certificate:

@@ -32,7 +32,7 @@ from .ensemble import EnsembleValidationError, symmetric_qubit_pair, validate as
 from .hermitian import PINV_CUTOFF
 from .solver import (MAX_ITERATIONS, POVM_TOLERANCE, RATE_MAX_EVALUATIONS,
                      RATE_TOLERANCE, InfeasibleTargetError, povm_violations,
-                     require_matching, require_target, solve, solve_grid)
+                     require_target, solve, solve_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,12 @@ def _write_csv(header: str, rows: list[list[str]]) -> None:
         sys.stdout.write(",".join(row) + "\n")
 
 
-def _certificate_payload(cert: certificate.Certificate) -> dict:
+def _certificate_payload(
+        cert: certificate.Certificate | certificate.SingularMultiplierError) -> dict:
+    """The record of a Certificate, or of the SingularMultiplierError met
+    in its place."""
+    if isinstance(cert, certificate.SingularMultiplierError):
+        return {"error": str(cert), "optimal": False}
     return {
         "a": cert.a,
         "extremal_residuals": list(cert.extremal_residuals),
@@ -121,8 +126,7 @@ def _certificate_payload(cert: certificate.Certificate) -> dict:
 def _sweep_point_file(targets: list, e, max_iterations: int) -> list[list[str]]:
     """Rows of tradeoff's targets on the ensemble loaded from the file."""
     outcomes = solve_grid([(e, t) for t in targets], max_iterations=max_iterations)
-    verdicts = _certified([e] * len(targets), outcomes)
-    return [_sweep_row(t, r, v) for t, r, v in zip(targets, outcomes, verdicts)]
+    return [_sweep_row(t, r) for t, r in zip(targets, outcomes)]
 
 
 def _sweep_point_symmetric(points: list, ensembles: dict,
@@ -131,30 +135,20 @@ def _sweep_point_symmetric(points: list, ensembles: dict,
     chosen = [ensembles[eta] for eta, _ in points]
     outcomes = solve_grid([(e, t) for e, (_, t) in zip(chosen, points)],
                           max_iterations=max_iterations)
-    verdicts = _certified(chosen, outcomes)
-    return [[fileio.float_repr(eta)] + _sweep_row(t, r, v)
-            for (eta, t), r, v in zip(points, outcomes, verdicts)]
+    return [[fileio.float_repr(eta)] + _sweep_row(t, r)
+            for (eta, t), r in zip(points, outcomes)]
 
 
-def _certified(ensembles: list, outcomes: list) -> list[bool]:
-    """Per point, whether its solved POVM is certified optimal: False for an
-    InfeasibleTargetError or a SingularMultiplierError. Every solved point
-    is certified by one :func:`certificate.check_grid` call."""
-    solved = [k for k, r in enumerate(outcomes) if not isinstance(r, InfeasibleTargetError)]
-    certs = certificate.check_grid([(ensembles[k], outcomes[k].povm) for k in solved])
-    verdicts = [False] * len(outcomes)
-    for k, cert in zip(solved, certs):
-        verdicts[k] = isinstance(cert, certificate.Certificate) and cert.optimal
-    return verdicts
-
-
-def _sweep_row(target: float, outcome, certified: bool) -> list[str]:
+def _sweep_row(target: float, outcome) -> list[str]:
     """CSV cells of one solved point: its SolveResult, with the verdict of
-    its certificate, or the InfeasibleTargetError it met. A converged point
-    is ``ok`` only when certified, and ``uncertified`` otherwise."""
+    the certificate it carries, or the InfeasibleTargetError it met. A
+    converged point is ``ok`` only when certified, and ``uncertified``
+    otherwise."""
     f = fileio.float_repr
     if isinstance(outcome, InfeasibleTargetError):
         return [f(target), "", "", "", "", "", "infeasible"]
+    cert = outcome.certificate
+    certified = isinstance(cert, certificate.Certificate) and cert.optimal
     if not outcome.converged:
         status = "maxiter"
     else:
@@ -232,11 +226,6 @@ def cmd_solve(args) -> int:
             "reachable_supremum": exc.supremum,
         }, started)
         return EXIT_INFEASIBLE
-
-    try:
-        cert_payload = _certificate_payload(certificate.check(e, r.povm))
-    except certificate.SingularMultiplierError as exc:
-        cert_payload = {"error": str(exc), "optimal": False}
     payload = {
         "p_s": r.p_s,
         "p_i": r.p_i,
@@ -246,7 +235,7 @@ def cmd_solve(args) -> int:
         "final_change": r.final_change,
         "converged": r.converged,
         "rate_residual": r.rate_residual,
-        "certificate": cert_payload,
+        "certificate": _certificate_payload(r.certificate),
     }
     if args.emit_povm:
         payload["povm"] = fileio.povm_record(r.povm)
@@ -317,7 +306,7 @@ def cmd_certify(args) -> int:
         return EXIT_IO
     config = {"povm_digest": _digest(povm_data)}
     try:
-        require_matching(e, povm)
+        certificate.require_matching(e, povm)
     except ValueError as exc:
         _emit_record("certify", digest, config, {"error": str(exc)}, started)
         return EXIT_VALIDATION
@@ -331,8 +320,7 @@ def cmd_certify(args) -> int:
     try:
         cert = certificate.check(e, povm)
     except certificate.SingularMultiplierError as exc:
-        _emit_record("certify", digest, config,
-                     {"error": str(exc), "optimal": False}, started)
+        _emit_record("certify", digest, config, _certificate_payload(exc), started)
         return EXIT_NOT_OPTIMAL
     _emit_record("certify", digest, config, _certificate_payload(cert), started)
     return EXIT_OK if cert.optimal else EXIT_NOT_OPTIMAL

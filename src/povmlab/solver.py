@@ -17,7 +17,7 @@ Newton iteration on the predicted rate, safeguarded by a bracket, and
 starts from the previous sweep's ``a``. This is the iteration of Jezek,
 Rehacek and Fiurasek, PRA 65, 060301(R) (2002). Iterated from a maximally
 uninformative start it converges, empirically linearly, to a stationary
-POVM; global optimality is checked separately by the certificate module.
+POVM; whether that POVM is optimal is the certificate module's test.
 :func:`solve_grid` starts a point below its ensemble's plateau rate from
 the plateau measurement mixed down to the point's rate instead, which is
 nearer the optimum.
@@ -30,11 +30,12 @@ sweep's output whose elements stay PSD within POVM_PSD_FLOOR is taken, as
 in the diluted iteration of Rehacek et al., PRA 75, 042108 (2007), and
 safeguarded Anderson mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim.
 30, 3170 (2020)).
-A point that settles is checked for dual feasibility first, and one that
-fails is restarted on the plain map, so a stationary but non-optimal
-POVM does not end the solve. The per-sweep history it reports is the
-fixed-point residual, the largest element change one sweep makes to the
-point it was applied to. It solves many points in lockstep on one
+A point that settles stops only once :func:`certificate.check_grid`
+finds its POVM optimal, and one that is not is restarted on the plain
+map, so a stationary but non-optimal POVM does not end the solve; every
+result carries the certificate it stopped with. The per-sweep history
+it reports is the fixed-point residual, the largest element change one
+sweep makes to the point it was applied to. It solves many points in lockstep on one
 stacked iterate, so numpy's per-call cost is paid once per grid rather
 than once per point; :func:`solve` is its one-point case. The Anderson
 least squares of all points with the same history depth are one call of
@@ -58,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import bounds
+from . import bounds, certificate
+from .certificate import Certificate, SingularMultiplierError, require_matching
 from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
 from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root, trace_products
 
@@ -90,9 +92,6 @@ ANDERSON_DEPTH = 5
 # Halvings of an extrapolation step ``solve_grid`` tries after the full
 # one, beta = 1/2 ... 1/2**BACKTRACK_STEPS.
 BACKTRACK_STEPS = 6
-# A converged point's multipliers are dual feasible when lam - p_j rho_j and
-# lam - a sigma have no eigenvalue below this.
-DUAL_FEASIBILITY_FLOOR = -1e-9
 
 
 class InfeasibleTargetError(RuntimeError):
@@ -165,16 +164,6 @@ def _povms(elements: np.ndarray) -> list[Povm]:
     return povms
 
 
-def require_matching(e: StateEnsemble, povm: Povm) -> None:
-    """Raise ValueError unless the POVM has one conclusive element per state
-    and the states' dimension."""
-    if povm.n_conclusive != e.n_states:
-        raise ValueError(
-            f"POVM has {povm.n_conclusive} conclusive elements for {e.n_states} states")
-    if povm.dim != e.dim:
-        raise ValueError(f"POVM has dimension {povm.dim} for states of dimension {e.dim}")
-
-
 def require_target(target_pi: float) -> None:
     """Raise ValueError unless ``target_pi`` lies in [0, 1) and leaves a
     conclusive fraction of more than RELATIVE_RATE_EPS to renormalize."""
@@ -224,6 +213,11 @@ class SolveResult:
     residual and the rate residual within their tolerances. A plateau
     target answered in closed form has no sweeps: 0 iterations and rate
     evaluations, an empty history and a ``final_change`` of 0.
+
+    ``certificate`` is the :class:`certificate.Certificate` of ``povm``,
+    or the SingularMultiplierError met in its place, bit for bit what
+    :func:`certificate.check` gives for it: the test the solver stopped
+    the point with when it settled, and ``optimal`` is the verdict.
     """
 
     povm: Povm
@@ -237,6 +231,7 @@ class SolveResult:
     converged: bool
     rate_residual: float
     rate_evaluations: int
+    certificate: Certificate | SingularMultiplierError
     change_history: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -255,12 +250,10 @@ class _EnsembleTerms:
 
     sigma: np.ndarray        # (P, d, d)
     states: np.ndarray       # Herm(rho_j), (P, N, d, d)
-    priors: np.ndarray       # p_j, (P, N)
     weighted: np.ndarray     # p_j^2 Herm(rho_j), (P, N, d, d)
 
     def take(self, rows: list[int]) -> _EnsembleTerms:
-        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.priors[rows],
-                              self.weighted[rows])
+        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.weighted[rows])
 
 
 class _RateTerms(NamedTuple):
@@ -277,8 +270,7 @@ def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
     states = herm(np.stack([e.states for e in ensembles]))
     priors = np.stack([e.priors for e in ensembles])
     weighted = (priors * priors)[..., None, None] * states
-    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, priors,
-                          weighted)
+    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, weighted)
 
 
 def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _RateTerms]:
@@ -570,19 +562,6 @@ class _Run:
         self.warm = False
 
 
-def _dual_margins(fixed: _EnsembleTerms, fits: list[_Multiplier]) -> list[float]:
-    """Per point, the smallest eigenvalue of lam - a sigma and of every
-    lam - p_j rho_j at its sweep's multipliers: nonnegative when they are
-    feasible for the dual of the rate-constrained problem (see
-    :mod:`povmlab.certificate`), which a stationary point must be to be
-    optimal. One stacked eigvalsh."""
-    lam = _gather(fits).root_matrix()
-    a = np.array([fit.a for fit in fits])
-    floors = np.concatenate((a[:, None, None, None] * fixed.sigma[:, None],
-                             fixed.priors[..., None, None] * fixed.states), axis=1)
-    return np.linalg.eigvalsh(lam[:, None] - floors)[..., 0].min(axis=-1).tolist()
-
-
 def _step(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
     """Per point, the largest beta = 1, 1/2, ... 1/2**BACKTRACK_STEPS for
     which y = plain + beta (guess - plain) keeps every element's smallest
@@ -689,7 +668,8 @@ def solve_grid(
     below t_c starts from that measurement mixed with the uninformative
     start down to its rate (:func:`_plateau_start`). The closed-form
     results, and the iterated ones that stop in the same sweep, are each
-    built as one stack.
+    built and certified as one stack by one builder (:func:`_results`),
+    so every result carries its POVM's certificate.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -719,7 +699,7 @@ def solve_grid(
 def _plateau_results(points: list[tuple[StateEnsemble, float]],
                      plateaus: list[bounds.PlateauMeasurement]) -> list[SolveResult]:
     """The closed-form results at targets at or above their plateau's rate,
-    built as one stack."""
+    built and certified as one stack."""
     if not points:
         return []
     ensembles = [e for e, _ in points]
@@ -729,27 +709,11 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]],
     elements = np.empty((len(points), n_states + 1, dim, dim), dtype=np.complex128)
     elements[:, 1:] = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
     elements[:, 0] = np.eye(dim) - elements[:, 1:].sum(axis=1)
-    lams = frozen(np.array([p.bound.prs_max for p in plateaus])[:, None, None]
+    ceilings = [p.bound.prs_max for p in plateaus]
+    lams = frozen(np.array(ceilings)[:, None, None]
                   * np.stack([average_state(e) for e in ensembles]))
-    results = []
-    for (_, target), plateau, povm, metrics, lam in zip(
-            points, plateaus, _povms(elements), _success_metrics(ensembles, elements),
-            lams):
-        residual = abs(metrics.p_i - target)
-        results.append(SolveResult(
-            povm=povm,
-            p_s=metrics.p_s,
-            p_i=metrics.p_i,
-            p_rs=metrics.p_rs,
-            lam=lam,
-            a=None if target == 0.0 else plateau.bound.prs_max,
-            iterations=0,
-            final_change=0.0,
-            converged=residual <= RATE_TOLERANCE,
-            rate_residual=residual,
-            rate_evaluations=0,
-        ))
-    return results
+    return _results(points, elements, _certify(ensembles, elements), lams, ceilings,
+                    [None] * len(points))
 
 
 def _iterate_grid(
@@ -779,15 +743,16 @@ def _iterate_grid(
     A point stops, and leaves the stack, when its fixed-point residual,
     the largest Frobenius-norm difference between elements of G(x_k) and
     x_k, drops to POVM_TOLERANCE, or at ``max_iterations`` sweeps
-    (reported through ``converged``, not an exception). A point that
-    settles with its rate residual within RATE_TOLERANCE first checks
-    that its sweep's multipliers are dual feasible (:func:`_dual_margins`
-    to DUAL_FEASIBILITY_FLOOR, one stacked eigvalsh for the points that
-    settle in a sweep). If they are not, it restarts from
+    (reported through ``converged``, not an exception). Every point that
+    stops or settles in a sweep is certified by one
+    :func:`certificate.check_grid` call (:func:`_certify`). A point that
+    settles with its rate residual within RATE_TOLERANCE stops only when
+    its certificate is optimal; otherwise it restarts from
     :func:`initial_povm` with a fresh mixing history and takes only
-    beta = 1 from then on, and its sweep count carries on; a restarted point
-    stops as above without the check. Its result is its last sweep's
-    output G(x_k) with that sweep's multipliers, never an extrapolation.
+    beta = 1 from then on, and its sweep count carries on; a restarted
+    point stops as above whatever its certificate says. Its result is
+    its last sweep's output G(x_k) with that sweep's multipliers, never
+    an extrapolation, and carries the certificate it stopped with.
     Each multiplier search starts from the point's previous multiplier.
     A sweep from an extrapolation that finds the target infeasible is
     dropped and the point resumes from its last sweep's output. A sweep
@@ -862,18 +827,24 @@ def _iterate_grid(
                 run.mixer.reset()
                 if debug:
                     _log_sweep(run, "rejected")
-        if settled:
-            margins = _dual_margins(fixed.take([row for row, _, _ in settled]),
-                                    [run.fit for _, _, run in settled])
-            for (row, k, run), margin in zip(settled, margins):
+        stopping = [row for row, _, _ in settled] + done
+        if stopping:
+            checked = dict(zip(stopping, _certify([points[live[row]][0] for row in stopping],
+                                                  new[stopping])))
+            for row, k, run in settled:
                 if debug:
                     _log_sweep(run, "none")
-                if margin >= DUAL_FEASIBILITY_FLOOR or len(run.history) >= max_iterations:
+                cert = checked[row][1]
+                if (isinstance(cert, Certificate) and cert.optimal
+                        or len(run.history) >= max_iterations):
                     done.append(row)
                 else:
-                    logger.debug("sweep %d at target %.17g: stationary but not dual "
-                                 "feasible (margin %.3e); restarting without backtracking",
-                                 len(run.history), run.target, margin)
+                    why = (cert if isinstance(cert, SingularMultiplierError) else
+                           f"largest residual {max(cert.extremal_residuals):.3e}, "
+                           f"smallest margin {np.nanmin(cert.positivity_margins):.3e}")
+                    logger.debug("sweep %d at target %.17g: stationary but not certified "
+                                 "optimal (%s); restarting without backtracking",
+                                 len(run.history), run.target, why)
                     run.backtrack = False
                     run.restart(initial_povm(*points[k]).elements)
         if mixing:
@@ -894,8 +865,16 @@ def _iterate_grid(
                         _log_sweep(run, "accepted" if beta == 1.0
                                    else f"backtracked with beta {beta:g}")
         if done:
-            finished = _results([points[live[row]][0] for row in done],
-                                [runs[row] for row in done], max_iterations)
+            stopped = [runs[row] for row in done]
+            for run in stopped:
+                if run.history[-1] > POVM_TOLERANCE:
+                    logger.warning("no fixed point within %d sweeps (last change %.3e)",
+                                   max_iterations, run.history[-1])
+            fits = [run.fit for run in stopped]
+            finished = _results([points[live[row]] for row in done], new[done],
+                                [checked[row] for row in done],
+                                frozen(_gather(fits).root_matrix()), [fit.a for fit in fits],
+                                stopped)
             for row, result in zip(done, finished):
                 outcomes[live[row]] = result
         if any(outcomes[k] is not None for k in live):
@@ -912,35 +891,46 @@ def _log_sweep(run: _Run, verdict: str) -> None:
                  run.fit.a, run.fit.residual, verdict)
 
 
-def _results(ensembles: list[StateEnsemble], runs: list[_Run],
-             max_iterations: int) -> list[SolveResult]:
-    """The results of the points that stop in one sweep, each its last
-    sweep's output with that sweep's multipliers; their metrics come from
-    one stacked call, and their lam from one stacked root."""
-    for run in runs:
-        if run.history[-1] > POVM_TOLERANCE:
-            logger.warning("no fixed point within %d sweeps (last change %.3e)",
-                           max_iterations, run.history[-1])
-    elements = np.array([run.plain for run in runs])
-    fits = [run.fit for run in runs]
-    lams = frozen(_gather(fits).root_matrix())
+def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
+             ) -> list[tuple[Povm, Certificate | SingularMultiplierError]]:
+    """Each POVM of the stacked ``elements`` (one :func:`_povms` call) with
+    its certificate, all from one :func:`certificate.check_grid` call."""
+    povms = _povms(elements)
+    return list(zip(povms, certificate.check_grid(list(zip(ensembles, povms)))))
+
+
+def _results(
+    points: list[tuple[StateEnsemble, float]], elements: np.ndarray,
+    checked: list[tuple[Povm, Certificate | SingularMultiplierError]],
+    lams: np.ndarray, multipliers: list[float], runs: list[_Run | None],
+) -> list[SolveResult]:
+    """The results of points that stop together, closed-form or iterated:
+    each the POVM of its row of the stacked ``elements`` with the
+    certificate it was checked with (``checked``, from :func:`_certify`),
+    its multipliers, and the sweeps of its run, None for a closed-form
+    point, which has none. Their metrics come from one stacked call; a
+    closed-form point's rate residual is |p_i - target|, an iterated one's
+    its last multiplier search's."""
+    metrics = _success_metrics([e for e, _ in points], elements)
     results = []
-    for run, fit, povm, metrics, lam in zip(
-            runs, fits, _povms(elements), _success_metrics(ensembles, elements), lams):
-        history = run.history
+    for (_, target), (povm, cert), m, lam, a, run in zip(
+            points, checked, metrics, lams, multipliers, runs):
+        history = run.history if run else []
+        change = history[-1] if history else 0.0
+        residual = run.fit.residual if run else abs(m.p_i - target)
         results.append(SolveResult(
             povm=povm,
-            p_s=metrics.p_s,
-            p_i=metrics.p_i,
-            p_rs=metrics.p_rs,
+            p_s=m.p_s,
+            p_i=m.p_i,
+            p_rs=m.p_rs,
             lam=lam,
-            a=None if run.target == 0.0 else fit.a,
+            a=None if target == 0.0 else a,
             iterations=len(history),
-            final_change=history[-1],
-            converged=(history[-1] <= POVM_TOLERANCE
-                       and fit.residual <= RATE_TOLERANCE),
-            rate_residual=fit.residual,
-            rate_evaluations=run.evaluations,
+            final_change=change,
+            converged=change <= POVM_TOLERANCE and residual <= RATE_TOLERANCE,
+            rate_residual=residual,
+            rate_evaluations=run.evaluations if run else 0,
+            certificate=cert,
             change_history=tuple(history),
         ))
     return results

@@ -225,6 +225,26 @@ def test_check_grid_matches_check_on_the_fig1_grid_and_onset_window():
         assert all(c.optimal for c in certs)
 
 
+@pytest.mark.parametrize("theta, window", [(math.pi / 4, False), (math.pi / 4, True),
+                                           (1e-5, False), (1e-8, False)],
+                         ids=["fig1", "onset-window", "fig1-theta-1e-5", "fig1-theta-1e-8"])
+def test_every_result_carries_the_certificate_of_its_povm(theta, window):
+    # the fig1 grid at theta, or the onset window of the eta = 0.9 pair:
+    # the certificate a result stopped with is its POVM's, bit for bit,
+    # including the points that ran into the cap or were not certified
+    if window:
+        e = symmetric_qubit_pair(0.9, theta)
+        points = [(e, float(t)) for t in np.linspace(0.5563961030678929,
+                                                       0.7163961030678928, 33)]
+    else:
+        points = []
+        for eta in (0.7, 0.8, 0.9, 1.0):
+            e = symmetric_qubit_pair(eta, theta)
+            points += [(e, float(t)) for t in default_sweep_grid(eta * math.cos(theta))]
+    for (e, _), r in zip(points, solve_grid(points)):
+        assert _fields(r.certificate) == _fields(_one_point(e, r.povm))
+
+
 @pytest.mark.parametrize("n_states", [2, 3, 4])
 def test_check_grid_matches_check_on_random_ensembles(n_states):
     rng = np.random.default_rng(60 + n_states)

@@ -311,21 +311,35 @@ def test_bound_record_without_a_plateau_measurement(capsys, tmp_path):
 def test_average_state_is_decomposed_once(capsys, ensemble_file, monkeypatch):
     calls = [0]
     eigh = np.linalg.eigh
+    eigvalsh_calls = [0]
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return eigh(*args, **kwargs)
 
+    def counted_eigvalsh(*args, **kwargs):
+        eigvalsh_calls[0] += 1
+        return eigvalsh(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     # sigma's root, shared by the ceiling and the plateau measurement, and
     # the stacked eigh of the limiting operators
     assert cli.main(["bound", str(ensemble_file)]) == cli.EXIT_OK
     assert calls[0] == 2
     # the default grid: one root of sigma per ensemble, and every eigh of
-    # the command made inside its solve_grid call
-    calls[0] = 0
+    # the command made inside its solve_grid call; every point is certified
+    # once, by the solver's exit check, so no second certificate pass adds
+    # an eigvalsh
+    calls[0] = eigvalsh_calls[0] = 0
     assert cli.main(["fig1"]) == cli.EXIT_OK
-    assert calls[0] == 44
+    assert (calls[0], eigvalsh_calls[0]) == (44, 25)
+    # the onset window
+    calls[0] = eigvalsh_calls[0] = 0
+    assert cli.main(["tradeoff", str(ensemble_file), "--pi-grid",
+                     "0.5563961030678929:0.7163961030678928:33"]) == cli.EXIT_OK
+    assert (calls[0], eigvalsh_calls[0]) == (30, 13)
     capsys.readouterr()
     e = PROBLEM.ensemble()
     max_relative_success(e)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import pickle
@@ -20,7 +21,7 @@ from conftest import (
     rate_terms,
     sweep_once,
 )
-from povmlab import cli, solver
+from povmlab import certificate, cli, solver
 from povmlab.bounds import max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
@@ -591,8 +592,7 @@ def test_solve_grid_isolates_failing_points(monkeypatch):
     for k in (0, 1, 4):
         assert grid[k].converged
         assert _bits(grid[k]) == _bits(_iterate(e, targets[k], 150))
-    verdicts = cli._certified([e] * len(targets), grid)
-    rows = [cli._sweep_row(t, r, v) for t, r, v in zip(targets, grid, verdicts)]
+    rows = [cli._sweep_row(t, r) for t, r in zip(targets, grid)]
     assert [row[6] for row in rows] == ["ok", "ok", "infeasible", "maxiter", "ok"]
 
 
@@ -747,6 +747,35 @@ def test_trapped_backtracking_restarts_on_the_plain_map(caplog, seed, k):
     assert check(e, r.povm).optimal
 
 
+def test_a_settled_point_that_is_not_certified_restarts(monkeypatch, caplog):
+    # the certificate is the exit check: a point whose first settle is
+    # reported not optimal restarts from the uninformative start and then
+    # stops converged, with the certificate of its final POVM
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    reference = solve(e, 0.3)
+    check_grid = certificate.check_grid
+    calls = []
+
+    def first_settle_not_optimal(pairs):
+        outcomes = check_grid(pairs)
+        calls.append(len(pairs))
+        if len(calls) == 1:
+            outcomes[0] = dataclasses.replace(outcomes[0], optimal=False)
+        return outcomes
+
+    monkeypatch.setattr(certificate, "check_grid", first_settle_not_optimal)
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        r = solve(e, 0.3)
+    restarts = [rec.message for rec in caplog.records if "restarting" in rec.message]
+    assert len(restarts) == 1
+    assert f"sweep {reference.iterations} at target" in restarts[0]
+    assert "not certified optimal" in restarts[0]
+    assert calls == [1, 1]
+    assert r.converged and r.iterations > reference.iterations
+    assert r.certificate.optimal
+    assert r.p_rs == pytest.approx(reference.p_rs, abs=1e-12)
+
+
 def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     e.require_valid()
@@ -766,7 +795,8 @@ def test_onset_window_converges_with_few_eigvalsh_calls(monkeypatch):
     results = solve_grid([(e, float(t)) for t in ONSET_WINDOW], max_iterations=1000)
     monkeypatch.undo()
     # one positivity call per lockstep sweep (every beta of every point's
-    # step), and one dual check per sweep in which points settle
+    # step), and one certificate per sweep in which points settle or stop
+    # and for the closed-form stack
     settling = len({r.iterations for r in results})
     assert counts["eigvalsh"] <= counts["sweeps"] + settling
     assert all(r.converged and check(e, r.povm).optimal for r in results)
