@@ -99,6 +99,9 @@ class PlateauMeasurement:
 def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:
     """The measurement that reaches the ceiling from
     :func:`max_relative_success` at the least inconclusive rate found.
+    Read-only and computed on the first call per ensemble object only, like
+    ``ensemble.average_root``, so its warning is logged once; an invalid
+    ensemble raises on every call, since no exception is kept.
 
     P_RS = prs_max needs every Pi_j inside the kernel of the PSD operator
     prs_max * sigma - p_j rho_j, which within supp sigma is nonzero only for
@@ -114,6 +117,11 @@ def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:
     scalings is a small SDP that is not solved here. If the operator of
     j* shows no kernel, a warning is logged and ``rate`` is None.
     """
+    return e._plateau_measurement
+
+
+def _measure_plateau(e: StateEnsemble) -> PlateauMeasurement:
+    """:func:`plateau_measurement`, computed."""
     bound = max_relative_success(e)
     sigma = average_state(e)
     root = average_root(e)

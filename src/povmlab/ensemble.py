@@ -13,10 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root
+
+if TYPE_CHECKING:
+    from .bounds import PlateauMeasurement
 
 # Asymmetry above this is a genuine error, below it is round-off.
 HERMITICITY_ATOL = 1e-12
@@ -99,6 +103,12 @@ class StateEnsemble:
     def _average_root(self) -> PsdRoot:
         # one decomposition fixes sigma's support and inverse root for every caller
         return PsdRoot(*map(frozen, psd_root(self._average_state)))
+
+    @cached_property
+    def _plateau_measurement(self) -> PlateauMeasurement:
+        # one analysis for every caller, imported late: bounds imports this module
+        from . import bounds
+        return bounds._measure_plateau(self)
 
     def require_valid(self) -> "StateEnsemble":
         """Raise :class:`EnsembleValidationError` unless :func:`validate` is

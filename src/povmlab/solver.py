@@ -44,9 +44,9 @@ coefficients are bit for bit those of its own ``lstsq``.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
-measurement from :func:`bounds.plateau_measurement`, one call per
-ensemble, is answered in closed form, by mixing that measurement with
-the always-inconclusive one, and is not iterated.
+measurement from :func:`bounds.plateau_measurement`, computed once per
+ensemble object and kept on it, is answered in closed form, by mixing
+that measurement with the always-inconclusive one, and is not iterated.
 """
 
 from __future__ import annotations
@@ -244,8 +244,7 @@ class SolveResult:
 # code sweeps one point (P = 1) or a whole grid in lockstep, and a point's
 # numbers do not depend on which other points share its stack.
 
-@dataclass(frozen=True)
-class _EnsembleTerms:
+class _EnsembleTerms(NamedTuple):
     """Ensemble operators that every sweep of one solve reuses."""
 
     sigma: np.ndarray        # (P, d, d)
@@ -253,7 +252,7 @@ class _EnsembleTerms:
     weighted: np.ndarray     # p_j^2 Herm(rho_j), (P, N, d, d)
 
     def take(self, rows: list[int]) -> _EnsembleTerms:
-        return _EnsembleTerms(self.sigma[rows], self.states[rows], self.weighted[rows])
+        return type(self)(*(term[rows] for term in self))
 
 
 class _RateTerms(NamedTuple):
@@ -263,7 +262,7 @@ class _RateTerms(NamedTuple):
     pair: np.ndarray             # sigma and sigma Pi_0 sigma, (P, 2, d, d)
 
     def take(self, rows: list[int]) -> _RateTerms:
-        return _RateTerms(*(term[rows] for term in self))
+        return type(self)(*(term[rows] for term in self))
 
 
 def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
@@ -302,10 +301,6 @@ class _Multiplier(NamedTuple):
     residual: float        # |predicted rate - target| at ``a``
     evaluations: int       # predicted-rate evaluations the search made
     error: InfeasibleTargetError | None = None
-
-    def lam(self) -> np.ndarray:
-        """The operator multiplier, the square root of lam^2 at ``a``."""
-        return frozen(PsdRoot(*(field[self.row] for field in self.root)).root_matrix())
 
 
 def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:
@@ -542,15 +537,16 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 
 
 class _Run:
-    """One grid point's state between lockstep sweeps."""
+    """One grid point's state between lockstep sweeps, from its start on."""
 
-    def __init__(self, target: float, x: np.ndarray, warm: bool):
+    def __init__(self, e: StateEnsemble, target: float, warm: bool):
         self.target = target
         self.history: list[float] = []
         self.fit: _Multiplier | None = None   # last sweep's search outcome
         self.evaluations = 0
         self.backtrack = True            # off once the point was restarted
-        self.restart(x)
+        warm = warm and bounds.plateau_measurement(e).rate is not None
+        self.restart(_plateau_start(e, target) if warm else initial_povm(e, target).elements)
         self.warm = warm                 # x is the plateau start, not restarted since
 
     def restart(self, x: np.ndarray) -> None:
@@ -594,16 +590,16 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
     return Povm(shares[:, None, None] * np.eye(e.dim))
 
 
-def _plateau_start(e: StateEnsemble, target_pi: float,
-                   plateau: bounds.PlateauMeasurement) -> np.ndarray:
-    """Start of a target below the plateau rate t_c: mu M + (1 - mu) U_0
-    for mu = target / t_c, with M the plateau measurement (Pi_j = X_j and
-    Pi_0 = I - sum_j X_j) and U_0 the uninformative start at rate 0.
+def _plateau_start(e: StateEnsemble, target_pi: float) -> np.ndarray:
+    """Start of a target below the plateau rate t_c of ``e``: mu M + (1 -
+    mu) U_0 for mu = target / t_c, with M :func:`bounds.plateau_measurement`
+    (Pi_j = X_j, Pi_0 = I - sum_j X_j) and U_0 the uninformative start at 0.
 
     The rate is affine in the POVM, so the mix is a POVM at rate mu t_c =
     target, with full-rank conclusive elements since mu < 1; at target 0
     it is ``initial_povm(e, 0)`` bit for bit.
     """
+    plateau = bounds.plateau_measurement(e)
     plateau_povm = np.empty((e.n_states + 1, e.dim, e.dim), dtype=np.complex128)
     plateau_povm[1:] = plateau.conclusive
     plateau_povm[0] = np.eye(e.dim) - plateau.conclusive.sum(axis=0)
@@ -655,21 +651,21 @@ def solve_grid(
     dimension and number of states. Returns each point's SolveResult, or
     the InfeasibleTargetError it met.
 
-    For each distinct ensemble, :func:`bounds.plateau_measurement` gives
-    the ceiling prs_max and conclusive elements X_j reaching it at rate t_c.
-    A target t >= t_c is answered without sweeps: Pi_j = (1 - t)/(1 - t_c)
-    X_j and Pi_0 = I - sum_j Pi_j, with multipliers lam = prs_max sigma and
-    a = prs_max, which are dual feasible and make that POVM stationary.
-    Its result reports 0 iterations, a final change of 0 and 0 rate
-    evaluations, and its rate residual is |Tr[sigma Pi_0] - t|. Every
-    other point, and every point of an ensemble whose plateau measurement
-    has no rate (no kernel), is iterated in lockstep by
-    :func:`_iterate_grid`, for at most ``max_iterations`` sweeps; a point
-    below t_c starts from that measurement mixed with the uninformative
-    start down to its rate (:func:`_plateau_start`). The closed-form
-    results, and the iterated ones that stop in the same sweep, are each
-    built and certified as one stack by one builder (:func:`_results`),
-    so every result carries its POVM's certificate.
+    Each ensemble's :func:`bounds.plateau_measurement`, kept on the
+    ensemble, gives the ceiling prs_max and conclusive elements X_j
+    reaching it at rate t_c. A target t >= t_c is answered without sweeps:
+    Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I - sum_j Pi_j, with
+    multipliers lam = prs_max sigma and a = prs_max, which are dual
+    feasible and make that POVM stationary. Its result reports 0
+    iterations, a final change of 0 and 0 rate evaluations, and its rate
+    residual is |Tr[sigma Pi_0] - t|. Every other point, and every point
+    of an ensemble whose plateau measurement has no rate (no kernel), is
+    iterated in lockstep by :func:`_iterate_grid`, warm, for at most
+    ``max_iterations`` sweeps: a point below t_c starts from that
+    measurement mixed down to its rate (:func:`_plateau_start`). The
+    closed-form results, and the iterated ones that stop in the same
+    sweep, are each built and certified as one stack by one builder
+    (:func:`_results`), so every result carries its POVM's certificate.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -678,37 +674,27 @@ def solve_grid(
         require_target(target)
     if len({(e.n_states, e.dim) for e, _ in points}) > 1:
         raise ValueError("grid points must share the number of states and the dimension")
-    plateaus: dict[int, bounds.PlateauMeasurement] = {}
-    for e, _ in points:
-        if id(e) not in plateaus:
-            plateaus[id(e)] = bounds.plateau_measurement(e)
     closed, iterated = [], []
     for k, (e, target) in enumerate(points):
-        rate = plateaus[id(e)].rate
+        rate = bounds.plateau_measurement(e).rate
         (closed if rate is not None and target >= rate else iterated).append(k)
-    results = (_plateau_results([points[k] for k in closed],
-                                [plateaus[id(points[k][0])] for k in closed])
-               + _iterate_grid([points[k] for k in iterated], max_iterations,
-                               [plateaus[id(points[k][0])] for k in iterated]))
-    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
-    for k, outcome in zip(closed + iterated, results):
-        outcomes[k] = outcome
-    return outcomes
+    results = (_plateau_results([points[k] for k in closed])
+               + _iterate_grid([points[k] for k in iterated], max_iterations, warm=True))
+    outcomes = dict(zip(closed + iterated, results))
+    return [outcomes[k] for k in range(len(points))]
 
 
-def _plateau_results(points: list[tuple[StateEnsemble, float]],
-                     plateaus: list[bounds.PlateauMeasurement]) -> list[SolveResult]:
-    """The closed-form results at targets at or above their plateau's rate,
-    built and certified as one stack."""
+def _plateau_results(points: list[tuple[StateEnsemble, float]]) -> list[SolveResult]:
+    """The closed-form results at targets at or above the rate of their
+    ensemble's plateau measurement, built and certified as one stack."""
     if not points:
         return []
     ensembles = [e for e, _ in points]
-    n_states, dim = ensembles[0].n_states, ensembles[0].dim
-    scales = np.array([(1.0 - t) / (1.0 - plateau.rate)
-                       for (_, t), plateau in zip(points, plateaus)])
-    elements = np.empty((len(points), n_states + 1, dim, dim), dtype=np.complex128)
-    elements[:, 1:] = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
-    elements[:, 0] = np.eye(dim) - elements[:, 1:].sum(axis=1)
+    plateaus = [bounds.plateau_measurement(e) for e in ensembles]
+    scales = np.array([(1.0 - t) / (1.0 - p.rate) for (_, t), p in zip(points, plateaus)])
+    conclusive = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
+    inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
+    elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
     ceilings = [p.bound.prs_max for p in plateaus]
     lams = frozen(np.array(ceilings)[:, None, None]
                   * np.stack([average_state(e) for e in ensembles]))
@@ -717,15 +703,14 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]],
 
 
 def _iterate_grid(
-    points: list[tuple[StateEnsemble, float]], max_iterations: int,
-    plateaus: list[bounds.PlateauMeasurement] | None = None,
+    points: list[tuple[StateEnsemble, float]], max_iterations: int, warm: bool = False,
 ) -> list[SolveResult | InfeasibleTargetError]:
     """Iterate every (ensemble, target) point, all in lockstep on one
     stacked iterate; the points are validated and share their shape.
 
-    A point starts from :func:`_plateau_start` when its entry of
-    ``plateaus`` has a rate, and from :func:`initial_povm` otherwise, or
-    when ``plateaus`` is None.
+    With ``warm``, a point whose ensemble's plateau measurement has a rate
+    starts from :func:`_plateau_start`; every other point starts from
+    :func:`initial_povm`.
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
@@ -772,11 +757,7 @@ def _iterate_grid(
     outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
     # the points still in the stack: their indices and states
     live = list(range(len(points)))
-    runs = []
-    for (e, t), plateau in zip(points, plateaus or [None] * len(points)):
-        warm = plateau is not None and plateau.rate is not None
-        runs.append(_Run(t, _plateau_start(e, t, plateau) if warm
-                         else initial_povm(e, t).elements, warm))
+    runs = [_Run(e, t, warm) for e, t in points]
     while live:
         x = np.array([run.x for run in runs])
         new, fits = _sweep(fixed, x, [run.target for run in runs],

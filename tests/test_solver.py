@@ -21,7 +21,7 @@ from conftest import (
     rate_terms,
     sweep_once,
 )
-from povmlab import certificate, cli, solver
+from povmlab import bounds, certificate, cli, solver
 from povmlab.bounds import max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
@@ -178,7 +178,7 @@ def test_solve_multiplier_hits_target():
     fit, = solver._solve_multiplier(terms, [0.2], [None])
     assert fit.a > 0
     assert abs(solver._predicted_rate(terms, [fit.a]).rate[0] - 0.2) <= 1e-14
-    lam = fit.lam()
+    lam, = solver._gather([fit]).root_matrix()
     assert np.allclose(lam, lam.conj().T)
 
 
@@ -887,6 +887,23 @@ def test_plateau_targets_are_iterated_without_a_kernel(caplog):
     assert [rec.name for rec in caplog.records].count("povmlab.bounds") == 1
 
 
+def test_plateau_measurement_is_computed_once_per_ensemble(monkeypatch, caplog):
+    # two grids and a direct call on one ensemble share its one analysis,
+    # and with it the one no-kernel warning
+    calls = []
+    real = bounds.max_relative_success
+    monkeypatch.setattr(bounds, "max_relative_success", lambda e: calls.append(e) or real(e))
+    e = symmetric_qubit_pair(0.3, 1e-8)
+    with caplog.at_level(logging.WARNING):
+        for _ in range(2):
+            solve_grid([(e, t) for t in (0.1, 0.9)], max_iterations=20)
+        plateau = plateau_measurement(e)
+    assert plateau is plateau_measurement(e)
+    assert plateau.rate is None and len(calls) == 1
+    assert [(rec.name, rec.levelno) for rec in caplog.records
+            if rec.name == "povmlab.bounds"] == [("povmlab.bounds", logging.WARNING)]
+
+
 # ---------------------------------------------------------------------------
 # the plateau start
 
@@ -900,7 +917,7 @@ def test_plateau_start_is_a_povm_at_the_target_rate(dim, n_states):
         plateau = plateau_measurement(e)
         sigma = average_state(e)
         for target in [0.0, *rng.uniform(0.0, plateau.rate, 4).tolist()]:
-            start = solver._plateau_start(e, target, plateau)
+            start = solver._plateau_start(e, target)
             assert povm_violations(Povm(start)) == []
             assert np.abs(start.sum(axis=0) - np.eye(dim)).max() <= 1e-12
             assert abs(np.trace(sigma @ start[0]).real - target) <= 1e-12
@@ -913,7 +930,7 @@ def test_plateau_start_at_rate_zero_is_the_uninformative_start(n_states):
     e = random_ensemble(np.random.default_rng(600 + n_states), 3, n_states)
     plateau = plateau_measurement(e)
     assert plateau.rate > 0.0
-    start = solver._plateau_start(e, 0.0, plateau)
+    start = solver._plateau_start(e, 0.0)
     assert start.tobytes() == initial_povm(e, 0.0).elements.tobytes()
 
 
@@ -939,7 +956,7 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
-    assert np.array_equal(inputs[0], solver._plateau_start(e, 0.3, plateau_measurement(e)))
+    assert np.array_equal(inputs[0], solver._plateau_start(e, 0.3))
     if failing == 2:
         assert np.array_equal(inputs[1], outputs[0])
     assert np.array_equal(inputs[failing], initial_povm(e, 0.3).elements)
