@@ -7,12 +7,18 @@ emitted as CSV. All floats are printed with 17 significant digits, so
 identical invocations produce byte-identical output apart from the
 duration field.
 
+Every failure of every command, tradeoff and fig1 included, prints one
+JSON record whose result holds the error, and no CSV: a command raises,
+and main maps the exception to its record and exit code (_failure). The
+record's input digest is "" when the ensemble file fails to read, parse
+or validate.
+
 Exit codes: 0 ok/optimal, 1 validation failure (including bad flags),
 2 I/O or parse failure, 3 infeasible inconclusive-rate target,
 5 POVM not certified optimal.
 
 The POVMLAB_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
-log verbosity on standard error.
+log verbosity on standard error; a value that is not a level means WARNING.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from .hermitian import PINV_CUTOFF
 from .solver import (MAX_ITERATIONS, POVM_TOLERANCE, RATE_MAX_EVALUATIONS,
                      RATE_TOLERANCE, InfeasibleTargetError, povm_violations,
                      require_target, solve, solve_grid)
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,17 +65,36 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _emit_record(command: str, digest: str, config: dict, payload: dict,
-                 started: float, iterations: int | None = None) -> None:
-    record = {
-        "command": command,
-        "input_digest": digest,
-        "config": config,
-        "iterations": iterations,
-        "duration_s": time.perf_counter() - started,
-        "result": payload,
-    }
-    sys.stdout.write(fileio.dumps_json(record))
+class _RecordContext:
+    """What one invocation knows for its record: when it started, the bytes
+    of its ensemble file once that has read, parsed and validated, and the
+    config known so far. The digest of those bytes is taken only when a
+    record is emitted, and is "" while the ensemble has not loaded."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.started = time.perf_counter()
+        self.data: bytes | None = None
+        self.config: dict = {}
+
+    def load_ensemble(self, path, validate: bool = True):
+        """The ensemble in the file at ``path``, read once; raises the
+        loader's FileFormatError or EnsembleValidationError."""
+        data = fileio.read_bytes(path)
+        e = fileio.load_ensemble(path, validate=validate, data=data)
+        self.data = data
+        return e
+
+    def emit(self, payload: dict, iterations: int | None = None) -> None:
+        record = {
+            "command": self.command,
+            "input_digest": "" if self.data is None else _digest(self.data),
+            "config": self.config,
+            "iterations": iterations,
+            "duration_s": time.perf_counter() - self.started,
+            "result": payload,
+        }
+        sys.stdout.write(fileio.dumps_json(record))
 
 
 def _config_echo(max_iterations: int) -> dict:
@@ -118,6 +141,27 @@ def _certificate_payload(
         "tol_positivity": certificate.TOL_POSITIVITY,
         "optimal": cert.optimal,
     }
+
+
+def _failure(exc: Exception) -> tuple[dict, int]:
+    """The result payload and exit code of the exception a command raised:
+    the exit-code table of the module docstring."""
+    if isinstance(exc, fileio.FileFormatError):
+        return {"error": str(exc)}, EXIT_IO
+    if isinstance(exc, EnsembleValidationError):
+        return {
+            "error": "ensemble failed validation",
+            "violations": _violation_list(exc.violations),
+        }, EXIT_VALIDATION
+    if isinstance(exc, InfeasibleTargetError):
+        return {
+            "error": str(exc),
+            "target_pi": exc.target,
+            "reachable_supremum": exc.supremum,
+        }, EXIT_INFEASIBLE
+    if isinstance(exc, certificate.SingularMultiplierError):
+        return _certificate_payload(exc), EXIT_NOT_OPTIMAL
+    return {"error": str(exc)}, EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -168,64 +212,24 @@ def _run_jobs(worker, *args) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    try:
-        data = fileio.read_bytes(args.ensemble)
-        e = fileio.load_ensemble(args.ensemble, validate=False, data=data)
-    except fileio.FileFormatError as exc:
-        _emit_record("validate", "", {}, {"error": str(exc)}, started)
-        return EXIT_IO
+def cmd_validate(args, rec: _RecordContext) -> int:
+    e = rec.load_ensemble(args.ensemble, validate=False)
     violations = validate_ensemble(e)
-    payload = {
+    rec.emit({
         "valid": not violations,
         "dim": e.dim,
         "n_states": e.n_states,
         "violations": _violation_list(violations),
-    }
-    _emit_record("validate", _digest(data), {}, payload, started)
+    })
     return EXIT_OK if not violations else EXIT_VALIDATION
 
 
-def _load_for_command(args, started, command: str) -> tuple:
-    """Shared ensemble loading with the validate/parse exit-code split:
-    the ensemble and the bytes it was parsed from, or the exit code."""
-    try:
-        data = fileio.read_bytes(args.ensemble)
-        e = fileio.load_ensemble(args.ensemble, data=data)
-        return e, data, None
-    except fileio.FileFormatError as exc:
-        _emit_record(command, "", {}, {"error": str(exc)}, started)
-        return None, None, EXIT_IO
-    except EnsembleValidationError as exc:
-        _emit_record(command, "", {}, {
-            "error": "ensemble failed validation",
-            "violations": _violation_list(exc.violations),
-        }, started)
-        return None, None, EXIT_VALIDATION
-
-
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    e, data, status = _load_for_command(args, started, "solve")
-    if status is not None:
-        return status
-    digest = _digest(data)
-    config = {"target_pi": args.pi}
-    try:
-        _require_positive("--max-iter", args.max_iter)
-        config = _config_echo(args.max_iter) | config
-        r = solve(e, args.pi, max_iterations=args.max_iter)
-    except ValueError as exc:
-        _emit_record("solve", digest, config, {"error": str(exc)}, started)
-        return EXIT_VALIDATION
-    except InfeasibleTargetError as exc:
-        _emit_record("solve", digest, config, {
-            "error": str(exc),
-            "target_pi": exc.target,
-            "reachable_supremum": exc.supremum,
-        }, started)
-        return EXIT_INFEASIBLE
+def cmd_solve(args, rec: _RecordContext) -> int:
+    e = rec.load_ensemble(args.ensemble)
+    rec.config = {"target_pi": args.pi}
+    _require_positive("--max-iter", args.max_iter)
+    rec.config = _config_echo(args.max_iter) | rec.config
+    r = solve(e, args.pi, max_iterations=args.max_iter)
     payload = {
         "p_s": r.p_s,
         "p_i": r.p_i,
@@ -239,7 +243,7 @@ def cmd_solve(args) -> int:
     }
     if args.emit_povm:
         payload["povm"] = fileio.povm_record(r.povm)
-    _emit_record("solve", digest, config, payload, started, iterations=r.iterations)
+    rec.emit(payload, iterations=r.iterations)
     return EXIT_OK
 
 
@@ -256,93 +260,61 @@ def _parse_grid(spec_text: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def cmd_tradeoff(args) -> int:
-    started = time.perf_counter()
-    e, data, status = _load_for_command(args, started, "tradeoff")
-    if status is not None:
-        return status
-    try:
-        grid = _parse_grid(args.pi_grid)
-        require_target(float(grid[-1]))
-        _require_positive("--jobs", args.jobs)
-        _require_positive("--max-iter", args.max_iter)
-    except ValueError as exc:
-        _emit_record("tradeoff", _digest(data), {}, {"error": str(exc)}, started)
-        return EXIT_VALIDATION
+def cmd_tradeoff(args, rec: _RecordContext) -> int:
+    e = rec.load_ensemble(args.ensemble)
+    grid = _parse_grid(args.pi_grid)
+    require_target(float(grid[-1]))
+    _require_positive("--jobs", args.jobs)
+    _require_positive("--max-iter", args.max_iter)
     targets = [float(t) for t in grid]
     _write_csv(TRADEOFF_HEADER, _run_jobs(_sweep_point_file, targets, e, args.max_iter))
     return EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    started = time.perf_counter()
-    e, data, status = _load_for_command(args, started, "bound")
-    if status is not None:
-        return status
+def cmd_bound(args, rec: _RecordContext) -> int:
+    e = rec.load_ensemble(args.ensemble)
     plateau = bounds.plateau_measurement(e)
     b = plateau.bound
-    payload = {
+    rec.emit({
         "prs_max": b.prs_max,
         "per_state_a": list(b.per_state_a),
         "argmax_state": b.argmax_state,
         "kernel_dimension": b.kernel_dimension,
         "plateau_pi": plateau.rate,
-    }
-    _emit_record("bound", _digest(data), {}, payload, started)
+    })
     return EXIT_OK
 
 
-def cmd_certify(args) -> int:
-    started = time.perf_counter()
-    e, data, status = _load_for_command(args, started, "certify")
-    if status is not None:
-        return status
-    digest = _digest(data)
-    try:
-        povm_data = fileio.read_bytes(args.povm)
-        povm = fileio.load_povm(args.povm, data=povm_data)
-    except fileio.FileFormatError as exc:
-        _emit_record("certify", digest, {}, {"error": str(exc)}, started)
-        return EXIT_IO
-    config = {"povm_digest": _digest(povm_data)}
-    try:
-        certificate.require_matching(e, povm)
-    except ValueError as exc:
-        _emit_record("certify", digest, config, {"error": str(exc)}, started)
-        return EXIT_VALIDATION
+def cmd_certify(args, rec: _RecordContext) -> int:
+    e = rec.load_ensemble(args.ensemble)
+    povm_data = fileio.read_bytes(args.povm)
+    povm = fileio.load_povm(args.povm, data=povm_data)
+    rec.config = {"povm_digest": _digest(povm_data)}
+    certificate.require_matching(e, povm)
     violations = povm_violations(povm)
     if violations:
-        _emit_record("certify", digest, config, {
+        rec.emit({
             "error": "POVM failed validation",
             "violations": _violation_list(violations),
-        }, started)
+        })
         return EXIT_VALIDATION
-    try:
-        cert = certificate.check(e, povm)
-    except certificate.SingularMultiplierError as exc:
-        _emit_record("certify", digest, config, _certificate_payload(exc), started)
-        return EXIT_NOT_OPTIMAL
-    _emit_record("certify", digest, config, _certificate_payload(cert), started)
+    cert = certificate.check(e, povm)
+    rec.emit(_certificate_payload(cert))
     return EXIT_OK if cert.optimal else EXIT_NOT_OPTIMAL
 
 
-def cmd_fig1(args) -> int:
-    started = time.perf_counter()
-    try:
-        _require_positive("--points", args.points)
-        _require_positive("--jobs", args.jobs)
-        etas = [float(x) for x in args.etas.split(",") if x]
-        if not etas:
-            raise ValueError("--etas must list at least one value")
-        _require_positive("--max-iter", args.max_iter)
-        ensembles, points = {}, []
-        for eta in etas:
-            ensembles[eta] = symmetric_qubit_pair(eta, args.theta)
-            onset = eta * math.cos(args.theta)
-            points += [(eta, float(t)) for t in default_sweep_grid(onset, points=args.points)]
-    except ValueError as exc:
-        _emit_record("fig1", "", {}, {"error": str(exc)}, started)
-        return EXIT_VALIDATION
+def cmd_fig1(args, rec: _RecordContext) -> int:
+    _require_positive("--points", args.points)
+    _require_positive("--jobs", args.jobs)
+    etas = [float(x) for x in args.etas.split(",") if x]
+    if not etas:
+        raise ValueError("--etas must list at least one value")
+    _require_positive("--max-iter", args.max_iter)
+    ensembles, points = {}, []
+    for eta in etas:
+        ensembles[eta] = symmetric_qubit_pair(eta, args.theta)
+        onset = eta * math.cos(args.theta)
+        points += [(eta, float(t)) for t in default_sweep_grid(onset, points=args.points)]
     _write_csv("eta," + TRADEOFF_HEADER,
                _run_jobs(_sweep_point_symmetric, points, ensembles, args.max_iter))
     return EXIT_OK
@@ -465,19 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("POVMLAB_LOG", "WARNING").upper()
+    level = getattr(logging, os.environ.get("POVMLAB_LOG", "WARNING").upper(), None)
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_attach_float_values(argv))
+    rec = _RecordContext(args.command)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        logger.error("%s", exc)
-        return EXIT_VALIDATION
+        return args.func(args, rec)
+    except (ValueError, InfeasibleTargetError, certificate.SingularMultiplierError) as exc:
+        payload, code = _failure(exc)
+        rec.emit(payload)
+        return code
 
 
 if __name__ == "__main__":

@@ -120,6 +120,30 @@ def test_undecodable_file_is_io_error(capsys, ensemble_file, tmp_path):
         assert rec["result"]["error"].startswith(f"{bad} is not valid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "tradeoff", "bound", "certify"])
+def test_invalid_ensemble_record(capsys, ensemble_file, tmp_path, command):
+    # a well-formed file whose priors sum to 1.2 fails validation on load:
+    # no digest, no config, and the violations in the result
+    record = json.loads(ensemble_file.read_text())
+    record["priors"] = [0.6, 0.6]
+    path = tmp_path / "priors.json"
+    path.write_text(json.dumps(record))
+    povm_path = tmp_path / "povm.json"
+    save_povm(povm_path, analytic_povm(PROBLEM, 2.0 * math.pi / 3.0))
+    argv = {"solve": [], "tradeoff": ["--pi-grid", "0:0.5:3"], "bound": [],
+            "certify": [str(povm_path)]}[command]
+    code, rec = run_json(capsys, [command, str(path), *argv])
+    assert code == cli.EXIT_VALIDATION
+    assert rec["command"] == command
+    assert rec["input_digest"] == ""
+    assert rec["config"] == {}
+    assert list(rec["result"]) == ["error", "violations"]
+    assert rec["result"]["error"] == "ensemble failed validation"
+    violations = rec["result"]["violations"]
+    assert violations and all(list(v) == ["message", "residual", "index"] for v in violations)
+    assert any("sum" in v["message"] for v in violations)
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -501,6 +525,23 @@ def test_bad_solver_flag_emits_error_record(capsys, ensemble_file, argv, error):
     assert rec["result"] == {"error": error}
 
 
+@pytest.mark.parametrize("command", ["tradeoff", "fig1"])
+def test_sweep_failure_prints_one_record(capsys, ensemble_file, monkeypatch, command):
+    # an error inside the sweep prints the command's error record and no CSV
+    def boom(points, *, max_iterations):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "solve_grid", boom)
+    argv = {"tradeoff": ["tradeoff", str(ensemble_file), "--pi-grid", "0:0.5:3"],
+            "fig1": ["fig1", "--etas", "0.9", "--points", "3"]}[command]
+    code, rec = run_json(capsys, argv)
+    assert code == cli.EXIT_VALIDATION
+    assert rec["command"] == command
+    assert rec["result"] == {"error": "boom"}
+    digest = hashlib.sha256(ensemble_file.read_bytes()).hexdigest()
+    assert rec["input_digest"] == (digest if command == "tradeoff" else "")
+
+
 def test_tol_flag_stops_in_argparse(ensemble_file):
     # the fixed-point tolerance is solver.POVM_TOLERANCE, not a flag
     with pytest.raises(SystemExit) as exc_info:
@@ -663,6 +704,17 @@ def test_console_script_runs(ensemble_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["valid"] is True
+
+
+def test_log_variable_that_is_not_a_level_means_warning():
+    # logging.BASIC_FORMAT is a string, not a level; run in a fresh
+    # interpreter, whose root logger has no handlers yet
+    proc = subprocess.run(
+        [sys.executable, "-m", "povmlab.cli", "fig1", "--etas", "0.9", "--points", "3"],
+        capture_output=True, text=True, env={**os.environ, "POVMLAB_LOG": "basic_format"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta,pi,")
+    assert proc.stderr == ""
 
 
 def test_fig1_does_not_import_hashlib():
