@@ -26,7 +26,7 @@ check the eigenvalue route against both (``tests/closed_forms.py``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,19 +41,17 @@ KERNEL_RTOL = 1e-9
 DEGENERACY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PlateauBound:
-    """Per-state ceilings a_j, their maximum, and the maximizer.
+class PlateauBound(namedtuple(
+        "PlateauBound", "prs_max per_state_a argmax_state kernel_dimension")):
+    """Per-state ceilings a_j (``per_state_a``, a tuple of floats), their
+    maximum ``prs_max``, and the maximizer ``argmax_state``.
 
     ``kernel_dimension`` is the multiplicity of the top eigenvalue of
     sigma^{-1/2} rho_j* sigma^{-1/2}, i.e. the dimension of the subspace
     the limiting conclusive element for state j* is confined to.
     """
 
-    prs_max: float
-    per_state_a: tuple[float, ...]
-    argmax_state: int
-    kernel_dimension: int
+    __slots__ = ()
 
 
 def max_relative_success(e: StateEnsemble) -> PlateauBound:
@@ -79,10 +77,11 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     )
 
 
-@dataclass(frozen=True)
-class PlateauMeasurement:
-    """The ensemble's ceiling ``bound``, conclusive elements X_j that reach
-    it, and their inconclusive rate ``rate`` = 1 - sum_j Tr[sigma X_j].
+class PlateauMeasurement(namedtuple("PlateauMeasurement", "bound rate conclusive")):
+    """The ensemble's ceiling ``bound``, a :class:`PlateauBound`, conclusive
+    elements X_j that reach it (``conclusive``, a read-only (N, d, d) array,
+    zero for a state below the ceiling), and their inconclusive rate
+    ``rate`` = 1 - sum_j Tr[sigma X_j].
 
     Mixed with the always-inconclusive measurement, (1 - t)/(1 - rate) X_j
     and the identity's remainder reach the ceiling at every rate t >= rate.
@@ -91,9 +90,7 @@ class PlateauMeasurement:
     ``conclusive`` are None when the limiting operator shows no kernel.
     """
 
-    bound: PlateauBound
-    rate: float | None
-    conclusive: np.ndarray | None    # (N, d, d), zero for a state below the ceiling
+    __slots__ = ()
 
 
 def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,15 +71,17 @@ class SingularMultiplierError(RuntimeError):
     """The scalar equation for the rate multiplier is degenerate."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", (
+        "lam a extremal_residuals positivity_margins dual_bound optimal "
+        "lambda_asymmetry"))):
     """Multipliers reconstructed from a candidate POVM plus the checks on them.
 
-    ``a`` is None in the no-inconclusive-outcome branch (it enters the
-    stationarity system only through Pi_0). Index 0 of the residual and
-    margin tuples refers to the inconclusive outcome; ``margins[0]`` is NaN
-    when ``a`` is None, and NaN margins are excluded from the optimality
-    verdict (the corresponding condition is inactive).
+    ``lam`` is the operator multiplier, a read-only (d, d) array, and
+    ``a`` the scalar one, a float, or None in the no-inconclusive-outcome
+    branch (it enters the stationarity system only through Pi_0). Index 0
+    of the residual and margin tuples refers to the inconclusive outcome;
+    ``margins[0]`` is NaN when ``a`` is None, and NaN margins are excluded
+    from the optimality verdict (the corresponding condition is inactive).
 
     ``dual_bound`` is Tr[lam] + d delta - a p_i, with delta the magnitude
     of the most negative margin (0 when none is negative) and a = 0 when
@@ -89,16 +91,12 @@ class Certificate:
     dual_bound - p_s bounds how far it falls short of the optimum.
 
     ``optimal`` is True iff every residual is at most TOL_EXTREMAL and
-    every non-NaN margin is at least -TOL_POSITIVITY.
+    every non-NaN margin is at least -TOL_POSITIVITY. The residuals and
+    margins are tuples of floats, ``lambda_asymmetry`` is the float
+    described at :func:`check_grid`.
     """
 
-    lam: np.ndarray
-    a: float | None
-    extremal_residuals: tuple[float, ...]
-    positivity_margins: tuple[float, ...]
-    dual_bound: float
-    optimal: bool
-    lambda_asymmetry: float
+    __slots__ = ()
 
 
 def require_matching(e: StateEnsemble, povm: Povm) -> None:

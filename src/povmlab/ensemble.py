@@ -11,7 +11,7 @@ can inspect files of unknown quality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -31,13 +31,12 @@ PRIOR_SUM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed invariant with the measured residual."""
+class Violation(namedtuple("Violation", "message residual index", defaults=(None,))):
+    """One failed invariant: its ``message``, the measured ``residual``
+    (a float) and the ``index`` of the offending state or element, None
+    when the invariant concerns the whole set."""
 
-    message: str
-    residual: float
-    index: int | None = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         return self.message
@@ -51,20 +50,19 @@ class EnsembleValidationError(ValueError):
         super().__init__("; ".join(v.message for v in violations))
 
 
-@dataclass(frozen=True)
 class StateEnsemble:
     """N candidate states with strictly positive priors summing to one.
 
     ``states`` may be given as a sequence of matrices or one stacked array;
-    it is kept, like ``priors``, as a read-only copy.
+    it is kept, like ``priors``, as a read-only copy: ``states`` as an
+    (N, d, d) complex array, ``priors`` as an (N,) float array. An ensemble
+    is immutable, assigning any attribute raises AttributeError, and it
+    compares and hashes by identity.
     """
 
-    states: np.ndarray       # (N, d, d)
-    priors: np.ndarray       # (N,)
-
-    def __post_init__(self):
-        states = operator_stack(self.states, "ensemble")
-        priors = frozen(np.array(self.priors, dtype=np.float64))
+    def __init__(self, states, priors):
+        states = operator_stack(states, "ensemble")
+        priors = frozen(np.array(priors, dtype=np.float64))
         if len(states) < 1:
             raise ValueError("ensemble needs at least one state")
         if priors.ndim != 1 or priors.size != len(states):
@@ -75,6 +73,15 @@ class StateEnsemble:
             raise ValueError("ensemble entries must be finite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __repr__(self) -> str:
+        return f"StateEnsemble(states={self.states!r}, priors={self.priors!r})"
 
     def __reduce__(self):
         # through the constructor, so an unpickled copy is read-only too

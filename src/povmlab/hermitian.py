@@ -12,7 +12,7 @@ one read-only (n, d, d) array built by :func:`operator_stack`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,15 +51,13 @@ def herm(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-class PsdRoot(NamedTuple):
+class PsdRoot(namedtuple("PsdRoot", "eigenvalues vectors root inverse")):
     """A^{1/2} = V diag(root) V† and its pseudoinverse V diag(inverse) V†,
     where V and ``eigenvalues`` (ascending) are the eigendecomposition of A;
-    for a stack of matrices each field is stacked the same way."""
+    for a stack of matrices each field is stacked the same way. Every field
+    is an ndarray."""
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    root: np.ndarray
-    inverse: np.ndarray
+    __slots__ = ()
 
     def root_matrix(self) -> np.ndarray:
         return self._compose(self.root)

@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -110,25 +109,33 @@ class RelativeRateUndefinedError(ValueError):
     """The conclusive fraction vanished, so the renormalized rate is undefined."""
 
 
-@dataclass(frozen=True)
 class Povm:
     """N+1 measurement elements; index 0 is the inconclusive outcome.
 
     ``elements`` may be given as a sequence of matrices or one stacked
-    array; it is kept as a read-only (N+1, d, d) copy.
+    array; it is kept as a read-only complex (N+1, d, d) copy. A POVM is
+    immutable, assigning any attribute raises AttributeError, and it
+    compares and hashes by identity.
 
     Invariants (maintained by the solver, checked by :func:`povm_violations`):
     every element PSD within the floor, and the elements sum to the identity
     within round-off.
     """
 
-    elements: np.ndarray     # (N+1, d, d)
-
-    def __post_init__(self):
-        elements = operator_stack(self.elements, "POVM")
+    def __init__(self, elements):
+        elements = operator_stack(elements, "POVM")
         if len(elements) < 2:
             raise ValueError("a POVM needs at least two elements")
         object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __repr__(self) -> str:
+        return f"Povm(elements={self.elements!r})"
 
     def __reduce__(self):
         # through the constructor, so an unpickled copy is read-only too
@@ -190,19 +197,23 @@ def povm_violations(povm: Povm) -> list[Violation]:
     return report
 
 
-@dataclass(frozen=True)
-class SuccessMetrics:
-    p_s: float
-    p_i: float
-    p_rs: float
+class SuccessMetrics(namedtuple("SuccessMetrics", "p_s p_i p_rs")):
+    """Success rate, inconclusive rate and renormalized success rate of one
+    POVM, as floats; see :func:`success_metrics`."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(namedtuple("SolveResult", (
+        "povm p_s p_i p_rs lam a iterations final_change converged rate_residual "
+        "rate_evaluations certificate change_history"), defaults=((),))):
     """Converged POVM with its metrics, multipliers, and diagnostics.
 
-    ``a`` is None when the solve ran at zero inconclusive rate, where the
-    scalar multiplier plays no role. ``rate_residual`` is the final sweep's
+    ``povm`` is a :class:`Povm`, ``p_s``, ``p_i`` and ``p_rs`` are its
+    :class:`SuccessMetrics` and ``lam`` is the operator multiplier, a
+    read-only (d, d) array. ``a`` is None when the solve ran at zero
+    inconclusive rate, where the scalar multiplier plays no role.
+    ``rate_residual`` is the final sweep's
     |predicted inconclusive rate - target| (0 at zero target), and
     ``rate_evaluations`` counts the predicted-rate evaluations, one
     eigendecomposition each, over the whole solve. ``change_history`` holds
@@ -220,19 +231,7 @@ class SolveResult:
     the point with when it settled, and ``optimal`` is the verdict.
     """
 
-    povm: Povm
-    p_s: float
-    p_i: float
-    p_rs: float
-    lam: np.ndarray
-    a: float | None
-    iterations: int
-    final_change: float
-    converged: bool
-    rate_residual: float
-    rate_evaluations: int
-    certificate: Certificate | SingularMultiplierError
-    change_history: tuple[float, ...] = field(repr=False, default=())
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +243,23 @@ class SolveResult:
 # code sweeps one point (P = 1) or a whole grid in lockstep, and a point's
 # numbers do not depend on which other points share its stack.
 
-class _EnsembleTerms(NamedTuple):
-    """Ensemble operators that every sweep of one solve reuses."""
+class _EnsembleTerms(namedtuple("_EnsembleTerms", "sigma states weighted")):
+    """Ensemble operators that every sweep of one solve reuses: ``sigma``
+    (P, d, d), ``states`` Herm(rho_j) and ``weighted`` p_j^2 Herm(rho_j),
+    both (P, N, d, d)."""
 
-    sigma: np.ndarray        # (P, d, d)
-    states: np.ndarray       # Herm(rho_j), (P, N, d, d)
-    weighted: np.ndarray     # p_j^2 Herm(rho_j), (P, N, d, d)
+    __slots__ = ()
 
     def take(self, rows: list[int]) -> _EnsembleTerms:
         return type(self)(*(term[rows] for term in self))
 
 
-class _RateTerms(NamedTuple):
-    """Operators fixed during one sweep's multiplier search."""
+class _RateTerms(namedtuple("_RateTerms", "conclusive_sum pair")):
+    """Operators fixed during one sweep's multiplier search:
+    ``conclusive_sum`` sum_j p_j^2 rho_j Pi_j rho_j, (P, d, d), and ``pair``
+    sigma and sigma Pi_0 sigma, (P, 2, d, d)."""
 
-    conclusive_sum: np.ndarray   # sum_j p_j^2 rho_j Pi_j rho_j, (P, d, d)
-    pair: np.ndarray             # sigma and sigma Pi_0 sigma, (P, 2, d, d)
+    __slots__ = ()
 
     def take(self, rows: list[int]) -> _RateTerms:
         return type(self)(*(term[rows] for term in self))
@@ -282,25 +282,23 @@ def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _Rat
     return sandwiches, _RateTerms(sandwiches.sum(axis=1), pair)
 
 
-class _RateEval(NamedTuple):
+class _RateEval(namedtuple("_RateEval", "rate slope root")):
     """Predicted inconclusive rates at the points' multipliers and their
-    derivatives in the multiplier, one float per point, and the stacked
-    square roots of lam^2 they came from."""
+    derivatives in the multiplier, lists of one float per point, and the
+    stacked square roots of lam^2 they came from, a PsdRoot."""
 
-    rate: list[float]
-    slope: list[float]
-    root: PsdRoot
+    __slots__ = ()
 
 
-class _Multiplier(NamedTuple):
-    """Outcome of one point's multiplier search."""
+class _Multiplier(namedtuple("_Multiplier", "a root row residual evaluations error",
+                             defaults=(None,))):
+    """Outcome of one point's multiplier search: the multiplier ``a``; the
+    stacked psd_root of lam^2 ``root``, whose row ``row`` is the one at
+    ``a``; the ``residual`` |predicted rate - target| at ``a``; the
+    predicted-rate ``evaluations`` the search made; and the
+    InfeasibleTargetError it met, or None."""
 
-    a: float
-    root: PsdRoot          # stacked psd_root of lam^2; row ``row`` is the one at ``a``
-    row: int
-    residual: float        # |predicted rate - target| at ``a``
-    evaluations: int       # predicted-rate evaluations the search made
-    error: InfeasibleTargetError | None = None
+    __slots__ = ()
 
 
 def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:

@@ -245,6 +245,29 @@ def test_every_result_carries_the_certificate_of_its_povm(theta, window):
         assert _fields(r.certificate) == _fields(_one_point(e, r.povm))
 
 
+@pytest.mark.parametrize("eta, window", [(0.7, False), (0.8, False), (0.9, False),
+                                         (1.0, False), (0.9, True)],
+                         ids=["fig1-eta-0.7", "fig1-eta-0.8", "fig1-eta-0.9", "fig1-eta-1.0",
+                              "onset-window"])
+def test_every_certified_point_bounds_every_other_point(eta, window):
+    # the dual constraints do not involve the rate, so certified point k's
+    # line dual_bound + a (p_i - t) bounds the optimal success rate at every
+    # rate t on its ensemble (weak duality across the curve): a wrong a or
+    # lam at any point breaks it at some other point of the fig1 grid at
+    # eta, or of the onset window of the eta = 0.9 pair
+    e = symmetric_qubit_pair(eta, math.pi / 4)
+    if window:
+        targets = np.linspace(0.5563961030678929, 0.7163961030678928, 33).tolist()
+    else:
+        targets = default_sweep_grid(eta * math.cos(math.pi / 4)).tolist()
+    results = solve_grid([(e, t) for t in targets], max_iterations=1000 if window else 500)
+    assert all(r.certificate.optimal for r in results)
+    for r in results:
+        cert = r.certificate
+        for t, other in zip(targets, results):
+            assert cert.dual_bound + (cert.a or 0.0) * (r.p_i - t) >= other.p_s - 1e-12
+
+
 @pytest.mark.parametrize("n_states", [2, 3, 4])
 def test_check_grid_matches_check_on_random_ensembles(n_states):
     rng = np.random.default_rng(60 + n_states)

@@ -727,6 +727,16 @@ def test_fig1_does_not_import_hashlib():
     assert proc.stdout.startswith("eta,pi,")
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # povmlab creates its types without generating code at import; the
+    # baseline is what numpy loaded, so the check holds on any numpy
+    code = ("import sys, numpy; before = set(sys.modules); import povmlab.cli; "
+            "sys.exit('dataclasses imported' if 'dataclasses' in set(sys.modules) - before "
+            "else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_tradeoff_digests_its_input_only_for_a_record(ensemble_file):
     # a grid prints CSV without loading hashlib; a bad grid's error record
     # carries the digest of the bytes read

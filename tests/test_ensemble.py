@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -249,6 +250,37 @@ def test_unpickled_ensemble_is_read_only():
     assert np.array_equal(copy.states, e.states) and np.array_equal(copy.priors, e.priors)
     assert not copy.states.flags.writeable and not copy.priors.flags.writeable
     assert not validate(copy)
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copied_ensemble_is_read_only(duplicate):
+    # a copy goes through the constructor, like an unpickled one
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    twin = duplicate(e)
+    assert np.array_equal(twin.states, e.states) and np.array_equal(twin.priors, e.priors)
+    assert not twin.states.flags.writeable and not twin.priors.flags.writeable
+    # ensembles compare and hash by identity
+    assert twin != e and len({e, twin, e}) == 2
+
+
+def test_ensemble_rejects_assignment():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    e.require_valid()
+    for name in ("states", "priors", "dim", "_violations", "label"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, np.eye(2))
+    with pytest.raises(AttributeError):
+        del e.states
+    assert np.array_equal(e.states, symmetric_qubit_pair(0.9, math.pi / 4).states)
+    assert not hasattr(e, "label")
+
+
+def test_violation_is_a_record():
+    bad = StateEnsemble((PROJ0, PROJ1), np.array([0.6, 0.6]))
+    violation, = validate(bad)
+    assert violation.index is None and str(violation) == violation.message
+    assert pickle.loads(pickle.dumps(violation)) == violation
+    assert violation._replace(index=1) == (violation.message, violation.residual, 1)
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import logging
 import math
 import pickle
@@ -85,6 +85,28 @@ def test_unpickled_povm_is_read_only():
     copy = pickle.loads(pickle.dumps(povm))
     assert np.array_equal(copy.elements, povm.elements)
     assert not copy.elements.flags.writeable
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+def test_copied_povm_is_read_only(duplicate):
+    # a copy goes through the constructor, like an unpickled one
+    povm = initial_povm(symmetric_qubit_pair(0.9, math.pi / 4), 0.2)
+    twin = duplicate(povm)
+    assert np.array_equal(twin.elements, povm.elements)
+    assert not twin.elements.flags.writeable
+    # POVMs compare and hash by identity
+    assert twin != povm and len({povm, twin, povm}) == 2
+
+
+def test_povm_rejects_assignment():
+    povm = initial_povm(symmetric_qubit_pair(0.9, math.pi / 4), 0.2)
+    elements = povm.elements
+    for name in ("elements", "dim", "label"):
+        with pytest.raises(AttributeError):
+            setattr(povm, name, np.eye(2))
+    with pytest.raises(AttributeError):
+        del povm.elements
+    assert povm.elements is elements and not hasattr(povm, "label")
 
 
 def test_povm_violations_reports():
@@ -550,6 +572,21 @@ def _bits(r: SolveResult) -> tuple:
             r.iterations, r.converged, r.rate_evaluations)
 
 
+def test_result_records_survive_pickling_and_replace():
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    r = solve(e, 0.3)
+    twin = pickle.loads(pickle.dumps(r))
+    assert type(twin) is SolveResult and type(twin.certificate) is type(r.certificate)
+    assert _bits(twin) == _bits(r) and not twin.povm.elements.flags.writeable
+    assert twin.certificate.lam.tobytes() == r.certificate.lam.tobytes()
+    assert twin.certificate[1:] == r.certificate[1:]
+    changed = r._replace(converged=False)
+    assert type(changed) is SolveResult and not changed.converged
+    assert _bits(changed._replace(converged=True)) == _bits(r)
+    metrics = success_metrics(e, r.povm)
+    assert pickle.loads(pickle.dumps(metrics)) == metrics == (r.p_s, r.p_i, r.p_rs)
+
+
 @pytest.mark.parametrize("dim, n_states", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_solve_grid_matches_one_point_solves(dim, n_states):
     rng = np.random.default_rng(90 + 10 * dim + n_states)
@@ -760,7 +797,7 @@ def test_a_settled_point_that_is_not_certified_restarts(monkeypatch, caplog):
         outcomes = check_grid(pairs)
         calls.append(len(pairs))
         if len(calls) == 1:
-            outcomes[0] = dataclasses.replace(outcomes[0], optimal=False)
+            outcomes[0] = outcomes[0]._replace(optimal=False)
         return outcomes
 
     monkeypatch.setattr(certificate, "check_grid", first_settle_not_optimal)
