@@ -30,12 +30,17 @@ sweep's output whose elements stay PSD within POVM_PSD_FLOOR is taken, as
 in the diluted iteration of Rehacek et al., PRA 75, 042108 (2007), and
 safeguarded Anderson mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim.
 30, 3170 (2020)).
-A point that settles stops only once :func:`certificate.check_grid`
-finds its POVM optimal, and one that is not is restarted on the plain
-map, so a stationary but non-optimal POVM does not end the solve; every
-result carries the certificate it stopped with. The per-sweep history
-it reports is the fixed-point residual, the largest element change one
-sweep makes to the point it was applied to. It solves many points in lockstep on one
+
+One rule stops a point: once its fixed-point residual, the largest
+element change one sweep makes to the point it was applied to, drops to
+POVM_TOLERANCE, or at the sweep cap, :func:`certificate.check_grid` tests
+its POVM, and the point stops with that certificate unless it settled
+under the cap within the rate tolerance, not optimal, and was never
+restarted. Such a point restarts from the uninformative start on full
+extrapolation steps only, so a stationary but non-optimal POVM does not
+end the solve. A point's ``start`` is "plateau" or "uninformative", and
+"restarted" after that restart. A result's per-sweep history is the
+fixed-point residual. The points of a grid are solved in lockstep on one
 stacked iterate, so numpy's per-call cost is paid once per grid rather
 than once per point; :func:`solve` is its one-point case. The Anderson
 least squares of all points with the same history depth are one call of
@@ -228,7 +233,7 @@ class SolveResult(namedtuple("SolveResult", (
     ``certificate`` is the :class:`certificate.Certificate` of ``povm``,
     or the SingularMultiplierError met in its place, bit for bit what
     :func:`certificate.check` gives for it: the test the solver stopped
-    the point with when it settled, and ``optimal`` is the verdict.
+    the point with, and ``optimal`` is the verdict.
     """
 
     __slots__ = ()
@@ -243,26 +248,30 @@ class SolveResult(namedtuple("SolveResult", (
 # code sweeps one point (P = 1) or a whole grid in lockstep, and a point's
 # numbers do not depend on which other points share its stack.
 
-class _EnsembleTerms(namedtuple("_EnsembleTerms", "sigma states weighted")):
+class _Stacked:
+    """A namedtuple of arrays that all carry the point axis first; ``take``
+    keeps the points ``rows``, in that order."""
+
+    __slots__ = ()
+
+    def take(self, rows: list[int]):
+        return type(self)(*(term[rows] for term in self))
+
+
+class _EnsembleTerms(_Stacked, namedtuple("_EnsembleTerms", "sigma states weighted")):
     """Ensemble operators that every sweep of one solve reuses: ``sigma``
     (P, d, d), ``states`` Herm(rho_j) and ``weighted`` p_j^2 Herm(rho_j),
     both (P, N, d, d)."""
 
     __slots__ = ()
 
-    def take(self, rows: list[int]) -> _EnsembleTerms:
-        return type(self)(*(term[rows] for term in self))
 
-
-class _RateTerms(namedtuple("_RateTerms", "conclusive_sum pair")):
+class _RateTerms(_Stacked, namedtuple("_RateTerms", "conclusive_sum pair")):
     """Operators fixed during one sweep's multiplier search:
     ``conclusive_sum`` sum_j p_j^2 rho_j Pi_j rho_j, (P, d, d), and ``pair``
     sigma and sigma Pi_0 sigma, (P, 2, d, d)."""
 
     __slots__ = ()
-
-    def take(self, rows: list[int]) -> _RateTerms:
-        return type(self)(*(term[rows] for term in self))
 
 
 def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
@@ -535,25 +544,27 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 
 
 class _Run:
-    """One grid point's state between lockstep sweeps, from its start on."""
+    """One grid point's state between lockstep sweeps, from its start on;
+    ``start`` is "plateau" (:func:`_plateau_start`), "uninformative" or
+    "restarted" (:func:`initial_povm`, after an uncertified settle)."""
 
     def __init__(self, e: StateEnsemble, target: float, warm: bool):
-        self.target = target
+        self.e, self.target = e, target
         self.history: list[float] = []
         self.fit: _Multiplier | None = None   # last sweep's search outcome
         self.evaluations = 0
-        self.backtrack = True            # off once the point was restarted
         warm = warm and bounds.plateau_measurement(e).rate is not None
-        self.restart(_plateau_start(e, target) if warm else initial_povm(e, target).elements)
-        self.warm = warm                 # x is the plateau start, not restarted since
+        self.restart("plateau" if warm else "uninformative")
 
-    def restart(self, x: np.ndarray) -> None:
-        """Start again from ``x`` with no mixing history; the multiplier
+    def restart(self, start: str) -> None:
+        """Start again from ``start`` with no mixing history; the multiplier
         search still starts from the last sweep's, and the sweep count and
         evaluations carry on."""
+        self.start = start
+        x = (_plateau_start(self.e, self.target) if start == "plateau"
+             else initial_povm(self.e, self.target).elements)
         self.x = self.plain = x          # next sweep's input; last sweep's output
         self.mixer = _Anderson(ANDERSON_DEPTH)
-        self.warm = False
 
 
 def _step(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
@@ -706,48 +717,47 @@ def _iterate_grid(
     """Iterate every (ensemble, target) point, all in lockstep on one
     stacked iterate; the points are validated and share their shape.
 
-    With ``warm``, a point whose ensemble's plateau measurement has a rate
-    starts from :func:`_plateau_start`; every other point starts from
-    :func:`initial_povm`.
+    Each point is a :class:`_Run`. With ``warm``, a point whose ensemble's
+    plateau measurement has a rate starts from :func:`_plateau_start`
+    ("plateau"); every other point from :func:`initial_povm`
+    ("uninformative").
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
     Its next iterate is y = G(x_k) + beta (x_A - G(x_k)) for the
-    extrapolation x_A from its recent sweeps and the largest beta = 1,
+    extrapolation x_A from its recent sweeps (:func:`_extrapolate`, one
+    least-squares call per history depth) and the largest beta = 1,
     1/2 ... 1/2**BACKTRACK_STEPS whose elements are all PSD within
     POVM_PSD_FLOOR (:func:`_step`, one stacked eigvalsh for the grid); at
-    beta = 1, y is x_A itself. The sweep's extrapolations come from
-    :func:`_extrapolate`, one least-squares call per history depth. When
-    no beta passes, or the search missed the tolerance, the next iterate
-    is the plain sweep's output G(x_k), and its mixing starts over; a
-    point that missed the tolerance records the sweep in its history but
-    solves no least squares.
+    beta = 1, y is x_A itself, and a "restarted" point takes beta = 1 or
+    none. When no beta passes, or the search missed the tolerance, the
+    next iterate is the plain sweep's output G(x_k), and its mixing starts
+    over. Each sweep gives each point one verdict on its extrapolation,
+    logged at DEBUG by :func:`_log_sweep`: none, rejected, accepted, or
+    backtracked with its beta.
 
-    A point stops, and leaves the stack, when its fixed-point residual,
-    the largest Frobenius-norm difference between elements of G(x_k) and
-    x_k, drops to POVM_TOLERANCE, or at ``max_iterations`` sweeps
-    (reported through ``converged``, not an exception). Every point that
-    stops or settles in a sweep is certified by one
-    :func:`certificate.check_grid` call (:func:`_certify`). A point that
-    settles with its rate residual within RATE_TOLERANCE stops only when
-    its certificate is optimal; otherwise it restarts from
-    :func:`initial_povm` with a fresh mixing history and takes only
-    beta = 1 from then on, and its sweep count carries on; a restarted
-    point stops as above whatever its certificate says. Its result is
-    its last sweep's output G(x_k) with that sweep's multipliers, never
-    an extrapolation, and carries the certificate it stopped with.
-    Each multiplier search starts from the point's previous multiplier.
+    One rule stops a point. Every point whose fixed-point residual, the
+    largest Frobenius-norm difference between elements of G(x_k) and x_k,
+    drops to POVM_TOLERANCE, or that reaches ``max_iterations`` sweeps
+    (reported through ``converged``, not an exception), is certified, all
+    of one sweep by one :func:`certificate.check_grid` call
+    (:func:`_certify`). It stops with that certificate unless it was never
+    restarted, is under the cap, met RATE_TOLERANCE and is not certified
+    optimal; such a point restarts as "restarted", from
+    :func:`initial_povm` with a fresh mixing history. Its result is its
+    last sweep's output G(x_k) with that sweep's multipliers, never an
+    extrapolation. Each multiplier search starts from the point's previous
+    multiplier, and a restart carries the sweep count on.
+
     A sweep from an extrapolation that finds the target infeasible is
-    dropped and the point resumes from its last sweep's output. A sweep
-    from the plateau start, or from an output descending from it, that
-    finds the target infeasible is dropped too, and the point restarts
-    from :func:`initial_povm` with its sweep count carrying on: that
-    start's Pi_0 can be rank-deficient (for tied states), every sweep
-    keeps the rank, and a rank-deficient Pi_0 can make a rate unreachable
-    that the problem allows. Only a sweep from the uninformative start,
-    or from an output descending from it, ends the point with the error.
-    The points share nothing but the stacked numpy calls, so a point's
-    outcome does not depend on the others in the grid.
+    dropped and the point resumes from its last sweep's output. So is one
+    from a "plateau" point's plain output, and the point restarts as
+    "uninformative": the plateau start's Pi_0 can be rank-deficient (for
+    tied states), every sweep keeps the rank, and a rank-deficient Pi_0
+    can make a rate unreachable that the problem allows. Any other
+    infeasible sweep ends the point with the error. The points share
+    nothing but the stacked numpy calls, so a point's outcome does not
+    depend on the others in the grid.
     """
     if not points:
         return []
@@ -766,10 +776,9 @@ def _iterate_grid(
         # largest Frobenius norm of an element's change, per point
         changes = np.sqrt(np.square(residuals).reshape(x.shape[:2] + (-1,)).sum(axis=-1))
         changes = changes.max(axis=-1).tolist()
-        debug = logger.isEnabledFor(logging.DEBUG)
-        mixing: list[int] = []                       # rows that extrapolate
-        settled: list[tuple[int, int, _Run]] = []    # converged, to be checked
-        done: list[int] = []                         # stopped in this sweep
+        verdicts: dict[int, str] = {}     # rows that swept: extrapolation verdict
+        mixing: list[int] = []            # rows that extrapolate
+        stopping: list[int] = []          # rows to certify
         for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
             if fit.error is not None:
                 if run.x is not run.plain:
@@ -777,55 +786,44 @@ def _iterate_grid(
                                  "resuming from the last sweep", fit.error)
                     run.x = run.plain
                     run.mixer.reset()
-                elif run.warm:
+                elif run.start == "plateau":
                     logger.debug("sweep from the plateau start infeasible (%s); "
                                  "restarting from the uninformative start", fit.error)
-                    run.restart(initial_povm(*points[k]).elements)
+                    run.restart("uninformative")
                 else:
                     outcomes[k] = fit.error
                 continue
             run.fit = fit
             run.evaluations += fit.evaluations
-            change = changes[row]
-            run.history.append(change)
+            run.history.append(changes[row])
             run.x = run.plain = new[row]
-            if run.backtrack and change <= POVM_TOLERANCE and fit.residual <= RATE_TOLERANCE:
-                settled.append((row, k, run))
-                continue
-            if change <= POVM_TOLERANCE or len(run.history) >= max_iterations:
-                if debug:
-                    _log_sweep(run, "none")
-                done.append(row)
-                continue
-            if not run.mixer.record(residuals[row], values[row]):
-                if debug:
-                    _log_sweep(run, "none")
-            elif fit.residual <= RATE_TOLERANCE:
-                mixing.append(row)
-            else:
-                run.mixer.reset()
-                if debug:
-                    _log_sweep(run, "rejected")
-        stopping = [row for row, _, _ in settled] + done
-        if stopping:
-            checked = dict(zip(stopping, _certify([points[live[row]][0] for row in stopping],
-                                                  new[stopping])))
-            for row, k, run in settled:
-                if debug:
-                    _log_sweep(run, "none")
-                cert = checked[row][1]
-                if (isinstance(cert, Certificate) and cert.optimal
-                        or len(run.history) >= max_iterations):
-                    done.append(row)
+            verdicts[row] = "none"
+            if changes[row] <= POVM_TOLERANCE or len(run.history) >= max_iterations:
+                stopping.append(row)
+            elif run.mixer.record(residuals[row], values[row]):
+                if fit.residual <= RATE_TOLERANCE:
+                    mixing.append(row)
                 else:
-                    why = (cert if isinstance(cert, SingularMultiplierError) else
-                           f"largest residual {max(cert.extremal_residuals):.3e}, "
-                           f"smallest margin {np.nanmin(cert.positivity_margins):.3e}")
-                    logger.debug("sweep %d at target %.17g: stationary but not certified "
-                                 "optimal (%s); restarting without backtracking",
-                                 len(run.history), run.target, why)
-                    run.backtrack = False
-                    run.restart(initial_povm(*points[k]).elements)
+                    run.mixer.reset()
+                    verdicts[row] = "rejected"
+        done: list[int] = []              # rows that stop in this sweep
+        if stopping:
+            checked = dict(zip(stopping, _certify([runs[row].e for row in stopping],
+                                                  new[stopping])))
+            for row in stopping:
+                run, cert = runs[row], checked[row][1]
+                if (run.start == "restarted" or len(run.history) >= max_iterations
+                        or run.fit.residual > RATE_TOLERANCE
+                        or isinstance(cert, Certificate) and cert.optimal):
+                    done.append(row)
+                    continue
+                why = (cert if isinstance(cert, SingularMultiplierError) else
+                       f"largest residual {max(cert.extremal_residuals):.3e}, "
+                       f"smallest margin {np.nanmin(cert.positivity_margins):.3e}")
+                logger.debug("sweep %d at target %.17g: stationary but not certified "
+                             "optimal (%s); restarting without backtracking",
+                             len(run.history), run.target, why)
+                run.restart("restarted")
         if mixing:
             guesses = _extrapolate([runs[row].mixer for row in mixing],
                                    residuals[mixing], values[mixing])
@@ -834,15 +832,16 @@ def _iterate_grid(
             for row, step in zip(mixing, steps):
                 run = runs[row]
                 # a restarted point takes the full step or none
-                if step is None or (step[0] < 1.0 and not run.backtrack):
+                if step is None or (step[0] < 1.0 and run.start == "restarted"):
                     run.mixer.reset()
-                    if debug:
-                        _log_sweep(run, "rejected")
+                    verdicts[row] = "rejected"
                 else:
                     beta, run.x = step
-                    if debug:
-                        _log_sweep(run, "accepted" if beta == 1.0
-                                   else f"backtracked with beta {beta:g}")
+                    verdicts[row] = ("accepted" if beta == 1.0
+                                     else f"backtracked with beta {beta:g}")
+        if logger.isEnabledFor(logging.DEBUG):
+            for row, verdict in verdicts.items():
+                _log_sweep(runs[row], verdict)
         if done:
             stopped = [runs[row] for row in done]
             for run in stopped:

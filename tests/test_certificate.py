@@ -245,21 +245,24 @@ def test_every_result_carries_the_certificate_of_its_povm(theta, window):
         assert _fields(r.certificate) == _fields(_one_point(e, r.povm))
 
 
-@pytest.mark.parametrize("eta, window", [(0.7, False), (0.8, False), (0.9, False),
-                                         (1.0, False), (0.9, True)],
-                         ids=["fig1-eta-0.7", "fig1-eta-0.8", "fig1-eta-0.9", "fig1-eta-1.0",
-                              "onset-window"])
-def test_every_certified_point_bounds_every_other_point(eta, window):
+@pytest.mark.parametrize("eta, theta, window", [
+    *((eta, math.pi / 4, False) for eta in (0.7, 0.8, 0.9, 1.0)),
+    (0.9, math.pi / 4, True),
+    *((eta, 1e-3, False) for eta in (0.7, 0.8, 0.9, 1.0)),
+], ids=["fig1-eta-0.7", "fig1-eta-0.8", "fig1-eta-0.9", "fig1-eta-1.0", "onset-window",
+        "theta-1e-3-eta-0.7", "theta-1e-3-eta-0.8", "theta-1e-3-eta-0.9",
+        "theta-1e-3-eta-1.0"])
+def test_every_certified_point_bounds_every_other_point(eta, theta, window):
     # the dual constraints do not involve the rate, so certified point k's
     # line dual_bound + a (p_i - t) bounds the optimal success rate at every
     # rate t on its ensemble (weak duality across the curve): a wrong a or
     # lam at any point breaks it at some other point of the fig1 grid at
-    # eta, or of the onset window of the eta = 0.9 pair
-    e = symmetric_qubit_pair(eta, math.pi / 4)
+    # eta and theta, or of the onset window of the eta = 0.9 pair
+    e = symmetric_qubit_pair(eta, theta)
     if window:
         targets = np.linspace(0.5563961030678929, 0.7163961030678928, 33).tolist()
     else:
-        targets = default_sweep_grid(eta * math.cos(math.pi / 4)).tolist()
+        targets = default_sweep_grid(eta * math.cos(theta)).tolist()
     results = solve_grid([(e, t) for t in targets], max_iterations=1000 if window else 500)
     assert all(r.certificate.optimal for r in results)
     for r in results:

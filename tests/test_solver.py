@@ -17,6 +17,7 @@ from closed_forms import (
 from conftest import (
     helstrom_two_state,
     plain_iteration,
+    random_density,
     random_ensemble,
     rate_terms,
     sweep_once,
@@ -640,18 +641,29 @@ def test_solve_grid_rejects_mixed_shapes():
     assert solve_grid([]) == []
 
 
-def test_sweeps_are_logged_only_at_debug_level(monkeypatch, caplog):
-    calls = []
+@pytest.mark.parametrize("eta, theta, target, restarts", [
+    (0.9, math.pi / 4, 0.3, 0),
+    # settles uncertified at sweep 22, restarts and runs into the cap
+    (0.7, 1e-5, 0.051666666663749999, 1),
+], ids=["certified", "restarted"])
+def test_sweeps_are_logged_only_at_debug_level(monkeypatch, caplog, eta, theta, target,
+                                               restarts):
+    sweeps = []
     log_sweep = solver._log_sweep
     monkeypatch.setattr(solver, "_log_sweep",
-                        lambda *args: calls.append(args) or log_sweep(*args))
-    e = symmetric_qubit_pair(0.9, math.pi / 4)
+                        lambda run, verdict: sweeps.append(len(run.history))
+                        or log_sweep(run, verdict))
+    e = symmetric_qubit_pair(eta, theta)
     with caplog.at_level(logging.INFO, logger="povmlab.solver"):
-        solve(e, 0.3)
-    assert calls == []
+        solve(e, target)
+    assert sweeps == []
     with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
-        r = solve(e, 0.3)
-    assert len(calls) == r.iterations
+        r = solve(e, target)
+    # one line per sweep, in order, across the restart
+    assert sweeps == list(range(1, r.iterations + 1))
+    messages = [rec.message for rec in caplog.records]
+    assert sum("not certified optimal" in m for m in messages) == restarts
+    assert r.converged == (not restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,3 +1012,49 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
     assert r.converged and r.iterations == len(outputs)
     assert check(e, r.povm).optimal
     assert r.p_rs == pytest.approx(reference.p_rs, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# hard ensembles at the default sweep cap
+
+def _family_b(theta: float) -> list[tuple[StateEnsemble, float]]:
+    """``fig1 --theta theta --points 25``'s points: nearly parallel qubit
+    pairs when theta is small."""
+    points = []
+    for eta in (0.7, 0.8, 0.9, 1.0):
+        e = symmetric_qubit_pair(eta, theta)
+        points += [(e, float(t)) for t in default_sweep_grid(eta * math.cos(theta))]
+    return points
+
+
+def _family_a(n_states: int) -> list[tuple[StateEnsemble, float]]:
+    """Random rank-2 states in d = 4 with equal priors, one generator per
+    ensemble, seeds 0-5, at ten targets from 0 to 0.9."""
+    points = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        e = StateEnsemble(tuple(random_density(rng, 4, 2) for _ in range(n_states)),
+                          np.full(n_states, 1.0 / n_states))
+        points += [(e, float(t)) for t in np.linspace(0.0, 0.9, 10)]
+    return points
+
+
+@pytest.mark.parametrize("grids, sweeps, not_converged, uncertified", [
+    ([(_family_b, 0.01)], 1122, 0, 0),
+    ([(_family_b, 1e-3)], 1081, 0, 0),
+    ([(_family_b, 1e-4)], 1086, 0, 0),
+    ([(_family_b, 1e-5)], 2030, 1, 1),
+    ([(_family_b, 1e-6)], 3345, 5, 30),
+    ([(_family_a, 2), (_family_a, 3)], 10668, 7, 7),
+], ids=["B-theta-0.01", "B-theta-1e-3", "B-theta-1e-4", "B-theta-1e-5", "B-theta-1e-6",
+        "A-d-4"])
+def test_hard_ensembles_at_the_default_cap(grids, sweeps, not_converged, uncertified):
+    # the solver's counts on its two hard families are bounds no change may
+    # exceed: total sweeps (with 2 % room for the last bits of LAPACK),
+    # points that end at the cap, and points whose certificate fails
+    results = [r for family, arg in grids
+               for r in solve_grid(family(arg), max_iterations=500)]
+    assert sum(r.iterations for r in results) <= sweeps * 1.02
+    assert sum(not r.converged for r in results) <= not_converged
+    assert sum(not (isinstance(r.certificate, certificate.Certificate)
+                    and r.certificate.optimal) for r in results) <= uncertified
