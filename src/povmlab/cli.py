@@ -48,9 +48,7 @@ EXIT_NOT_OPTIMAL = 5
 
 TRADEOFF_HEADER = "pi,ps,prs,iterations,residual,certified,status"
 
-# Half-width of the window around the plateau onset that
-# default_sweep_grid skips, and the largest rate it samples.
-GRID_GAP = 0.08
+# The largest rate default_sweep_grid samples.
 GRID_STOP = 0.84
 
 
@@ -321,25 +319,17 @@ def cmd_fig1(args, rec: _RecordContext) -> int:
 
 
 def default_sweep_grid(onset: float, points: int = 25) -> np.ndarray:
-    """``points`` distinct inconclusive rates in [0, GRID_STOP], none within
-    GRID_GAP of the plateau ``onset``, sampling both branches of the
-    trade-off curve: the rising branch from 0 and the plateau up to
-    GRID_STOP. When one branch has no room, the other takes every point.
-    fig1 passes eta cos(theta), the onset of its symmetric pair.
-
-    The solver converges at the onset and answers plateau targets in closed
-    form, so the window spares it no slow points; it stays so that the
-    default grids, and fig1's rows, do not change.
+    """``points`` inconclusive rates from 0 to GRID_STOP. When the plateau
+    ``onset`` lies strictly between them, the rising branch [0, onset] takes
+    (points + 1) // 2 of them and the plateau (onset, GRID_STOP] the rest,
+    so the onset is sampled once (for at least 3 points). fig1 passes
+    eta cos(theta), the onset of its symmetric pair.
     """
-    lo_stop = min(onset - GRID_GAP, GRID_STOP)
-    hi_start = onset + GRID_GAP
-    if lo_stop <= 0.0:
-        return np.linspace(hi_start, GRID_STOP, points)
-    if hi_start >= GRID_STOP:
-        return np.linspace(0.0, lo_stop, points)
+    if not 0.0 < onset < GRID_STOP:
+        return np.linspace(0.0, GRID_STOP, points)
     n_lo = (points + 1) // 2
-    return np.concatenate([np.linspace(0.0, lo_stop, n_lo),
-                           np.linspace(hi_start, GRID_STOP, points - n_lo)])
+    return np.concatenate([np.linspace(0.0, onset, n_lo),
+                           np.linspace(onset, GRID_STOP, points - n_lo + 1)[1:]])
 
 
 # ---------------------------------------------------------------------------

@@ -820,9 +820,9 @@ def _iterate_grid(
                 why = (cert if isinstance(cert, SingularMultiplierError) else
                        f"largest residual {max(cert.extremal_residuals):.3e}, "
                        f"smallest margin {np.nanmin(cert.positivity_margins):.3e}")
-                logger.debug("sweep %d at target %.17g: stationary but not certified "
-                             "optimal (%s); restarting without backtracking",
-                             len(run.history), run.target, why)
+                logger.debug("restarting target %.17g without backtracking: stationary "
+                             "after %d sweeps but not certified optimal (%s)",
+                             run.target, len(run.history), why)
                 run.restart("restarted")
         if mixing:
             guesses = _extrapolate([runs[row].mixer for row in mixing],

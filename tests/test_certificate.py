@@ -271,6 +271,30 @@ def test_every_certified_point_bounds_every_other_point(eta, theta, window):
             assert cert.dual_bound + (cert.a or 0.0) * (r.p_i - t) >= other.p_s - 1e-12
 
 
+@pytest.mark.parametrize("eta, widest", [(0.7, 2.14e-4), (0.8, 3.77e-4), (0.9, 6.54e-4),
+                                         (1.0, 1.14e-3)])
+def test_widest_certified_band_on_the_fig1_grid(eta, widest):
+    # the optimal success rate between the grid's points lies in a band:
+    # below it the chord through neighbouring certified points (a mix of
+    # two POVMs), above it the least of the certified points' lines
+    # dual_bound + a (p_i - t). The upper edge is concave and piecewise
+    # linear, so on each chord the gap is widest at a grid point or where
+    # two lines cross
+    e = symmetric_qubit_pair(eta, math.pi / 4)
+    targets = default_sweep_grid(eta * math.cos(math.pi / 4))
+    results = solve_grid([(e, float(t)) for t in targets])
+    assert all(r.certificate.optimal for r in results)
+    slope = np.array([r.certificate.a or 0.0 for r in results])
+    intercept = np.array([r.certificate.dual_bound for r in results]) + slope * np.array(
+        [r.p_i for r in results])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = ((intercept[:, None] - intercept) / (slope[:, None] - slope)).ravel()
+    at = np.concatenate([targets, crossings[(crossings >= 0.0) & (crossings <= targets[-1])]])
+    upper = (intercept[:, None] - slope[:, None] * at).min(axis=0)
+    lower = np.interp(at, targets, [r.p_s for r in results])
+    assert (upper - lower).max() <= 1.1 * widest
+
+
 @pytest.mark.parametrize("n_states", [2, 3, 4])
 def test_check_grid_matches_check_on_random_ensembles(n_states):
     rng = np.random.default_rng(60 + n_states)

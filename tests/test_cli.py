@@ -358,7 +358,7 @@ def test_average_state_is_decomposed_once(capsys, ensemble_file, monkeypatch):
     # an eigvalsh
     calls[0] = eigvalsh_calls[0] = 0
     assert cli.main(["fig1"]) == cli.EXIT_OK
-    assert (calls[0], eigvalsh_calls[0]) == (44, 25)
+    assert (calls[0], eigvalsh_calls[0]) == (45, 26)
     # the onset window
     calls[0] = eigvalsh_calls[0] = 0
     assert cli.main(["tradeoff", str(ensemble_file), "--pi-grid",
@@ -571,10 +571,11 @@ def test_fig1_output_shape(capsys):
     # sigma's small eigenvalue falls below the pseudoinverse cutoff, so the
     # closed-form rows and the iterated target-0 row are wrong and say so
     (["--theta", "1e-6", "--etas", "1", "--points", "5"], 5),
-    # target 0 stops at the anti-Helstrom measurement and target 0.84 as
-    # close to optimal, both with positivity margins just past the
-    # certificate's tolerance (-1.50e-9 and -1.57e-9)
-    (["--theta", "1e-8", "--etas", "0.3", "--points", "5"], 2),
+    # target 0 stops at the anti-Helstrom measurement, and targets 0.3
+    # (the family onset) and 0.84 as close to optimal, each with a
+    # positivity margin just past the certificate's tolerance (-1.50e-9,
+    # -3.40e-9 and -1.57e-9)
+    (["--theta", "1e-8", "--etas", "0.3", "--points", "5"], 3),
 ])
 def test_fig1_converged_but_uncertified_rows_are_not_ok(capsys, argv, uncertified):
     code, out = run_cli(capsys, ["fig1", *argv])
@@ -619,37 +620,39 @@ def test_fig1_jobs_2_runs_in_process(capsys, monkeypatch):
     assert len(serial.strip().split("\n")) == 15
 
 
-def test_default_sweep_grid_avoids_onset(capsys):
-    # (eta, theta, points, both branches fit); with the onset within
-    # GRID_GAP of GRID_STOP or of 0, one branch takes every point
-    cases = [(eta, math.pi / 4, 25, True) for eta in (0.7, 0.8, 0.9, 1.0)]
-    cases += [(1.0, 0.5, 9, False), (0.1, math.pi / 4, 9, False), (1.0, 0.1, 9, False)]
-    for eta, theta, points, both in cases:
+def test_default_sweep_grid_samples_the_onset_once(capsys):
+    # (eta, theta, points); with the onset below GRID_STOP the rising branch
+    # takes (points + 1) // 2 points, the onset its last, and the plateau the
+    # rest; with the onset at or past GRID_STOP every point is below it
+    cases = [(eta, math.pi / 4, 25) for eta in (0.7, 0.8, 0.9, 1.0)]
+    cases += [(1.0, 0.5, 9), (0.1, math.pi / 4, 9), (1.0, 0.1, 9), (0.9, math.pi / 4, 4),
+              (0.9, math.pi / 4, 3)]
+    for eta, theta, points in cases:
         onset = plateau_onset_pi(SymmetricQubitProblem(eta, theta))
         grid = cli.default_sweep_grid(onset, points=points)
         assert len(grid) == points
-        assert len(set(grid.tolist())) == points
-        assert grid.min() >= 0.0
-        assert grid.max() <= 0.84
-        assert np.abs(grid - onset).min() >= 0.08 - 1e-12
-        if both:
-            assert grid.min() == 0.0
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid[0] == 0.0 and grid[-1] == 0.84
+        if onset < 0.84:
+            assert (grid == onset).sum() == 1
             # both branches of the curve are sampled
-            assert (grid < onset).sum() >= 10
-            assert (grid > onset).sum() >= 10
+            assert (grid <= onset).sum() == (points + 1) // 2
+            assert (grid > onset).sum() == points // 2
+        else:
+            assert np.array_equal(grid, np.linspace(0.0, 0.84, points))
 
 
 def test_fig1_grid_uses_the_family_onset(capsys):
     # the two states are equal in double precision here, and the plateau
     # measurement's rate is 0 rather than the family's onset; the grid comes
-    # from eta cos(theta) = 0.9 and keeps only its rising branch, 0 ... 0.82
+    # from eta cos(theta) = 0.9 and keeps only its rising branch, 0 ... 0.84
     code, out = run_cli(capsys, ["fig1", "--etas", "0.9", "--theta", "1e-16",
                                  "--points", "5"])
     assert code == cli.EXIT_OK
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     expected = cli.default_sweep_grid(0.9 * math.cos(1e-16), 5).tolist()
     assert [float(r[1]) for r in rows] == expected
-    assert expected[0] == 0.0 and expected[-1] == pytest.approx(0.82, abs=1e-15)
+    assert expected[0] == 0.0 and expected[-1] == 0.84
 
 
 # ---------------------------------------------------------------------------
