@@ -45,7 +45,10 @@ stacked iterate, so numpy's per-call cost is paid once per grid rather
 than once per point; :func:`solve` is its one-point case. The Anderson
 least squares of all points with the same history depth are one call of
 the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so each point's
-coefficients are bit for bit those of its own ``lstsq``.
+coefficients are bit for bit those of its own ``lstsq``. A sweep keeps one
+stacked root of lam^2, a row per point at that point's multiplier, which
+gives the sweep's lam^+ and the lam of the points that stop in it. Every
+POVM the solver returns is built by the :class:`Povm` constructor.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
@@ -161,19 +164,6 @@ class Povm:
     @property
     def conclusive(self) -> np.ndarray:
         return self.elements[1:]
-
-
-def _povms(elements: np.ndarray) -> list[Povm]:
-    """A Povm for each row of the stacked (P, N+1, d, d) ``elements``, each
-    a view of one read-only copy that is checked as the constructor checks
-    one POVM."""
-    stack = operator_stack(elements.reshape((-1,) + elements.shape[2:]), "POVM")
-    povms = []
-    for rows in stack.reshape(elements.shape):
-        povm = object.__new__(Povm)
-        object.__setattr__(povm, "elements", rows)
-        povms.append(povm)
-    return povms
 
 
 def require_target(target_pi: float) -> None:
@@ -299,13 +289,13 @@ class _RateEval(namedtuple("_RateEval", "rate slope root")):
     __slots__ = ()
 
 
-class _Multiplier(namedtuple("_Multiplier", "a root row residual evaluations error",
+class _Multiplier(namedtuple("_Multiplier", "a residual evaluations error",
                              defaults=(None,))):
     """Outcome of one point's multiplier search: the multiplier ``a``; the
-    stacked psd_root of lam^2 ``root``, whose row ``row`` is the one at
-    ``a``; the ``residual`` |predicted rate - target| at ``a``; the
-    predicted-rate ``evaluations`` the search made; and the
-    InfeasibleTargetError it met, or None."""
+    ``residual`` |predicted rate - target| at ``a``; the predicted-rate
+    ``evaluations`` the search made; and the InfeasibleTargetError it met,
+    or None. The root of lam^2 at ``a`` is the point's row of the stacked
+    root :func:`_solve_multiplier` returns with it."""
 
     __slots__ = ()
 
@@ -363,18 +353,22 @@ class _Search:
         self.a = 0.0 if target == 0.0 else start or 1.0
         self.lo, self.rate_lo = 0.0, 0.0
         self.hi, self.rate_hi = math.inf, math.inf
-        self.best: tuple = ()                    # residual, a, stacked root, row
+        self.best: tuple = ()                    # residual, a
+        self.improved = False                    # the last evaluation set best
         self.error: InfeasibleTargetError | None = None
         self.evaluations = 0
 
-    def update(self, rate: float, slope: float, root: PsdRoot, row: int) -> bool:
+    def update(self, rate: float, slope: float) -> bool:
         """Take the rate and slope at the current multiplier and move it on;
-        True once the search is over."""
+        True once the search is over. ``improved`` tells whether this
+        multiplier became the best, so that the caller keeps its root of
+        lam^2."""
         a, target = self.a, self.target
         residual = abs(rate - target)
         self.evaluations += 1
-        if self.evaluations == 1 or residual < self.best[0]:
-            self.best = (residual, a, root, row)
+        self.improved = self.evaluations == 1 or residual < self.best[0]
+        if self.improved:
+            self.best = (residual, a)
         if residual <= RATE_TOLERANCE or target == 0.0:
             return True
         lo, hi = self.lo, self.hi
@@ -405,61 +399,53 @@ class _Search:
         return self.evaluations >= RATE_MAX_EVALUATIONS
 
     def result(self) -> _Multiplier:
-        residual, a, root, row = self.best
+        residual, a = self.best
         if residual > RATE_TOLERANCE and self.error is None:
             logger.debug(
                 "multiplier search stopped at residual %.3e (tolerance %.3e)",
                 residual, RATE_TOLERANCE)
         evaluations = self.evaluations if self.target else 0
-        return _Multiplier(a, root, row, residual, evaluations, self.error)
+        return _Multiplier(a, residual, evaluations, self.error)
 
 
 def _solve_multiplier(
     terms: _RateTerms, targets: list[float], starts: list[float | None],
-) -> list[_Multiplier]:
+) -> tuple[list[_Multiplier], PsdRoot]:
     """Every point's multiplier search, in lockstep: each round is one
-    stacked rate evaluation of the points still searching. A point whose
-    target is infeasible gets the error in its outcome."""
+    stacked rate evaluation of the points still searching. Returns each
+    point's outcome and the stacked root of lam^2 at each point's ``a``:
+    after every round, the rows of the points whose residual improved are
+    copied in, one fancy assignment per field. A point whose target is
+    infeasible gets the error in its outcome."""
     searches = [_Search(t, s) for t, s in zip(targets, starts)]
     live = list(range(len(searches)))
+    root = None
     while live:
         ev = _predicted_rate(terms, [searches[k].a for k in live])
+        if root is None:     # the first round evaluates every point
+            root = PsdRoot(*(np.empty_like(field) for field in ev.root))
         keep = [row for row, (k, rate, slope) in enumerate(zip(live, ev.rate, ev.slope))
-                if not searches[k].update(rate, slope, ev.root, row)]
+                if not searches[k].update(rate, slope)]
+        improved = [row for row, k in enumerate(live) if searches[k].improved]
+        rows = np.array(improved, dtype=np.intp)
+        slots = np.array([live[row] for row in improved], dtype=np.intp)
+        for out, field in zip(root, ev.root):
+            out[slots] = field[rows]
         if len(keep) < len(live):
             live = [live[row] for row in keep]
             if keep:
                 terms = terms.take(keep)
-    return [s.result() for s in searches]
-
-
-def _gather(fits: list[_Multiplier]) -> PsdRoot:
-    """The stacked root of lam^2 at each point's multiplier: one fancy index
-    per field of each distinct stacked root the points' rows lie in."""
-    first = fits[0].root
-    if len(first.root) == len(fits) and all(
-            f.root is first and f.row == k for k, f in enumerate(fits)):
-        return first
-    sources: dict[int, tuple[PsdRoot, list[int], list[int]]] = {}
-    for k, f in enumerate(fits):
-        _, rows, slots = sources.setdefault(id(f.root), (f.root, [], []))
-        rows.append(f.row)
-        slots.append(k)
-    gathered = PsdRoot(*(np.empty((len(fits),) + field.shape[1:], field.dtype)
-                         for field in first))
-    for root, rows, slots in sources.values():
-        for out, field in zip(gathered, root):
-            out[slots] = field[rows]
-    return gathered
+    return [s.result() for s in searches], root
 
 
 def _sweep(
     fixed: _EnsembleTerms, x: np.ndarray, targets: list[float], starts: list[float | None],
-) -> tuple[np.ndarray, list[_Multiplier]]:
+) -> tuple[np.ndarray, list[_Multiplier], PsdRoot]:
     """One sweep of the stacked POVMs ``x``; each point's multiplier search
     starts at its entry of ``starts`` when given. Returns the new stacked
-    POVMs and each point's search outcome, which holds its root of lam^2;
-    a point whose outcome holds an error has no valid row in the POVMs.
+    POVMs, each point's search outcome and the stacked root of lam^2 the
+    sweep used, a row per point (:func:`_solve_multiplier`); a point whose
+    outcome holds an error has no valid row in the POVMs or the root.
 
     The new conclusive elements are lam^+ (p_j^2 rho_j Pi_j rho_j) lam^+,
     congruences of PSD operators and so PSD, and the inconclusive one is
@@ -467,12 +453,12 @@ def _sweep(
     lam^+ plus the projector onto ker lam, which no state sees.
     """
     sandwiches, terms = _sweep_terms(fixed, x)
-    fits = _solve_multiplier(terms, targets, starts)
-    laminv = _gather(fits).pinv_matrix()[:, None]
+    fits, root = _solve_multiplier(terms, targets, starts)
+    laminv = root.pinv_matrix()[:, None]
     new = np.empty_like(x)
     new[:, 1:] = herm(laminv @ sandwiches @ laminv)
     new[:, 0] = np.eye(x.shape[-1]) - new[:, 1:].sum(axis=1)
-    return new, fits
+    return new, fits, root
 
 
 class _Anderson:
@@ -768,8 +754,8 @@ def _iterate_grid(
     runs = [_Run(e, t, warm) for e, t in points]
     while live:
         x = np.array([run.x for run in runs])
-        new, fits = _sweep(fixed, x, [run.target for run in runs],
-                           [run.fit and run.fit.a for run in runs])
+        new, fits, root = _sweep(fixed, x, [run.target for run in runs],
+                                 [run.fit and run.fit.a for run in runs])
         # real views of G(x) - x and G(x), a row per point
         residuals = (new - x).view(np.float64).reshape(len(runs), -1)
         values = new.view(np.float64).reshape(len(runs), -1)
@@ -848,11 +834,10 @@ def _iterate_grid(
                 if run.history[-1] > POVM_TOLERANCE:
                     logger.warning("no fixed point within %d sweeps (last change %.3e)",
                                    max_iterations, run.history[-1])
-            fits = [run.fit for run in stopped]
+            lams = frozen(PsdRoot(*(field[done] for field in root)).root_matrix())
             finished = _results([points[live[row]] for row in done], new[done],
-                                [checked[row] for row in done],
-                                frozen(_gather(fits).root_matrix()), [fit.a for fit in fits],
-                                stopped)
+                                [checked[row] for row in done], lams,
+                                [run.fit.a for run in stopped], stopped)
             for row, result in zip(done, finished):
                 outcomes[live[row]] = result
         if any(outcomes[k] is not None for k in live):
@@ -871,9 +856,10 @@ def _log_sweep(run: _Run, verdict: str) -> None:
 
 def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
              ) -> list[tuple[Povm, Certificate | SingularMultiplierError]]:
-    """Each POVM of the stacked ``elements`` (one :func:`_povms` call) with
-    its certificate, all from one :func:`certificate.check_grid` call."""
-    povms = _povms(elements)
+    """The Povm of each row of the stacked ``elements``, built by its
+    constructor, with its certificate, all from one
+    :func:`certificate.check_grid` call."""
+    povms = [Povm(rows) for rows in elements]
     return list(zip(povms, certificate.check_grid(list(zip(ensembles, povms)))))
 
 

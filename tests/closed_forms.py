@@ -1,6 +1,6 @@
 """Closed-form oracles for the test suite, independent of the solver.
 
-Two routes to the paper's numbers that do not go through the solver:
+Three routes to the paper's numbers that do not go through the solver:
 
 - the symmetric pair of equally mixed qubits, whose optimal measurement
   family, trade-off curve and plateau are known in closed form;
@@ -8,7 +8,9 @@ Two routes to the paper's numbers that do not go through the solver:
   scalar invariants Tr[sigma^2], Tr[sigma rho_j], Tr[rho_j^2]
   (:func:`qubit_quadratic_a`), and for the symmetric equal-prior pair in
   the common purity and the overlap (:func:`prs_max_from_invariants` with
-  :func:`overlaps_and_purities`).
+  :func:`overlaps_and_purities`);
+- N symmetric pure states U^j |psi> in d = N, whose trade-off curve and
+  optimal POVM come from water filling (:func:`symmetric_pure_water_filling`).
 
 The symmetric pair's two states are depolarized versions of pure states
 tilted by +-theta from the z axis,
@@ -241,3 +243,62 @@ def prs_max_from_invariants(purity: float, overlap: float) -> float:
     if rest <= 0.0:
         raise ValueError(f"2 - purity - overlap must be positive, got {rest}")
     return 0.5 * (1.0 + float(np.sqrt((purity - overlap) / rest)))
+
+
+# ---------------------------------------------------------------------------
+# N symmetric pure states
+
+def _orbit(v: np.ndarray) -> list[np.ndarray]:
+    """The projectors onto U^j v, j = 0 ... N-1, for U = diag(omega^k) and
+    omega = exp(2 pi i / N), N = len(v)."""
+    n = len(v)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    return [np.outer(u, u.conj()) for u in phases * v]
+
+
+def symmetric_pure_states(c: np.ndarray) -> StateEnsemble:
+    """The N states |psi_j> = U^j |psi>, j = 0 ... N-1, with equal priors in
+    d = N, where U = diag(omega^k), omega = exp(2 pi i / N), and |psi> =
+    sum_k c_k |k> for the unit vector ``c``."""
+    n = len(c)
+    return StateEnsemble(tuple(_orbit(c)), np.full(n, 1.0 / n))
+
+
+def symmetric_pure_water_filling(c: np.ndarray, target_pi: float) -> np.ndarray:
+    """The amplitudes x_k = min(1/sqrt(N), s/|c_k|) of the optimal covariant
+    measurement of :func:`symmetric_pure_states` at inconclusive rate
+    ``target_pi``, with the level s fixed by sum_k |c_k|^2 x_k^2 = (1 - t)/N.
+
+    The measurement is Pi_j = U^j |mu><mu| U^-j with mu_k = x_k c_k/|c_k|,
+    and Pi_0 = diag(1 - N x_k^2), so Tr[sigma Pi_0] = t for sigma =
+    diag(|c_k|^2), and the success rate is |<mu|psi>|^2 = (sum_k |c_k|
+    x_k)^2. The amplitudes of the m smallest |c_k| are capped at
+    1/sqrt(N), for the least m whose level s^2 = ((1 - t) - sum of those
+    |c_k|^2) / (N (N - m)) stays at or below the next |c_k|^2 / N; m = N - 1
+    always does.
+    """
+    n = len(c)
+    magnitudes = np.abs(c)
+    cut = 0.0                     # sum of the m smallest |c_k|^2
+    for m, level in enumerate(np.sort(magnitudes)):
+        s2 = ((1.0 - target_pi) - cut) / (n * (n - m))
+        if s2 <= level * level / n:
+            break
+        cut += level * level
+    return np.minimum(1.0 / math.sqrt(n), math.sqrt(s2) / magnitudes)
+
+
+def symmetric_pure_ps(c: np.ndarray, target_pi: float) -> float:
+    """Optimal success rate (sum_k |c_k| x_k)^2 at inconclusive rate
+    ``target_pi``: (sum_k |c_k|)^2 / N at 0, the square-root measurement's,
+    and 1 - t from the plateau onset 1 - N min_k |c_k|^2 on."""
+    x = symmetric_pure_water_filling(c, target_pi)
+    return float(np.dot(np.abs(c), x)) ** 2
+
+
+def symmetric_pure_povm(c: np.ndarray, target_pi: float) -> Povm:
+    """The optimal covariant POVM of :func:`symmetric_pure_water_filling`,
+    its conclusive elements in the order of the states."""
+    x = symmetric_pure_water_filling(c, target_pi)
+    inconclusive = np.diag(1.0 - len(c) * x * x).astype(np.complex128)
+    return Povm((inconclusive, *_orbit(x * c / np.abs(c))))

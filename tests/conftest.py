@@ -84,10 +84,10 @@ def rate_terms(e: StateEnsemble, povm: Povm):
 
 def sweep_once(e: StateEnsemble, povm: Povm, target: float):
     """One sweep of the map on ``povm`` with a cold multiplier search: the
-    new POVM and the search's outcome, whose ``a`` and ``lam()`` are the
-    multipliers the sweep used. Raises the outcome's InfeasibleTargetError."""
-    new, (fit,) = solver._sweep(solver._ensemble_terms([e]), povm.elements[None],
-                                [target], [None])
+    new POVM and the search's outcome, whose ``a`` is the multiplier the
+    sweep used. Raises the outcome's InfeasibleTargetError."""
+    new, (fit,), _ = solver._sweep(solver._ensemble_terms([e]), povm.elements[None],
+                                   [target], [None])
     if fit.error is not None:
         raise fit.error
     return Povm(new[0]), fit

@@ -14,6 +14,9 @@ from closed_forms import (
     envelope_prs,
     phi_max_and_prs_max,
     plateau_onset_pi,
+    symmetric_pure_povm,
+    symmetric_pure_ps,
+    symmetric_pure_states,
 )
 from conftest import (
     helstrom_two_state,
@@ -28,6 +31,7 @@ from povmlab.bounds import max_relative_success, plateau_measurement
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
+from povmlab.hermitian import psd_root
 from povmlab.solver import (
     InfeasibleTargetError,
     Povm,
@@ -199,10 +203,10 @@ def test_predicted_rate_monotone_in_multiplier():
 def test_solve_multiplier_hits_target():
     e = symmetric_qubit_pair(1.0, math.pi / 4)
     terms = rate_terms(e, initial_povm(e, 0.2))
-    fit, = solver._solve_multiplier(terms, [0.2], [None])
+    (fit,), root = solver._solve_multiplier(terms, [0.2], [None])
     assert fit.a > 0
     assert abs(solver._predicted_rate(terms, [fit.a]).rate[0] - 0.2) <= 1e-14
-    lam, = solver._gather([fit]).root_matrix()
+    lam, = root.root_matrix()
     assert np.allclose(lam, lam.conj().T)
 
 
@@ -220,10 +224,35 @@ def test_solve_multiplier_infeasible_reports_supremum():
     phi_max, _ = phi_max_and_prs_max(p)
     plateau_povm = analytic_povm(p, phi_max)
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2  # about 0.818
-    fit, = solver._solve_multiplier(rate_terms(e, plateau_povm), [0.95], [None])
+    (fit,), _ = solver._solve_multiplier(rate_terms(e, plateau_povm), [0.95], [None])
     assert isinstance(fit.error, InfeasibleTargetError)
     assert fit.error.target == pytest.approx(0.95)
     assert saturation - 1e-6 <= fit.error.supremum < 0.95
+
+
+def test_search_root_rows_are_the_roots_at_the_reported_multipliers():
+    # one stack whose points stop in different rounds: a zero target (no
+    # search), two feasible targets from cold and far warm starts, and an
+    # infeasible one that doubles to the cap; each row of the returned
+    # root is psd_root of lam^2 at that point's reported a, bit for bit
+    p = SymmetricQubitProblem(0.9, math.pi / 4)
+    e = p.ensemble()
+    plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
+    other = random_ensemble(np.random.default_rng(5), 2, 2)
+    stacked = [rate_terms(e, initial_povm(e, 0.3)), rate_terms(e, initial_povm(e, 0.3)),
+               rate_terms(other, initial_povm(other, 0.1)), rate_terms(e, plateau_povm)]
+    terms = solver._RateTerms(*(np.concatenate(fields) for fields in zip(*stacked)))
+    fits, root = solver._solve_multiplier(terms, [0.0, 0.3, 0.6, 0.95],
+                                          [None, None, 50.0, None])
+    assert fits[0].a == 0.0 and fits[0].evaluations == 0
+    assert isinstance(fits[3].error, InfeasibleTargetError)
+    assert len({fit.evaluations for fit in fits}) == 4
+    assert max(fits[1].residual, fits[2].residual) <= solver.RATE_TOLERANCE
+    for k, fit in enumerate(fits):
+        expected = psd_root((terms.conclusive_sum[k]
+                             + (fit.a * fit.a) * terms.pair[k, 1])[None])
+        for field, want in zip(root, expected):
+            assert field[k].tobytes() == want[0].tobytes()
 
 
 def test_predicted_rate_slope_matches_finite_difference():
@@ -251,7 +280,7 @@ def test_warm_and_cold_search_agree():
     assert r.p_rs == pytest.approx(success_metrics(e, povm).p_rs, abs=1e-12)
     # and one search on the same sweep terms, warm and cold, in lockstep
     terms = rate_terms(e, r.povm)
-    warm, cold = solver._solve_multiplier(
+    (warm, cold), _ = solver._solve_multiplier(
         terms.take([0, 0]), [target, target], [0.9 * r.a, None])
     assert warm.a == pytest.approx(cold.a, abs=1e-12)
     assert max(warm.residual, cold.residual) <= solver.RATE_TOLERANCE
@@ -263,10 +292,10 @@ def test_warm_search_infeasible_reports_supremum(monkeypatch):
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
     saturation = (1 + 0.9 * math.cos(math.pi / 4)) / 2
     terms = rate_terms(e, plateau_povm)
-    start = solver._solve_multiplier(terms, [0.5], [None])[0].a
-    warm, = solver._solve_multiplier(terms, [0.95], [start])
+    start = solver._solve_multiplier(terms, [0.5], [None])[0][0].a
+    (warm,), _ = solver._solve_multiplier(terms, [0.95], [start])
     assert isinstance(warm.error, InfeasibleTargetError)
-    cold, = solver._solve_multiplier(terms, [0.95], [None])
+    (cold,), _ = solver._solve_multiplier(terms, [0.95], [None])
     assert isinstance(cold.error, InfeasibleTargetError)
     assert saturation - 1e-6 <= warm.error.supremum < 0.95
     assert warm.error.supremum == pytest.approx(cold.error.supremum, abs=1e-12)
@@ -303,11 +332,11 @@ def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, war
     def fake_rate(terms, a):
         rate, slope = shape(a[0])
         evaluated.append((a[0], rate))
-        return solver._RateEval([rate], [slope], None)
+        return solver._RateEval([rate], [slope], psd_root(np.eye(2)[None]))
 
     monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
     with caplog.at_level(logging.WARNING, logger="povmlab.solver"):
-        fit, = solver._solve_multiplier(None, [target], [start])
+        (fit,), _ = solver._solve_multiplier(None, [target], [start])
     assert any("not monotone" in rec.message for rec in caplog.records) == warns
     assert fit.residual <= solver.RATE_TOLERANCE
     assert fit.evaluations == len(evaluated)
@@ -536,15 +565,15 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
 
     def flaky_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        new, fits = sweep(fixed, x, targets, starts)
+        new, fits, root = sweep(fixed, x, targets, starts)
         if outputs and not np.array_equal(x[0], outputs[-1]) and not raised:
             # x is an extrapolation: fail once, noting the next call's
             # index and the last sweep's output
             raised.append((len(inputs), outputs[-1]))
             error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, [fits[0]._replace(error=error)]
+            return new, [fits[0]._replace(error=error)], root
         outputs.append(new[0].copy())
-        return new, fits
+        return new, fits, root
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
@@ -1000,12 +1029,12 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
 
     def flaky_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        new, fits = sweep(fixed, x, targets, starts)
+        new, fits, root = sweep(fixed, x, targets, starts)
         if len(inputs) == failing:
             error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, [fits[0]._replace(error=error)]
+            return new, [fits[0]._replace(error=error)], root
         outputs.append(new[0].copy())
-        return new, fits
+        return new, fits, root
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
@@ -1016,6 +1045,29 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
     assert r.converged and r.iterations == len(outputs)
     assert check(e, r.povm).optimal
     assert r.p_rs == pytest.approx(reference.p_rs, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# N symmetric pure states, in closed form
+
+@pytest.mark.parametrize("n_states", [3, 4, 5, 6])
+def test_symmetric_pure_states_match_water_filling(n_states):
+    # the optimal success rate of U^j |psi> is a water filling of |c_k|;
+    # the solver, the plateau measurement and the certificate all agree
+    # with it, from outside povmlab
+    targets = np.linspace(0.0, 0.95, 12)
+    for seed in range(2):
+        rng = np.random.default_rng(100 * n_states + seed)
+        c = rng.standard_normal(n_states) + 1j * rng.standard_normal(n_states)
+        c /= np.linalg.norm(c)
+        e = symmetric_pure_states(c)
+        results = solve_grid([(e, float(t)) for t in targets])
+        for t, r in zip(targets, results):
+            assert abs(r.p_s - symmetric_pure_ps(c, t)) <= 1e-12
+            assert check(e, symmetric_pure_povm(c, t)).optimal
+        plateau = plateau_measurement(e)
+        assert abs(plateau.rate - (1.0 - n_states * np.min(np.abs(c)) ** 2)) <= 1e-12
+        assert abs(plateau.bound.prs_max - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1095,18 @@ def _family_a(n_states: int) -> list[tuple[StateEnsemble, float]]:
     return points
 
 
+def _family_c(n_states: int) -> list[tuple[StateEnsemble, float]]:
+    """Random full-rank states in d = 8 with equal priors, one generator
+    per ensemble, seeds 1000-1002, at ten targets from 0 to 0.9."""
+    points = []
+    for seed in range(1000, 1003):
+        rng = np.random.default_rng(seed)
+        e = StateEnsemble(tuple(random_density(rng, 8) for _ in range(n_states)),
+                          np.full(n_states, 1.0 / n_states))
+        points += [(e, float(t)) for t in np.linspace(0.0, 0.9, 10)]
+    return points
+
+
 @pytest.mark.parametrize("grids, sweeps, not_converged, uncertified", [
     ([(_family_b, 0.01)], 881, 0, 0),
     ([(_family_b, 1e-3)], 852, 0, 0),
@@ -1050,10 +1114,12 @@ def _family_a(n_states: int) -> list[tuple[StateEnsemble, float]]:
     ([(_family_b, 1e-5)], 1323, 0, 0),
     ([(_family_b, 1e-6)], 2186, 3, 28),
     ([(_family_a, 2), (_family_a, 3)], 10668, 7, 7),
+    ([(_family_c, 2)], 5975, 0, 0),
+    ([(_family_c, 4)], 6339, 3, 3),
 ], ids=["B-theta-0.01", "B-theta-1e-3", "B-theta-1e-4", "B-theta-1e-5", "B-theta-1e-6",
-        "A-d-4"])
+        "A-d-4", "C-d-8-N-2", "C-d-8-N-4"])
 def test_hard_ensembles_at_the_default_cap(grids, sweeps, not_converged, uncertified):
-    # the solver's counts on its two hard families are bounds no change may
+    # the solver's counts on its three hard families are bounds no change may
     # exceed: total sweeps (with 2 % room for the last bits of LAPACK),
     # points that end at the cap, and points whose certificate fails
     results = [r for family, arg in grids
