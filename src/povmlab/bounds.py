@@ -10,12 +10,13 @@ average state, lam = a * sigma, and the stationarity system then forces
 so the ceiling is a_j = p_j * (largest eigenvalue of sigma^{-1/2} rho_j
 sigma^{-1/2}) maximized over j. Since p_j rho_j <= sigma, every state lives
 in the support of sigma, so sigma need not be invertible: sigma^{-1/2} is
-the pseudoinverse root from ``ensemble.average_root`` (one decomposition
+the pseudoinverse root ``StateEnsemble.average_root`` (one decomposition
 per ensemble), the inverse root on supp sigma and zero on its kernel. For N
 linearly independent pure states in a larger space the ceiling is exactly
 1, the unambiguous limit. The conclusive elements of the limiting
 measurement live in the kernel of a sigma - p_j* rho_j* within supp sigma,
-and :func:`plateau_measurement` finds them from the ensemble alone. For
+and :func:`_measure_plateau` finds them from the ensemble alone; its
+result is ``StateEnsemble.plateau_measurement``, kept on the ensemble. For
 qubits the determinant condition is also a quadratic in a_j with
 coefficients built from the scalar invariants Tr[sigma^2], Tr[sigma rho_j],
 Tr[rho_j^2], and for the symmetric equal-prior pair it has a closed form
@@ -30,7 +31,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .ensemble import StateEnsemble, average_root, average_state
+from .ensemble import StateEnsemble
 from .hermitian import frozen, herm, trace_product
 
 logger = logging.getLogger(__name__)
@@ -62,7 +63,7 @@ def max_relative_success(e: StateEnsemble) -> PlateauBound:
     numerically symmetric); the ceiling is the largest a_j.
     """
     e.require_valid()
-    inv_sqrt = average_root(e).pinv_matrix()
+    inv_sqrt = e.average_root.pinv_matrix()
     spectra = np.linalg.eigvalsh(herm(inv_sqrt @ e.states @ inv_sqrt))   # (N, d), ascending
     per_state = e.priors * spectra[:, -1]
     argmax = int(np.argmax(per_state))
@@ -93,12 +94,10 @@ class PlateauMeasurement(namedtuple("PlateauMeasurement", "bound rate conclusive
     __slots__ = ()
 
 
-def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:
-    """The measurement that reaches the ceiling from
-    :func:`max_relative_success` at the least inconclusive rate found.
-    Read-only and computed on the first call per ensemble object only, like
-    ``ensemble.average_root``, so its warning is logged once; an invalid
-    ensemble raises on every call, since no exception is kept.
+def _measure_plateau(e: StateEnsemble) -> PlateauMeasurement:
+    """``StateEnsemble.plateau_measurement``, computed: the measurement that
+    reaches the ceiling from :func:`max_relative_success` at the least
+    inconclusive rate found.
 
     P_RS = prs_max needs every Pi_j inside the kernel of the PSD operator
     prs_max * sigma - p_j rho_j, which within supp sigma is nonzero only for
@@ -114,14 +113,9 @@ def plateau_measurement(e: StateEnsemble) -> PlateauMeasurement:
     scalings is a small SDP that is not solved here. If the operator of
     j* shows no kernel, a warning is logged and ``rate`` is None.
     """
-    return e._plateau_measurement
-
-
-def _measure_plateau(e: StateEnsemble) -> PlateauMeasurement:
-    """:func:`plateau_measurement`, computed."""
     bound = max_relative_success(e)
-    sigma = average_state(e)
-    root = average_root(e)
+    sigma = e.average_state
+    root = e.average_root
     support = root.vectors[:, root.inverse > 0.0]
     ops = bound.prs_max * sigma - e.priors[:, None, None] * e.states
     w, v = np.linalg.eigh(herm(support.conj().T @ ops @ support))

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensemble import StateEnsemble, average_state
+from .ensemble import StateEnsemble
 from .hermitian import frozen, herm, trace_products
 
 if TYPE_CHECKING:
@@ -149,7 +149,7 @@ def check_grid(
         require_matching(e, povm)
     if len({povm.elements.shape for _, povm in pairs}) > 1:
         raise ValueError("pairs must share the number of states and the dimension")
-    sig = np.array([average_state(e) for e, _ in pairs])            # (P, d, d)
+    sig = np.array([e.average_state for e, _ in pairs])             # (P, d, d)
     states = np.array([e.states for e, _ in pairs])                 # (P, N, d, d)
     weights = np.array([e.priors for e, _ in pairs])[..., None, None]
     pi = np.array([povm.elements for _, povm in pairs])             # (P, N+1, d, d)

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from . import bounds, certificate, fileio
+from . import certificate, fileio
 from .ensemble import EnsembleValidationError, symmetric_qubit_pair, validate as validate_ensemble
 from .hermitian import PINV_CUTOFF
 from .solver import (MAX_ITERATIONS, POVM_TOLERANCE, RATE_MAX_EVALUATIONS,
@@ -271,7 +271,7 @@ def cmd_tradeoff(args, rec: _RecordContext) -> int:
 
 def cmd_bound(args, rec: _RecordContext) -> int:
     e = rec.load_ensemble(args.ensemble)
-    plateau = bounds.plateau_measurement(e)
+    plateau = e.plateau_measurement
     b = plateau.bound
     rec.emit({
         "prs_max": b.prs_max,

@@ -56,8 +56,8 @@ class StateEnsemble:
     ``states`` may be given as a sequence of matrices or one stacked array;
     it is kept, like ``priors``, as a read-only copy: ``states`` as an
     (N, d, d) complex array, ``priors`` as an (N,) float array. An ensemble
-    is immutable, assigning any attribute raises AttributeError, and it
-    compares and hashes by identity.
+    is immutable, assigning or deleting any attribute raises AttributeError,
+    and it compares and hashes by identity.
     """
 
     def __init__(self, states, priors):
@@ -101,20 +101,27 @@ class StateEnsemble:
         return tuple(validate(self))
 
     @cached_property
-    def _average_state(self) -> np.ndarray:
-        # read-only for the same reason, so one mixture serves every caller
+    def average_state(self) -> np.ndarray:
+        """Prior-weighted mixture of the ensemble states (unit trace, PSD), as
+        a read-only array computed on the first read only."""
         sig = sum(p * rho for p, rho in zip(self.priors, self.states))
         return frozen(herm(sig))
 
     @cached_property
-    def _average_root(self) -> PsdRoot:
-        # one decomposition fixes sigma's support and inverse root for every caller
-        return PsdRoot(*map(frozen, psd_root(self._average_state)))
+    def average_root(self) -> PsdRoot:
+        """:func:`hermitian.psd_root` of :attr:`average_state`, read-only and
+        computed on the first read only."""
+        return PsdRoot(*map(frozen, psd_root(self.average_state)))
 
     @cached_property
-    def _plateau_measurement(self) -> PlateauMeasurement:
-        # one analysis for every caller, imported late: bounds imports this module
-        from . import bounds
+    def plateau_measurement(self) -> PlateauMeasurement:
+        """The measurement that reaches the ceiling from
+        :func:`bounds.max_relative_success` at the least inconclusive rate
+        found (:func:`bounds._measure_plateau`). Read-only and computed on
+        the first read only, like :attr:`average_root`, so its warning is
+        logged once per ensemble object; an invalid ensemble raises on every
+        read, since no exception is kept."""
+        from . import bounds   # imported late: bounds imports this module
         return bounds._measure_plateau(self)
 
     def require_valid(self) -> "StateEnsemble":
@@ -184,18 +191,6 @@ def validate(e: StateEnsemble) -> list[Violation]:
                           residual=abs(tr - 1.0), index=j)
             )
     return report
-
-
-def average_state(e: StateEnsemble) -> np.ndarray:
-    """Prior-weighted mixture of the ensemble states (unit trace, PSD), as
-    a read-only array computed on the first call only."""
-    return e._average_state
-
-
-def average_root(e: StateEnsemble) -> PsdRoot:
-    """:func:`hermitian.psd_root` of :func:`average_state`, read-only and
-    computed on the first call only."""
-    return e._average_root
 
 
 def symmetric_qubit_pair(eta: float, theta: float) -> StateEnsemble:

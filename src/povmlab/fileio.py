@@ -193,8 +193,9 @@ def _load_json(path, data: bytes | None) -> dict:
         data = read_bytes(path)
     try:
         obj = json.loads(data)  # detects UTF-8, -16 or -32 as RFC 8259 allows
-    except ValueError as exc:
-        # undecodable bytes, JSONDecodeError, or an integer of too many digits
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, JSONDecodeError, an integer of too many digits,
+        # or arrays or objects nested deeper than the parser recurses
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")

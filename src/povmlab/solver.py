@@ -52,7 +52,7 @@ POVM the solver returns is built by the :class:`Povm` constructor.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
-measurement from :func:`bounds.plateau_measurement`, computed once per
+measurement ``StateEnsemble.plateau_measurement``, computed once per
 ensemble object and kept on it, is answered in closed form, by mixing
 that measurement with the always-inconclusive one, and is not iterated.
 """
@@ -66,9 +66,9 @@ from collections import namedtuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import bounds, certificate
+from . import certificate
 from .certificate import Certificate, SingularMultiplierError, require_matching
-from .ensemble import StateEnsemble, Violation, average_state, hermitian_psd_checks
+from .ensemble import StateEnsemble, Violation, hermitian_psd_checks
 from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root, trace_products
 
 logger = logging.getLogger(__name__)
@@ -248,10 +248,11 @@ class _Stacked:
         return type(self)(*(term[rows] for term in self))
 
 
-class _EnsembleTerms(_Stacked, namedtuple("_EnsembleTerms", "sigma states weighted")):
-    """Ensemble operators that every sweep of one solve reuses: ``sigma``
-    (P, d, d), ``states`` Herm(rho_j) and ``weighted`` p_j^2 Herm(rho_j),
-    both (P, N, d, d)."""
+class _EnsembleTerms(_Stacked, namedtuple("_EnsembleTerms", "sigma states weighted priors")):
+    """Ensemble operators that every sweep of one solve reuses, and that its
+    results' metrics read: ``sigma`` (P, d, d), ``states`` Herm(rho_j) and
+    ``weighted`` p_j^2 Herm(rho_j), both (P, N, d, d), and ``priors`` p_j,
+    (P, N)."""
 
     __slots__ = ()
 
@@ -268,7 +269,8 @@ def _ensemble_terms(ensembles: list[StateEnsemble]) -> _EnsembleTerms:
     states = herm(np.stack([e.states for e in ensembles]))
     priors = np.stack([e.priors for e in ensembles])
     weighted = (priors * priors)[..., None, None] * states
-    return _EnsembleTerms(np.stack([average_state(e) for e in ensembles]), states, weighted)
+    return _EnsembleTerms(np.stack([e.average_state for e in ensembles]), states, weighted,
+                          priors)
 
 
 def _sweep_terms(fixed: _EnsembleTerms, x: np.ndarray) -> tuple[np.ndarray, _RateTerms]:
@@ -539,7 +541,7 @@ class _Run:
         self.history: list[float] = []
         self.fit: _Multiplier | None = None   # last sweep's search outcome
         self.evaluations = 0
-        warm = warm and bounds.plateau_measurement(e).rate is not None
+        warm = warm and e.plateau_measurement.rate is not None
         self.restart("plateau" if warm else "uninformative")
 
     def restart(self, start: str) -> None:
@@ -587,14 +589,14 @@ def initial_povm(e: StateEnsemble, target_pi: float) -> Povm:
 
 def _plateau_start(e: StateEnsemble, target_pi: float) -> np.ndarray:
     """Start of a target below the plateau rate t_c of ``e``: mu M + (1 -
-    mu) U_0 for mu = target / t_c, with M :func:`bounds.plateau_measurement`
-    (Pi_j = X_j, Pi_0 = I - sum_j X_j) and U_0 the uninformative start at 0.
+    mu) U_0 for mu = target / t_c, with M ``e.plateau_measurement`` (Pi_j
+    = X_j, Pi_0 = I - sum_j X_j) and U_0 the uninformative start at 0.
 
     The rate is affine in the POVM, so the mix is a POVM at rate mu t_c =
     target, with full-rank conclusive elements since mu < 1; at target 0
     it is ``initial_povm(e, 0)`` bit for bit.
     """
-    plateau = bounds.plateau_measurement(e)
+    plateau = e.plateau_measurement
     plateau_povm = np.empty((e.n_states + 1, e.dim, e.dim), dtype=np.complex128)
     plateau_povm[1:] = plateau.conclusive
     plateau_povm[0] = np.eye(e.dim) - plateau.conclusive.sum(axis=0)
@@ -609,18 +611,18 @@ def success_metrics(e: StateEnsemble, povm: Povm) -> SuccessMetrics:
     p_rs = p_s / (1 - p_i), undefined when the inconclusive rate saturates.
     """
     require_matching(e, povm)
-    return _success_metrics([e], povm.elements[None])[0]
+    return _success_metrics(_ensemble_terms([e]), povm.elements[None])[0]
 
 
-def _success_metrics(ensembles: list[StateEnsemble],
-                     elements: np.ndarray) -> list[SuccessMetrics]:
-    """:func:`success_metrics` of each ensemble with its POVM in the stack
-    ``elements``, all traces from one call; the shapes match."""
-    operands = np.concatenate((np.stack([average_state(e) for e in ensembles])[:, None],
-                               np.stack([e.states for e in ensembles])), axis=1)
+def _success_metrics(fixed: _EnsembleTerms, elements: np.ndarray) -> list[SuccessMetrics]:
+    """:func:`success_metrics` of each point of ``fixed`` with its POVM in
+    the stack ``elements``, all traces from one call; the shapes match.
+    Herm(rho_j) gives rho_j's traces bit for bit: herm is idempotent."""
+    operands = np.concatenate((fixed.sigma[:, None], fixed.states), axis=1)
     metrics = []
-    for e, (p_i, *traces) in zip(ensembles, trace_products(operands, elements).tolist()):
-        p_s = sum(p * t for p, t in zip(e.priors.tolist(), traces))
+    for priors, (p_i, *traces) in zip(fixed.priors.tolist(),
+                                      trace_products(operands, elements).tolist()):
+        p_s = sum(p * t for p, t in zip(priors, traces))
         if p_i >= 1.0 - RELATIVE_RATE_EPS:
             raise RelativeRateUndefinedError(
                 f"inconclusive rate {p_i:.17g} leaves no conclusive fraction")
@@ -646,9 +648,9 @@ def solve_grid(
     dimension and number of states. Returns each point's SolveResult, or
     the InfeasibleTargetError it met.
 
-    Each ensemble's :func:`bounds.plateau_measurement`, kept on the
-    ensemble, gives the ceiling prs_max and conclusive elements X_j
-    reaching it at rate t_c. A target t >= t_c is answered without sweeps:
+    Each ensemble's plateau measurement, kept on the ensemble, gives the
+    ceiling prs_max and conclusive elements X_j reaching it at rate t_c.
+    A target t >= t_c is answered without sweeps:
     Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I - sum_j Pi_j, with
     multipliers lam = prs_max sigma and a = prs_max, which are dual
     feasible and make that POVM stationary. Its result reports 0
@@ -671,7 +673,7 @@ def solve_grid(
         raise ValueError("grid points must share the number of states and the dimension")
     closed, iterated = [], []
     for k, (e, target) in enumerate(points):
-        rate = bounds.plateau_measurement(e).rate
+        rate = e.plateau_measurement.rate
         (closed if rate is not None and target >= rate else iterated).append(k)
     results = (_plateau_results([points[k] for k in closed])
                + _iterate_grid([points[k] for k in iterated], max_iterations, warm=True))
@@ -684,16 +686,16 @@ def _plateau_results(points: list[tuple[StateEnsemble, float]]) -> list[SolveRes
     ensemble's plateau measurement, built and certified as one stack."""
     if not points:
         return []
-    ensembles = [e for e, _ in points]
-    plateaus = [bounds.plateau_measurement(e) for e in ensembles]
-    scales = np.array([(1.0 - t) / (1.0 - p.rate) for (_, t), p in zip(points, plateaus)])
+    ensembles, targets = [e for e, _ in points], [t for _, t in points]
+    fixed = _ensemble_terms(ensembles)
+    plateaus = [e.plateau_measurement for e in ensembles]
+    scales = np.array([(1.0 - t) / (1.0 - p.rate) for t, p in zip(targets, plateaus)])
     conclusive = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
     inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
     elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
     ceilings = [p.bound.prs_max for p in plateaus]
-    lams = frozen(np.array(ceilings)[:, None, None]
-                  * np.stack([average_state(e) for e in ensembles]))
-    return _results(points, elements, _certify(ensembles, elements), lams, ceilings,
+    lams = frozen(np.array(ceilings)[:, None, None] * fixed.sigma)
+    return _results(fixed, targets, elements, _certify(ensembles, elements), lams, ceilings,
                     [None] * len(points))
 
 
@@ -835,7 +837,7 @@ def _iterate_grid(
                     logger.warning("no fixed point within %d sweeps (last change %.3e)",
                                    max_iterations, run.history[-1])
             lams = frozen(PsdRoot(*(field[done] for field in root)).root_matrix())
-            finished = _results([points[live[row]] for row in done], new[done],
+            finished = _results(fixed.take(done), [run.target for run in stopped], new[done],
                                 [checked[row] for row in done], lams,
                                 [run.fit.a for run in stopped], stopped)
             for row, result in zip(done, finished):
@@ -864,21 +866,22 @@ def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
 
 
 def _results(
-    points: list[tuple[StateEnsemble, float]], elements: np.ndarray,
+    fixed: _EnsembleTerms, targets: list[float], elements: np.ndarray,
     checked: list[tuple[Povm, Certificate | SingularMultiplierError]],
     lams: np.ndarray, multipliers: list[float], runs: list[_Run | None],
 ) -> list[SolveResult]:
-    """The results of points that stop together, closed-form or iterated:
-    each the POVM of its row of the stacked ``elements`` with the
-    certificate it was checked with (``checked``, from :func:`_certify`),
-    its multipliers, and the sweeps of its run, None for a closed-form
-    point, which has none. Their metrics come from one stacked call; a
-    closed-form point's rate residual is |p_i - target|, an iterated one's
-    its last multiplier search's."""
-    metrics = _success_metrics([e for e, _ in points], elements)
+    """The results of points that stop together, closed-form or iterated,
+    with their ensemble terms ``fixed`` and their ``targets``: each the POVM
+    of its row of the stacked ``elements`` with the certificate it was
+    checked with (``checked``, from :func:`_certify`), its multipliers, and
+    the sweeps of its run, None for a closed-form point, which has none.
+    Their metrics come from one stacked call; a closed-form point's rate
+    residual is |p_i - target|, an iterated one's its last multiplier
+    search's."""
+    metrics = _success_metrics(fixed, elements)
     results = []
-    for (_, target), (povm, cert), m, lam, a, run in zip(
-            points, checked, metrics, lams, multipliers, runs):
+    for target, (povm, cert), m, lam, a, run in zip(
+            targets, checked, metrics, lams, multipliers, runs):
         history = run.history if run else []
         change = history[-1] if history else 0.0
         residual = run.fit.residual if run else abs(m.p_i - target)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from povmlab.bounds import max_relative_success
-from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
+from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.hermitian import frozen, herm, psd_root, trace_product
 from povmlab.solver import Povm
 
@@ -199,7 +199,7 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
         raise IndexError(f"state index {j} out of range for {e.n_states} states")
     reference = max_relative_success(e).per_state_a[j]
 
-    sig = average_state(e)
+    sig = e.average_state
     if psd_root(sig).inverse[0] == 0.0:
         # a pure sigma forces every rho_j = sigma, so all coefficients vanish
         raise ValueError("the quadratic route does not determine a for a pure average state")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from povmlab import Povm, StateEnsemble, solver
-from povmlab.ensemble import average_state
 from povmlab.solver import MAX_ITERATIONS, POVM_TOLERANCE, initial_povm
 
 
@@ -58,7 +57,7 @@ def at_rate(e: StateEnsemble, povm: Povm, rate: float) -> Povm:
     """The POVM moved to inconclusive rate ``rate`` for ``e``: above it,
     Pi_0 is scaled down and what it loses is added to Pi_1; below it, the
     POVM is mixed toward (I, 0, ..., 0)."""
-    p_i = float(np.trace(average_state(e) @ povm.inconclusive).real)
+    p_i = float(np.trace(e.average_state @ povm.inconclusive).real)
     pi0, pi1, *rest = povm.elements
     if p_i > rate:
         s = rate / p_i

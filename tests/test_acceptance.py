@@ -32,7 +32,6 @@ from conftest import (
 from povmlab.bounds import max_relative_success
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
-from povmlab.ensemble import average_state
 from povmlab.solver import (
     initial_povm,
     povm_violations,
@@ -219,7 +218,7 @@ def test_criterion_7_invariants_and_weak_duality():
     cases += [(random_ensemble(rng, dim, n), t)
               for dim in (2, 3) for n in (2, 3) for t in (0.0, 0.1)]
     for e, target in cases:
-        sigma = average_state(e)
+        sigma = e.average_state
         povm = initial_povm(e, target)
         for _ in range(60):
             new_povm, _ = sweep_once(e, povm, target)

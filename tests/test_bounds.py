@@ -14,8 +14,8 @@ from closed_forms import (
     qubit_quadratic_a,
 )
 from conftest import padded, random_density, random_ensemble
-from povmlab.bounds import max_relative_success, plateau_measurement
-from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
+from povmlab.bounds import max_relative_success
+from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.solver import solve
 
 PROJ0 = np.diag([1.0, 0.0]).astype(complex)
@@ -180,7 +180,7 @@ def test_plateau_direction_symmetric_pair_is_family_projector():
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     e = p.ensemble()
     b = max_relative_success(e)
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     assert plateau.bound.prs_max == b.prs_max
     phi_max, _ = phi_max_and_prs_max(p)
     family = analytic_povm(p, phi_max).conclusive
@@ -196,12 +196,12 @@ def test_plateau_direction_symmetric_pair_is_family_projector():
 def test_plateau_pi_is_the_onset_of_the_symmetric_pair(eta):
     p = SymmetricQubitProblem(eta, math.pi / 4)
     e = p.ensemble()
-    assert abs(plateau_measurement(e).rate - plateau_onset_pi(p)) <= 1e-15
+    assert abs(e.plateau_measurement.rate - plateau_onset_pi(p)) <= 1e-15
 
 
 def test_plateau_direction_orthogonal_pure_pair():
     e = StateEnsemble((PROJ0, PROJ1), np.array([0.5, 0.5]))
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     assert np.allclose(plateau.conclusive, e.states, atol=1e-9)
     assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
@@ -209,21 +209,21 @@ def test_plateau_direction_orthogonal_pure_pair():
 def test_plateau_direction_identical_states_degenerates_to_identity():
     rho = mixed_qubit(0.2)
     e = StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5]))
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     assert np.allclose(plateau.conclusive, [np.eye(2) / 2, np.eye(2) / 2])
     assert plateau.rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_plateau_direction_padded_pair_is_padded_qubit_direction():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     for dim in (3, 4):
         ep = padded(e, dim)
         bp = max_relative_success(ep)
         expected = np.zeros((2, dim, dim), dtype=complex)
         expected[:, :2, :2] = plateau.conclusive
         assert bp.kernel_dimension == 1
-        padded_plateau = plateau_measurement(ep)
+        padded_plateau = ep.plateau_measurement
         assert np.max(np.abs(padded_plateau.conclusive - expected)) <= 1e-12
         assert padded_plateau.rate == pytest.approx(plateau.rate, abs=1e-14)
 
@@ -233,7 +233,7 @@ def test_plateau_direction_padded_identical_states_is_support():
     e = padded(StateEnsemble((rho, rho.copy()), np.array([0.5, 0.5])), 3)
     b = max_relative_success(e)
     assert b.kernel_dimension == 2
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     assert np.allclose(plateau.conclusive, [np.diag([0.5, 0.5, 0.0])] * 2, atol=1e-12)
 
 
@@ -244,17 +244,17 @@ def test_plateau_direction_of_one_state_is_its_kernel_projector():
     for k, (dim, n_states) in enumerate([(2, 2), (3, 3), (4, 2)]):
         e = random_ensemble(np.random.default_rng(60 + k), dim, n_states)
         b = max_relative_success(e)
-        plateau = plateau_measurement(e)
+        plateau = e.plateau_measurement
         j = b.argmax_state
         proj = plateau.conclusive[j]
         assert np.allclose(proj @ proj, proj, atol=1e-12)
-        gap = b.prs_max * average_state(e) - e.priors[j] * e.states[j]
+        gap = b.prs_max * e.average_state - e.priors[j] * e.states[j]
         assert np.linalg.norm(gap @ proj) <= 1e-12
         assert np.trace(proj).real == pytest.approx(b.kernel_dimension, abs=1e-12)
         others = np.delete(plateau.conclusive, j, axis=0)
         assert not others.any()
         assert plateau.rate == pytest.approx(
-            1.0 - np.trace(average_state(e) @ proj).real, abs=1e-15)
+            1.0 - np.trace(e.average_state @ proj).real, abs=1e-15)
 
 
 def test_plateau_measurement_without_a_kernel_has_no_rate(caplog):
@@ -262,7 +262,7 @@ def test_plateau_measurement_without_a_kernel_has_no_rate(caplog):
     # operator has no |eigenvalue| below KERNEL_RTOL times its largest one
     e = symmetric_qubit_pair(0.3, 1e-8)
     with caplog.at_level(logging.WARNING):
-        plateau = plateau_measurement(e)
+        plateau = e.plateau_measurement
     assert plateau.rate is None and plateau.conclusive is None
     assert plateau.bound == max_relative_success(e)
     assert [(rec.name, rec.levelno) for rec in caplog.records] == [
@@ -290,9 +290,9 @@ def test_bound_on_nearly_singular_average_state():
     rho2 = 0.5 * np.outer(ket, ket.conj()) + 0.5 * rho1
     e = StateEnsemble((rho1, rho2), np.array([0.5, 0.5]))
     b = max_relative_success(e)
-    sig = average_state(e)
+    sig = e.average_state
     reference = [p * max(np.linalg.eigvals(np.linalg.solve(sig, rho)).real)
                  for p, rho in zip(e.priors, e.states)]
     assert b.per_state_a == pytest.approx(reference, rel=1e-6)
-    proj = plateau_measurement(e).conclusive[b.argmax_state]
+    proj = e.plateau_measurement.conclusive[b.argmax_state]
     assert np.allclose(proj @ proj, proj, atol=1e-10)

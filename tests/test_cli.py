@@ -120,6 +120,21 @@ def test_undecodable_file_is_io_error(capsys, ensemble_file, tmp_path):
         assert rec["result"]["error"].startswith(f"{bad} is not valid JSON: ")
 
 
+def test_deeply_nested_file_is_io_error(capsys, ensemble_file, tmp_path):
+    # json.loads raises RecursionError, not ValueError, for deep nesting;
+    # the record has no ensemble digest unless the ensemble file loaded
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    digest = hashlib.sha256(ensemble_file.read_bytes()).hexdigest()
+    for argv, input_digest in ((["validate", str(deep)], ""),
+                               (["certify", str(ensemble_file), str(deep)], digest)):
+        code, rec = run_json(capsys, argv)
+        assert code == cli.EXIT_IO
+        assert rec["command"] == argv[0]
+        assert rec["input_digest"] == input_digest
+        assert rec["result"]["error"].startswith(f"{deep} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("command", ["solve", "tradeoff", "bound", "certify"])
 def test_invalid_ensemble_record(capsys, ensemble_file, tmp_path, command):
     # a well-formed file whose priors sum to 1.2 fails validation on load:

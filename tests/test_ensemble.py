@@ -8,13 +8,11 @@ import pytest
 from closed_forms import overlaps_and_purities, qubit_quadratic_a
 from conftest import random_ensemble
 from povmlab import ensemble as ensemble_module
-from povmlab.bounds import max_relative_success, plateau_measurement
+from povmlab.bounds import max_relative_success
 from povmlab.certificate import check
 from povmlab.ensemble import (
     EnsembleValidationError,
     StateEnsemble,
-    average_root,
-    average_state,
     symmetric_qubit_pair,
     validate,
 )
@@ -115,16 +113,16 @@ def test_structural_rejections():
 def test_average_identical_states():
     rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
     e = StateEnsemble((rho, rho.copy()), np.array([0.3, 0.7]))
-    assert np.allclose(average_state(e), rho)
+    assert np.allclose(e.average_state, rho)
 
 
 def test_average_orthogonal_pair():
-    assert np.allclose(average_state(orthogonal_pair()), np.eye(2) / 2)
+    assert np.allclose(orthogonal_pair().average_state, np.eye(2) / 2)
 
 
 def test_average_symmetric_pair_is_diagonal():
     eta, theta = 0.9, np.pi / 4
-    sig = average_state(symmetric_qubit_pair(eta, theta))
+    sig = symmetric_qubit_pair(eta, theta).average_state
     expected = np.diag([(1 + eta * np.cos(theta)) / 2,
                         (1 - eta * np.cos(theta)) / 2])
     assert np.allclose(sig, expected, atol=1e-14)
@@ -134,7 +132,7 @@ def test_average_is_density_matrix_random():
     rng = np.random.default_rng(21)
     for dim, n in ((2, 2), (3, 3), (4, 2)):
         e = random_ensemble(rng, dim, n)
-        sig = average_state(e)
+        sig = e.average_state
         assert abs(np.trace(sig).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(sig)[0] >= -1e-10
 
@@ -142,26 +140,26 @@ def test_average_is_density_matrix_random():
 def test_average_is_the_prior_weighted_sum_computed_once():
     rng = np.random.default_rng(22)
     for e in (symmetric_qubit_pair(0.9, math.pi / 4), random_ensemble(rng, 5, 3)):
-        sig = average_state(e)
+        sig = e.average_state
         mixture = sum(p * rho for p, rho in zip(e.priors, e.states))
         expected = (mixture + mixture.conj().T) / 2.0
         assert sig.tobytes() == expected.tobytes()
         assert not sig.flags.writeable
         with pytest.raises(ValueError):
             sig[0, 0] = 1.0
-        assert average_state(e) is sig
+        assert e.average_state is sig
         # and so is its root, decomposed once for every caller
-        root = average_root(e)
+        root = e.average_root
         assert all(a.tobytes() == b.tobytes() for a, b in zip(root, psd_root(sig)))
         assert not any(a.flags.writeable for a in root)
-        assert average_root(e) is root
+        assert e.average_root is root
 
 
 def test_unpickled_ensemble_recomputes_its_average():
     e = random_ensemble(np.random.default_rng(23), 3, 2)
-    sig = average_state(e)
+    sig = e.average_state
     copy = pickle.loads(pickle.dumps(e))
-    again = average_state(copy)
+    again = copy.average_state
     assert again is not sig and again.tobytes() == sig.tobytes()
     assert not again.flags.writeable
 
@@ -222,9 +220,9 @@ def test_symmetric_pair_always_validates():
 
 
 def test_min_eigenvalue_of_average():
-    assert np.linalg.eigvalsh(average_state(orthogonal_pair()))[0] == pytest.approx(0.5)
+    assert np.linalg.eigvalsh(orthogonal_pair().average_state)[0] == pytest.approx(0.5)
     pure = StateEnsemble((PROJ0, PROJ0.copy()), np.array([0.5, 0.5]))
-    assert np.linalg.eigvalsh(average_state(pure))[0] == pytest.approx(0.0, abs=1e-14)
+    assert np.linalg.eigvalsh(pure.average_state)[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_states_are_read_only():
@@ -273,6 +271,19 @@ def test_ensemble_rejects_assignment():
         del e.states
     assert np.array_equal(e.states, symmetric_qubit_pair(0.9, math.pi / 4).states)
     assert not hasattr(e, "label")
+    # the cached properties, before their first read and after it
+    derived = ("average_state", "average_root", "plateau_measurement")
+    assert not any(name in vars(e) for name in derived)
+    for name in derived:
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                setattr(e, name, np.eye(2))
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+            assert getattr(e, name) is getattr(e, name)
+    assert not e.average_state.flags.writeable
+    assert not any(field.flags.writeable for field in e.average_root)
+    assert not e.plateau_measurement.conclusive.flags.writeable
 
 
 def test_violation_is_a_record():
@@ -287,7 +298,7 @@ def test_violation_is_a_record():
     lambda e: solve(e, 0.2),
     lambda e: check(e, initial_povm(e, 0.2)),
     max_relative_success,
-    plateau_measurement,
+    lambda e: e.plateau_measurement,
     lambda e: qubit_quadratic_a(e, 0),
 ], ids=["solve", "check", "max_relative_success", "plateau_measurement",
         "qubit_quadratic_a"])

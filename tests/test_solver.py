@@ -27,10 +27,10 @@ from conftest import (
     sweep_once,
 )
 from povmlab import bounds, certificate, cli, solver
-from povmlab.bounds import max_relative_success, plateau_measurement
+from povmlab.bounds import max_relative_success
 from povmlab.certificate import check
 from povmlab.cli import default_sweep_grid
-from povmlab.ensemble import StateEnsemble, average_state, symmetric_qubit_pair
+from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.hermitian import psd_root
 from povmlab.solver import (
     InfeasibleTargetError,
@@ -163,7 +163,7 @@ def test_initial_povm_tracks_target_exactly():
         e = random_ensemble(rng, 3, 3)
         target = rng.uniform(0.0, 0.9)
         povm = initial_povm(e, target)
-        p_i = np.trace(average_state(e) @ povm.inconclusive).real
+        p_i = np.trace(e.average_state @ povm.inconclusive).real
         assert p_i == pytest.approx(target, abs=1e-14)
     with pytest.raises(ValueError):
         initial_povm(e, 1.0)
@@ -375,7 +375,7 @@ def test_iterate_once_fixed_point_of_analytic_povm():
     e = p.ensemble()
     for phi in (math.pi / 2 + 0.1, 2.0, phi_max_and_prs_max(p)[0]):
         povm = analytic_povm(p, phi)
-        target = np.trace(average_state(e) @ povm.inconclusive).real
+        target = np.trace(e.average_state @ povm.inconclusive).real
         new, _ = sweep_once(e, povm, float(target))
         change = max(np.linalg.norm(n - o, "fro")
                      for n, o in zip(new.elements, povm.elements))
@@ -394,7 +394,7 @@ def test_iterate_once_invariants_random():
             assert np.linalg.norm(total - np.eye(dim), "fro") <= 1e-9 * dim
             for m in povm.elements:
                 assert np.linalg.eigvalsh((m + m.conj().T) / 2)[0] >= -1e-9
-            p_i = np.trace(average_state(e) @ povm.inconclusive).real
+            p_i = np.trace(e.average_state @ povm.inconclusive).real
             assert abs(p_i - target) <= 1e-10
 
 
@@ -483,7 +483,7 @@ def test_solve_constraint_tracking_along_history():
     povm = initial_povm(e, target)
     for _ in range(40):
         povm, _ = sweep_once(e, povm, target)
-        p_i = np.trace(average_state(e) @ povm.inconclusive).real
+        p_i = np.trace(e.average_state @ povm.inconclusive).real
         assert abs(p_i - target) <= 1e-10
 
 
@@ -643,6 +643,23 @@ def test_solve_grid_is_independent_of_stack_composition():
     assert whole == single
 
 
+@pytest.mark.parametrize("dim, n_states", [(2, 2), (3, 2), (3, 3)])
+def test_grid_metrics_are_the_success_metrics_of_each_povm(dim, n_states):
+    # a point's (p_s, p_i, p_rs) do not depend on the ensembles stacked with
+    # it: closed-form and iterated rows of a grid that mixes ensembles whose
+    # states are Hermitian only to round-off (and the symmetric pair)
+    rng = np.random.default_rng(61 + 10 * dim + n_states)
+    ensembles = [random_ensemble(rng, dim, n_states) for _ in range(3)]
+    if (dim, n_states) == (2, 2):
+        ensembles.append(symmetric_qubit_pair(0.9, math.pi / 4))
+    points = [(e, t) for e in ensembles for t in (0.0, 0.3, 0.6, 0.9)]
+    results = solve_grid(points)
+    assert {r.iterations == 0 for r in results} == {True, False}
+    for (e, _), r in zip(points, results):
+        metrics = success_metrics(e, r.povm)
+        assert [x.hex() for x in (r.p_s, r.p_i, r.p_rs)] == [x.hex() for x in metrics]
+
+
 def test_solve_grid_isolates_failing_points(monkeypatch):
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     e = p.ensemble()
@@ -797,7 +814,7 @@ def test_solve_converges_at_the_plateau_onset(monkeypatch, caplog):
     # default cap, certified
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     target = 0.9 * math.cos(math.pi / 4)
-    sigma = average_state(e)
+    sigma = e.average_state
     sweep = solver._sweep
     inputs = []
 
@@ -928,7 +945,7 @@ def test_plateau_rate_is_the_onset_of_an_untied_ensemble(k):
     e = random_ensemble(np.random.default_rng(300 + k), dim, n_states)
     b = max_relative_success(e)
     assert sorted(b.per_state_a)[-2] < b.prs_max - 1e-3
-    onset = plateau_measurement(e).rate
+    onset = e.plateau_measurement.rate
     r = solve(e, onset)
     assert (r.iterations, r.final_change, r.rate_evaluations) == (0, 0.0, 0)
     assert r.converged and check(e, r.povm).optimal
@@ -945,7 +962,7 @@ def test_closed_form_results_close_and_meet_the_rate():
         grids.append([(p.ensemble(), float(t)) for t in default_sweep_grid(plateau_onset_pi(p))])
     for k, (dim, n_states) in enumerate(UNTIED):
         e = random_ensemble(np.random.default_rng(300 + k), dim, n_states)
-        onset = plateau_measurement(e).rate
+        onset = e.plateau_measurement.rate
         grids.append([(e, t) for t in np.linspace(onset, 0.99, 5).tolist()])
     closed = [(e, t, r) for points in grids
               for (e, t), r in zip(points, solve_grid(points)) if r.iterations == 0]
@@ -953,7 +970,7 @@ def test_closed_form_results_close_and_meet_the_rate():
     for e, target, r in closed:
         assert np.abs(r.povm.elements.sum(axis=0) - np.eye(e.dim)).max() <= 1e-14
         assert povm_violations(r.povm) == []
-        assert abs(np.trace(average_state(e) @ r.povm.inconclusive).real - target) <= 1e-14
+        assert abs(np.trace(e.average_state @ r.povm.inconclusive).real - target) <= 1e-14
         assert r.rate_residual <= 1e-14 and r.converged
 
 
@@ -979,8 +996,8 @@ def test_plateau_measurement_is_computed_once_per_ensemble(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING):
         for _ in range(2):
             solve_grid([(e, t) for t in (0.1, 0.9)], max_iterations=20)
-        plateau = plateau_measurement(e)
-    assert plateau is plateau_measurement(e)
+        plateau = e.plateau_measurement
+    assert plateau is e.plateau_measurement
     assert plateau.rate is None and len(calls) == 1
     assert [(rec.name, rec.levelno) for rec in caplog.records
             if rec.name == "povmlab.bounds"] == [("povmlab.bounds", logging.WARNING)]
@@ -996,8 +1013,8 @@ def test_plateau_start_is_a_povm_at_the_target_rate(dim, n_states):
     if (dim, n_states) == (2, 2):
         ensembles.append(symmetric_qubit_pair(0.9, math.pi / 4))   # a tie
     for e in ensembles:
-        plateau = plateau_measurement(e)
-        sigma = average_state(e)
+        plateau = e.plateau_measurement
+        sigma = e.average_state
         for target in [0.0, *rng.uniform(0.0, plateau.rate, 4).tolist()]:
             start = solver._plateau_start(e, target)
             assert povm_violations(Povm(start)) == []
@@ -1010,7 +1027,7 @@ def test_plateau_start_is_a_povm_at_the_target_rate(dim, n_states):
 @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
 def test_plateau_start_at_rate_zero_is_the_uninformative_start(n_states):
     e = random_ensemble(np.random.default_rng(600 + n_states), 3, n_states)
-    plateau = plateau_measurement(e)
+    plateau = e.plateau_measurement
     assert plateau.rate > 0.0
     start = solver._plateau_start(e, 0.0)
     assert start.tobytes() == initial_povm(e, 0.0).elements.tobytes()
@@ -1065,7 +1082,7 @@ def test_symmetric_pure_states_match_water_filling(n_states):
         for t, r in zip(targets, results):
             assert abs(r.p_s - symmetric_pure_ps(c, t)) <= 1e-12
             assert check(e, symmetric_pure_povm(c, t)).optimal
-        plateau = plateau_measurement(e)
+        plateau = e.plateau_measurement
         assert abs(plateau.rate - (1.0 - n_states * np.min(np.abs(c)) ** 2)) <= 1e-12
         assert abs(plateau.bound.prs_max - 1.0) <= 1e-12
 
