@@ -15,7 +15,20 @@ or validate.
 
 Exit codes: 0 ok/optimal, 1 validation failure (including bad flags),
 2 I/O or parse failure, 3 infeasible inconclusive-rate target,
-5 POVM not certified optimal.
+5 POVM not certified optimal. A reader that closes standard output early
+(``| head``) also gives 2, with nothing on standard error: no record can
+reach it, so main points stdout at os.devnull and returns.
+
+The first call of main registers gc.freeze with atexit, once per
+process. The full collections the interpreter makes while it clears
+modules at exit then skip every object still alive, numpy's and
+povmlab's included, and leave those cycles to the OS, which saves a
+command most of the cost of its exit (README, "Start-up and exit"). This
+is safe: Python does not promise to finalize objects alive at exit, it
+still flushes stdout after the atexit hooks, and logging's shutdown hook,
+registered earlier, runs after the freeze. Nothing is frozen while main
+runs, so tests and library callers keep a normal collector until their
+process ends.
 
 The POVMLAB_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
 log verbosity on standard error; a value that is not a level means WARNING.
@@ -24,6 +37,9 @@ log verbosity on standard error; a value that is not a level means WARNING.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import logging
 import math
 import os
@@ -426,7 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_at_exit() -> None:
+    """Register gc.freeze with atexit, once per process (module docstring)."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_at_exit()
     level = getattr(logging, os.environ.get("POVMLAB_LOG", "WARNING").upper(), None)
     logging.basicConfig(
         level=level if isinstance(level, int) else logging.WARNING,
@@ -437,11 +460,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_float_values(argv))
     rec = _RecordContext(args.command)
     try:
-        return args.func(args, rec)
-    except (ValueError, InfeasibleTargetError, certificate.SingularMultiplierError) as exc:
-        payload, code = _failure(exc)
-        rec.emit(payload)
-        return code
+        try:
+            code = args.func(args, rec)
+        except (ValueError, InfeasibleTargetError, certificate.SingularMultiplierError) as exc:
+            payload, code = _failure(exc)
+            rec.emit(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; with stdout pointed at os.devnull the
+        # interpreter's final flush of what is still buffered stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -20,11 +20,9 @@ the small serializer here. Non-finite floats become null.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -109,12 +107,22 @@ def _json_float(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
-# what _emit writes for each scalar type that records hold, by exact type;
-# encode_basestring_ascii is what json.dumps does with a str
+def _json_str(s: str) -> str:
+    """``s`` as json.dumps writes it. json is imported on the first string
+    a record holds, not with this module, so a command that prints no
+    record (fig1) never loads it; that first call puts json's encoder in
+    this function's place."""
+    global _json_str
+    from json.encoder import encode_basestring_ascii as _json_str
+    _SCALARS[str] = _json_str
+    return _json_str(s)
+
+
+# what _emit writes for each scalar type that records hold, by exact type
 _SCALARS = {
     float: _json_float,
     int: int.__repr__,
-    str: encode_basestring_ascii,
+    str: _json_str,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
@@ -129,7 +137,7 @@ def _emit(o, out: list, level: int) -> None:
     elif isinstance(o, (float, np.floating)):
         out.append(_json_float(float(o)))
     elif isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
+        out.append(_json_str(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -152,7 +160,7 @@ def _emit(o, out: list, level: int) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {type(key)}")
             if k:
                 out.append(",\n" + pad_in)
-            out.append(encode_basestring_ascii(key) + ": ")
+            out.append(_json_str(key) + ": ")
             _emit(value, out, level + 1)
         out.append("\n" + " " * (JSON_INDENT * level) + "}")
     else:
@@ -189,6 +197,7 @@ def read_bytes(path) -> bytes:
 
 
 def _load_json(path, data: bytes | None) -> dict:
+    import json  # here, not at module level: fig1 parses no file
     if data is None:
         data = read_bytes(path)
     try:

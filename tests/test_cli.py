@@ -1,5 +1,7 @@
+import atexit
 import concurrent.futures
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -743,6 +745,56 @@ def test_fig1_does_not_import_hashlib():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("eta,pi,")
+
+
+def test_fig1_does_not_import_json():
+    # fig1 parses no file and, when it succeeds, prints no record
+    code = ("import sys; from povmlab import cli; "
+            "code = cli.main(['fig1', '--etas', '0.9', '--points', '3']); "
+            "sys.exit('json imported' if 'json' in sys.modules else code)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta,pi,")
+
+
+@pytest.mark.parametrize("run", [
+    "from povmlab import cli; sys.exit(cli.main(sys.argv[1:]))",
+    # what python -m povmlab.cli does
+    "import runpy; runpy.run_module('povmlab.cli', run_name='__main__')",
+])
+def test_exit_freezes_the_collector(run):
+    # atexit runs its hooks last in, first out, so this hook, registered
+    # before main runs, runs after povmlab's and sees its freeze
+    hook = ("import atexit, gc, sys; atexit.register("
+            "lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n')); ")
+    proc = subprocess.run(
+        [sys.executable, "-c", hook + run, "fig1", "--etas", "0.9", "--points", "3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("eta,pi,")
+    assert proc.stderr == "frozen True\n"
+
+
+def test_main_registers_the_exit_freeze_once_and_freezes_nothing(monkeypatch, capsys):
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    cli._freeze_at_exit.cache_clear()
+    for _ in range(2):
+        assert cli.main(["fig1", "--etas", "0.9", "--points", "3"]) == cli.EXIT_OK
+    assert registered == [gc.freeze]
+    assert gc.get_freeze_count() == 0
+
+
+def test_reader_that_closes_stdout_gets_exit_2_and_no_traceback(ensemble_file):
+    # 3000 rows, about 215 KB, overfill the pipe, so the command is still
+    # writing when the reader goes
+    argv = ["tradeoff", str(ensemble_file), "--pi-grid", "0.7:0.8:3000"]
+    with subprocess.Popen([sys.executable, "-m", "povmlab.cli", *argv], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == cli.TRADEOFF_HEADER + "\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == cli.EXIT_IO
+        assert proc.stderr.read() == ""
 
 
 def test_cli_import_does_not_load_dataclasses():
