@@ -14,9 +14,9 @@ solution of a symmetric qubit pair as an independent cross-check.
 
 from .bounds import max_relative_success
 from .certificate import check
-from .ensemble import EnsembleValidationError, StateEnsemble, symmetric_qubit_pair
+from .ensemble import EnsembleValidationError, Povm, StateEnsemble, symmetric_qubit_pair
 from .fileio import FileFormatError
-from .solver import InfeasibleTargetError, Povm, solve
+from .solver import InfeasibleTargetError, solve
 
 __version__ = "0.1.0"
 

@@ -34,7 +34,7 @@ grid; :func:`check` is its one-point case. It is also the solver's exit
 test: a settled point stops only when its certificate is optimal, and
 every solver result carries the certificate it stopped with. The module
 is a leaf of the package: it depends on the ensemble and Hermitian helpers
-only, and uses the solver's Povm type in annotations alone.
+only.
 """
 
 from __future__ import annotations
@@ -42,15 +42,11 @@ from __future__ import annotations
 import logging
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensemble import StateEnsemble
+from .ensemble import Povm, StateEnsemble
 from .hermitian import frozen, herm, trace_products
-
-if TYPE_CHECKING:
-    from .solver import Povm
 
 logger = logging.getLogger(__name__)
 

@@ -1,11 +1,13 @@
-"""Discrimination problem data: mixed states with prior probabilities.
+"""Discrimination problem data: the states with their priors, and the
+measurements on them.
 
 A :class:`StateEnsemble` holds N density matrices, as one read-only
-(N, d, d) array, and their priors. The constructor enforces only structure
-(square matrices of one common dimension, one prior per state, finite
-entries); the physics invariants are checked by
-:func:`validate`, which returns a report instead of raising so that callers
-can inspect files of unknown quality.
+(N, d, d) array, and their priors; a :class:`Povm` holds the N+1 elements
+of a measurement on them, outcome 0 the inconclusive one, as another. The
+constructors enforce only structure (square matrices of one common
+dimension, one prior per state, finite entries); the physics invariants
+of an ensemble are checked by :func:`validate`, which returns a report
+instead of raising so that callers can inspect files of unknown quality.
 """
 
 from __future__ import annotations
@@ -50,15 +52,32 @@ class EnsembleValidationError(ValueError):
         super().__init__("; ".join(v.message for v in violations))
 
 
-class StateEnsemble:
+class _ReadOnly:
+    """Base of the data types: assigning or deleting any attribute raises
+    AttributeError, and pickling and copying call the constructor on the
+    attributes a subclass names in ``_fields``, so a copy is read-only too.
+    Instances compare and hash by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class StateEnsemble(_ReadOnly):
     """N candidate states with strictly positive priors summing to one.
 
     ``states`` may be given as a sequence of matrices or one stacked array;
     it is kept, like ``priors``, as a read-only copy: ``states`` as an
     (N, d, d) complex array, ``priors`` as an (N,) float array. An ensemble
-    is immutable, assigning or deleting any attribute raises AttributeError,
-    and it compares and hashes by identity.
+    is immutable and compares and hashes by identity.
     """
+
+    _fields = ("states", "priors")
 
     def __init__(self, states, priors):
         states = operator_stack(states, "ensemble")
@@ -74,18 +93,8 @@ class StateEnsemble:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
     def __repr__(self) -> str:
         return f"StateEnsemble(states={self.states!r}, priors={self.priors!r})"
-
-    def __reduce__(self):
-        # through the constructor, so an unpickled copy is read-only too
-        return type(self), (self.states, self.priors)
 
     @property
     def dim(self) -> int:
@@ -130,6 +139,47 @@ class StateEnsemble:
         if self._violations:
             raise EnsembleValidationError(list(self._violations))
         return self
+
+
+class Povm(_ReadOnly):
+    """N+1 measurement elements; index 0 is the inconclusive outcome.
+
+    ``elements`` may be given as a sequence of matrices or one stacked
+    array; it is kept as a read-only complex (N+1, d, d) copy. A POVM is
+    immutable and compares and hashes by identity.
+
+    Invariants (maintained by the solver, checked by
+    :func:`solver.povm_violations` against the solver's floors): every
+    element PSD within the floor, and the elements sum to the identity
+    within round-off.
+    """
+
+    _fields = ("elements",)
+
+    def __init__(self, elements):
+        elements = operator_stack(elements, "POVM")
+        if len(elements) < 2:
+            raise ValueError("a POVM needs at least two elements")
+        object.__setattr__(self, "elements", elements)
+
+    def __repr__(self) -> str:
+        return f"Povm(elements={self.elements!r})"
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
+
+    @property
+    def n_conclusive(self) -> int:
+        return len(self.elements) - 1
+
+    @property
+    def inconclusive(self) -> np.ndarray:
+        return self.elements[0]
+
+    @property
+    def conclusive(self) -> np.ndarray:
+        return self.elements[1:]
 
 
 def hermitian_psd_checks(name: str, stack: np.ndarray, atol: float,

@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import StateEnsemble
-from .solver import Povm
+from .ensemble import Povm, StateEnsemble
 
 # Spaces per nesting level in emitted records and files.
 JSON_INDENT = 2

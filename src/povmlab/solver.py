@@ -68,8 +68,8 @@ from numpy.linalg import _umath_linalg
 
 from . import certificate
 from .certificate import Certificate, SingularMultiplierError, require_matching
-from .ensemble import StateEnsemble, Violation, hermitian_psd_checks
-from .hermitian import PsdRoot, frozen, herm, operator_stack, psd_root, trace_products
+from .ensemble import Povm, StateEnsemble, Violation, hermitian_psd_checks
+from .hermitian import PsdRoot, frozen, herm, psd_root, trace_products
 
 logger = logging.getLogger(__name__)
 
@@ -115,55 +115,6 @@ class InfeasibleTargetError(RuntimeError):
 
 class RelativeRateUndefinedError(ValueError):
     """The conclusive fraction vanished, so the renormalized rate is undefined."""
-
-
-class Povm:
-    """N+1 measurement elements; index 0 is the inconclusive outcome.
-
-    ``elements`` may be given as a sequence of matrices or one stacked
-    array; it is kept as a read-only complex (N+1, d, d) copy. A POVM is
-    immutable, assigning any attribute raises AttributeError, and it
-    compares and hashes by identity.
-
-    Invariants (maintained by the solver, checked by :func:`povm_violations`):
-    every element PSD within the floor, and the elements sum to the identity
-    within round-off.
-    """
-
-    def __init__(self, elements):
-        elements = operator_stack(elements, "POVM")
-        if len(elements) < 2:
-            raise ValueError("a POVM needs at least two elements")
-        object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def __repr__(self) -> str:
-        return f"Povm(elements={self.elements!r})"
-
-    def __reduce__(self):
-        # through the constructor, so an unpickled copy is read-only too
-        return type(self), (self.elements,)
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
-
-    @property
-    def n_conclusive(self) -> int:
-        return len(self.elements) - 1
-
-    @property
-    def inconclusive(self) -> np.ndarray:
-        return self.elements[0]
-
-    @property
-    def conclusive(self) -> np.ndarray:
-        return self.elements[1:]
 
 
 def require_target(target_pi: float) -> None:

@@ -24,7 +24,7 @@ from povmlab import cli
 from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.certificate import check
-from povmlab.fileio import load_ensemble, load_povm, save_ensemble, save_povm
+from povmlab.fileio import FileFormatError, load_ensemble, load_povm, save_ensemble, save_povm
 from povmlab.solver import InfeasibleTargetError, Povm, solve, solve_grid
 
 PROBLEM = SymmetricQubitProblem(0.9, math.pi / 4)
@@ -70,6 +70,25 @@ def test_validate_bad_priors(capsys, tmp_path):
     assert code == cli.EXIT_VALIDATION
     assert rec["result"]["valid"] is False
     assert any("sum" in v["message"] for v in rec["result"]["violations"])
+
+
+@pytest.mark.parametrize("priors, message", [
+    ([], '"priors" must be a nonempty number list'),
+    ([True, False], '"priors" must be a nonempty number list'),
+    ("0.5", '"priors" must be a nonempty number list'),
+    ([math.nan, 0.7], "ensemble entries must be finite"),   # written as JSON NaN
+], ids=["empty", "booleans", "string", "nan"])
+def test_bad_prior_list_is_io_error(capsys, ensemble_file, tmp_path, priors, message):
+    record = json.loads(ensemble_file.read_text())
+    record["priors"] = priors
+    path = tmp_path / "priors.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        load_ensemble(path)
+    code, rec = run_json(capsys, ["validate", str(path)])
+    assert code == cli.EXIT_IO
+    assert rec["input_digest"] == ""
+    assert rec["result"]["error"] == f"{path}: {message}"
 
 
 def test_validate_malformed_file(capsys, tmp_path):

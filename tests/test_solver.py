@@ -351,6 +351,27 @@ def test_search_keeps_the_bracket(monkeypatch, caplog, shape, start, target, war
     assert lo <= fit.a <= hi
 
 
+def test_search_stops_at_an_exhausted_bracket(monkeypatch, caplog):
+    # a rate that jumps over the target at a = 3: bisection narrows the
+    # bracket to adjacent floats below 3 and stops there, not at the cap
+    evaluated = []
+
+    def fake_rate(terms, a):
+        rate = 0.2 if a[0] < 3.0 else 0.8
+        evaluated.append(a[0])
+        return solver._RateEval([rate], [0.0], psd_root(np.eye(2)[None]))
+
+    monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        (fit,), _ = solver._solve_multiplier(None, [0.5], [1.0])
+    assert fit.evaluations == len(evaluated) == 55 < solver.RATE_MAX_EVALUATIONS // 2
+    assert fit.residual == pytest.approx(0.3) and fit.error is None
+    assert evaluated[-1] == np.nextafter(evaluated[-2], 3.0) and evaluated[-1] < 3.0
+    assert [rec.message for rec in caplog.records if "stopped at residual" in rec.message] == [
+        f"multiplier search stopped at residual {fit.residual:.3e} "
+        f"(tolerance {solver.RATE_TOLERANCE:.3e})"]
+
+
 def test_warm_start_keeps_rate_evaluations_per_sweep_low():
     # 2.7 and 3.1 per sweep from the uninformative start, where the points
     # take 2 to 31 sweeps; from the plateau start the eta = 1 points take
