@@ -13,11 +13,12 @@ and main maps the exception to its record and exit code (_failure). The
 record's input digest is "" when the ensemble file fails to read, parse
 or validate.
 
-Exit codes: 0 ok/optimal, 1 validation failure (including bad flags),
-2 I/O or parse failure, 3 infeasible inconclusive-rate target,
-5 POVM not certified optimal. A reader that closes standard output early
-(``| head``) also gives 2, with nothing on standard error: no record can
-reach it, so main points stdout at os.devnull and returns.
+Exit codes: 0 ok/optimal, 1 validation failure (including bad flags and
+a grid too large to allocate), 2 I/O or parse failure, 3 infeasible
+inconclusive-rate target, 5 POVM not certified optimal. A reader that
+closes standard output early (``| head``) also gives 2, with nothing on
+standard error: no record can reach it, so main points stdout at
+os.devnull and returns.
 
 The first call of main registers gc.freeze with atexit, once per
 process. The full collections the interpreter makes while it clears
@@ -462,7 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             code = args.func(args, rec)
-        except (ValueError, InfeasibleTargetError, certificate.SingularMultiplierError) as exc:
+        except (ValueError, MemoryError, InfeasibleTargetError,
+                certificate.SingularMultiplierError) as exc:
             payload, code = _failure(exc)
             rec.emit(payload)
         sys.stdout.flush()

@@ -45,10 +45,12 @@ stacked iterate, so numpy's per-call cost is paid once per grid rather
 than once per point; :func:`solve` is its one-point case. The Anderson
 least squares of all points with the same history depth are one call of
 the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so each point's
-coefficients are bit for bit those of its own ``lstsq``. A sweep keeps one
-stacked root of lam^2, a row per point at that point's multiplier, which
-gives the sweep's lam^+ and the lam of the points that stop in it. Every
-POVM the solver returns is built by the :class:`Povm` constructor.
+coefficients are bit for bit those of its own ``lstsq``. Each point's
+multiplier search is its own outcome, and a sweep keeps one stacked root
+of lam^2, a row per point at its search's multiplier, which gives the
+sweep's lam^+ and the lam of the points that stop in it. Each point's run
+holds its result once it stops. Every POVM the solver returns is built by
+the :class:`Povm` constructor.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
@@ -242,17 +244,6 @@ class _RateEval(namedtuple("_RateEval", "rate slope root")):
     __slots__ = ()
 
 
-class _Multiplier(namedtuple("_Multiplier", "a residual evaluations error",
-                             defaults=(None,))):
-    """Outcome of one point's multiplier search: the multiplier ``a``; the
-    ``residual`` |predicted rate - target| at ``a``; the predicted-rate
-    ``evaluations`` the search made; and the InfeasibleTargetError it met,
-    or None. The root of lam^2 at ``a`` is the point's row of the stacked
-    root :func:`_solve_multiplier` returns with it."""
-
-    __slots__ = ()
-
-
 def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:
     """Inconclusive rate each point's sweep would produce with its multiplier
     in ``a``, and its derivative in the multiplier, worked out in the
@@ -286,43 +277,47 @@ def _predicted_rate(terms: _RateTerms, a: list[float]) -> _RateEval:
 
 class _Search:
     """One point's safeguarded Newton search for the multiplier matching its
-    target rate; the rates come from stacked evaluations, the steps are
-    plain float logic.
+    target rate, and its outcome; the rates come from stacked evaluations,
+    the steps are plain float logic.
 
     The rate is 0 at a = 0 and grows (empirically monotonically, checked
-    and logged) toward a saturation value as a -> inf. The search starts at
-    ``start``, the previous sweep's multiplier, or cold at a = 1, and keeps
-    a bracket [lo, hi] around the root, starting from [0, inf). A Newton
-    step that leaves the bracket is replaced by doubling while hi is
-    unknown and by bisection once it is. A target still out of reach at
-    a = _BRACKET_CAP is infeasible. The search stops at residual
-    RATE_TOLERANCE or after RATE_MAX_EVALUATIONS evaluations and keeps the
-    multiplier with the smallest residual seen. At zero target there is
-    nothing to search: lam^2 is taken at a = 0, and no evaluation counts.
+    and logged) toward a saturation value as a -> inf. The search starts
+    its ``trial`` at ``start``, the previous sweep's multiplier, or cold at
+    a = 1, and keeps a bracket [lo, hi] around the root, starting from
+    [0, inf). A Newton step that leaves the bracket is replaced by doubling
+    while hi is unknown and by bisection once it is. A target still out of
+    reach at a = _BRACKET_CAP is infeasible, and ``error`` holds its
+    InfeasibleTargetError. The search stops at residual RATE_TOLERANCE or
+    after RATE_MAX_EVALUATIONS evaluations. Its outcome is ``a`` and
+    ``residual`` |predicted rate - target| from its best evaluation, the
+    first one or a later one with a strictly smaller residual, and the
+    ``evaluations`` it made. At zero target there is nothing to search:
+    lam^2 is taken at a = 0, and no evaluation counts.
     """
 
     def __init__(self, target: float, start: float | None):
         self.target = target
-        self.a = 0.0 if target == 0.0 else start or 1.0
+        self.trial = 0.0 if target == 0.0 else start or 1.0
+        self.a, self.residual = self.trial, math.inf
         self.lo, self.rate_lo = 0.0, 0.0
         self.hi, self.rate_hi = math.inf, math.inf
-        self.best: tuple = ()                    # residual, a
-        self.improved = False                    # the last evaluation set best
+        self.improved = False                    # the last evaluation was the best
         self.error: InfeasibleTargetError | None = None
         self.evaluations = 0
 
     def update(self, rate: float, slope: float) -> bool:
-        """Take the rate and slope at the current multiplier and move it on;
-        True once the search is over. ``improved`` tells whether this
-        multiplier became the best, so that the caller keeps its root of
-        lam^2."""
-        a, target = self.a, self.target
+        """Take the rate and slope at the trial multiplier and move it on;
+        True once the search is over. ``improved`` tells whether this trial
+        became ``a``, so that the caller keeps its root of lam^2."""
+        a, target = self.trial, self.target
         residual = abs(rate - target)
-        self.evaluations += 1
-        self.improved = self.evaluations == 1 or residual < self.best[0]
+        self.improved = self.evaluations == 0 or residual < self.residual
         if self.improved:
-            self.best = (residual, a)
-        if residual <= RATE_TOLERANCE or target == 0.0:
+            self.a, self.residual = a, residual
+        if target == 0.0:
+            return True
+        self.evaluations += 1
+        if residual <= RATE_TOLERANCE:
             return True
         lo, hi = self.lo, self.hi
         if not self.rate_lo - 1e-12 <= rate <= self.rate_hi + 1e-12:
@@ -342,39 +337,30 @@ class _Search:
             self.rate_hi = rate
         step = a - (rate - target) / slope if slope > 0 else math.nan
         if lo < step < hi:
-            self.a = min(step, _BRACKET_CAP)
+            self.trial = min(step, _BRACKET_CAP)
         elif hi == math.inf:
-            self.a = min(2.0 * a, _BRACKET_CAP)
+            self.trial = min(2.0 * a, _BRACKET_CAP)
         else:
-            self.a = a = 0.5 * (lo + hi)
+            self.trial = a = 0.5 * (lo + hi)
             if a == lo or a == hi:  # bracket exhausted at float resolution
                 return True
         return self.evaluations >= RATE_MAX_EVALUATIONS
 
-    def result(self) -> _Multiplier:
-        residual, a = self.best
-        if residual > RATE_TOLERANCE and self.error is None:
-            logger.debug(
-                "multiplier search stopped at residual %.3e (tolerance %.3e)",
-                residual, RATE_TOLERANCE)
-        evaluations = self.evaluations if self.target else 0
-        return _Multiplier(a, residual, evaluations, self.error)
-
 
 def _solve_multiplier(
     terms: _RateTerms, targets: list[float], starts: list[float | None],
-) -> tuple[list[_Multiplier], PsdRoot]:
+) -> tuple[list[_Search], PsdRoot]:
     """Every point's multiplier search, in lockstep: each round is one
-    stacked rate evaluation of the points still searching. Returns each
-    point's outcome and the stacked root of lam^2 at each point's ``a``:
-    after every round, the rows of the points whose residual improved are
-    copied in, one fancy assignment per field. A point whose target is
-    infeasible gets the error in its outcome."""
+    stacked rate evaluation of the points still searching. Returns the
+    searches, each its point's outcome, and the stacked root of lam^2 at
+    each search's ``a``: after every round, the rows of the points whose
+    residual improved are copied in, one fancy assignment per field. A
+    point whose target is infeasible has the error on its search."""
     searches = [_Search(t, s) for t, s in zip(targets, starts)]
     live = list(range(len(searches)))
     root = None
     while live:
-        ev = _predicted_rate(terms, [searches[k].a for k in live])
+        ev = _predicted_rate(terms, [searches[k].trial for k in live])
         if root is None:     # the first round evaluates every point
             root = PsdRoot(*(np.empty_like(field) for field in ev.root))
         keep = [row for row, (k, rate, slope) in enumerate(zip(live, ev.rate, ev.slope))
@@ -388,17 +374,21 @@ def _solve_multiplier(
             live = [live[row] for row in keep]
             if keep:
                 terms = terms.take(keep)
-    return [s.result() for s in searches], root
+    for search in searches:
+        if search.residual > RATE_TOLERANCE and search.error is None:
+            logger.debug("multiplier search stopped at residual %.3e (tolerance %.3e)",
+                         search.residual, RATE_TOLERANCE)
+    return searches, root
 
 
 def _sweep(
     fixed: _EnsembleTerms, x: np.ndarray, targets: list[float], starts: list[float | None],
-) -> tuple[np.ndarray, list[_Multiplier], PsdRoot]:
+) -> tuple[np.ndarray, list[_Search], PsdRoot]:
     """One sweep of the stacked POVMs ``x``; each point's multiplier search
     starts at its entry of ``starts`` when given. Returns the new stacked
-    POVMs, each point's search outcome and the stacked root of lam^2 the
-    sweep used, a row per point (:func:`_solve_multiplier`); a point whose
-    outcome holds an error has no valid row in the POVMs or the root.
+    POVMs, each point's search and the stacked root of lam^2 the sweep
+    used, a row per point (:func:`_solve_multiplier`); a point whose search
+    holds an error has no valid row in the POVMs or the root.
 
     The new conclusive elements are lam^+ (p_j^2 rho_j Pi_j rho_j) lam^+,
     congruences of PSD operators and so PSD, and the inconclusive one is
@@ -406,12 +396,12 @@ def _sweep(
     lam^+ plus the projector onto ker lam, which no state sees.
     """
     sandwiches, terms = _sweep_terms(fixed, x)
-    fits, root = _solve_multiplier(terms, targets, starts)
+    searches, root = _solve_multiplier(terms, targets, starts)
     laminv = root.pinv_matrix()[:, None]
     new = np.empty_like(x)
     new[:, 1:] = herm(laminv @ sandwiches @ laminv)
     new[:, 0] = np.eye(x.shape[-1]) - new[:, 1:].sum(axis=1)
-    return new, fits, root
+    return new, searches, root
 
 
 class _Anderson:
@@ -419,17 +409,16 @@ class _Anderson:
     (2011)) for a fixed-point map G: the history of one point, kept on the
     real view of its flattened iterate.
 
-    It keeps the last ``depth`` differences of the residuals f = G(x) - x
-    and of the map values G(x). With F and D those differences as columns,
-    the next iterate is G(x) - D gamma for the gamma that minimizes
-    |f - F gamma| (:func:`_extrapolate`, for a stack of points). Its
-    weights on the recent map values sum to 1, so it keeps every affine
-    constraint that all of them meet: completeness and Tr[sigma Pi_0] =
-    target here. Positivity is the caller's to check.
+    It keeps the last ANDERSON_DEPTH differences of the residuals
+    f = G(x) - x and of the map values G(x). With F and D those
+    differences as columns, the next iterate is G(x) - D gamma for the
+    gamma that minimizes |f - F gamma| (:func:`_extrapolate`, for a stack
+    of points). Its weights on the recent map values sum to 1, so it keeps
+    every affine constraint that all of them meet: completeness and
+    Tr[sigma Pi_0] = target here. Positivity is the caller's to check.
     """
 
-    def __init__(self, depth: int):
-        self.depth = depth
+    def __init__(self):
         self.last: tuple[np.ndarray, np.ndarray] | None = None   # f and G(x)
         self.reset()
 
@@ -441,8 +430,8 @@ class _Anderson:
         """Take the residual ``f`` and the map value ``g`` = G(x), real
         views; True when there is history to extrapolate from."""
         if self.last is not None:
-            self.df = [*self.df[1 - self.depth:], f - self.last[0]]
-            self.dg = [*self.dg[1 - self.depth:], g - self.last[1]]
+            self.df = [*self.df[1 - ANDERSON_DEPTH:], f - self.last[0]]
+            self.dg = [*self.dg[1 - ANDERSON_DEPTH:], g - self.last[1]]
         self.last = (f, g)
         return bool(self.df)
 
@@ -485,13 +474,16 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 class _Run:
     """One grid point's state between lockstep sweeps, from its start on;
     ``start`` is "plateau" (:func:`_plateau_start`), "uninformative" or
-    "restarted" (:func:`initial_povm`, after an uncertified settle)."""
+    "restarted" (:func:`initial_povm`, after an uncertified settle).
+    ``outcome`` is None until the point stops, then its SolveResult or the
+    InfeasibleTargetError that ended it."""
 
     def __init__(self, e: StateEnsemble, target: float, warm: bool):
         self.e, self.target = e, target
         self.history: list[float] = []
-        self.fit: _Multiplier | None = None   # last sweep's search outcome
+        self.fit: _Search | None = None       # last sweep's multiplier search
         self.evaluations = 0
+        self.outcome: SolveResult | InfeasibleTargetError | None = None
         warm = warm and e.plateau_measurement.rate is not None
         self.restart("plateau" if warm else "uninformative")
 
@@ -503,7 +495,7 @@ class _Run:
         x = (_plateau_start(self.e, self.target) if start == "plateau"
              else initial_povm(self.e, self.target).elements)
         self.x = self.plain = x          # next sweep's input; last sweep's output
-        self.mixer = _Anderson(ANDERSON_DEPTH)
+        self.mixer = _Anderson()
 
 
 def _step(plain: np.ndarray, guesses: np.ndarray) -> list[tuple[float, np.ndarray] | None]:
@@ -628,8 +620,8 @@ def solve_grid(
         (closed if rate is not None and target >= rate else iterated).append(k)
     results = (_plateau_results([points[k] for k in closed])
                + _iterate_grid([points[k] for k in iterated], max_iterations, warm=True))
-    outcomes = dict(zip(closed + iterated, results))
-    return [outcomes[k] for k in range(len(points))]
+    ordered = sorted(zip(closed + iterated, results), key=lambda pair: pair[0])
+    return [outcome for _, outcome in ordered]
 
 
 def _plateau_results(points: list[tuple[StateEnsemble, float]]) -> list[SolveResult]:
@@ -656,10 +648,12 @@ def _iterate_grid(
     """Iterate every (ensemble, target) point, all in lockstep on one
     stacked iterate; the points are validated and share their shape.
 
-    Each point is a :class:`_Run`. With ``warm``, a point whose ensemble's
-    plateau measurement has a rate starts from :func:`_plateau_start`
-    ("plateau"); every other point from :func:`initial_povm`
-    ("uninformative").
+    Each point is a :class:`_Run`, which holds its outcome once it stops;
+    after a sweep in which points stop, the stack keeps only the runs still
+    going, and the outcomes return in the points' order. With ``warm``, a
+    point whose ensemble's plateau measurement has a rate starts from
+    :func:`_plateau_start` ("plateau"); every other point from
+    :func:`initial_povm` ("uninformative").
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
@@ -701,11 +695,8 @@ def _iterate_grid(
     if not points:
         return []
     fixed = _ensemble_terms([e for e, _ in points])
-    outcomes: list[SolveResult | InfeasibleTargetError | None] = [None] * len(points)
-    # the points still in the stack: their indices and states
-    live = list(range(len(points)))
-    runs = [_Run(e, t, warm) for e, t in points]
-    while live:
+    every = runs = [_Run(e, t, warm) for e, t in points]   # runs: the ones still going
+    while runs:
         x = np.array([run.x for run in runs])
         new, fits, root = _sweep(fixed, x, [run.target for run in runs],
                                  [run.fit and run.fit.a for run in runs])
@@ -718,7 +709,7 @@ def _iterate_grid(
         verdicts: dict[int, str] = {}     # rows that swept: extrapolation verdict
         mixing: list[int] = []            # rows that extrapolate
         stopping: list[int] = []          # rows to certify
-        for row, (k, run, fit) in enumerate(zip(live, runs, fits)):
+        for row, (run, fit) in enumerate(zip(runs, fits)):
             if fit.error is not None:
                 if run.x is not run.plain:
                     logger.debug("sweep from an extrapolation infeasible (%s); "
@@ -730,7 +721,7 @@ def _iterate_grid(
                                  "restarting from the uninformative start", fit.error)
                     run.restart("uninformative")
                 else:
-                    outcomes[k] = fit.error
+                    run.outcome = fit.error
                 continue
             run.fit = fit
             run.evaluations += fit.evaluations
@@ -791,14 +782,13 @@ def _iterate_grid(
             finished = _results(fixed.take(done), [run.target for run in stopped], new[done],
                                 [checked[row] for row in done], lams,
                                 [run.fit.a for run in stopped], stopped)
-            for row, result in zip(done, finished):
-                outcomes[live[row]] = result
-        if any(outcomes[k] is not None for k in live):
-            rows = [row for row, k in enumerate(live) if outcomes[k] is None]
-            live = [live[row] for row in rows]
+            for run, result in zip(stopped, finished):
+                run.outcome = result
+        if any(run.outcome is not None for run in runs):
+            rows = [row for row, run in enumerate(runs) if run.outcome is None]
             runs = [runs[row] for row in rows]
             fixed = fixed.take(rows)
-    return outcomes
+    return [run.outcome for run in every]
 
 
 def _log_sweep(run: _Run, verdict: str) -> None:

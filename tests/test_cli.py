@@ -578,6 +578,25 @@ def test_sweep_failure_prints_one_record(capsys, ensemble_file, monkeypatch, com
     assert rec["input_digest"] == (digest if command == "tradeoff" else "")
 
 
+@pytest.mark.parametrize("command", ["tradeoff", "fig1"])
+def test_grid_too_large_to_allocate_prints_one_record(capsys, ensemble_file, monkeypatch,
+                                                      command):
+    # a grid numpy cannot allocate (--points 99999999999) gives the error
+    # record and exit 1; the failure is faked, so no test asks for the memory
+    message = "Unable to allocate 745. GiB for an array with shape (99999999999,)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    argv = {"tradeoff": ["tradeoff", str(ensemble_file), "--pi-grid", "0:0.5:3"],
+            "fig1": ["fig1", "--etas", "0.9", "--points", "3"]}[command]
+    code, rec = run_json(capsys, argv)
+    assert code == cli.EXIT_VALIDATION
+    assert rec["command"] == command
+    assert rec["result"] == {"error": message}
+
+
 def test_tol_flag_stops_in_argparse(ensemble_file):
     # the fixed-point tolerance is solver.POVM_TOLERANCE, not a flag
     with pytest.raises(SystemExit) as exc_info:

@@ -372,6 +372,30 @@ def test_search_stops_at_an_exhausted_bracket(monkeypatch, caplog):
         f"(tolerance {solver.RATE_TOLERANCE:.3e})"]
 
 
+def test_search_keeps_its_best_trial_not_its_last(monkeypatch, caplog):
+    # rate 0.45 below a = 3 and 0.9 from it, target 0.5 from start 1: no
+    # later trial beats the first one's residual 0.05, so the search ends
+    # at a = 1 with that trial's root, not at the last trial just below 3
+    evaluated = []
+
+    def fake_rate(terms, a):
+        evaluated.append(a[0])
+        rate = 0.45 if a[0] < 3.0 else 0.9
+        return solver._RateEval([rate], [0.0], psd_root((a[0] * a[0]) * np.eye(2)[None]))
+
+    monkeypatch.setattr(solver, "_predicted_rate", fake_rate)
+    with caplog.at_level(logging.DEBUG, logger="povmlab.solver"):
+        (fit,), root = solver._solve_multiplier(None, [0.5], [1.0])
+    assert fit.a == 1.0 and fit.residual == pytest.approx(0.05) and fit.error is None
+    assert fit.evaluations == len(evaluated) == 55
+    assert evaluated[-1] == 2.9999999999999996
+    for field, want in zip(root, psd_root(np.eye(2)[None])):
+        assert field.tobytes() == want.tobytes()
+    assert [rec.message for rec in caplog.records if "stopped at residual" in rec.message] == [
+        "multiplier search stopped at residual 5.000e-02 "
+        f"(tolerance {solver.RATE_TOLERANCE:.3e})"]
+
+
 def test_warm_start_keeps_rate_evaluations_per_sweep_low():
     # 2.7 and 3.1 per sweep from the uninformative start, where the points
     # take 2 to 31 sweeps; from the plateau start the eta = 1 points take
@@ -591,8 +615,8 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
             # x is an extrapolation: fail once, noting the next call's
             # index and the last sweep's output
             raised.append((len(inputs), outputs[-1]))
-            error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, [fits[0]._replace(error=error)], root
+            fits[0].error = InfeasibleTargetError(target=targets[0], supremum=0.0)
+            return new, fits, root
         outputs.append(new[0].copy())
         return new, fits, root
 
@@ -746,7 +770,7 @@ def _history(rng: np.random.Generator, m: int, depth: int, kind: str) -> solver.
     zero column and a repeated one), ill-conditioned ("ill": columns 1e-10
     apart), near gelsd's rank cutoff ("cutoff": columns 1e-14 apart) or
     none of these ("random")."""
-    mixer = solver._Anderson(solver.ANDERSON_DEPTH)
+    mixer = solver._Anderson()
     df = list(rng.standard_normal((depth, m)))
     if kind == "deficient":
         df[0] = np.zeros(m)
@@ -1069,8 +1093,8 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
         inputs.append(x[0].copy())
         new, fits, root = sweep(fixed, x, targets, starts)
         if len(inputs) == failing:
-            error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, [fits[0]._replace(error=error)], root
+            fits[0].error = InfeasibleTargetError(target=targets[0], supremum=0.0)
+            return new, fits, root
         outputs.append(new[0].copy())
         return new, fits, root
 
