@@ -51,11 +51,11 @@ def herm(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-class PsdRoot(namedtuple("PsdRoot", "eigenvalues vectors root inverse")):
+class PsdRoot(namedtuple("PsdRoot", "vectors root inverse")):
     """A^{1/2} = V diag(root) V† and its pseudoinverse V diag(inverse) V†,
-    where V and ``eigenvalues`` (ascending) are the eigendecomposition of A;
-    for a stack of matrices each field is stacked the same way. Every field
-    is an ndarray."""
+    where V, the ``vectors``, are the eigenvectors of A, in ascending order
+    of eigenvalue; for a stack of matrices each field is stacked the same
+    way. Every field is an ndarray."""
 
     __slots__ = ()
 
@@ -82,7 +82,7 @@ def psd_root(a: np.ndarray) -> PsdRoot:
     # an inverted mode has wc > 0, so s > 0 there; the floor only keeps the
     # division finite on the modes the mask drops, where True / s is 0 / s
     sinv = (wc > PINV_CUTOFF * wc[..., -1:]) / np.maximum(s, _TINY)
-    return PsdRoot(w, v, s, sinv)
+    return PsdRoot(v, s, sinv)
 
 
 def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -38,25 +38,27 @@ its POVM, and the point stops with that certificate unless it settled
 under the cap within the rate tolerance, not optimal, and was never
 restarted. Such a point restarts from the uninformative start on full
 extrapolation steps only, so a stationary but non-optimal POVM does not
-end the solve. A point's ``start`` is "plateau" or "uninformative", and
-"restarted" after that restart. A result's per-sweep history is the
-fixed-point residual. The points of a grid are solved in lockstep on one
-stacked iterate, so numpy's per-call cost is paid once per grid rather
-than once per point; :func:`solve` is its one-point case. The Anderson
-least squares of all points with the same history depth are one call of
-the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so each point's
-coefficients are bit for bit those of its own ``lstsq``. Each point's
-multiplier search is its own outcome, and a sweep keeps one stacked root
-of lam^2, a row per point at its search's multiplier, which gives the
-sweep's lam^+ and the lam of the points that stop in it. Each point's run
-holds its result once it stops. Every POVM the solver returns is built by
-the :class:`Povm` constructor.
+end the solve. A point's ``start`` is "closed" (below), "plateau" or
+"uninformative", and "restarted" after that restart. A result's per-sweep
+history is the fixed-point residual. The points of a grid are solved in
+lockstep on one stacked iterate, so numpy's per-call cost is paid once
+per grid rather than once per point; :func:`solve` is its one-point case.
+The Anderson least squares of all points with the same history depth are
+one call of the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so
+each point's coefficients are bit for bit those of its own ``lstsq``.
+Each point's multiplier search is its own outcome, and a sweep keeps one
+stacked root of lam^2, a row per point at its search's multiplier, which
+gives the sweep's lam^+ and the lam of the points that stop in it. Each
+point is one run from its start to its result, which one builder makes,
+closed form or iterated. Every POVM the solver returns is built by the
+:class:`Povm` constructor.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
 measurement ``StateEnsemble.plateau_measurement``, computed once per
 ensemble object and kept on it, is answered in closed form, by mixing
-that measurement with the always-inconclusive one, and is not iterated.
+that measurement with the always-inconclusive one, and is not iterated:
+its run starts, and ends, as "closed".
 """
 
 from __future__ import annotations
@@ -472,11 +474,15 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 
 
 class _Run:
-    """One grid point's state between lockstep sweeps, from its start on;
-    ``start`` is "plateau" (:func:`_plateau_start`), "uninformative" or
-    "restarted" (:func:`initial_povm`, after an uncertified settle).
-    ``outcome`` is None until the point stops, then its SolveResult or the
-    InfeasibleTargetError that ended it."""
+    """One grid point from its start to its result. ``start`` is "closed"
+    for a target at or above the rate of its ensemble's plateau
+    measurement, answered in closed form with no iterate (warm only);
+    otherwise the point is iterated from "plateau" (:func:`_plateau_start`,
+    warm only, when that measurement has a rate) or "uninformative"
+    (:func:`initial_povm`), and is "restarted" from the latter after an
+    uncertified settle. Without ``warm`` the plateau measurement is not
+    read. ``outcome`` is None until the point stops, then its SolveResult
+    or the InfeasibleTargetError that ended it."""
 
     def __init__(self, e: StateEnsemble, target: float, warm: bool):
         self.e, self.target = e, target
@@ -484,8 +490,11 @@ class _Run:
         self.fit: _Search | None = None       # last sweep's multiplier search
         self.evaluations = 0
         self.outcome: SolveResult | InfeasibleTargetError | None = None
-        warm = warm and e.plateau_measurement.rate is not None
-        self.restart("plateau" if warm else "uninformative")
+        rate = e.plateau_measurement.rate if warm else None
+        if rate is not None and target >= rate:
+            self.start = "closed"
+        else:
+            self.restart("uninformative" if rate is None else "plateau")
 
     def restart(self, start: str) -> None:
         """Start again from ``start`` with no mixing history; the multiplier
@@ -591,21 +600,20 @@ def solve_grid(
     dimension and number of states. Returns each point's SolveResult, or
     the InfeasibleTargetError it met.
 
-    Each ensemble's plateau measurement, kept on the ensemble, gives the
-    ceiling prs_max and conclusive elements X_j reaching it at rate t_c.
-    A target t >= t_c is answered without sweeps:
-    Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I - sum_j Pi_j, with
-    multipliers lam = prs_max sigma and a = prs_max, which are dual
+    Each point is one run of :func:`_iterate_grid`, warm, with at most
+    ``max_iterations`` sweeps. Each ensemble's plateau measurement, kept on
+    the ensemble, gives the ceiling prs_max and conclusive elements X_j
+    reaching it at rate t_c. A target t >= t_c is answered without sweeps
+    ("closed"): Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I - sum_j Pi_j,
+    with multipliers lam = prs_max sigma and a = prs_max, which are dual
     feasible and make that POVM stationary. Its result reports 0
     iterations, a final change of 0 and 0 rate evaluations, and its rate
-    residual is |Tr[sigma Pi_0] - t|. Every other point, and every point
-    of an ensemble whose plateau measurement has no rate (no kernel), is
-    iterated in lockstep by :func:`_iterate_grid`, warm, for at most
-    ``max_iterations`` sweeps: a point below t_c starts from that
-    measurement mixed down to its rate (:func:`_plateau_start`). The
-    closed-form results, and the iterated ones that stop in the same
-    sweep, are each built and certified as one stack by one builder
-    (:func:`_results`), so every result carries its POVM's certificate.
+    residual is |Tr[sigma Pi_0] - t|. A point below t_c starts from that
+    measurement mixed down to its rate ("plateau", :func:`_plateau_start`),
+    and a point of an ensemble whose plateau measurement has no rate (no
+    kernel) from :func:`initial_povm` ("uninformative"). Every result is
+    built and certified by one builder (:func:`_finish`), so every result
+    carries its POVM's certificate.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -614,46 +622,24 @@ def solve_grid(
         require_target(target)
     if len({(e.n_states, e.dim) for e, _ in points}) > 1:
         raise ValueError("grid points must share the number of states and the dimension")
-    closed, iterated = [], []
-    for k, (e, target) in enumerate(points):
-        rate = e.plateau_measurement.rate
-        (closed if rate is not None and target >= rate else iterated).append(k)
-    results = (_plateau_results([points[k] for k in closed])
-               + _iterate_grid([points[k] for k in iterated], max_iterations, warm=True))
-    ordered = sorted(zip(closed + iterated, results), key=lambda pair: pair[0])
-    return [outcome for _, outcome in ordered]
-
-
-def _plateau_results(points: list[tuple[StateEnsemble, float]]) -> list[SolveResult]:
-    """The closed-form results at targets at or above the rate of their
-    ensemble's plateau measurement, built and certified as one stack."""
-    if not points:
-        return []
-    ensembles, targets = [e for e, _ in points], [t for _, t in points]
-    fixed = _ensemble_terms(ensembles)
-    plateaus = [e.plateau_measurement for e in ensembles]
-    scales = np.array([(1.0 - t) / (1.0 - p.rate) for t, p in zip(targets, plateaus)])
-    conclusive = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
-    inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
-    elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
-    ceilings = [p.bound.prs_max for p in plateaus]
-    lams = frozen(np.array(ceilings)[:, None, None] * fixed.sigma)
-    return _results(fixed, targets, elements, _certify(ensembles, elements), lams, ceilings,
-                    [None] * len(points))
+    return _iterate_grid(points, max_iterations, warm=True)
 
 
 def _iterate_grid(
     points: list[tuple[StateEnsemble, float]], max_iterations: int, warm: bool = False,
 ) -> list[SolveResult | InfeasibleTargetError]:
-    """Iterate every (ensemble, target) point, all in lockstep on one
-    stacked iterate; the points are validated and share their shape.
+    """Solve every (ensemble, target) point, the iterated ones all in
+    lockstep on one stacked iterate; the points are validated and share
+    their shape.
 
-    Each point is a :class:`_Run`, which holds its outcome once it stops;
-    after a sweep in which points stop, the stack keeps only the runs still
-    going, and the outcomes return in the points' order. With ``warm``, a
-    point whose ensemble's plateau measurement has a rate starts from
+    Each point is a :class:`_Run`, which holds its outcome once it stops,
+    and the outcomes return in the points' order. With ``warm``, the
+    "closed" runs, at or above their plateau rate, get their closed-form
+    results (:func:`solve_grid`) as one stack before any sweep, and a point
+    whose ensemble's plateau measurement has a rate starts from
     :func:`_plateau_start` ("plateau"); every other point from
-    :func:`initial_povm` ("uninformative").
+    :func:`initial_povm` ("uninformative"). After a sweep in which points
+    stop, the stack keeps only the runs still going.
 
     Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
     depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
@@ -692,10 +678,23 @@ def _iterate_grid(
     nothing but the stacked numpy calls, so a point's outcome does not
     depend on the others in the grid.
     """
-    if not points:
-        return []
-    fixed = _ensemble_terms([e for e, _ in points])
-    every = runs = [_Run(e, t, warm) for e, t in points]   # runs: the ones still going
+    every = [_Run(e, t, warm) for e, t in points]
+    closed = [run for run in every if run.start == "closed"]
+    if closed:
+        plateaus = [run.e.plateau_measurement for run in closed]
+        scales = np.array([(1.0 - run.target) / (1.0 - p.rate)
+                           for run, p in zip(closed, plateaus)])
+        conclusive = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
+        inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
+        elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
+        ceilings = [p.bound.prs_max for p in plateaus]
+        fixed = _ensemble_terms([run.e for run in closed])
+        lams = frozen(np.array(ceilings)[:, None, None] * fixed.sigma)
+        _finish(closed, fixed, elements, _certify([run.e for run in closed], elements), lams,
+                ceilings)
+    runs = [run for run in every if run.outcome is None]     # the ones still going
+    if runs:
+        fixed = _ensemble_terms([run.e for run in runs])
     while runs:
         x = np.array([run.x for run in runs])
         new, fits, root = _sweep(fixed, x, [run.target for run in runs],
@@ -779,11 +778,8 @@ def _iterate_grid(
                     logger.warning("no fixed point within %d sweeps (last change %.3e)",
                                    max_iterations, run.history[-1])
             lams = frozen(PsdRoot(*(field[done] for field in root)).root_matrix())
-            finished = _results(fixed.take(done), [run.target for run in stopped], new[done],
-                                [checked[row] for row in done], lams,
-                                [run.fit.a for run in stopped], stopped)
-            for run, result in zip(stopped, finished):
-                run.outcome = result
+            _finish(stopped, fixed.take(done), new[done], [checked[row] for row in done],
+                    lams, [run.fit.a for run in stopped])
         if any(run.outcome is not None for run in runs):
             rows = [row for row, run in enumerate(runs) if run.outcome is None]
             runs = [runs[row] for row in rows]
@@ -806,39 +802,35 @@ def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
     return list(zip(povms, certificate.check_grid(list(zip(ensembles, povms)))))
 
 
-def _results(
-    fixed: _EnsembleTerms, targets: list[float], elements: np.ndarray,
+def _finish(
+    runs: list[_Run], fixed: _EnsembleTerms, elements: np.ndarray,
     checked: list[tuple[Povm, Certificate | SingularMultiplierError]],
-    lams: np.ndarray, multipliers: list[float], runs: list[_Run | None],
-) -> list[SolveResult]:
-    """The results of points that stop together, closed-form or iterated,
-    with their ensemble terms ``fixed`` and their ``targets``: each the POVM
-    of its row of the stacked ``elements`` with the certificate it was
-    checked with (``checked``, from :func:`_certify`), its multipliers, and
-    the sweeps of its run, None for a closed-form point, which has none.
-    Their metrics come from one stacked call; a closed-form point's rate
-    residual is |p_i - target|, an iterated one's its last multiplier
-    search's."""
+    lams: np.ndarray, multipliers: list[float],
+) -> None:
+    """Give each of ``runs``, points that stop together, its result as its
+    ``outcome``: the POVM of its row of the stacked ``elements`` with the
+    certificate it was checked with (``checked``, from :func:`_certify`),
+    its multipliers, and the target, sweeps and rate evaluations of the
+    run; ``fixed`` holds their ensemble terms. A "closed" run has no sweeps
+    and no multiplier search, so its rate residual is |p_i - target|; an
+    iterated one's is its last search's. The metrics come from one stacked
+    call."""
     metrics = _success_metrics(fixed, elements)
-    results = []
-    for target, (povm, cert), m, lam, a, run in zip(
-            targets, checked, metrics, lams, multipliers, runs):
-        history = run.history if run else []
-        change = history[-1] if history else 0.0
-        residual = run.fit.residual if run else abs(m.p_i - target)
-        results.append(SolveResult(
+    for run, (povm, cert), m, lam, a in zip(runs, checked, metrics, lams, multipliers):
+        change = run.history[-1] if run.history else 0.0
+        residual = abs(m.p_i - run.target) if run.fit is None else run.fit.residual
+        run.outcome = SolveResult(
             povm=povm,
             p_s=m.p_s,
             p_i=m.p_i,
             p_rs=m.p_rs,
             lam=lam,
-            a=None if target == 0.0 else a,
-            iterations=len(history),
+            a=None if run.target == 0.0 else a,
+            iterations=len(run.history),
             final_change=change,
             converged=change <= POVM_TOLERANCE and residual <= RATE_TOLERANCE,
             rate_residual=residual,
-            rate_evaluations=run.evaluations if run else 0,
+            rate_evaluations=run.evaluations,
             certificate=cert,
-            change_history=tuple(history),
-        ))
-    return results
+            change_history=tuple(run.history),
+        )

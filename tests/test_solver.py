@@ -1019,6 +1019,37 @@ def test_closed_form_results_close_and_meet_the_rate():
         assert r.rate_residual <= 1e-14 and r.converged
 
 
+def test_cold_iteration_never_reads_the_plateau_measurement(monkeypatch):
+    # the start is decided in the run: without warm, a target past the
+    # onset is iterated from the uninformative start, and nothing asks for
+    # the plateau measurement
+    def no_plateau(e):
+        raise AssertionError("plateau measurement read on the cold path")
+
+    monkeypatch.setattr(bounds, "_measure_plateau", no_plateau)
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    r, = solver._iterate_grid([(e, 0.8)], 500)
+    assert r.converged and r.iterations > 0
+
+
+def test_a_grid_of_closed_form_points_makes_no_sweep(monkeypatch):
+    # every point at or above its onset: the grid is answered in closed
+    # form with no run left to sweep, each point bit for bit its own solve
+    points = []
+    for eta in (0.8, 0.9):
+        e = symmetric_qubit_pair(eta, math.pi / 4)
+        points += [(e, e.plateau_measurement.rate), (e, 0.83)]
+    expected = [_bits(solve(e, t)) for e, t in points]
+
+    def no_sweep(*args):
+        raise AssertionError("a closed-form point was swept")
+
+    monkeypatch.setattr(solver, "_sweep", no_sweep)
+    results = solve_grid(points)
+    assert [r.iterations for r in results] == [0] * 4
+    assert [_bits(r) for r in results] == expected
+
+
 def test_plateau_targets_are_iterated_without_a_kernel(caplog):
     # the states are 1e-8 apart in angle, and their limiting operator shows no
     # kernel, so no target is answered in closed form, not even those past
@@ -1157,13 +1188,13 @@ def _family_a(n_states: int) -> list[tuple[StateEnsemble, float]]:
     return points
 
 
-def _family_c(n_states: int) -> list[tuple[StateEnsemble, float]]:
-    """Random full-rank states in d = 8 with equal priors, one generator
-    per ensemble, seeds 1000-1002, at ten targets from 0 to 0.9."""
+def _family_c(n_states: int, dim: int = 8) -> list[tuple[StateEnsemble, float]]:
+    """Random full-rank states in d = ``dim`` with equal priors, one
+    generator per ensemble, seeds 1000-1002, at ten targets from 0 to 0.9."""
     points = []
     for seed in range(1000, 1003):
         rng = np.random.default_rng(seed)
-        e = StateEnsemble(tuple(random_density(rng, 8) for _ in range(n_states)),
+        e = StateEnsemble(tuple(random_density(rng, dim) for _ in range(n_states)),
                           np.full(n_states, 1.0 / n_states))
         points += [(e, float(t)) for t in np.linspace(0.0, 0.9, 10)]
     return points
