@@ -64,7 +64,10 @@ TOL_POSITIVITY = 1e-9
 
 
 class SingularMultiplierError(RuntimeError):
-    """The scalar equation for the rate multiplier is degenerate."""
+    """The scalar equation for the rate multiplier is degenerate. Met in
+    place of a Certificate, it certifies nothing: ``optimal`` is False."""
+
+    optimal = False
 
 
 class Certificate(namedtuple("Certificate", (

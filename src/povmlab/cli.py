@@ -188,14 +188,11 @@ def _sweep_point_file(targets: list, e, max_iterations: int) -> list[list[str]]:
     return [_sweep_row(t, r) for t, r in zip(targets, outcomes)]
 
 
-def _sweep_point_symmetric(points: list, ensembles: dict,
-                           max_iterations: int) -> list[list[str]]:
-    """Rows of fig1's (eta, target) points on each eta's ensemble."""
-    chosen = [ensembles[eta] for eta, _ in points]
-    outcomes = solve_grid([(e, t) for e, (_, t) in zip(chosen, points)],
-                          max_iterations=max_iterations)
+def _sweep_point_symmetric(points: list, max_iterations: int) -> list[list[str]]:
+    """Rows of fig1's (eta, ensemble, target) points (:func:`fig1_points`)."""
+    outcomes = solve_grid([(e, t) for _, e, t in points], max_iterations=max_iterations)
     return [[fileio.float_repr(eta)] + _sweep_row(t, r)
-            for (eta, t), r in zip(points, outcomes)]
+            for (eta, _, t), r in zip(points, outcomes)]
 
 
 def _sweep_row(target: float, outcome) -> list[str]:
@@ -206,8 +203,7 @@ def _sweep_row(target: float, outcome) -> list[str]:
     f = fileio.float_repr
     if isinstance(outcome, InfeasibleTargetError):
         return [f(target), "", "", "", "", "", "infeasible"]
-    cert = outcome.certificate
-    certified = isinstance(cert, certificate.Certificate) and cert.optimal
+    certified = outcome.certificate.optimal
     if not outcome.converged:
         status = "maxiter"
     else:
@@ -325,14 +321,18 @@ def cmd_fig1(args, rec: _RecordContext) -> int:
     if not etas:
         raise ValueError("--etas must list at least one value")
     _require_positive("--max-iter", args.max_iter)
-    ensembles, points = {}, []
-    for eta in etas:
-        ensembles[eta] = symmetric_qubit_pair(eta, args.theta)
-        onset = eta * math.cos(args.theta)
-        points += [(eta, float(t)) for t in default_sweep_grid(onset, points=args.points)]
-    _write_csv("eta," + TRADEOFF_HEADER,
-               _run_jobs(_sweep_point_symmetric, points, ensembles, args.max_iter))
+    points = fig1_points(etas, args.theta, args.points)
+    _write_csv("eta," + TRADEOFF_HEADER, _run_jobs(_sweep_point_symmetric, points, args.max_iter))
     return EXIT_OK
+
+
+def fig1_points(etas: list[float], theta: float, points: int = 25) -> list[tuple]:
+    """fig1's grid as (eta, ensemble, target): each eta's ``points`` rates of
+    :func:`default_sweep_grid` at its onset eta cos(theta), all on that
+    eta's one symmetric qubit pair at angle ``theta``."""
+    ensembles = {eta: symmetric_qubit_pair(eta, theta) for eta in etas}
+    return [(eta, ensembles[eta], float(t)) for eta in etas
+            for t in default_sweep_grid(eta * math.cos(theta), points=points)]
 
 
 def default_sweep_grid(onset: float, points: int = 25) -> np.ndarray:

@@ -742,8 +742,7 @@ def _iterate_grid(
             for row in stopping:
                 run, cert = runs[row], checked[row][1]
                 if (run.start == "restarted" or len(run.history) >= max_iterations
-                        or run.fit.residual > RATE_TOLERANCE
-                        or isinstance(cert, Certificate) and cert.optimal):
+                        or run.fit.residual > RATE_TOLERANCE or cert.optimal):
                     done.append(row)
                     continue
                 why = (cert if isinstance(cert, SingularMultiplierError) else

@@ -1,14 +1,13 @@
-"""Print the solver's counts on every named grid as one JSON object.
+"""Print the solver's digest and counts on every named grid as one JSON object.
 
-The object holds one line per grid: its points, the sweeps in all and the
-most for one point, the rate evaluations, the points not converged, not
-certified optimal and infeasible, and the ``np.linalg.eigh`` and
-``eigvalsh`` calls made while the grid is built and solved. None of these
-depends on the machine, so two checkouts that print the same object do the
-same work on these grids; each grid's process CPU goes to stderr and is not
-a count. The grids are those of ``grid_digests.py``, ``cli-fig1``, which is
-``povmlab fig1`` through ``cli.main`` with one ensemble per eta, and
-``C-d-16-N-2``, family C at d = 16.
+The object holds one line per grid of ``grids.GRIDS``: the digest of every
+field of every ``solve_grid`` outcome (``grids.digest``), its points, the
+sweeps in all and the most for one point, the rate evaluations, the points
+not converged, not certified optimal and infeasible, and the
+``np.linalg.eigh`` and ``eigvalsh`` calls made while the grid is built and
+solved. None of these depends on the machine, so two checkouts that print
+the same object solve these grids bit for bit alike and do the same work;
+each grid's process CPU goes to stderr and is not a count.
 
 Run from the repository root, against any checkout's package:
 
@@ -20,8 +19,6 @@ does not start with ``test_``).
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import sys
 import time
@@ -29,60 +26,29 @@ from collections import Counter
 
 import numpy as np
 
-from grid_digests import GRIDS
-from povmlab import certificate, cli
+from grids import GRIDS, digest
 from povmlab.solver import InfeasibleTargetError, solve_grid
-from test_solver import _family_c
 
 LINALG = ("eigh", "eigvalsh")
 calls: Counter = Counter()
 
 
-def _cli_fig1() -> list:
-    """The outcomes of every solve_grid call ``povmlab fig1`` makes; its
-    CSV is discarded."""
-    outcomes = []
-
-    def recorded(points, **options):
-        found = solve_grid(points, **options)
-        outcomes.extend(found)
-        return found
-
-    cli.solve_grid = recorded
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["fig1"])
-    finally:
-        cli.solve_grid = solve_grid
-    if code != 0:
-        raise SystemExit(f"povmlab fig1 exited with code {code}")
-    return outcomes
-
-
-def _grid(points, cap):
-    return lambda: solve_grid(points(), max_iterations=cap)
-
-
-# name: a call that builds and solves the grid and returns its outcomes
-RUNS = {name: _grid(points, cap) for name, (points, cap) in GRIDS.items()}
-RUNS["cli-fig1"] = _cli_fig1
-RUNS["C-d-16-N-2"] = _grid(lambda: _family_c(2, dim=16), 500)
-
-
 def counts(name: str) -> dict:
-    """The counts of one grid, from its outcomes and the linalg calls."""
+    """The digest and counts of one grid, from its outcomes and the linalg
+    calls."""
+    points, cap = GRIDS[name]
     calls.clear()
-    outcomes = RUNS[name]()
+    outcomes = solve_grid(points(), max_iterations=cap)
     results = [r for r in outcomes if not isinstance(r, InfeasibleTargetError)]
     sweeps = [r.iterations for r in results]
     return {
+        "digest": digest(*outcomes),
         "points": len(outcomes),
         "sweeps": sum(sweeps),
         "most_sweeps": max(sweeps, default=0),
         "rate_evaluations": sum(r.rate_evaluations for r in results),
         "not_converged": sum(not r.converged for r in results),
-        "uncertified": sum(not (isinstance(r.certificate, certificate.Certificate)
-                                and r.certificate.optimal) for r in results),
+        "uncertified": sum(not r.certificate.optimal for r in results),
         "infeasible": len(outcomes) - len(results),
         **{fn: calls[fn] for fn in LINALG},
     }
@@ -99,7 +65,7 @@ def _counting(name: str):
 
 
 def main(names: list[str]) -> None:
-    names = names or list(RUNS)
+    names = names or list(GRIDS)
     for name in LINALG:
         setattr(np.linalg, name, _counting(name))
     print("{", flush=True)

@@ -10,6 +10,7 @@ from closed_forms import (
     plateau_onset_pi,
 )
 from conftest import at_rate, random_ensemble, random_povm
+from grids import digest, fig1, onset_window
 from povmlab.certificate import SingularMultiplierError, check, check_grid
 from povmlab.cli import default_sweep_grid
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
@@ -182,21 +183,6 @@ def test_lambda_is_hermitian_and_asymmetry_reported():
 # ---------------------------------------------------------------------------
 # the stacked certificate
 
-def _fields(outcome) -> tuple:
-    """Every field of a certificate, floats as their exact bit patterns; an
-    error as its type and message."""
-    if isinstance(outcome, Exception):
-        return type(outcome), str(outcome)
-
-    def bits(x):
-        return None if x is None else float(x).hex()
-
-    return (outcome.lam.tobytes(), bits(outcome.a),
-            tuple(map(bits, outcome.extremal_residuals)),
-            tuple(map(bits, outcome.positivity_margins)),
-            bits(outcome.dual_bound), outcome.optimal, bits(outcome.lambda_asymmetry))
-
-
 def _one_point(e, povm):
     try:
         return check(e, povm)
@@ -208,7 +194,7 @@ def _assert_grid_matches_one_point_checks(pairs):
     grid = check_grid(pairs)
     assert len(grid) == len(pairs)
     for (e, povm), outcome in zip(pairs, grid):
-        assert _fields(outcome) == _fields(_one_point(e, povm))
+        assert digest(outcome) == digest(_one_point(e, povm))
     return grid
 
 
@@ -217,9 +203,7 @@ def test_check_grid_matches_check_on_the_fig1_grid_and_onset_window():
     for eta in (0.7, 0.8, 0.9, 1.0):
         p = SymmetricQubitProblem(eta, math.pi / 4)
         points += [(p.ensemble(), float(t)) for t in default_sweep_grid(plateau_onset_pi(p))]
-    e = symmetric_qubit_pair(0.9, math.pi / 4)
-    window = [(e, float(t)) for t in np.linspace(0.5563961030678929, 0.7163961030678928, 33)]
-    for grid, cap in ((points, 500), (window, 1000)):
+    for grid, cap in ((points, 500), (onset_window(), 1000)):
         certs = _assert_grid_matches_one_point_checks(
             [(e, r.povm) for (e, _), r in zip(grid, solve_grid(grid, max_iterations=cap))])
         assert all(c.optimal for c in certs)
@@ -232,17 +216,9 @@ def test_every_result_carries_the_certificate_of_its_povm(theta, window):
     # the fig1 grid at theta, or the onset window of the eta = 0.9 pair:
     # the certificate a result stopped with is its POVM's, bit for bit,
     # including the points that ran into the cap or were not certified
-    if window:
-        e = symmetric_qubit_pair(0.9, theta)
-        points = [(e, float(t)) for t in np.linspace(0.5563961030678929,
-                                                       0.7163961030678928, 33)]
-    else:
-        points = []
-        for eta in (0.7, 0.8, 0.9, 1.0):
-            e = symmetric_qubit_pair(eta, theta)
-            points += [(e, float(t)) for t in default_sweep_grid(eta * math.cos(theta))]
+    points = onset_window() if window else fig1(theta)
     for (e, _), r in zip(points, solve_grid(points)):
-        assert _fields(r.certificate) == _fields(_one_point(e, r.povm))
+        assert digest(r.certificate) == digest(_one_point(e, r.povm))
 
 
 @pytest.mark.parametrize("eta, theta, window", [
@@ -258,12 +234,9 @@ def test_every_certified_point_bounds_every_other_point(eta, theta, window):
     # rate t on its ensemble (weak duality across the curve): a wrong a or
     # lam at any point breaks it at some other point of the fig1 grid at
     # eta and theta, or of the onset window of the eta = 0.9 pair
-    e = symmetric_qubit_pair(eta, theta)
-    if window:
-        targets = np.linspace(0.5563961030678929, 0.7163961030678928, 33).tolist()
-    else:
-        targets = default_sweep_grid(eta * math.cos(theta)).tolist()
-    results = solve_grid([(e, t) for t in targets], max_iterations=1000 if window else 500)
+    points = onset_window() if window else fig1(theta, etas=(eta,))
+    targets = [t for _, t in points]
+    results = solve_grid(points, max_iterations=1000 if window else 500)
     assert all(r.certificate.optimal for r in results)
     for r in results:
         cert = r.certificate
@@ -280,9 +253,9 @@ def test_widest_certified_band_on_the_fig1_grid(eta, widest):
     # dual_bound + a (p_i - t). The upper edge is concave and piecewise
     # linear, so on each chord the gap is widest at a grid point or where
     # two lines cross
-    e = symmetric_qubit_pair(eta, math.pi / 4)
-    targets = default_sweep_grid(eta * math.cos(math.pi / 4))
-    results = solve_grid([(e, float(t)) for t in targets])
+    points = fig1(etas=(eta,))
+    targets = np.array([t for _, t in points])
+    results = solve_grid(points)
     assert all(r.certificate.optimal for r in results)
     slope = np.array([r.certificate.a or 0.0 for r in results])
     intercept = np.array([r.certificate.dual_bound for r in results]) + slope * np.array(

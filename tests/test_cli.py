@@ -23,7 +23,7 @@ from conftest import padded
 from povmlab import cli
 from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.certificate import check
+from povmlab.certificate import SingularMultiplierError, check
 from povmlab.fileio import FileFormatError, load_ensemble, load_povm, save_ensemble, save_povm
 from povmlab.solver import InfeasibleTargetError, Povm, solve, solve_grid
 
@@ -642,6 +642,15 @@ def test_fig1_converged_but_uncertified_rows_are_not_ok(capsys, argv, uncertifie
         assert r[7] in ("ok", "uncertified", "maxiter")
         if r[7] != "maxiter":
             assert (r[7] == "ok") == (r[6] == "true")
+
+
+def test_a_converged_point_whose_multiplier_is_singular_is_uncertified():
+    # the certificate check met a degenerate multiplier equation in place of
+    # a verdict, so the converged row is neither certified nor ok
+    r = solve(PROBLEM.ensemble(), 0.3)
+    assert r.converged and cli._sweep_row(0.3, r)[-2:] == ["true", "ok"]
+    singular = r._replace(certificate=SingularMultiplierError("a is undetermined"))
+    assert cli._sweep_row(0.3, singular)[-2:] == ["false", "uncertified"]
 
 
 def test_default_grids_print_every_row_certified_and_ok(capsys, ensemble_file):
