@@ -32,7 +32,7 @@ from collections import namedtuple
 import numpy as np
 
 from .ensemble import StateEnsemble
-from .hermitian import frozen, herm, trace_product
+from .hermitian import frozen, herm, trace_products
 
 logger = logging.getLogger(__name__)
 
@@ -132,5 +132,5 @@ def _measure_plateau(e: StateEnsemble) -> PlateauMeasurement:
     tied = int(kernel.any(axis=-1).sum())
     if tied > 1:
         projectors = projectors / np.linalg.norm(projectors.sum(axis=0), 2)
-    rate = 1.0 - trace_product(sigma, projectors.sum(axis=0))
+    rate = 1.0 - float(trace_products(sigma, projectors.sum(axis=0)))
     return PlateauMeasurement(bound, max(rate, 0.0), frozen(projectors))

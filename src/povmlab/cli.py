@@ -128,8 +128,7 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def _violation_list(violations) -> list[dict]:
-    return [{"message": v.message, "residual": v.residual, "index": v.index}
-            for v in violations]
+    return [v._asdict() for v in violations]
 
 
 def _write_csv(header: str, rows: list[list[str]]) -> None:
@@ -147,9 +146,7 @@ def _certificate_payload(
     return {
         "a": cert.a,
         "extremal_residuals": list(cert.extremal_residuals),
-        "positivity_margins": [
-            None if math.isnan(m) else m for m in cert.positivity_margins
-        ],
+        "positivity_margins": list(cert.positivity_margins),
         "dual_bound": cert.dual_bound,
         "lambda_asymmetry": cert.lambda_asymmetry,
         "tol_extremal": certificate.TOL_EXTREMAL,
@@ -174,8 +171,6 @@ def _failure(exc: Exception) -> tuple[dict, int]:
             "target_pi": exc.target,
             "reachable_supremum": exc.supremum,
         }, EXIT_INFEASIBLE
-    if isinstance(exc, certificate.SingularMultiplierError):
-        return _certificate_payload(exc), EXIT_NOT_OPTIMAL
     return {"error": str(exc)}, EXIT_VALIDATION
 
 
@@ -285,14 +280,7 @@ def cmd_tradeoff(args, rec: _RecordContext) -> int:
 def cmd_bound(args, rec: _RecordContext) -> int:
     e = rec.load_ensemble(args.ensemble)
     plateau = e.plateau_measurement
-    b = plateau.bound
-    rec.emit({
-        "prs_max": b.prs_max,
-        "per_state_a": list(b.per_state_a),
-        "argmax_state": b.argmax_state,
-        "kernel_dimension": b.kernel_dimension,
-        "plateau_pi": plateau.rate,
-    })
+    rec.emit(plateau.bound._asdict() | {"plateau_pi": plateau.rate})
     return EXIT_OK
 
 
@@ -309,7 +297,7 @@ def cmd_certify(args, rec: _RecordContext) -> int:
             "violations": _violation_list(violations),
         })
         return EXIT_VALIDATION
-    cert = certificate.check(e, povm)
+    cert, = certificate.check_grid([(e, povm)])
     rec.emit(_certificate_payload(cert))
     return EXIT_OK if cert.optimal else EXIT_NOT_OPTIMAL
 
@@ -463,8 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             code = args.func(args, rec)
-        except (ValueError, MemoryError, InfeasibleTargetError,
-                certificate.SingularMultiplierError) as exc:
+        except (ValueError, MemoryError, InfeasibleTargetError) as exc:
             payload, code = _failure(exc)
             rec.emit(payload)
         sys.stdout.flush()

@@ -55,8 +55,9 @@ class EnsembleValidationError(ValueError):
 class _ReadOnly:
     """Base of the data types: assigning or deleting any attribute raises
     AttributeError, and pickling and copying call the constructor on the
-    attributes a subclass names in ``_fields``, so a copy is read-only too.
-    Instances compare and hash by identity."""
+    attributes a subclass names in ``_fields``, so a copy is read-only too;
+    the repr names the same attributes. Instances compare and hash by
+    identity."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -66,6 +67,10 @@ class _ReadOnly:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class StateEnsemble(_ReadOnly):
@@ -92,9 +97,6 @@ class StateEnsemble(_ReadOnly):
             raise ValueError("ensemble entries must be finite")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", priors)
-
-    def __repr__(self) -> str:
-        return f"StateEnsemble(states={self.states!r}, priors={self.priors!r})"
 
     @property
     def dim(self) -> int:
@@ -161,9 +163,6 @@ class Povm(_ReadOnly):
         if len(elements) < 2:
             raise ValueError("a POVM needs at least two elements")
         object.__setattr__(self, "elements", elements)
-
-    def __repr__(self) -> str:
-        return f"Povm(elements={self.elements!r})"
 
     @property
     def dim(self) -> int:

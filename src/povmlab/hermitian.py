@@ -103,8 +103,3 @@ def trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"trace of the product has imaginary part {worst:.3e}")
     return t.real
 
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr[A B] for the Hermitian parts A, B of equal-sized matrices
-    ``a``, ``b``: :func:`trace_products` of one pair."""
-    return float(trace_products(a, b))

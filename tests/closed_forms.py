@@ -1,6 +1,6 @@
 """Closed-form oracles for the test suite, independent of the solver.
 
-Three routes to the paper's numbers that do not go through the solver:
+Four routes to the paper's numbers that do not go through the solver:
 
 - the symmetric pair of equally mixed qubits, whose optimal measurement
   family, trade-off curve and plateau are known in closed form;
@@ -10,7 +10,11 @@ Three routes to the paper's numbers that do not go through the solver:
   the common purity and the overlap (:func:`prs_max_from_invariants` with
   :func:`overlaps_and_purities`);
 - N symmetric pure states U^j |psi> in d = N, whose trade-off curve and
-  optimal POVM come from water filling (:func:`symmetric_pure_water_filling`).
+  optimal POVM come from water filling (:func:`symmetric_pure_water_filling`);
+- two pure states with any priors, whose plateau onset is the least
+  failure rate of unambiguous discrimination (:func:`jaeger_shimony_onset`)
+  and whose optimal unambiguous measurement is known in closed form
+  (:func:`jaeger_shimony_povm`).
 
 The symmetric pair's two states are depolarized versions of pure states
 tilted by +-theta from the z axis,
@@ -36,7 +40,7 @@ import numpy as np
 
 from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
-from povmlab.hermitian import frozen, herm, psd_root, trace_product
+from povmlab.hermitian import frozen, herm, psd_root, trace_products
 from povmlab.solver import Povm
 
 # Quadratic root must match the eigenvalue route this closely to be selected.
@@ -205,9 +209,9 @@ def qubit_quadratic_a(e: StateEnsemble, j: int) -> float:
         raise ValueError("the quadratic route does not determine a for a pure average state")
     rho = e.states[j]
     p = float(e.priors[j])
-    c2 = 1.0 - trace_product(sig, sig)
-    c1 = -2.0 * p * (1.0 - trace_product(sig, rho))
-    c0 = p * p * (1.0 - trace_product(rho, rho))
+    c2 = 1.0 - float(trace_products(sig, sig))
+    c1 = -2.0 * p * (1.0 - float(trace_products(sig, rho)))
+    c0 = p * p * (1.0 - float(trace_products(rho, rho)))
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         if disc < -1e-14:
@@ -302,3 +306,42 @@ def symmetric_pure_povm(c: np.ndarray, target_pi: float) -> Povm:
     x = symmetric_pure_water_filling(c, target_pi)
     inconclusive = np.diag(1.0 - len(c) * x * x).astype(np.complex128)
     return Povm((inconclusive, *_orbit(x * c / np.abs(c))))
+
+
+# ---------------------------------------------------------------------------
+# two pure states: the Jaeger-Shimony onset
+
+def pure_pair(p1: float, s: float) -> StateEnsemble:
+    """|psi_1> = |0> and |psi_2> = s|0> + sqrt(1 - s^2)|1>, with overlap
+    ``s`` in [0, 1) and priors (p1, 1 - p1)."""
+    psi2 = np.array([s, math.sqrt(1.0 - s * s)], dtype=np.complex128)
+    return StateEnsemble((np.diag([1.0, 0.0]), np.outer(psi2, psi2)), np.array([p1, 1.0 - p1]))
+
+
+def jaeger_shimony_onset(p1: float, s: float) -> float:
+    """The least failure rate of unambiguous discrimination of two pure
+    states with overlap ``s`` and priors (p1, 1 - p1), the plateau onset of
+    :func:`pure_pair` (Jaeger & Shimony, Phys. Lett. A 197, 83 (1995)):
+    2 sqrt(p1 p2) s when s <= sqrt(p_min / p_max), else p_min + p_max s^2."""
+    p_min, p_max = sorted((p1, 1.0 - p1))
+    if s <= math.sqrt(p_min / p_max):
+        return 2.0 * math.sqrt(p_min * p_max) * s
+    return p_min + p_max * s * s
+
+
+def jaeger_shimony_povm(p1: float, s: float) -> Povm:
+    """The measurement that reaches :func:`jaeger_shimony_onset` on
+    :func:`pure_pair` in the regime s <= sqrt(p_min / p_max): Pi_1 is
+    proportional to the projector onto |psi_2^perp> and Pi_2 to the one
+    onto |psi_1^perp>, scaled so that state j fails with rate q_j,
+    q_1 = sqrt(p2 / p1) s and q_2 = sqrt(p1 / p2) s, and Pi_0 closes them
+    to the identity."""
+    p2 = 1.0 - p1
+    if s > math.sqrt(min(p1, p2) / max(p1, p2)):
+        raise ValueError(f"overlap {s} lies beyond the regime of the two-outcome measurement")
+    q1, q2 = math.sqrt(p2 / p1) * s, math.sqrt(p1 / p2) * s
+    c = math.sqrt(1.0 - s * s)
+    perp2 = np.array([c, -s], dtype=np.complex128)
+    pi1 = (1.0 - q1) / (c * c) * np.outer(perp2, perp2)
+    pi2 = (1.0 - q2) / (c * c) * np.diag([0.0, 1.0])
+    return Povm((np.eye(2) - pi1 - pi2, pi1, pi2))

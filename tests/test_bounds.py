@@ -7,10 +7,12 @@ import pytest
 from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
+    jaeger_shimony_onset,
     overlaps_and_purities,
     phi_max_and_prs_max,
     plateau_onset_pi,
     prs_max_from_invariants,
+    pure_pair,
     qubit_quadratic_a,
 )
 from conftest import padded, random_density, random_ensemble
@@ -197,6 +199,14 @@ def test_plateau_pi_is_the_onset_of_the_symmetric_pair(eta):
     p = SymmetricQubitProblem(eta, math.pi / 4)
     e = p.ensemble()
     assert abs(e.plateau_measurement.rate - plateau_onset_pi(p)) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [0.2, 0.6, 0.9])
+def test_plateau_pi_is_the_jaeger_shimony_onset_at_equal_priors(s):
+    # both pure states attain the ceiling 1, and at equal priors the common
+    # scale gives the least unambiguous failure rate, s
+    e = pure_pair(0.5, s)
+    assert abs(e.plateau_measurement.rate - jaeger_shimony_onset(0.5, s)) <= 1e-15
 
 
 def test_plateau_direction_orthogonal_pure_pair():

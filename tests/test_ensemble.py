@@ -261,6 +261,13 @@ def test_copied_ensemble_is_read_only(duplicate):
     assert twin != e and len({e, twin, e}) == 2
 
 
+def test_repr_names_the_fields():
+    e = orthogonal_pair()
+    povm = Povm((PROJ0, PROJ1))
+    assert repr(e) == f"StateEnsemble(states={e.states!r}, priors={e.priors!r})"
+    assert repr(povm) == f"Povm(elements={povm.elements!r})"
+
+
 def test_ensemble_rejects_assignment():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     e.require_valid()

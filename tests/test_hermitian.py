@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmlab.ensemble import HERMITICITY_ATOL
-from povmlab.hermitian import herm, psd_root, trace_product
+from povmlab.hermitian import herm, psd_root, trace_products
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -124,10 +124,11 @@ def test_herm_on_a_stack_is_matrix_by_matrix():
 
 
 def test_trace_product_examples():
-    assert trace_product(np.eye(2, dtype=complex), np.eye(2, dtype=complex)) == pytest.approx(2.0)
-    assert trace_product(PAULI_X, PAULI_Z) == pytest.approx(0.0)
+    eye2 = np.eye(2, dtype=complex)
+    assert float(trace_products(eye2, eye2)) == pytest.approx(2.0)
+    assert float(trace_products(PAULI_X, PAULI_Z)) == pytest.approx(0.0)
     proj0 = np.diag([1.0, 0.0]).astype(complex)
-    assert trace_product(proj0, proj0) == pytest.approx(1.0)
+    assert float(trace_products(proj0, proj0)) == pytest.approx(1.0)
 
 
 def test_trace_product_symmetric_random():
@@ -136,7 +137,7 @@ def test_trace_product_symmetric_random():
         g1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         g2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         a, b = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
-        assert abs(trace_product(a, b) - trace_product(b, a)) <= 1e-12
+        assert abs(float(trace_products(a, b)) - float(trace_products(b, a))) <= 1e-12
 
 
 def test_trace_product_and_min_eigenvalue_symmetrize_round_off():
@@ -144,9 +145,9 @@ def test_trace_product_and_min_eigenvalue_symmetrize_round_off():
     # any physics
     skew = np.array([[0.0, 5e-11], [-5e-11, 0.0]], dtype=complex)
     assert np.max(np.abs(skew - skew.conj().T)) > HERMITICITY_ATOL
-    assert trace_product(PAULI_X + skew, PAULI_X) == trace_product(PAULI_X, PAULI_X)
+    assert float(trace_products(PAULI_X + skew, PAULI_X)) == float(trace_products(PAULI_X, PAULI_X))
 
 
 def test_trace_product_dimension_mismatch():
     with pytest.raises(ValueError):
-        trace_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+        trace_products(np.eye(2, dtype=complex), np.eye(3, dtype=complex))

@@ -12,8 +12,11 @@ from closed_forms import (
     SymmetricQubitProblem,
     analytic_povm,
     envelope_prs,
+    jaeger_shimony_onset,
+    jaeger_shimony_povm,
     phi_max_and_prs_max,
     plateau_onset_pi,
+    pure_pair,
     symmetric_pure_povm,
     symmetric_pure_ps,
     symmetric_pure_states,
@@ -1163,6 +1166,34 @@ def test_symmetric_pure_states_match_water_filling(n_states):
         plateau = e.plateau_measurement
         assert abs(plateau.rate - (1.0 - n_states * np.min(np.abs(c)) ** 2)) <= 1e-12
         assert abs(plateau.bound.prs_max - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# two pure states with unequal priors: the Jaeger-Shimony onset
+
+@pytest.mark.parametrize("p1, s", [(0.4, 0.6), (0.3, 0.5)])
+def test_jaeger_shimony_povm_is_certified_at_the_onset(p1, s):
+    # the closed-form unambiguous measurement makes no error, fails at the
+    # onset rate, and the certificate finds it optimal
+    e = pure_pair(p1, s)
+    povm = jaeger_shimony_povm(p1, s)
+    assert not povm_violations(povm)
+    metrics = success_metrics(e, povm)
+    assert abs(metrics.p_i - jaeger_shimony_onset(p1, s)) <= 1e-15
+    assert abs(metrics.p_rs - 1.0) <= 1e-12
+    assert check(e, povm).optimal
+
+
+@pytest.mark.parametrize("p1, s", [(0.4, 0.6), (0.3, 0.5), (0.3, 0.8)])
+def test_solve_just_above_the_jaeger_shimony_onset_reaches_the_ceiling(p1, s):
+    # at unequal priors plateau_pi, the common-scale answer, lies above the
+    # true onset; the solver reaches the ceiling 1 between the two
+    e = pure_pair(p1, s)
+    onset = jaeger_shimony_onset(p1, s)
+    assert e.plateau_measurement.rate > onset + 0.01
+    r = solve(e, onset + 0.01)
+    assert r.converged and r.certificate.optimal
+    assert abs(r.p_rs - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
