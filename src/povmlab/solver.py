@@ -48,10 +48,9 @@ one call of the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so
 each point's coefficients are bit for bit those of its own ``lstsq``.
 Each point's multiplier search is its own outcome, and a sweep keeps one
 stacked root of lam^2, a row per point at its search's multiplier, which
-gives the sweep's lam^+ and the lam of the points that stop in it. Each
-point is one run from its start to its result, which one builder makes,
-closed form or iterated. Every POVM the solver returns is built by the
-:class:`Povm` constructor.
+gives the sweep's lam^+. Each point is one run from its start to its
+result, which one builder makes, closed form or iterated. Every POVM the
+solver returns is built by the :class:`Povm` constructor.
 
 Past the plateau onset the renormalized success rate stays at its
 ceiling, so a target at or above the rate of the ceiling-reaching
@@ -73,7 +72,7 @@ from numpy.linalg import _umath_linalg
 from . import certificate
 from .certificate import Certificate, SingularMultiplierError, require_matching
 from .ensemble import Povm, StateEnsemble, Violation, hermitian_psd_checks
-from .hermitian import PsdRoot, frozen, herm, psd_root, trace_products
+from .hermitian import PsdRoot, herm, psd_root, trace_products
 
 logger = logging.getLogger(__name__)
 
@@ -155,14 +154,15 @@ class SuccessMetrics(namedtuple("SuccessMetrics", "p_s p_i p_rs")):
 
 
 class SolveResult(namedtuple("SolveResult", (
-        "povm p_s p_i p_rs lam a iterations final_change converged rate_residual "
-        "rate_evaluations certificate change_history"), defaults=((),))):
-    """Converged POVM with its metrics, multipliers, and diagnostics.
+        "povm p_s p_i p_rs a iterations final_change converged rate_residual "
+        "rate_evaluations certificate change_history"))):
+    """Converged POVM with its metrics, rate multiplier, and diagnostics.
 
     ``povm`` is a :class:`Povm`, ``p_s``, ``p_i`` and ``p_rs`` are its
-    :class:`SuccessMetrics` and ``lam`` is the operator multiplier, a
-    read-only (d, d) array. ``a`` is None when the solve ran at zero
-    inconclusive rate, where the scalar multiplier plays no role.
+    :class:`SuccessMetrics` and ``a`` is the scalar multiplier of the
+    inconclusive-rate constraint, None when the solve ran at zero
+    inconclusive rate, where it plays no role. The operator multiplier
+    lam of ``povm`` is its certificate's ``lam``.
     ``rate_residual`` is the final sweep's
     |predicted inconclusive rate - target| (0 at zero target), and
     ``rate_evaluations`` counts the predicted-rate evaluations, one
@@ -385,12 +385,11 @@ def _solve_multiplier(
 
 def _sweep(
     fixed: _EnsembleTerms, x: np.ndarray, targets: list[float], starts: list[float | None],
-) -> tuple[np.ndarray, list[_Search], PsdRoot]:
+) -> tuple[np.ndarray, list[_Search]]:
     """One sweep of the stacked POVMs ``x``; each point's multiplier search
     starts at its entry of ``starts`` when given. Returns the new stacked
-    POVMs, each point's search and the stacked root of lam^2 the sweep
-    used, a row per point (:func:`_solve_multiplier`); a point whose search
-    holds an error has no valid row in the POVMs or the root.
+    POVMs and each point's search (:func:`_solve_multiplier`); a point
+    whose search holds an error has no valid row in the POVMs.
 
     The new conclusive elements are lam^+ (p_j^2 rho_j Pi_j rho_j) lam^+,
     congruences of PSD operators and so PSD, and the inconclusive one is
@@ -403,7 +402,7 @@ def _sweep(
     new = np.empty_like(x)
     new[:, 1:] = herm(laminv @ sandwiches @ laminv)
     new[:, 0] = np.eye(x.shape[-1]) - new[:, 1:].sum(axis=1)
-    return new, searches, root
+    return new, searches
 
 
 class _Anderson:
@@ -664,7 +663,7 @@ def _iterate_grid(
     restarted, is under the cap, met RATE_TOLERANCE and is not certified
     optimal; such a point restarts as "restarted", from
     :func:`initial_povm` with a fresh mixing history. Its result is its
-    last sweep's output G(x_k) with that sweep's multipliers, never an
+    last sweep's output G(x_k) with that sweep's ``a``, never an
     extrapolation. Each multiplier search starts from the point's previous
     multiplier, and a restart carries the sweep count on.
 
@@ -687,18 +686,16 @@ def _iterate_grid(
         conclusive = scales[:, None, None, None] * np.stack([p.conclusive for p in plateaus])
         inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
         elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
-        ceilings = [p.bound.prs_max for p in plateaus]
-        fixed = _ensemble_terms([run.e for run in closed])
-        lams = frozen(np.array(ceilings)[:, None, None] * fixed.sigma)
-        _finish(closed, fixed, elements, _certify([run.e for run in closed], elements), lams,
-                ceilings)
+        ensembles = [run.e for run in closed]
+        _finish(closed, _ensemble_terms(ensembles), elements, _certify(ensembles, elements),
+                [p.bound.prs_max for p in plateaus])
     runs = [run for run in every if run.outcome is None]     # the ones still going
     if runs:
         fixed = _ensemble_terms([run.e for run in runs])
     while runs:
         x = np.array([run.x for run in runs])
-        new, fits, root = _sweep(fixed, x, [run.target for run in runs],
-                                 [run.fit and run.fit.a for run in runs])
+        new, fits = _sweep(fixed, x, [run.target for run in runs],
+                           [run.fit and run.fit.a for run in runs])
         # real views of G(x) - x and G(x), a row per point
         residuals = (new - x).view(np.float64).reshape(len(runs), -1)
         values = new.view(np.float64).reshape(len(runs), -1)
@@ -776,9 +773,8 @@ def _iterate_grid(
                 if run.history[-1] > POVM_TOLERANCE:
                     logger.warning("no fixed point within %d sweeps (last change %.3e)",
                                    max_iterations, run.history[-1])
-            lams = frozen(PsdRoot(*(field[done] for field in root)).root_matrix())
             _finish(stopped, fixed.take(done), new[done], [checked[row] for row in done],
-                    lams, [run.fit.a for run in stopped])
+                    [run.fit.a for run in stopped])
         if any(run.outcome is not None for run in runs):
             rows = [row for row, run in enumerate(runs) if run.outcome is None]
             runs = [runs[row] for row in rows]
@@ -804,18 +800,18 @@ def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
 def _finish(
     runs: list[_Run], fixed: _EnsembleTerms, elements: np.ndarray,
     checked: list[tuple[Povm, Certificate | SingularMultiplierError]],
-    lams: np.ndarray, multipliers: list[float],
+    multipliers: list[float],
 ) -> None:
     """Give each of ``runs``, points that stop together, its result as its
     ``outcome``: the POVM of its row of the stacked ``elements`` with the
     certificate it was checked with (``checked``, from :func:`_certify`),
-    its multipliers, and the target, sweeps and rate evaluations of the
-    run; ``fixed`` holds their ensemble terms. A "closed" run has no sweeps
+    its multiplier ``a``, and the target, sweeps and rate evaluations of
+    the run; ``fixed`` holds their ensemble terms. A "closed" run has no sweeps
     and no multiplier search, so its rate residual is |p_i - target|; an
     iterated one's is its last search's. The metrics come from one stacked
     call."""
     metrics = _success_metrics(fixed, elements)
-    for run, (povm, cert), m, lam, a in zip(runs, checked, metrics, lams, multipliers):
+    for run, (povm, cert), m, a in zip(runs, checked, metrics, multipliers):
         change = run.history[-1] if run.history else 0.0
         residual = abs(m.p_i - run.target) if run.fit is None else run.fit.residual
         run.outcome = SolveResult(
@@ -823,7 +819,6 @@ def _finish(
             p_s=m.p_s,
             p_i=m.p_i,
             p_rs=m.p_rs,
-            lam=lam,
             a=None if run.target == 0.0 else a,
             iterations=len(run.history),
             final_change=change,

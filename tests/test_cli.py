@@ -4,6 +4,7 @@ import errno
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -25,7 +26,7 @@ from povmlab.bounds import max_relative_success
 from povmlab.ensemble import StateEnsemble, symmetric_qubit_pair
 from povmlab.certificate import SingularMultiplierError, check
 from povmlab.fileio import FileFormatError, load_ensemble, load_povm, save_ensemble, save_povm
-from povmlab.solver import InfeasibleTargetError, Povm, solve, solve_grid
+from povmlab.solver import InfeasibleTargetError, Povm, initial_povm, solve, solve_grid
 
 PROBLEM = SymmetricQubitProblem(0.9, math.pi / 4)
 
@@ -230,6 +231,20 @@ def test_solve_emit_povm_round_trips(capsys, ensemble_file, tmp_path):
         capsys, ["certify", str(ensemble_file), str(povm_path)])
     assert code2 == cli.EXIT_OK
     assert rec2["result"]["optimal"] is True
+
+
+@pytest.mark.parametrize("pad", [False, True], ids=["pair", "padded"])
+def test_solve_reports_the_certificate_certify_gives_its_povm(capsys, tmp_path, pad):
+    # the padded pair (d = 3) has a singular average state
+    path = tmp_path / "ensemble.json"
+    save_ensemble(path, padded(PROBLEM.ensemble(), 3) if pad else PROBLEM.ensemble())
+    code, rec = run_json(capsys, ["solve", str(path), "--pi", "0.2", "--emit-povm"])
+    assert code == cli.EXIT_OK
+    povm_path = tmp_path / "povm.json"
+    povm_path.write_text(json.dumps(rec["result"]["povm"]))
+    code, certified = run_json(capsys, ["certify", str(path), str(povm_path)])
+    assert code == cli.EXIT_OK
+    assert certified["result"] == rec["result"]["certificate"]
 
 
 def test_solve_rejects_bad_target(capsys, ensemble_file):
@@ -451,6 +466,16 @@ def test_certify_stationary_but_suboptimal(capsys, ensemble_file, tmp_path):
     assert min(margins) < -1e-6
 
 
+def test_certify_of_the_padded_pairs_start_is_not_optimal(capsys, tmp_path):
+    e = padded(PROBLEM.ensemble(), 3)
+    path, povm_path = tmp_path / "padded.json", tmp_path / "start.json"
+    save_ensemble(path, e)
+    save_povm(povm_path, initial_povm(e, 0.2))
+    code, rec = run_json(capsys, ["certify", str(path), str(povm_path)])
+    assert code == cli.EXIT_NOT_OPTIMAL
+    assert rec["result"]["optimal"] is False
+
+
 def test_certify_singular_multiplier(capsys, ensemble_file, tmp_path):
     proj0 = np.diag([1.0, 0.0]).astype(complex)
     proj1 = np.diag([0.0, 1.0]).astype(complex)
@@ -642,6 +667,17 @@ def test_fig1_converged_but_uncertified_rows_are_not_ok(capsys, argv, uncertifie
         assert r[7] in ("ok", "uncertified", "maxiter")
         if r[7] != "maxiter":
             assert (r[7] == "ok") == (r[6] == "true")
+
+
+def test_fig1_warns_once_per_ensemble_without_a_plateau_measurement(capsys, caplog):
+    # the states are 1e-8 apart in angle, and neither eta's limiting operator
+    # shows a kernel: one plateau measurement, and one warning, per eta
+    with caplog.at_level(logging.WARNING):
+        code, _ = run_cli(capsys, ["fig1", "--theta", "1e-8", "--etas", "0.3,0.5",
+                                   "--points", "5"])
+    assert code == cli.EXIT_OK
+    assert [(rec.name, rec.levelno) for rec in caplog.records
+            if rec.name == "povmlab.bounds"] == [("povmlab.bounds", logging.WARNING)] * 2
 
 
 def test_a_converged_point_whose_multiplier_is_singular_is_uncertified():

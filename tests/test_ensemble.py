@@ -105,6 +105,8 @@ def test_structural_rejections():
         StateEnsemble((PROJ0, PROJ1), np.array([1.0]))
     with pytest.raises(ValueError):
         StateEnsemble((), np.array([]))
+    with pytest.raises(ValueError, match="needs at least one state"):
+        StateEnsemble(np.zeros((0, 2, 2), dtype=complex), np.array([]))
     with pytest.raises(ValueError):
         StateEnsemble((PROJ0, np.full((2, 2), np.nan, dtype=complex)),
                       np.array([0.5, 0.5]))

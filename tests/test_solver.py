@@ -559,6 +559,14 @@ def test_solve_rejects_bad_targets_and_config():
         solve_grid([(e, 0.2)], max_iterations=0)
 
 
+def test_solve_raises_the_infeasible_target_its_grid_returns(monkeypatch):
+    error = InfeasibleTargetError(target=0.9, supremum=0.75)
+    monkeypatch.setattr(solver, "solve_grid", lambda points, *, max_iterations: [error])
+    with pytest.raises(InfeasibleTargetError) as exc_info:
+        solve(symmetric_qubit_pair(0.9, math.pi / 4), 0.9)
+    assert exc_info.value is error
+
+
 def test_solve_change_history_is_recorded():
     r = solve(symmetric_qubit_pair(0.9, math.pi / 4), 0.1)
     assert len(r.change_history) == r.iterations
@@ -613,15 +621,15 @@ def test_infeasible_sweep_from_an_extrapolation_falls_back(monkeypatch):
 
     def flaky_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        new, fits, root = sweep(fixed, x, targets, starts)
+        new, fits = sweep(fixed, x, targets, starts)
         if outputs and not np.array_equal(x[0], outputs[-1]) and not raised:
             # x is an extrapolation: fail once, noting the next call's
             # index and the last sweep's output
             raised.append((len(inputs), outputs[-1]))
             fits[0].error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, fits, root
+            return new, fits
         outputs.append(new[0].copy())
-        return new, fits, root
+        return new, fits
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
@@ -663,9 +671,9 @@ def test_digest_sees_every_bit_of_a_grid():
     e = symmetric_qubit_pair(0.9, math.pi / 4)
     r, other = solve_grid([(e, 0.3), (e, 0.6)])
     p_s = float((np.array([r.p_s]).view(np.uint64) ^ 1).view(np.float64)[0])
-    lam = r.lam.copy()
-    lam.view(np.uint64)[0, 0] ^= 1
-    for changed in (r._replace(p_s=p_s), r._replace(lam=lam),
+    elements = r.povm.elements.copy()
+    elements.view(np.uint64)[0, 0, 0] ^= 1
+    for changed in (r._replace(p_s=p_s), r._replace(povm=Povm(elements)),
                     r._replace(converged=not r.converged)):
         assert digest(changed) != digest(r)
     assert digest(other, r) != digest(r, other)
@@ -1127,12 +1135,12 @@ def test_infeasible_sweep_from_the_plateau_start_restarts(monkeypatch, failing):
 
     def flaky_sweep(fixed, x, targets, starts):
         inputs.append(x[0].copy())
-        new, fits, root = sweep(fixed, x, targets, starts)
+        new, fits = sweep(fixed, x, targets, starts)
         if len(inputs) == failing:
             fits[0].error = InfeasibleTargetError(target=targets[0], supremum=0.0)
-            return new, fits, root
+            return new, fits
         outputs.append(new[0].copy())
-        return new, fits, root
+        return new, fits
 
     monkeypatch.setattr(solver, "_sweep", flaky_sweep)
     r = solve(e, 0.3)
