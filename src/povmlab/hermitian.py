@@ -55,7 +55,8 @@ class PsdRoot(namedtuple("PsdRoot", "vectors root inverse")):
     """A^{1/2} = V diag(root) V† and its pseudoinverse V diag(inverse) V†,
     where V, the ``vectors``, are the eigenvectors of A, in ascending order
     of eigenvalue; for a stack of matrices each field is stacked the same
-    way. Every field is an ndarray."""
+    way. Every field is an ndarray, but for a ``root`` its maker leaves
+    out, which is None."""
 
     __slots__ = ()
 

@@ -18,46 +18,27 @@ starts from the previous sweep's ``a``. This is the iteration of Jezek,
 Rehacek and Fiurasek, PRA 65, 060301(R) (2002). Iterated from a maximally
 uninformative start it converges, empirically linearly, to a stationary
 POVM; whether that POVM is optimal is the certificate module's test.
-:func:`solve_grid` starts a point below its ensemble's plateau rate from
-the plateau measurement mixed down to the point's rate instead, which is
-nearer the optimum.
 
-:func:`solve_grid` accelerates the iteration with Anderson mixing of the
-recent sweeps. An extrapolated POVM keeps completeness and the
-inconclusive rate exactly but may leave the PSD cone. One rule decides
-the step: the largest of the full step and its halvings toward the plain
-sweep's output whose elements stay PSD within POVM_PSD_FLOOR is taken, as
-in the diluted iteration of Rehacek et al., PRA 75, 042108 (2007), and
-safeguarded Anderson mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim.
-30, 3170 (2020)).
+:func:`solve_grid` runs the iteration on a grid of (ensemble, target)
+points and states its rules: the starts, the Anderson step, the
+stop-and-restart rule and the infeasible fallbacks; :func:`solve` is its
+one-point case. Past the plateau onset the renormalized success rate
+stays at its ceiling, so a target at or above the rate of the
+ceiling-reaching measurement ``StateEnsemble.plateau_measurement``,
+computed once per ensemble object and kept on it, is answered in closed
+form and is not iterated.
 
-One rule stops a point: once its fixed-point residual, the largest
-element change one sweep makes to the point it was applied to, drops to
-POVM_TOLERANCE, or at the sweep cap, :func:`certificate.check_grid` tests
-its POVM, and the point stops with that certificate unless it settled
-under the cap within the rate tolerance, not optimal, and was never
-restarted. Such a point restarts from the uninformative start on full
-extrapolation steps only, so a stationary but non-optimal POVM does not
-end the solve. A point's ``start`` is "closed" (below), "plateau" or
-"uninformative", and "restarted" after that restart. A result's per-sweep
-history is the fixed-point residual. The points of a grid are solved in
-lockstep on one stacked iterate, so numpy's per-call cost is paid once
-per grid rather than once per point; :func:`solve` is its one-point case.
+The points of a grid are solved in lockstep on one stacked iterate, so
+numpy's per-call cost is paid once per grid rather than once per point.
 The Anderson least squares of all points with the same history depth are
 one call of the LAPACK gelsd gufunc that ``np.linalg.lstsq`` calls, so
 each point's coefficients are bit for bit those of its own ``lstsq``.
 Each point's multiplier search is its own outcome, and a sweep keeps one
-stacked root of lam^2, a row per point at its search's multiplier, which
-gives the sweep's lam^+. Each point is one run from its start to its
-result, which one builder makes, closed form or iterated. Every POVM the
-solver returns is built by the :class:`Povm` constructor.
-
-Past the plateau onset the renormalized success rate stays at its
-ceiling, so a target at or above the rate of the ceiling-reaching
-measurement ``StateEnsemble.plateau_measurement``, computed once per
-ensemble object and kept on it, is answered in closed form, by mixing
-that measurement with the always-inconclusive one, and is not iterated:
-its run starts, and ends, as "closed".
+stacked eigendecomposition of lam^2, a row per point at its search's
+multiplier, which gives the sweep's lam^+. Each point is one run from
+its start to its result, which one builder makes, closed form or
+iterated. Every POVM the solver returns is built by the :class:`Povm`
+constructor.
 """
 
 from __future__ import annotations
@@ -354,24 +335,26 @@ def _solve_multiplier(
 ) -> tuple[list[_Search], PsdRoot]:
     """Every point's multiplier search, in lockstep: each round is one
     stacked rate evaluation of the points still searching. Returns the
-    searches, each its point's outcome, and the stacked root of lam^2 at
-    each search's ``a``: after every round, the rows of the points whose
-    residual improved are copied in, one fancy assignment per field. A
+    searches, each its point's outcome, and the stacked PsdRoot of lam^2
+    at each search's ``a`` that gives lam^+: its ``vectors`` and
+    ``inverse``, a row per point, into which after every round the rows
+    of the points whose residual improved are copied, one fancy
+    assignment each; its ``root`` is None, since nothing reads it. A
     point whose target is infeasible has the error on its search."""
     searches = [_Search(t, s) for t, s in zip(targets, starts)]
     live = list(range(len(searches)))
-    root = None
+    vectors = inverse = None
     while live:
         ev = _predicted_rate(terms, [searches[k].trial for k in live])
-        if root is None:     # the first round evaluates every point
-            root = PsdRoot(*(np.empty_like(field) for field in ev.root))
+        if vectors is None:     # the first round evaluates every point
+            vectors, inverse = np.empty_like(ev.root.vectors), np.empty_like(ev.root.inverse)
         keep = [row for row, (k, rate, slope) in enumerate(zip(live, ev.rate, ev.slope))
                 if not searches[k].update(rate, slope)]
         improved = [row for row, k in enumerate(live) if searches[k].improved]
         rows = np.array(improved, dtype=np.intp)
         slots = np.array([live[row] for row in improved], dtype=np.intp)
-        for out, field in zip(root, ev.root):
-            out[slots] = field[rows]
+        vectors[slots] = ev.root.vectors[rows]
+        inverse[slots] = ev.root.inverse[rows]
         if len(keep) < len(live):
             live = [live[row] for row in keep]
             if keep:
@@ -380,7 +363,7 @@ def _solve_multiplier(
         if search.residual > RATE_TOLERANCE and search.error is None:
             logger.debug("multiplier search stopped at residual %.3e (tolerance %.3e)",
                          search.residual, RATE_TOLERANCE)
-    return searches, root
+    return searches, PsdRoot(vectors, None, inverse)
 
 
 def _sweep(
@@ -473,23 +456,18 @@ def _extrapolate(mixers: list[_Anderson], f: np.ndarray, g: np.ndarray) -> np.nd
 
 
 class _Run:
-    """One grid point from its start to its result. ``start`` is "closed"
-    for a target at or above the rate of its ensemble's plateau
-    measurement, answered in closed form with no iterate (warm only);
-    otherwise the point is iterated from "plateau" (:func:`_plateau_start`,
-    warm only, when that measurement has a rate) or "uninformative"
-    (:func:`initial_povm`), and is "restarted" from the latter after an
-    uncertified settle. Without ``warm`` the plateau measurement is not
-    read. ``outcome`` is None until the point stops, then its SolveResult
-    or the InfeasibleTargetError that ended it."""
+    """One grid point from its start to its result (:func:`solve_grid`):
+    ``start`` is "closed", "plateau", "uninformative" or "restarted", and
+    ``outcome`` is None until the point stops, then its SolveResult or the
+    InfeasibleTargetError that ended it."""
 
-    def __init__(self, e: StateEnsemble, target: float, warm: bool):
+    def __init__(self, e: StateEnsemble, target: float):
         self.e, self.target = e, target
         self.history: list[float] = []
         self.fit: _Search | None = None       # last sweep's multiplier search
         self.evaluations = 0
         self.outcome: SolveResult | InfeasibleTargetError | None = None
-        rate = e.plateau_measurement.rate if warm else None
+        rate = e.plateau_measurement.rate
         if rate is not None and target >= rate:
             self.start = "closed"
         else:
@@ -597,22 +575,68 @@ def solve_grid(
 ) -> list[SolveResult | InfeasibleTargetError]:
     """Solve every (ensemble, target) point; the ensembles share their
     dimension and number of states. Returns each point's SolveResult, or
-    the InfeasibleTargetError it met.
+    the InfeasibleTargetError it met, in the points' order.
 
-    Each point is one run of :func:`_iterate_grid`, warm, with at most
-    ``max_iterations`` sweeps. Each ensemble's plateau measurement, kept on
-    the ensemble, gives the ceiling prs_max and conclusive elements X_j
-    reaching it at rate t_c. A target t >= t_c is answered without sweeps
-    ("closed"): Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I - sum_j Pi_j,
-    with multipliers lam = prs_max sigma and a = prs_max, which are dual
-    feasible and make that POVM stationary. Its result reports 0
-    iterations, a final change of 0 and 0 rate evaluations, and its rate
-    residual is |Tr[sigma Pi_0] - t|. A point below t_c starts from that
-    measurement mixed down to its rate ("plateau", :func:`_plateau_start`),
-    and a point of an ensemble whose plateau measurement has no rate (no
-    kernel) from :func:`initial_povm` ("uninformative"). Every result is
-    built and certified by one builder (:func:`_finish`), so every result
-    carries its POVM's certificate.
+    Each point is a :class:`_Run` with at most ``max_iterations`` sweeps.
+    The iterated runs go in lockstep on one stacked iterate, which after a
+    sweep in which points stop keeps only the runs still going. The points
+    share nothing but the stacked numpy calls, so a point's outcome does
+    not depend on the others in the grid. Every result is built and
+    certified by one builder (:func:`_finish`), so every result carries
+    its POVM's certificate.
+
+    The starts. Each ensemble's plateau measurement gives the ceiling
+    prs_max and conclusive elements X_j reaching it at rate t_c. A target
+    t >= t_c is answered without sweeps ("closed"), all such points as one
+    stack before any sweep: Pi_j = (1 - t)/(1 - t_c) X_j and Pi_0 = I -
+    sum_j Pi_j, with multipliers lam = prs_max sigma and a = prs_max,
+    which are dual feasible and make that POVM stationary. Its result
+    reports 0 iterations, a final change of 0 and 0 rate evaluations, and
+    its rate residual is |Tr[sigma Pi_0] - t|. A point below t_c starts
+    from that measurement mixed down to its rate ("plateau",
+    :func:`_plateau_start`), which is nearer the optimum, and a point of
+    an ensemble whose plateau measurement has no rate (no kernel) from
+    :func:`initial_povm` ("uninformative").
+
+    The Anderson step. Each point's iterate x_k is Anderson-accelerated
+    (:class:`_Anderson`, depth ANDERSON_DEPTH) once its multiplier search
+    met RATE_TOLERANCE. An extrapolation keeps completeness and the
+    inconclusive rate exactly but may leave the PSD cone, so the next
+    iterate is y = G(x_k) + beta (x_A - G(x_k)) for the extrapolation x_A
+    from its recent sweeps (:func:`_extrapolate`, one least-squares call
+    per history depth) and the largest beta = 1, 1/2 ...
+    1/2**BACKTRACK_STEPS whose elements are all PSD within POVM_PSD_FLOOR
+    (:func:`_step`, one stacked eigvalsh for the grid), as in the diluted
+    iteration of Rehacek et al., PRA 75, 042108 (2007), and safeguarded
+    Anderson mixing (Zhang, O'Donoghue and Boyd, SIAM J. Optim. 30, 3170
+    (2020)). At beta = 1, y is x_A itself, and a "restarted" point takes
+    beta = 1 or none. When no beta passes, or the search missed the
+    tolerance, the next iterate is the plain sweep's output G(x_k), and
+    its mixing starts over. Each sweep gives each point one verdict on its
+    extrapolation, logged at DEBUG by :func:`_log_sweep`: none, rejected,
+    accepted, or backtracked with its beta.
+
+    The stop and the restart. Every point whose fixed-point residual, the
+    largest Frobenius-norm difference between elements of G(x_k) and x_k,
+    drops to POVM_TOLERANCE, or that reaches ``max_iterations`` sweeps
+    (reported through ``converged``, not an exception), is certified, all
+    of one sweep by one :func:`certificate.check_grid` call
+    (:func:`_certify`). It stops with that certificate unless it was never
+    restarted, is under the cap, met RATE_TOLERANCE and is not certified
+    optimal; such a point restarts as "restarted", from
+    :func:`initial_povm` with a fresh mixing history, so a stationary but
+    non-optimal POVM does not end the solve. Its result is its last
+    sweep's output G(x_k) with that sweep's ``a``, never an extrapolation.
+    Each multiplier search starts from the point's previous multiplier,
+    and a restart carries the sweep count on.
+
+    The infeasible sweeps. A sweep from an extrapolation that finds the
+    target infeasible is dropped and the point resumes from its last
+    sweep's output. So is one from a "plateau" point's plain output, and
+    the point restarts as "uninformative": the plateau start's Pi_0 can be
+    rank-deficient (for tied states), every sweep keeps the rank, and a
+    rank-deficient Pi_0 can make a rate unreachable that the problem
+    allows. Any other infeasible sweep ends the point with the error.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
@@ -621,63 +645,7 @@ def solve_grid(
         require_target(target)
     if len({(e.n_states, e.dim) for e, _ in points}) > 1:
         raise ValueError("grid points must share the number of states and the dimension")
-    return _iterate_grid(points, max_iterations, warm=True)
-
-
-def _iterate_grid(
-    points: list[tuple[StateEnsemble, float]], max_iterations: int, warm: bool = False,
-) -> list[SolveResult | InfeasibleTargetError]:
-    """Solve every (ensemble, target) point, the iterated ones all in
-    lockstep on one stacked iterate; the points are validated and share
-    their shape.
-
-    Each point is a :class:`_Run`, which holds its outcome once it stops,
-    and the outcomes return in the points' order. With ``warm``, the
-    "closed" runs, at or above their plateau rate, get their closed-form
-    results (:func:`solve_grid`) as one stack before any sweep, and a point
-    whose ensemble's plateau measurement has a rate starts from
-    :func:`_plateau_start` ("plateau"); every other point from
-    :func:`initial_povm` ("uninformative"). After a sweep in which points
-    stop, the stack keeps only the runs still going.
-
-    Each point's iterate x_k is Anderson-accelerated (:class:`_Anderson`,
-    depth ANDERSON_DEPTH) once its multiplier search met RATE_TOLERANCE.
-    Its next iterate is y = G(x_k) + beta (x_A - G(x_k)) for the
-    extrapolation x_A from its recent sweeps (:func:`_extrapolate`, one
-    least-squares call per history depth) and the largest beta = 1,
-    1/2 ... 1/2**BACKTRACK_STEPS whose elements are all PSD within
-    POVM_PSD_FLOOR (:func:`_step`, one stacked eigvalsh for the grid); at
-    beta = 1, y is x_A itself, and a "restarted" point takes beta = 1 or
-    none. When no beta passes, or the search missed the tolerance, the
-    next iterate is the plain sweep's output G(x_k), and its mixing starts
-    over. Each sweep gives each point one verdict on its extrapolation,
-    logged at DEBUG by :func:`_log_sweep`: none, rejected, accepted, or
-    backtracked with its beta.
-
-    One rule stops a point. Every point whose fixed-point residual, the
-    largest Frobenius-norm difference between elements of G(x_k) and x_k,
-    drops to POVM_TOLERANCE, or that reaches ``max_iterations`` sweeps
-    (reported through ``converged``, not an exception), is certified, all
-    of one sweep by one :func:`certificate.check_grid` call
-    (:func:`_certify`). It stops with that certificate unless it was never
-    restarted, is under the cap, met RATE_TOLERANCE and is not certified
-    optimal; such a point restarts as "restarted", from
-    :func:`initial_povm` with a fresh mixing history. Its result is its
-    last sweep's output G(x_k) with that sweep's ``a``, never an
-    extrapolation. Each multiplier search starts from the point's previous
-    multiplier, and a restart carries the sweep count on.
-
-    A sweep from an extrapolation that finds the target infeasible is
-    dropped and the point resumes from its last sweep's output. So is one
-    from a "plateau" point's plain output, and the point restarts as
-    "uninformative": the plateau start's Pi_0 can be rank-deficient (for
-    tied states), every sweep keeps the rank, and a rank-deficient Pi_0
-    can make a rate unreachable that the problem allows. Any other
-    infeasible sweep ends the point with the error. The points share
-    nothing but the stacked numpy calls, so a point's outcome does not
-    depend on the others in the grid.
-    """
-    every = [_Run(e, t, warm) for e, t in points]
+    every = [_Run(e, t) for e, t in points]
     closed = [run for run in every if run.start == "closed"]
     if closed:
         plateaus = [run.e.plateau_measurement for run in closed]
@@ -687,8 +655,7 @@ def _iterate_grid(
         inconclusive = np.eye(conclusive.shape[-1]) - conclusive.sum(axis=1)
         elements = np.concatenate((inconclusive[:, None], conclusive), axis=1)
         ensembles = [run.e for run in closed]
-        _finish(closed, _ensemble_terms(ensembles), elements, _certify(ensembles, elements),
-                [p.bound.prs_max for p in plateaus])
+        _finish(closed, _ensemble_terms(ensembles), elements, _certify(ensembles, elements))
     runs = [run for run in every if run.outcome is None]     # the ones still going
     if runs:
         fixed = _ensemble_terms([run.e for run in runs])
@@ -773,8 +740,7 @@ def _iterate_grid(
                 if run.history[-1] > POVM_TOLERANCE:
                     logger.warning("no fixed point within %d sweeps (last change %.3e)",
                                    max_iterations, run.history[-1])
-            _finish(stopped, fixed.take(done), new[done], [checked[row] for row in done],
-                    [run.fit.a for run in stopped])
+            _finish(stopped, fixed.take(done), new[done], [checked[row] for row in done])
         if any(run.outcome is not None for run in runs):
             rows = [row for row, run in enumerate(runs) if run.outcome is None]
             runs = [runs[row] for row in rows]
@@ -800,20 +766,22 @@ def _certify(ensembles: list[StateEnsemble], elements: np.ndarray,
 def _finish(
     runs: list[_Run], fixed: _EnsembleTerms, elements: np.ndarray,
     checked: list[tuple[Povm, Certificate | SingularMultiplierError]],
-    multipliers: list[float],
 ) -> None:
     """Give each of ``runs``, points that stop together, its result as its
     ``outcome``: the POVM of its row of the stacked ``elements`` with the
     certificate it was checked with (``checked``, from :func:`_certify`),
-    its multiplier ``a``, and the target, sweeps and rate evaluations of
-    the run; ``fixed`` holds their ensemble terms. A "closed" run has no sweeps
-    and no multiplier search, so its rate residual is |p_i - target|; an
-    iterated one's is its last search's. The metrics come from one stacked
-    call."""
+    and the target, sweeps and rate evaluations of the run; ``fixed``
+    holds their ensemble terms. A "closed" run has no sweeps and no
+    multiplier search, so its multiplier ``a`` is its plateau's prs_max
+    and its rate residual is |p_i - target|; an iterated one's are its
+    last search's. The metrics come from one stacked call."""
     metrics = _success_metrics(fixed, elements)
-    for run, (povm, cert), m, a in zip(runs, checked, metrics, multipliers):
+    for run, (povm, cert), m in zip(runs, checked, metrics):
         change = run.history[-1] if run.history else 0.0
-        residual = abs(m.p_i - run.target) if run.fit is None else run.fit.residual
+        if run.fit is None:
+            a, residual = run.e.plateau_measurement.bound.prs_max, abs(m.p_i - run.target)
+        else:
+            a, residual = run.fit.a, run.fit.residual
         run.outcome = SolveResult(
             povm=povm,
             p_s=m.p_s,

@@ -6,9 +6,12 @@ seed; nothing here reads global RNG state.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from povmlab import Povm, StateEnsemble, solver
+from povmlab.bounds import PlateauMeasurement, max_relative_success
 from povmlab.solver import MAX_ITERATIONS, POVM_TOLERANCE, initial_povm
 
 
@@ -37,6 +40,21 @@ def padded(e: StateEnsemble, dim: int, unitary=None) -> StateEnsemble:
         big[:e.dim, :e.dim] = rho
         states.append(big if unitary is None else unitary @ big @ unitary.conj().T)
     return StateEnsemble(tuple(states), e.priors)
+
+
+class _Uninformative(StateEnsemble):
+    """A StateEnsemble whose plateau measurement has no rate."""
+
+    @cached_property
+    def plateau_measurement(self) -> PlateauMeasurement:
+        return PlateauMeasurement(max_relative_success(self), None, None)
+
+
+def uninformative(e: StateEnsemble) -> StateEnsemble:
+    """A copy of ``e`` whose plateau measurement has no rate, so that
+    :func:`solver.solve_grid` iterates every target of it from
+    :func:`solver.initial_povm`, those at or past the plateau onset too."""
+    return _Uninformative(e.states, e.priors)
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:

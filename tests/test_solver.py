@@ -27,6 +27,7 @@ from conftest import (
     random_ensemble,
     rate_terms,
     sweep_once,
+    uninformative,
 )
 from grids import digest, family_a, family_c, fig1, onset_window
 from povmlab import bounds, certificate, cli, solver
@@ -57,12 +58,10 @@ def orthogonal_pair() -> StateEnsemble:
 
 def _iterate(e: StateEnsemble, target: float,
              max_iterations: int = solver.MAX_ITERATIONS) -> SolveResult:
-    """:func:`solve` on the iterative path, which a target at or above the
-    plateau rate takes only here."""
-    outcome, = solver._iterate_grid([(e, target)], max_iterations)
-    if isinstance(outcome, InfeasibleTargetError):
-        raise outcome
-    return outcome
+    """:func:`solve` of ``e`` iterated from :func:`initial_povm`
+    (:func:`conftest.uninformative`), a target at or above the plateau
+    rate too."""
+    return solve(uninformative(e), target, max_iterations=max_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +208,8 @@ def test_solve_multiplier_hits_target():
     (fit,), root = solver._solve_multiplier(terms, [0.2], [None])
     assert fit.a > 0
     assert abs(solver._predicted_rate(terms, [fit.a]).rate[0] - 0.2) <= 1e-14
-    lam, = root.root_matrix()
-    assert np.allclose(lam, lam.conj().T)
+    lam2 = terms.conclusive_sum + (fit.a * fit.a) * terms.pair[:, 1]
+    assert np.allclose(root.pinv_matrix(), psd_root(lam2).pinv_matrix())
 
 
 def test_solve_multiplier_matches_certificate_after_convergence():
@@ -237,7 +236,8 @@ def test_search_root_rows_are_the_roots_at_the_reported_multipliers():
     # one stack whose points stop in different rounds: a zero target (no
     # search), two feasible targets from cold and far warm starts, and an
     # infeasible one that doubles to the cap; each row of the returned
-    # root is psd_root of lam^2 at that point's reported a, bit for bit
+    # root's vectors and inverse, the fields lam^+ is built from, is
+    # psd_root's of lam^2 at that point's reported a, bit for bit
     p = SymmetricQubitProblem(0.9, math.pi / 4)
     e = p.ensemble()
     plateau_povm = analytic_povm(p, phi_max_and_prs_max(p)[0])
@@ -254,8 +254,8 @@ def test_search_root_rows_are_the_roots_at_the_reported_multipliers():
     for k, fit in enumerate(fits):
         expected = psd_root((terms.conclusive_sum[k]
                              + (fit.a * fit.a) * terms.pair[k, 1])[None])
-        for field, want in zip(root, expected):
-            assert field[k].tobytes() == want[0].tobytes()
+        assert root.vectors[k].tobytes() == expected.vectors[0].tobytes()
+        assert root.inverse[k].tobytes() == expected.inverse[0].tobytes()
 
 
 def test_predicted_rate_slope_matches_finite_difference():
@@ -392,8 +392,9 @@ def test_search_keeps_its_best_trial_not_its_last(monkeypatch, caplog):
     assert fit.a == 1.0 and fit.residual == pytest.approx(0.05) and fit.error is None
     assert fit.evaluations == len(evaluated) == 55
     assert evaluated[-1] == 2.9999999999999996
-    for field, want in zip(root, psd_root(np.eye(2)[None])):
-        assert field.tobytes() == want.tobytes()
+    expected = psd_root(np.eye(2)[None])
+    assert root.vectors.tobytes() == expected.vectors.tobytes()
+    assert root.inverse.tobytes() == expected.inverse.tobytes()
     assert [rec.message for rec in caplog.records if "stopped at residual" in rec.message] == [
         "multiplier search stopped at residual 5.000e-02 "
         f"(tolerance {solver.RATE_TOLERANCE:.3e})"]
@@ -704,6 +705,20 @@ def test_solve_grid_is_independent_of_stack_composition():
     assert whole == single
 
 
+def test_solve_grid_mixes_every_start_in_one_stack():
+    # closed, plateau and uninformative starts in one call: each point is
+    # bit for bit its own one-point solve at the same cap
+    flat = symmetric_qubit_pair(0.3, 1e-8)
+    e = symmetric_qubit_pair(0.9, math.pi / 4)
+    onset = e.plateau_measurement.rate
+    assert flat.plateau_measurement.rate is None
+    points = [(flat, t) for t in (0.0, 0.1, 0.5)] + [(e, t) for t in (0.0, 0.3, onset, 0.8)]
+    results = solve_grid(points, max_iterations=20)
+    assert [r.iterations == 0 for r in results] == [False] * 5 + [True] * 2
+    assert [digest(r) for r in results] == [digest(solve(f, t, max_iterations=20))
+                                            for f, t in points]
+
+
 @pytest.mark.parametrize("dim, n_states", [(2, 2), (3, 2), (3, 3)])
 def test_grid_metrics_are_the_success_metrics_of_each_povm(dim, n_states):
     # a point's (p_s, p_i, p_rs) do not depend on the ensembles stacked with
@@ -732,7 +747,7 @@ def test_solve_grid_isolates_failing_points(monkeypatch):
     monkeypatch.setattr(solver, "initial_povm",
                         lambda e, t: plateau_povm if t == 0.95 else default_start(e, t))
     targets = [0.0, 0.3, 0.95, plateau_onset_pi(p), 0.8]
-    grid = solver._iterate_grid([(e, t) for t in targets], 150)
+    grid = solve_grid([(uninformative(e), t) for t in targets], max_iterations=150)
     assert isinstance(grid[2], InfeasibleTargetError)
     assert not grid[3].converged and grid[3].iterations == 150
     for k in (0, 1, 4):
@@ -1008,7 +1023,9 @@ def test_plateau_rate_is_the_onset_of_an_untied_ensemble(k):
     assert (r.iterations, r.final_change, r.rate_evaluations) == (0, 0.0, 0)
     assert r.converged and check(e, r.povm).optimal
     # the iteration reaches the ceiling just above that rate and not below it
-    above, below = solver._iterate_grid([(e, onset + 0.05), (e, onset - 0.005)], 1000)
+    cold = uninformative(e)
+    above, below = solve_grid([(cold, onset + 0.05), (cold, onset - 0.005)],
+                              max_iterations=1000)
     assert above.converged and abs(above.p_rs - b.prs_max) <= 1e-12
     assert below.converged and below.p_rs < b.prs_max - 1e-6
 
@@ -1030,19 +1047,6 @@ def test_closed_form_results_close_and_meet_the_rate():
         assert povm_violations(r.povm) == []
         assert abs(np.trace(e.average_state @ r.povm.inconclusive).real - target) <= 1e-14
         assert r.rate_residual <= 1e-14 and r.converged
-
-
-def test_cold_iteration_never_reads_the_plateau_measurement(monkeypatch):
-    # the start is decided in the run: without warm, a target past the
-    # onset is iterated from the uninformative start, and nothing asks for
-    # the plateau measurement
-    def no_plateau(e):
-        raise AssertionError("plateau measurement read on the cold path")
-
-    monkeypatch.setattr(bounds, "_measure_plateau", no_plateau)
-    e = symmetric_qubit_pair(0.9, math.pi / 4)
-    r, = solver._iterate_grid([(e, 0.8)], 500)
-    assert r.converged and r.iterations > 0
 
 
 def test_a_grid_of_closed_form_points_makes_no_sweep(monkeypatch):
